@@ -172,7 +172,7 @@ def backward_tile(
         if ix0 >= ix1 or iy0 >= iy1:
             continue
         sl = (slice(iy0 - y0, iy1 - y0), slice(ix0 - x0, ix1 - x0))
-        alpha, dx, dy = alpha_patch(batch, i, ix0, ix1, iy0, iy1)
+        alpha, dx, dy = (v[0] for v in alpha_patch(batch, i, ix0, ix1, iy0, iy1))
         contrib = (alpha >= ALPHA_MIN) & (k < stop[iy0:iy1, ix0:ix1])
         nhit = int(np.count_nonzero(contrib))
         out.hits[k] = nhit
@@ -200,8 +200,8 @@ def backward_tile(
         out.d_opacity[k] = adla.sum() / float(batch.opacity[i])
         dq = -0.5 * adla
         ca, cb, cc = (float(v) for v in batch.conic[i])
-        dxg = dx[None, :].astype(np.float64)
-        dyg = dy[:, None].astype(np.float64)
+        dxg = dx.astype(np.float64)  # (1, w)
+        dyg = dy.astype(np.float64)  # (h, 1)
         out.d_mean2[k, 0] = -(dq * (2 * ca * dxg + 2 * cb * dyg)).sum()
         out.d_mean2[k, 1] = -(dq * (2 * cb * dxg + 2 * cc * dyg)).sum()
         out.d_conic[k, 0] = (dq * dxg * dxg).sum()

@@ -83,7 +83,6 @@ def _add_render_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--background", nargs=3, type=float, metavar=("R", "G", "B"))
     p.add_argument("--dtype", choices=("float32", "float64"))
     p.add_argument("--threads", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--record-occlusion", action=argparse.BooleanOptionalAction)
     p.add_argument("--bank-trace-groups", type=int)
 
@@ -102,7 +101,6 @@ def _merged_render_config(args) -> RenderConfig:
             "background": args.background,
             "dtype": args.dtype,
             "threads": args.threads,
-            "seed": args.seed,
             "record_occlusion": args.record_occlusion,
             "bank_trace_groups": args.bank_trace_groups,
         },

@@ -103,8 +103,6 @@ class TrainStats:
     drain_events: int = 0  # 16-splat offload batches
     time_forward: float = 0.0
     time_backward: float = 0.0
-    time_chain: float = 0.0
-    time_accumulate: float = 0.0
     time_optimizer: float = 0.0
 
     def to_text(self) -> str:
@@ -114,8 +112,6 @@ class TrainStats:
             f"drain_events {self.drain_events}",
             f"time_forward {self.time_forward:.4f}",
             f"time_backward {self.time_backward:.4f}",
-            f"time_chain {self.time_chain:.4f}",
-            f"time_accumulate {self.time_accumulate:.4f}",
             f"time_optimizer {self.time_optimizer:.4f}",
         ]
         return "\n".join(lines)

@@ -1,10 +1,10 @@
 """Tile-based forward rasterizer with depth-chunked blending.
 
 Each tile owns a depth-sorted splat list.  Three traversal schedules
-share one alpha kernel and produce bit-identical pixels:
+produce bit-identical pixels:
 
 * Gaussian-centric: walk the list front to back, updating every pixel a
-  splat covers (terminated pixels still get evaluated; their weight is
+  splat covers (terminated pixels are still evaluated; their weight is
   zero).  This is the reference order.
 * Depth-chunked (z-tiled): split the list into K chunks, blend each
   chunk independently from T = 1 with no early termination, then merge
@@ -16,6 +16,25 @@ share one alpha kernel and produce bit-identical pixels:
   terminated.  Used for the trailing portion of the list in hybrid mode,
   where most surviving work belongs to a few unterminated pixels.
 
+All of them go through one run kernel (``blend_span``).  It cuts a span
+of the list into runs of consecutive entries and blends each run as one
+dense (g, h, w) slab over the bounding box of the entries' AABB-and-tile
+windows, masking each entry to its own window.  A run grows greedily
+while g * area(bounding box) <= sum(window area + RUN_OVERHEAD_PX) and
+one (g, h, w) slab array fits in RUN_MAX_BYTES: small splats on small
+tiles become one run per tile, while large splats stay in short runs
+that evaluate little beyond their windows.  RUN_OVERHEAD_PX is the fixed
+cost of one kernel call in pixel-equivalents, measured on the
+benchmark's render workloads.  Within a run,
+transmittance is a sequential product along the entry axis and color a
+sequential sum with the carried state first, so each pixel sees the
+same floating-point operations in the same order as when splats are
+blended one at a time.  Schedules differ only in the state a span
+starts from, its eps_t, and from which list position its work is
+counted pixel-centrically; the counters count window pixels, never the
+slab's padding.  A run whose slab has fully terminated is not evaluated
+at all, though its work is still counted as the traversal would do it.
+
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, floored at 0 and
 the product clamped to 0.99.  Splats with alpha below 1/255 at a pixel
@@ -25,7 +44,7 @@ do not blend there.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +54,13 @@ from .preprocess import SplatBatch, TileBinning, bin_and_sort, preprocess
 
 ALPHA_MIN = 1.0 / 255.0
 ALPHA_MAX = 0.99
+
+# Run grouping (see the module docstring).  RUN_OVERHEAD_PX is the fixed
+# cost of one run-kernel call in pixel-equivalents.  RUN_MAX_BYTES caps
+# one (g, h, w) slab array, which keeps a run's ~8 live temporaries
+# within a core's L2 cache and the process's peak memory flat.
+RUN_OVERHEAD_PX = 4096
+RUN_MAX_BYTES = 1 << 17
 
 _HYBRID_MODES = ("off", "fixed_fraction", "occlusion_threshold")
 
@@ -50,7 +76,6 @@ class RenderConfig:
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     dtype: type = np.float32
     threads: int = 1
-    seed: int = 0
     record_occlusion: bool = False
     bank_trace_groups: int = 0  # max write groups to record; 0 disables
 
@@ -84,25 +109,16 @@ class RenderConfig:
 class PixelState:
     """Per-pixel blend state over one tile (arrays are tile-shaped)."""
 
-    rgb: np.ndarray  # (h, w, 3) accumulated color, background excluded
+    rgb: np.ndarray  # (3, h, w) accumulated color, planar, background excluded
     T: np.ndarray  # (h, w) transmittance
     terminated: np.ndarray  # (h, w) bool
     n_contrib: np.ndarray  # (h, w) int32 splats blended
     stop: np.ndarray  # (h, w) int32 list position after the last blended splat
 
 
-@dataclass
-class ZTilePartial:
-    """One depth chunk blended in isolation (T starts at 1, no termination)."""
-
-    rgb_loc: np.ndarray  # (h, w, 3)
-    T_out: np.ndarray  # (h, w) chunk transmittance
-    n_contrib: np.ndarray  # (h, w) int32
-
-
 def _fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
     return PixelState(
-        rgb=np.zeros((h, w, 3), dtype=dtype),
+        rgb=np.zeros((3, h, w), dtype=dtype),
         T=np.ones((h, w), dtype=dtype),
         terminated=np.zeros((h, w), dtype=bool),
         n_contrib=np.zeros((h, w), dtype=np.int32),
@@ -110,42 +126,39 @@ def _fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
     )
 
 
-def _clone_state(s: PixelState) -> PixelState:
-    return PixelState(
-        rgb=s.rgb.copy(),
-        T=s.T.copy(),
-        terminated=s.terminated.copy(),
-        n_contrib=s.n_contrib.copy(),
-        stop=s.stop.copy(),
-    )
+def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
+    """Alpha of splats ``idx`` over one pixel rectangle, in the batch dtype.
 
-
-def alpha_patch(batch: SplatBatch, i: int, x0: int, x1: int, y0: int, y1: int):
-    """Alpha of splat i over a pixel rectangle, in the batch dtype.
-
-    Returns (alpha, dx, dy) where dx/dy are pixel-center offsets from the
-    splat mean.  Every traversal schedule calls this one function, which
-    is what makes their outputs bit-identical.
+    ``idx`` is a splat index, a slice or a 1-D array of g indices.  Returns
+    (alpha, dx, dy) of shapes (g, h, w), (g, 1, w) and (g, h, 1), where
+    dx/dy are pixel-center offsets from each splat mean.  Every blend
+    schedule and the backward pass call this one function, and each
+    pixel's value depends only on its own splat and coordinates, so a
+    pixel gets the same alpha whatever rectangle or batch it is
+    evaluated in.
     """
+    if isinstance(idx, (int, np.integer)):
+        idx = slice(idx, idx + 1)  # a view, cheaper than a gather
     dt = batch.mean2.dtype
     half = dt.type(0.5)
-    dx = np.arange(x0, x1).astype(dt) + half - batch.mean2[i, 0]  # (w,)
-    dy = np.arange(y0, y1).astype(dt) + half - batch.mean2[i, 1]  # (h,)
-    a, b, c = batch.conic[i]
-    q = (
-        a * dx[None, :] ** 2
-        + 2 * b * dy[:, None] * dx[None, :]
-        + c * dy[:, None] ** 2
-    )
-    q = np.maximum(q, dt.type(0))  # guard tiny negative from rounding
-    alpha = np.minimum(batch.opacity[i] * np.exp(-half * q), dt.type(ALPHA_MAX))
+    mean = batch.mean2[idx]
+    dx = (np.arange(x0, x1).astype(dt) + half)[None, None, :] - mean[:, 0, None, None]
+    dy = (np.arange(y0, y1).astype(dt) + half)[None, :, None] - mean[:, 1, None, None]
+    conic = batch.conic[idx]
+    a = conic[:, 0, None, None]
+    b = conic[:, 1, None, None]
+    c = conic[:, 2, None, None]
+    # a*dx^2 + 2b*dy*dx + c*dy^2, then opacity * exp(-q/2) clamped; in place
+    # (IEEE addition and multiplication commute, so operand order is free)
+    alpha = 2 * b * dy * dx
+    alpha += a * dx**2
+    alpha += c * dy**2
+    np.maximum(alpha, dt.type(0), out=alpha)  # guard tiny negative from rounding
+    alpha *= -half
+    np.exp(alpha, out=alpha)
+    alpha *= batch.opacity[idx][:, None, None]
+    np.minimum(alpha, dt.type(ALPHA_MAX), out=alpha)
     return alpha, dx, dy
-
-
-def alpha_of(batch: SplatBatch, i: int, px: float, py: float) -> float:
-    """Alpha of splat i at one pixel (px, py are integer pixel indices)."""
-    alpha, _, _ = alpha_patch(batch, i, int(px), int(px) + 1, int(py), int(py) + 1)
-    return float(alpha[0, 0])
 
 
 class _BankTraceRecorder:
@@ -168,7 +181,50 @@ class _BankTraceRecorder:
             self.groups.append(coords[s : s + 16])
 
 
-def _sweep(
+def _group_runs(
+    win: np.ndarray, area: np.ndarray, max_elems: int
+) -> list[tuple[int, int, int, int, int, int]]:
+    """Split consecutive list entries into dense-slab runs.
+
+    ``win`` holds each entry's clipped window (x0, y0, x1, y1), with
+    empty windows set to an inverted box that never widens a run;
+    ``area`` holds the window areas.  A run may hold g entries when g
+    times the area of their bounding box is at most the sum of (window
+    area + RUN_OVERHEAD_PX) and at most ``max_elems``.  The whole span
+    is one run if it qualifies; otherwise runs grow greedily.  Returns
+    (lo, hi, x0, y0, x1, y1) per run, positions relative to ``win``.
+    """
+    n = len(area)
+    bx0, by0 = win[:, :2].min(axis=0).tolist()
+    bx1, by1 = win[:, 2:].max(axis=0).tolist()
+    dense = n * max(bx1 - bx0, 0) * max(by1 - by0, 0)
+    if n == 1 or dense <= min(int(area.sum()) + n * RUN_OVERHEAD_PX, max_elems):
+        return [(0, n, bx0, by0, bx1, by1)]
+    wx0, wy0, wx1, wy1 = (col.tolist() for col in win.T)
+    areas = area.tolist()
+    runs = []
+    lo = 0
+    while lo < n:
+        bx0, by0, bx1, by1 = wx0[lo], wy0[lo], wx1[lo], wy1[lo]
+        budget = areas[lo] + RUN_OVERHEAD_PX
+        hi = lo + 1
+        while hi < n:
+            nx0 = min(bx0, wx0[hi])
+            ny0 = min(by0, wy0[hi])
+            nx1 = max(bx1, wx1[hi])
+            ny1 = max(by1, wy1[hi])
+            dense = (hi - lo + 1) * max(nx1 - nx0, 0) * max(ny1 - ny0, 0)
+            nbudget = budget + areas[hi] + RUN_OVERHEAD_PX
+            if dense > nbudget or dense > max_elems:
+                break
+            bx0, by0, bx1, by1, budget = nx0, ny0, nx1, ny1, nbudget
+            hi += 1
+        runs.append((lo, hi, bx0, by0, bx1, by1))
+        lo = hi
+    return runs
+
+
+def blend_span(
     state: PixelState,
     batch: SplatBatch,
     order: np.ndarray,
@@ -177,135 +233,230 @@ def _sweep(
     end: int,
     *,
     eps_t: float,
-    pixel_centric: bool,
-    counters: EvalCounters,
+    counters: EvalCounters | None = None,
+    centric_from: int | None = None,
     theta: float | None = None,
     bank_rec: _BankTraceRecorder | None = None,
 ) -> int:
-    """Blend order[start:end] into state, front to back.
+    """Blend order[start:end] into ``state`` front to back, run by run.
 
-    Returns the position after the last splat processed: ``end``
-    normally, or the switch position if ``theta`` is set and the tile's
-    terminated fraction crossed it.
+    Entries at list positions >= ``centric_from`` are counted
+    pixel-centrically (terminated pixels skipped); earlier ones are
+    counted Gaussian-centrically and feed ``bank_rec``.  With ``theta``
+    set, counting also turns pixel-centric after the first entry at
+    which more than theta of the tile's pixels have terminated.  The
+    pixels do not depend on the counting mode.  Returns the position at
+    which counting turned pixel-centric (``end`` if it never did).
     """
+    counters = counters if counters is not None else EvalCounters()
+    switch = end if centric_from is None else max(start, min(centric_from, end))
+    if start >= end:
+        return switch
     x0r, y0r, x1r, y1r = rect
-    n_pix = state.T.size
-    for k in range(start, end):
-        i = int(order[k])
-        bx0, by0, bx1, by1 = batch.aabb[i]
-        ix0 = max(int(bx0), x0r)
-        ix1 = min(int(bx1), x1r)
-        iy0 = max(int(by0), y0r)
-        iy1 = min(int(by1), y1r)
-        if ix0 >= ix1 or iy0 >= iy1:
+    win = batch.aabb[order[start:end]].astype(np.int64, copy=False)
+    np.maximum(win[:, :2], (x0r, y0r), out=win[:, :2])
+    np.minimum(win[:, 2:], (x1r, y1r), out=win[:, 2:])
+    empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
+    win[empty] = (x1r, y1r, x0r, y0r)
+    area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
+    counters.candidates += int(area.sum())
+    theta_px = None if theta is None else theta * state.T.size
+    n_term = int(np.count_nonzero(state.terminated)) if theta is not None else 0
+    max_elems = RUN_MAX_BYTES // batch.mean2.dtype.itemsize
+    for lo, hi, sx0, sy0, sx1, sy1 in _group_runs(win, area, max_elems):
+        if sx0 >= sx1 or sy0 >= sy1:
             continue
-        sl = (slice(iy0 - y0r, iy1 - y0r), slice(ix0 - x0r, ix1 - x0r))
-        alpha, _, _ = alpha_patch(batch, i, ix0, ix1, iy0, iy1)
-        live = ~state.terminated[sl]
-        npx = alpha.size
-        counters.candidates += npx
-        if pixel_centric:
-            nlive = int(np.count_nonzero(live))
-            counters.performed += nlive
-            counters.skipped += npx - nlive
+        n_newly, theta_switch = _blend_run(
+            state, batch, order, rect, start + lo, start + hi,
+            win[lo:hi], area[lo:hi], (sx0, sy0, sx1, sy1),
+            eps_t=eps_t, counters=counters, centric_from=switch,
+            theta_px=theta_px, n_term=n_term, bank_rec=bank_rec,
+        )
+        n_term += n_newly
+        if theta_switch is not None:
+            switch = theta_switch
+            theta_px = None
+    return switch
+
+
+def _blend_run(
+    state: PixelState,
+    batch: SplatBatch,
+    order: np.ndarray,
+    rect: tuple[int, int, int, int],
+    lo: int,
+    hi: int,
+    win: np.ndarray,
+    area: np.ndarray,
+    slab: tuple[int, int, int, int],
+    *,
+    eps_t: float,
+    counters: EvalCounters,
+    centric_from: int,
+    theta_px: float | None,
+    n_term: int,
+    bank_rec: _BankTraceRecorder | None,
+):
+    """Blend order[lo:hi] over the ``slab`` rectangle and count its work.
+
+    A slab whose pixels have all terminated is not evaluated: nothing in
+    it can blend, and only the counters move.  Returns (pixels newly
+    terminated, theta switch position or None).
+    """
+    x0r, y0r, _, _ = rect
+    sx0, sy0, sx1, sy1 = slab
+    sl = (slice(sy0 - y0r, sy1 - y0r), slice(sx0 - x0r, sx1 - x0r))
+    g = hi - lo
+    blended = None
+    if not state.terminated[sl].all():
+        blended = _blend_slab(state, batch, order[lo:hi], sl, slab, win, lo, eps_t)
+
+    n_newly = 0
+    newly_rows = np.zeros(g, dtype=np.int64)
+    if blended is not None and blended.ended is not None:
+        n_newly = int(np.count_nonzero(blended.ended))
+        if n_newly and theta_px is not None:
+            rows = blended.n_live[blended.ended] - 1
+            newly_rows = np.bincount(rows, minlength=g)
+
+    switch = None
+    if theta_px is not None:
+        over = (n_term + np.cumsum(newly_rows) > theta_px) & (area > 0)
+        if over.any():
+            switch = lo + int(over.argmax()) + 1
+            centric_from = min(centric_from, switch)
+
+    kc = min(max(centric_from - lo, 0), g)  # first pixel-centric row
+    n_centric = int(area[kc:].sum())
+    counters.performed += int(area[:kc].sum())
+    if n_centric:
+        if blended is None:
+            n_live_px = 0
+        elif blended.live is None:
+            n_live_px = n_centric
         else:
-            counters.performed += npx
-        contrib = live & (alpha >= ALPHA_MIN)
-        w = np.where(contrib, alpha, alpha.dtype.type(0))
-        Tl = state.T[sl]
-        state.rgb[sl] += (Tl * w)[..., None] * batch.rgb[i]
-        Tnew = np.where(contrib, Tl * (1 - alpha), Tl)
-        state.T[sl] = Tnew
-        state.n_contrib[sl] += contrib
-        if eps_t > 0.0:
-            newly = live & (Tnew < eps_t)
-            if newly.any():
-                stop_sl = state.stop[sl]
-                stop_sl[newly] = k + 1
-                state.terminated[sl] |= newly
-        if bank_rec is not None:
-            bank_rec.record(ix0, iy0, contrib)
-        if theta is not None and np.count_nonzero(state.terminated) > theta * n_pix:
-            return k + 1
-    return end
+            live = blended.live[kc:]
+            if blended.inwin is not None:
+                live = live & blended.inwin[kc:]
+            n_live_px = int(np.count_nonzero(live))
+        counters.performed += n_live_px
+        counters.skipped += n_centric - n_live_px
+    if bank_rec is not None and blended is not None:
+        for k in range(kc):
+            if len(bank_rec.groups) >= bank_rec.cap:
+                break
+            bank_rec.record(sx0, sy0, blended.hit[k])
+    return n_newly, switch
 
 
-def blend_tile_global(
+@dataclass
+class _SlabBlend:
+    """What accounting needs from one blended slab; masks are (g, h, w)."""
+
+    hit: np.ndarray  # entry blended into pixel
+    live: np.ndarray | None  # pixel live before entry; None: all live
+    inwin: np.ndarray | None  # pixel in entry's window; None: all are
+    ended: np.ndarray | None  # (h, w) pixels that terminated in this run
+    n_live: np.ndarray | None  # (h, w) live rows per pixel
+
+
+def _blend_slab(
+    state: PixelState,
     batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    *,
-    eps_t: float = 1e-4,
-    carry: PixelState | None = None,
-    counters: EvalCounters | None = None,
-    start: int = 0,
-    end: int | None = None,
-) -> PixelState:
-    """Gaussian-centric front-to-back blend of one tile's list."""
-    x0, y0, x1, y1 = rect
-    end = len(order) if end is None else end
-    state = _clone_state(carry) if carry is not None else _fresh_state(
-        y1 - y0, x1 - x0, batch.mean2.dtype, len(order)
-    )
-    counters = counters if counters is not None else EvalCounters()
-    _sweep(
-        state, batch, order, rect, start, end,
-        eps_t=eps_t, pixel_centric=False, counters=counters,
-    )
-    return state
+    idx: np.ndarray,
+    sl: tuple[slice, slice],
+    slab: tuple[int, int, int, int],
+    win: np.ndarray,
+    lo: int,
+    eps_t: float,
+) -> _SlabBlend:
+    """Blend entries ``idx`` (list positions lo...) as one dense slab.
 
+    Row k of the (g+1, h, w) transmittance slab is T before entry
+    lo + k: a running product over rows whose factor is 1 wherever the
+    entry does not blend.  A live pixel terminates at the first entry
+    covering it after which its T is below eps_t, so its final T is the
+    slab row at its live-row count.  Color is one sequential reduction
+    over rows, carry first, so every pixel sees exactly the additions
+    and products of a one-splat-at-a-time blend.
+    """
+    sx0, sy0, sx1, sy1 = slab
+    g = len(idx)
+    alpha, _, _ = alpha_patch(batch, idx, sx0, sx1, sy0, sy1)
+    dt = alpha.dtype.type
+    hit = alpha >= ALPHA_MIN
+    inwin = None
+    if g > 1:
+        xs = np.arange(sx0, sx1)
+        ys = np.arange(sy0, sy1)
+        cols = (xs >= win[:, 0, None]) & (xs < win[:, 2, None])
+        rows = (ys >= win[:, 1, None]) & (ys < win[:, 3, None])
+        inwin = rows[:, :, None] & cols[:, None, :]
+        hit &= inwin
 
-def blend_pixel_centric(
-    batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    carry: PixelState,
-    *,
-    eps_t: float = 1e-4,
-    counters: EvalCounters | None = None,
-    start: int = 0,
-    end: int | None = None,
-) -> PixelState:
-    """Pixel-centric blend: same math, terminated pixels are skipped."""
-    end = len(order) if end is None else end
-    state = _clone_state(carry)
-    counters = counters if counters is not None else EvalCounters()
-    _sweep(
-        state, batch, order, rect, start, end,
-        eps_t=eps_t, pixel_centric=True, counters=counters,
-    )
-    return state
+    w = alpha * hit  # alpha where the entry blends, else 0
+    Tacc = np.empty((g + 1,) + alpha.shape[1:], dtype=dt)
+    Tacc[0] = state.T[sl]
+    np.subtract(dt(1), w, out=Tacc[1:])  # factor 1 where the entry does not blend
+    if Tacc[0].size >= 512:  # a strided accumulate costs more than a row loop
+        for k in range(g):
+            np.multiply(Tacc[k], Tacc[k + 1], out=Tacc[k + 1])
+    else:
+        np.multiply.accumulate(Tacc, axis=0, out=Tacc)
 
+    carried = state.terminated[sl]
+    any_carried = bool(carried.any())
+    live = None
+    ended = None
+    n_live = None
+    if any_carried or (eps_t > 0.0 and Tacc[g].min() < eps_t):
+        free = ~carried
+        if eps_t > 0.0 and Tacc[0][free].min(initial=np.inf) >= eps_t:
+            # T falls only where an entry covers the pixel, so a pixel that
+            # arrives live with T >= eps_t stays live while T >= eps_t.
+            live = Tacc[:g] >= eps_t
+            if any_carried:
+                live &= free
+            n_live = np.count_nonzero(live, axis=0)
+            ended = (Tacc[g] < eps_t) & free
+        else:
+            n_live = np.full(carried.shape, g)
+            if eps_t > 0.0:  # a live pixel below eps_t ends at its next covering entry
+                term = Tacc[1:] < eps_t
+                if inwin is not None:
+                    term &= inwin
+                first = term.argmax(axis=0)
+                ended = np.take_along_axis(term, first[None], axis=0)[0] & free
+                n_live[ended] = first[ended] + 1
+            n_live[carried] = 0
+            live = np.arange(g)[:, None, None] < n_live
+        hit &= live
+        w *= live
+        state.T[sl] = np.take_along_axis(Tacc, n_live[None], axis=0)[0]
+    else:
+        state.T[sl] = Tacc[g]
 
-def blend_ztile(
-    batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    start: int,
-    end: int,
-    *,
-    counters: EvalCounters | None = None,
-    bank_rec: _BankTraceRecorder | None = None,
-) -> ZTilePartial:
-    """Blend one depth chunk in isolation (T from 1, never terminating)."""
-    x0, y0, x1, y1 = rect
-    state = _fresh_state(y1 - y0, x1 - x0, batch.mean2.dtype, end)
-    counters = counters if counters is not None else EvalCounters()
-    _sweep(
-        state, batch, order, rect, start, end,
-        eps_t=0.0, pixel_centric=False, counters=counters, bank_rec=bank_rec,
-    )
-    return ZTilePartial(rgb_loc=state.rgb, T_out=state.T, n_contrib=state.n_contrib)
+    Tw = Tacc[:g] * w
+    S = np.empty((g + 1, 3) + alpha.shape[1:], dtype=dt)
+    S[0] = state.rgb[:, sl[0], sl[1]]
+    np.multiply(Tw[:, None], batch.rgb[idx][:, :, None, None], out=S[1:])
+    state.rgb[:, sl[0], sl[1]] = np.add.reduce(S, axis=0)
+    state.n_contrib[sl] += hit.sum(axis=0, dtype=np.int32)
+    if ended is not None and ended.any():
+        stop_sl = state.stop[sl]
+        stop_sl[ended] = lo + n_live[ended]
+        state.terminated[sl] |= ended
+    return _SlabBlend(hit, live, inwin, ended, n_live)
 
 
 def _merge_partial(
-    state: PixelState, part: ZTilePartial, eps_t: float, chunk_end: int
+    state: PixelState, part: PixelState, eps_t: float, chunk_end: int
 ) -> None:
-    """Fold one chunk partial into the running merge state (in depth order)."""
+    """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state."""
     live = ~state.terminated
     w = np.where(live, state.T, state.T.dtype.type(0))
-    state.rgb += w[..., None] * part.rgb_loc
-    state.T = np.where(live, state.T * part.T_out, state.T)
+    state.rgb += w * part.rgb
+    state.T = np.where(live, state.T * part.T, state.T)
     state.n_contrib += np.where(live, part.n_contrib, 0)
     if eps_t > 0.0:
         newly = live & (state.T < eps_t)
@@ -314,33 +465,92 @@ def _merge_partial(
             state.terminated |= newly
 
 
-def merge_ztiles(
-    partials: list[ZTilePartial],
-    chunk_ends: list[int],
-    rect: tuple[int, int, int, int],
-    dtype,
-    *,
-    eps_t: float = 1e-4,
-) -> PixelState:
-    """Merge chunk partials in depth order.
+@dataclass
+class TileBlend:
+    """One tile blended under a RenderConfig schedule."""
 
-    Once a pixel's incoming transmittance falls below eps_t the
-    remaining partials are skipped for it (chunk-granular termination).
+    state: PixelState
+    counters: EvalCounters
+    split: int  # first list position counted pixel-centrically
+    occluded: list[int] | None  # pixels with T < eps_t after each chunk
+    bank_groups: list[np.ndarray] | None
+
+
+def blend_tile(
+    batch: SplatBatch,
+    order: np.ndarray,
+    rect: tuple[int, int, int, int],
+    cfg: RenderConfig,
+) -> TileBlend:
+    """Blend one tile's depth-sorted list under cfg's schedule.
+
+    K = cfg.z_tiles = 1 is one global sweep.  K > 1 blends K chunks of
+    the list prefix from T = 1 with eps_t = 0 and merges them in depth
+    order; the occlusion-threshold hybrid stops chunking once more than
+    theta of the tile has terminated.  Whatever is left of the list then
+    runs pixel-centrically on the merged state.
     """
-    if not partials:
-        raise ValueError("no partials to merge")
-    if len(chunk_ends) != len(partials):
-        raise ValueError("chunk_ends must match partials")
     x0, y0, x1, y1 = rect
-    state = _fresh_state(y1 - y0, x1 - x0, dtype, chunk_ends[-1])
-    for part, cend in zip(partials, chunk_ends):
-        _merge_partial(state, part, eps_t, cend)
-    return state
+    h, w = y1 - y0, x1 - x0
+    dtype = batch.mean2.dtype
+    m = len(order)
+    K = cfg.z_tiles
+    counters = EvalCounters()
+    bank_rec = (
+        _BankTraceRecorder(cfg.bank_trace_groups) if cfg.bank_trace_groups > 0 else None
+    )
+    occluded: list[int] | None = [] if cfg.record_occlusion else None
+
+    if cfg.hybrid == "fixed_fraction" and m > 0:
+        split: int | None = int(np.ceil((1.0 - cfg.hybrid_fraction) * m))
+    elif cfg.hybrid == "occlusion_threshold":
+        split = None  # decided dynamically
+    else:
+        split = m
+    theta = cfg.occlusion_threshold if split is None else None
+
+    state = _fresh_state(h, w, dtype, m)
+    if K == 1:
+        split_used = blend_span(
+            state, batch, order, rect, 0, m,
+            eps_t=cfg.eps_t, counters=counters, centric_from=split,
+            theta=theta, bank_rec=bank_rec,
+        )
+        if occluded is not None:
+            occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
+    else:
+        prefix_end = m if split is None else split
+        switch_pos = prefix_end
+        for kk, (lo, hi) in enumerate(_chunk_bounds(prefix_end, K)):
+            if theta is not None and np.count_nonzero(state.terminated) > (
+                theta * state.T.size
+            ):
+                switch_pos = lo
+                if occluded is not None:
+                    # remaining chunk boundaries report the frozen count
+                    occ = int(np.count_nonzero(state.T < cfg.eps_t))
+                    occluded.extend([occ] * (K - kk))
+                break
+            part = _fresh_state(h, w, dtype, hi)
+            blend_span(
+                part, batch, order, rect, lo, hi,
+                eps_t=0.0, counters=counters, bank_rec=bank_rec,
+            )
+            _merge_partial(state, part, cfg.eps_t, hi)
+            if occluded is not None:
+                occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
+        blend_span(
+            state, batch, order, rect, switch_pos, m,
+            eps_t=cfg.eps_t, counters=counters, centric_from=switch_pos,
+        )
+        split_used = switch_pos if split is None else split
+    bank_groups = bank_rec.groups if bank_rec is not None else None
+    return TileBlend(state, counters, split_used, occluded, bank_groups)
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
-    """Final tile color: accumulated rgb plus remaining transmittance times bg."""
-    return state.rgb + state.T[..., None] * background
+    """Final (h, w, 3) tile color: accumulated rgb plus remaining T times bg."""
+    return (state.rgb + state.T * background[:, None, None]).transpose(1, 2, 0)
 
 
 def _chunk_bounds(prefix_end: int, k: int) -> list[tuple[int, int]]:
@@ -400,88 +610,13 @@ def render(
     K = cfg.z_tiles
 
     def run_tile(t: int):
-        order = binning.lists[t]
-        rect = binning.tile_rect(t)
-        x0, y0, x1, y1 = rect
-        m = len(order)
-        counters = EvalCounters()
-        bank_rec = (
-            _BankTraceRecorder(cfg.bank_trace_groups)
-            if cfg.bank_trace_groups > 0
-            else None
-        )
-        occl_counts: list[int] | None = None
-
-        if cfg.hybrid == "fixed_fraction" and m > 0:
-            split: int | None = int(np.ceil((1.0 - cfg.hybrid_fraction) * m))
-        elif cfg.hybrid == "occlusion_threshold":
-            split = None  # decided dynamically
-        else:
-            split = m
-
-        if K == 1:
-            state = _fresh_state(y1 - y0, x1 - x0, dtype, m)
-            if split is None:
-                switch = _sweep(
-                    state, batch, order, rect, 0, m,
-                    eps_t=cfg.eps_t, pixel_centric=False, counters=counters,
-                    theta=cfg.occlusion_threshold, bank_rec=bank_rec,
-                )
-                _sweep(
-                    state, batch, order, rect, switch, m,
-                    eps_t=cfg.eps_t, pixel_centric=True, counters=counters,
-                )
-                split_used = switch
-            else:
-                _sweep(
-                    state, batch, order, rect, 0, split,
-                    eps_t=cfg.eps_t, pixel_centric=False, counters=counters,
-                    bank_rec=bank_rec,
-                )
-                if split < m:
-                    _sweep(
-                        state, batch, order, rect, split, m,
-                        eps_t=cfg.eps_t, pixel_centric=True, counters=counters,
-                    )
-                split_used = split
-            if cfg.record_occlusion:
-                occl_counts = [int(np.count_nonzero(state.T < cfg.eps_t))]
-        else:
-            prefix_end = m if split is None else split
-            bounds = _chunk_bounds(prefix_end, K)
-            state = _fresh_state(y1 - y0, x1 - x0, dtype, m)
-            occl_counts = [] if cfg.record_occlusion else None
-            switch_pos = prefix_end
-            for kk, (lo, hi) in enumerate(bounds):
-                if split is None and np.count_nonzero(state.terminated) > (
-                    cfg.occlusion_threshold * state.T.size
-                ):
-                    switch_pos = lo
-                    if occl_counts is not None:
-                        # remaining chunk boundaries report the frozen count
-                        occ = int(np.count_nonzero(state.T < cfg.eps_t))
-                        occl_counts.extend([occ] * (K - kk))
-                    break
-                part = blend_ztile(
-                    batch, order, rect, lo, hi,
-                    counters=counters, bank_rec=bank_rec,
-                )
-                _merge_partial(state, part, cfg.eps_t, hi)
-                if occl_counts is not None:
-                    occl_counts.append(int(np.count_nonzero(state.T < cfg.eps_t)))
-            if switch_pos < m:
-                _sweep(
-                    state, batch, order, rect, switch_pos, m,
-                    eps_t=cfg.eps_t, pixel_centric=True, counters=counters,
-                )
-            split_used = switch_pos if split is None else split
-
-        img[y0:y1, x0:x1] = composite_background(state, bg)
+        x0, y0, x1, y1 = rect = binning.tile_rect(t)
+        tb = blend_tile(batch, binning.lists[t], rect, cfg)
+        img[y0:y1, x0:x1] = composite_background(tb.state, bg)
         if want_trace:
-            t_final[y0:y1, x0:x1] = state.T
-            stop_img[y0:y1, x0:x1] = state.stop
-        bank_groups = bank_rec.groups if bank_rec is not None else None
-        return counters, occl_counts, split_used, bank_groups
+            t_final[y0:y1, x0:x1] = tb.state.T
+            stop_img[y0:y1, x0:x1] = tb.state.stop
+        return tb.counters, tb.split, tb.occluded, tb.bank_groups  # not the state
 
     n_tiles = binning.n_tiles
     if cfg.threads > 1 and n_tiles > 1:
@@ -509,11 +644,11 @@ def render(
         [] if cfg.bank_trace_groups > 0 else None
     )
     splits: list[int] = []
-    for counters, occl_counts, split_used, bank_groups in results:
+    for counters, split, occluded, bank_groups in results:
         stats.counters.merge(counters)
-        splits.append(split_used)
-        if occl_total is not None and occl_counts is not None:
-            occl_total += np.asarray(occl_counts, dtype=np.int64)
+        splits.append(split)
+        if occl_total is not None:
+            occl_total += np.asarray(occluded, dtype=np.int64)
         if all_groups is not None and bank_groups:
             take = cfg.bank_trace_groups - len(all_groups)
             if take > 0:

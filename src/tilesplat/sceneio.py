@@ -210,7 +210,6 @@ _RENDER_KEYS = {
     "background",
     "dtype",
     "threads",
-    "seed",
     "record_occlusion",
     "bank_trace_groups",
 }
@@ -338,39 +337,48 @@ def image_to_png_bytes(img: ImageRGB) -> bytes:
     )
 
 
-def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    p = a + b - c
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+def _unfilter_row(kind: int, line: bytes, prev: bytes, bpp: int) -> bytearray:
+    """Undo an Average (3) or Paeth (4) row filter.
+
+    Each byte depends on the reconstructed byte bpp to its left, so the
+    row is rebuilt byte by byte with Python ints.  bpp leading zero
+    bytes stand for the pixel left of the row.
+    """
+    cur = bytearray(bpp) + line
+    up = bytes(bpp) + prev
+    for i in range(bpp, len(cur)):
+        a, b, c = cur[i - bpp], up[i], up[i - bpp]
+        if kind == 3:
+            pred = (a + b) >> 1
+        else:
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+            pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+        cur[i] = (cur[i] + pred) & 0xFF
+    return cur[bpp:]
 
 
 def _png_unfilter(rows: np.ndarray, w: int, bpp: int) -> np.ndarray:
     """Undo the per-row filters of an (h, 1 + w * bpp) uint8 scanline array."""
     h = rows.shape[0]
-    out = np.empty((h, w, bpp), dtype=np.int64)
-    prev = np.zeros((w, bpp), dtype=np.int64)
+    out = np.empty((h, w * bpp), dtype=np.uint8)
+    prev = np.zeros(w * bpp, dtype=np.uint8)
     for y in range(h):
         kind = int(rows[y, 0])
-        line = rows[y, 1:].reshape(w, bpp).astype(np.int64)
+        line = rows[y, 1:]
         if kind == 0:
             cur = line
         elif kind == 1:  # Sub
-            cur = np.cumsum(line, axis=0) & 0xFF
+            cur = np.cumsum(line.reshape(w, bpp), axis=0, dtype=np.uint8).ravel()
         elif kind == 2:  # Up
-            cur = (line + prev) & 0xFF
+            cur = line + prev
         elif kind in (3, 4):  # Average, Paeth
-            cur = np.empty_like(line)
-            left = np.zeros(bpp, dtype=np.int64)
-            upleft = np.zeros(bpp, dtype=np.int64)
-            for x in range(w):
-                up = prev[x]
-                pred = (left + up) >> 1 if kind == 3 else _paeth(left, up, upleft)
-                cur[x] = left = (line[x] + pred) & 0xFF
-                upleft = up
+            cur = np.frombuffer(
+                _unfilter_row(kind, line.tobytes(), prev.tobytes(), bpp), dtype=np.uint8
+            )
         else:
             raise ValueError(f"row {y}: unknown filter type {kind}")
         out[y] = prev = cur
-    return out.astype(np.uint8)
+    return out.reshape(h, w, bpp)
 
 
 def image_from_png_bytes(data: bytes) -> ImageRGB:

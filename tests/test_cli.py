@@ -44,6 +44,16 @@ def test_render_writes_images_and_stats(workdir):
     assert (out / "render_0000.ppm").read_bytes().startswith(b"P6")
 
 
+def test_render_has_no_seed_flag(workdir, capsys):
+    rc = main([
+        "render", "--scene", str(workdir / "scene.ply"),
+        "--cameras", str(workdir / "cams.json"), "--out", str(workdir / "out"),
+        "--seed", "3",
+    ])
+    assert rc == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_render_is_byte_deterministic(workdir):
     blobs = []
     for name in ("a", "b"):
@@ -100,7 +110,9 @@ def test_train_smoke(tmp_path):
     first = float(log[0].split()[1])
     last = float(log[-1].split()[1])
     assert last < first
-    assert "accum_ops" in (out / "train_stats.txt").read_text()
+    stats = (out / "train_stats.txt").read_text()
+    assert "accum_ops" in stats
+    assert "time_chain" not in stats and "time_accumulate" not in stats
     trained = load_ply(out / "trained.ply")
     assert trained.n == 10
 

@@ -1,5 +1,7 @@
 """Forward blending: alpha kernel, compositing, z-chunks, hybrid schedules."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,12 @@ from tilesplat.forward import (
     ALPHA_MIN,
     RenderConfig,
     _chunk_bounds,
-    alpha_of,
+    _fresh_state,
+    _group_runs,
+    _merge_partial,
     alpha_patch,
-    blend_pixel_centric,
-    blend_tile_global,
-    blend_ztile,
+    blend_span,
     composite_background,
-    merge_ztiles,
     render,
 )
 from tilesplat.preprocess import SplatBatch
@@ -47,9 +48,10 @@ def test_alpha_patch_values():
     batch = hand_batch(
         [dict(mean2=(2.5, 2.5), conic=(1.0, 0.0, 1.0), depth=1, rgb=(1, 1, 1), opacity=0.8)]
     )
-    assert alpha_of(batch, 0, 2, 2) == pytest.approx(0.8)  # at the mean
-    assert alpha_of(batch, 0, 3, 2) == pytest.approx(0.8 * np.exp(-0.5))  # q = 1
-    assert alpha_of(batch, 0, 3, 3) == pytest.approx(0.8 * np.exp(-1.0))  # q = 2
+    alpha, _, _ = alpha_patch(batch, 0, 2, 4, 2, 4)  # pixels x, y in {2, 3}
+    assert alpha[0, 0, 0] == pytest.approx(0.8)  # at the mean
+    assert alpha[0, 0, 1] == pytest.approx(0.8 * np.exp(-0.5))  # q = 1
+    assert alpha[0, 1, 1] == pytest.approx(0.8 * np.exp(-1.0))  # q = 2
 
 
 def test_alpha_patch_clamps_and_dtype():
@@ -60,8 +62,51 @@ def test_alpha_patch_clamps_and_dtype():
     alpha, dx, dy = alpha_patch(batch, 0, 0, 4, 0, 4)
     assert alpha.dtype == np.float32
     assert alpha.max() <= np.float32(0.99)
-    assert alpha.shape == (4, 4)
-    np.testing.assert_allclose(dx, np.arange(4) + 0.5 - 1.5)
+    assert alpha.shape == (1, 4, 4)
+    assert dx.shape == (1, 1, 4) and dy.shape == (1, 4, 1)
+    np.testing.assert_allclose(dx[0, 0], np.arange(4) + 0.5 - 1.5)
+
+
+def test_alpha_patch_batched_matches_single_windows():
+    rng = np.random.default_rng(3)
+    cam = make_camera(32, 32)
+    from tilesplat.preprocess import preprocess
+
+    batch = preprocess(random_scene(rng, 12, cam), cam)[0].astype(np.float32)
+    idx = np.arange(batch.n)
+    alpha, _, _ = alpha_patch(batch, idx, 3, 30, 5, 27)
+    assert alpha.shape == (batch.n, 22, 27)
+    for i in idx:
+        sub, _, _ = alpha_patch(batch, i, 10, 17, 8, 20)  # a window inside the slab
+        assert np.array_equal(sub[0], alpha[i, 3:15, 7:14])
+
+
+def blend(batch, order, rect, eps_t, *, carry=None, counters=None, **kw):
+    """Fresh (or copied) state with order blended into it."""
+    x0, y0, x1, y1 = rect
+    if carry is None:
+        state = _fresh_state(y1 - y0, x1 - x0, batch.mean2.dtype, len(order))
+    else:
+        state = copy.deepcopy(carry)
+    blend_span(state, batch, order, rect, 0, len(order), eps_t=eps_t, counters=counters, **kw)
+    return state
+
+
+def test_group_runs_rule():
+    # eight 4x4 windows on a 16x16 tile: one run covering the tile
+    win = np.array([[4 * (k % 4), 4 * (k // 4), 4 * (k % 4) + 4, 4 * (k // 4) + 4]
+                    for k in range(8)])
+    area = np.full(8, 16)
+    assert _group_runs(win, area, 4096) == [(0, 8, 0, 0, 16, 8)]
+    # two 64x64 windows at opposite corners of a 128 px tile stay apart
+    win = np.array([[0, 0, 64, 64], [64, 64, 128, 128]])
+    assert [r[:2] for r in _group_runs(win, np.full(2, 4096), 1 << 20)] == [(0, 1), (1, 2)]
+    # the slab cap bounds g * slab pixels
+    runs = _group_runs(np.tile([0, 0, 16, 16], (40, 1)), np.full(40, 256), 16 * 256)
+    assert [r[:2] for r in runs] == [(0, 16), (16, 32), (32, 40)]
+    # an empty window (inverted box) joins a run without widening it
+    win = np.array([[0, 0, 4, 4], [8, 8, 0, 0], [0, 0, 4, 4]])
+    assert _group_runs(win, np.array([16, 0, 16]), 4096) == [(0, 3, 0, 0, 4, 4)]
 
 
 def test_chunk_bounds_partition():
@@ -82,7 +127,7 @@ def test_two_splat_compositing_hand_unrolled():
         ]
     )
     order = np.array([0, 1])
-    state = blend_tile_global(batch, order, (0, 0, 8, 8), eps_t=0.0)
+    state = blend(batch, order, (0, 0, 8, 8), eps_t=0.0)
     bg = np.array([0.2, 0.3, 0.4])
     img = composite_background(state, bg)
 
@@ -106,7 +151,7 @@ def test_below_threshold_alpha_does_not_blend():
         [dict(mean2=(2.5, 2.5), conic=(1, 0, 1), depth=1, rgb=(1, 1, 1),
               opacity=ALPHA_MIN * 0.5)]
     )
-    state = blend_tile_global(batch, np.array([0]), (0, 0, 8, 8), eps_t=0.0)
+    state = blend(batch, np.array([0]), (0, 0, 8, 8), eps_t=0.0)
     assert np.all(state.rgb == 0)
     assert np.all(state.T == 1)
     assert np.all(state.n_contrib == 0)
@@ -120,9 +165,7 @@ def test_termination_stop_positions():
     ]
     batch = hand_batch(splats, image=(4, 4))
     counters = EvalCounters()
-    state = blend_tile_global(
-        batch, np.arange(3), (0, 0, 4, 4), eps_t=0.05, counters=counters
-    )
+    state = blend(batch, np.arange(3), (0, 0, 4, 4), eps_t=0.05, counters=counters)
     # the center pixel saturates on the first splat: T = 0.01 < 0.05
     assert state.terminated[1, 1]
     assert state.stop[1, 1] == 1
@@ -140,10 +183,9 @@ def test_pixel_centric_skips_terminated():
     batch = hand_batch(splats, image=(4, 4))
     order = np.arange(3)
     rect = (0, 0, 4, 4)
-    ref = blend_tile_global(batch, order, rect, eps_t=0.05)
-    carry = blend_tile_global(batch, order, rect, eps_t=0.05, end=0)  # fresh
+    ref = blend(batch, order, rect, eps_t=0.05)
     counters = EvalCounters()
-    got = blend_pixel_centric(batch, order, rect, carry, eps_t=0.05, counters=counters)
+    got = blend(batch, order, rect, eps_t=0.05, counters=counters, centric_from=0)
     np.testing.assert_array_equal(ref.rgb, got.rgb)
     np.testing.assert_array_equal(ref.T, got.T)
     np.testing.assert_array_equal(ref.stop, got.stop)
@@ -156,15 +198,49 @@ def test_pixel_centric_saturated_carry_performs_nothing():
         [dict(mean2=(1.5, 1.5), conic=(1, 0, 1), depth=1, rgb=(1, 1, 1), opacity=0.9)],
         image=(4, 4),
     )
-    carry = blend_tile_global(batch, np.arange(1), (0, 0, 4, 4), end=0)
+    carry = _fresh_state(4, 4, np.float64, 1)
     carry.terminated[:] = True
     counters = EvalCounters()
-    out = blend_pixel_centric(
-        batch, np.arange(1), (0, 0, 4, 4), carry, counters=counters
+    out = blend(
+        batch, np.arange(1), (0, 0, 4, 4), 1e-4,
+        carry=carry, counters=counters, centric_from=0,
     )
     assert counters.performed == 0
     assert counters.skipped == counters.candidates == 16
     np.testing.assert_array_equal(out.rgb, carry.rgb)
+
+
+def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
+    splats = [
+        dict(mean2=(1.5, 1.5), conic=(1.0, 0, 1.0), depth=float(k + 1),
+             rgb=(1, 1, 1), opacity=0.5)
+        for k in range(3)
+    ]
+    batch = hand_batch(splats, image=(4, 4))
+    batch.aabb[0] = (8, 8, 12, 12)  # misses the tile
+    carry = _fresh_state(4, 4, np.float64, 3)
+    carry.terminated[:2] = True  # half the tile, already past theta
+    state = copy.deepcopy(carry)
+    counters = EvalCounters()
+    switch = blend_span(
+        state, batch, np.arange(3), (0, 0, 4, 4), 0, 3,
+        eps_t=1e-4, counters=counters, theta=0.25,
+    )
+    assert switch == 2  # after splat 1, the first one with pixels here
+    assert counters.candidates == 32
+    assert counters.performed == 16 + 8 and counters.skipped == 8
+
+
+def test_pixel_at_exactly_eps_t_is_still_live():
+    batch = hand_batch(
+        [dict(mean2=(1.5, 1.5), conic=(1, 0, 1), depth=1, rgb=(1, 1, 1), opacity=0.5)],
+        image=(4, 4),
+    )
+    carry = _fresh_state(4, 4, np.float64, 1)
+    carry.T[:] = 0.25  # not below eps_t, so not terminated
+    out = blend(batch, np.arange(1), (0, 0, 4, 4), 0.25, carry=carry)
+    assert np.all(out.n_contrib == 1)
+    assert np.all(out.terminated) and np.all(out.stop == 1)
 
 
 def test_single_chunk_merge_is_bitwise_global():
@@ -178,9 +254,10 @@ def test_single_chunk_merge_is_bitwise_global():
     binning = bin_and_sort(batch64, (32, 32), (32, 32))
     order = binning.lists[0]
     rect = (0, 0, 32, 32)
-    ref = blend_tile_global(batch, order, rect, eps_t=1e-4)
-    part = blend_ztile(batch, order, rect, 0, len(order))
-    merged = merge_ztiles([part], [len(order)], rect, np.float32, eps_t=1e-4)
+    ref = blend(batch, order, rect, eps_t=1e-4)
+    part = blend(batch, order, rect, eps_t=0.0)
+    merged = _fresh_state(32, 32, np.float32, len(order))
+    _merge_partial(merged, part, 1e-4, len(order))
     np.testing.assert_array_equal(ref.rgb, merged.rgb)
     np.testing.assert_array_equal(ref.T, merged.T)
     np.testing.assert_array_equal(ref.n_contrib, merged.n_contrib)

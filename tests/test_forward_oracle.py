@@ -1,0 +1,198 @@
+"""The batched run kernel against the per-splat reference loop, bit for bit."""
+
+import copy
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import forward_oracle as oracle
+from tilesplat.execmodel import EvalCounters
+from tilesplat.forward import (
+    RenderConfig,
+    _BankTraceRecorder,
+    _fresh_state,
+    blend_span,
+    blend_tile,
+    render,
+)
+from tilesplat.preprocess import bin_and_sort, preprocess
+from tilesplat.synth import make_camera, random_scene
+
+EXAMPLES = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def small_scene(seed: int, n: int, w: int, h: int):
+    """Few splats from sharp to wide, opaque enough that pixels terminate."""
+    cam = make_camera(w, h, focal=float(max(w, h)))
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, n, cam, px_sigma=(0.6, 9.0), logit_range=(-3.0, 6.0))
+    return scene, cam
+
+
+def assert_states_equal(got, want):
+    assert np.array_equal(got.rgb, want.rgb)
+    assert np.array_equal(got.T, want.T)
+    assert np.array_equal(got.terminated, want.terminated)
+    assert np.array_equal(got.n_contrib, want.n_contrib)
+    assert np.array_equal(got.stop, want.stop)
+
+
+def assert_groups_equal(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+EPS = st.sampled_from([0.0, 1e-4, 1.5])
+DTYPE = st.sampled_from([np.float32, np.float64])
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 30),
+    w=st.integers(8, 48),
+    h=st.integers(8, 48),
+    tile=st.tuples(st.integers(8, 64), st.integers(8, 64)),
+    dtype=DTYPE,
+    eps_t=EPS,
+    z_tiles=st.integers(1, 4),
+    hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
+    fraction=st.sampled_from([0.25, 0.6]),
+    theta=st.sampled_from([0.05, 0.5, 0.9]),
+    bank=st.sampled_from([0, 7, 200]),
+    occlusion=st.booleans(),
+)
+def test_schedules_match_oracle(
+    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, bank, occlusion
+):
+    scene, cam = small_scene(seed, n, w, h)
+    cfg = RenderConfig(
+        tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
+        hybrid_fraction=fraction, occlusion_threshold=theta,
+        background=(0.2, 0.1, 0.4), dtype=dtype,
+        record_occlusion=occlusion, bank_trace_groups=bank,
+    )
+    res = render(scene, cam, cfg)
+    img, stats, t_final, stop, n_contrib = oracle.render(scene, cam, cfg)
+    assert np.array_equal(res.image.data, img)
+    assert res.stats.to_text() == stats.to_text()
+    assert_groups_equal(res.stats.bank_groups, stats.bank_groups)
+    if occlusion:
+        occ = res.stats.occlusion.occluded_after_chunk
+        assert np.array_equal(occ, stats.occlusion.occluded_after_chunk)
+
+    # every tile's full state, counters, split and trace
+    batch64, _ = preprocess(scene, cam)
+    batch = batch64.astype(dtype)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    got_t = np.empty_like(t_final)
+    got_stop = np.empty_like(stop)
+    got_n = np.empty_like(n_contrib)
+    for t in range(binning.n_tiles):
+        rect = binning.tile_rect(t)
+        x0, y0, x1, y1 = rect
+        tb = blend_tile(batch, binning.lists[t], rect, cfg)
+        state, counters, split, occluded, groups = oracle.blend_tile(
+            batch, binning.lists[t], rect, cfg
+        )
+        assert_states_equal(tb.state, state.planar())
+        assert tb.counters == counters
+        assert tb.split == split
+        assert tb.occluded == occluded
+        assert_groups_equal(tb.bank_groups, groups)
+        got_t[y0:y1, x0:x1] = tb.state.T
+        got_stop[y0:y1, x0:x1] = tb.state.stop
+        got_n[y0:y1, x0:x1] = tb.state.n_contrib
+    assert np.array_equal(got_t, t_final)
+    assert np.array_equal(got_stop, stop)
+    assert np.array_equal(got_n, n_contrib)
+
+    if z_tiles == 1 and hybrid == "off":
+        traced = render(scene, cam, cfg, want_trace=True).trace
+        assert np.array_equal(traced.t_final, t_final)
+        assert np.array_equal(traced.stop, stop)
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    tile=st.integers(8, 64),
+    dtype=DTYPE,
+    eps_t=st.sampled_from([0.0, 1e-4, 0.3, 1.5]),
+    span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    mode=st.sampled_from(["centric_from", "theta"]),
+    at=st.floats(0.0, 1.0),
+    p_term=st.sampled_from([0.0, 0.3, 0.97, 1.0]),
+    bank=st.sampled_from([0, 5, 300]),
+)
+def test_span_with_carried_state_matches_oracle(
+    seed, n, tile, dtype, eps_t, span, mode, at, p_term, bank
+):
+    """Any carried state, including live pixels already below eps_t.
+
+    The list is every splat in depth order, so some entries miss the
+    tile entirely.
+    """
+    scene, cam = small_scene(seed, n, 48, 40)
+    batch = preprocess(scene, cam)[0].astype(dtype)
+    order = np.argsort(batch.depth, kind="stable")
+    m = len(order)
+    start, end = sorted(int(round(f * m)) for f in span)
+    rng = np.random.default_rng(seed)
+    x0 = int(rng.integers(0, 48 - min(tile, 48) + 1))
+    y0 = int(rng.integers(0, 40 - min(tile, 40) + 1))
+    rect = (x0, y0, min(x0 + tile, 48), min(y0 + tile, 40))
+    h, w = rect[3] - rect[1], rect[2] - rect[0]
+
+    carry = oracle.fresh_state(h, w, dtype, m)
+    carry.rgb[:] = rng.uniform(0.0, 2.0, size=(h, w, 3))
+    carry.T[:] = rng.uniform(0.0, 1.0, size=(h, w))
+    carry.T[rng.uniform(size=(h, w)) < 0.3] = 1.0
+    carry.terminated[:] = rng.uniform(size=(h, w)) < p_term
+    carry.n_contrib[:] = rng.integers(0, 9, size=(h, w))
+    carry.stop[:] = rng.integers(0, m + 1, size=(h, w))
+
+    want = copy.deepcopy(carry)
+    want_counters = EvalCounters()
+    want_rec = oracle.BankRecorder(bank) if bank else None
+    if mode == "theta":
+        theta, centric_from = 0.4 * at, None
+        switch = oracle.sweep(
+            want, batch, order, rect, start, end, eps_t=eps_t, pixel_centric=False,
+            counters=want_counters, theta=theta, bank_rec=want_rec,
+        )
+    else:
+        theta, centric_from = None, start + int(round(at * (end - start)))
+        switch = oracle.sweep(
+            want, batch, order, rect, start, centric_from, eps_t=eps_t,
+            pixel_centric=False, counters=want_counters, bank_rec=want_rec,
+        )
+    oracle.sweep(
+        want, batch, order, rect, switch, end, eps_t=eps_t, pixel_centric=True,
+        counters=want_counters,
+    )
+
+    got = _fresh_state(h, w, dtype, m)
+    got.rgb[:] = carry.planar().rgb
+    for name in ("T", "terminated", "n_contrib", "stop"):
+        getattr(got, name)[:] = getattr(carry, name)
+    got_counters = EvalCounters()
+    got_rec = _BankTraceRecorder(bank) if bank else None
+    got_switch = blend_span(
+        got, batch, order, rect, start, end, eps_t=eps_t, counters=got_counters,
+        centric_from=centric_from, theta=theta, bank_rec=got_rec,
+    )
+    assert got_switch == switch
+    assert_states_equal(got, want.planar())
+    assert got_counters == want_counters
+    assert_groups_equal(
+        got_rec.groups if got_rec else None, want_rec.groups if want_rec else None
+    )

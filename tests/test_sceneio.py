@@ -233,6 +233,14 @@ def test_render_config_loader(tmp_path):
         load_render_config(path)
 
 
+def test_render_config_rejects_seed(tmp_path):
+    # the renderer draws no random numbers, so a seed key is an error
+    path = tmp_path / "render.json"
+    path.write_text(json.dumps({"z_tiles": 2, "seed": 3}))
+    with pytest.raises(ValueError, match=r"unknown render config keys: \['seed'\]"):
+        load_render_config(path)
+
+
 def test_train_config_loader(tmp_path):
     path = tmp_path / "train.json"
     path.write_text(json.dumps({"loss": "l1", "recip_mode": "approx",
