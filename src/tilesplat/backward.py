@@ -1,14 +1,24 @@
 """Backward pass: pixel loss gradients to Gaussian parameter gradients.
 
 Each tile is differentiated independently by walking its splat list back
-to front.  The transmittance a splat saw in the forward pass is
-recovered by dividing the running value by (1 - alpha) as the walk
-retreats, which is what recip_one_minus models; the suffix color
-C_accum (alpha-weighted color of everything behind the current splat)
-is rebuilt incrementally the same way.  Per-splat partials from all
-tiles are folded into one accumulator in fixed (tile, 16-splat batch)
-order, then chained through projection, covariance, activation, and
-spherical harmonics to the raw parameters.
+to front.  The list is cut into the forward pass's runs
+(``forward._group_runs``) and each run is swept as one dense (g, h, w)
+slab, last run first, with one ``alpha_patch`` and one
+``recip_one_minus`` call per run.  The transmittance a splat saw in the
+forward pass is recovered by dividing the running value by (1 - alpha)
+as the walk retreats, which is what recip_one_minus models: a running
+product from the back whose factor is 1 wherever an entry does not
+blend, so every pixel sees the multiplies of a splat-at-a-time walk in
+the same order.  The suffix color (alpha-weighted color of everything
+behind the current splat) is carried as its dot product with the pixel
+gradient, one scalar per pixel, through the same linear recurrence.
+Per-splat sums are reductions over the slab's pixel axes.
+
+Per-splat partials from all tiles are folded into one accumulator in
+tile order, then chained through projection, covariance, activation,
+and spherical harmonics to the raw parameters, batched over the splats
+with hits.  The accumulator's drain count models a fold that drains every
+``offload_batch`` (16) list positions of a tile.
 """
 
 from __future__ import annotations
@@ -21,7 +31,17 @@ import numpy as np
 
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
-from .forward import ALPHA_MIN, ForwardTrace, RenderConfig, alpha_patch, render
+from .forward import (
+    ALPHA_MIN,
+    RUN_MAX_BYTES,
+    ForwardTrace,
+    RenderConfig,
+    _group_runs,
+    alpha_patch,
+    clip_windows,
+    render,
+    window_mask,
+)
 from .model import (
     OPACITY_MAX,
     Camera,
@@ -138,12 +158,13 @@ def backward_tile(
     background: np.ndarray,
     recip_mode: str,
 ) -> TilePartial:
-    """Back-to-front gradient sweep over one tile.
+    """Back-to-front gradient sweep over one tile, one run at a time.
 
     ``t_final`` and ``stop`` are the full-image trace arrays; ``grad_img``
     is dL/d(pixel) including any loss scaling.  A splat only receives
-    gradient from pixels it actually blended into (alpha above threshold
-    and list position before the pixel's stop).
+    gradient from pixels it actually blended into (alpha above threshold,
+    inside its window, and list position before the pixel's stop).  The
+    list is cut into the forward's runs, which are swept last run first.
     """
     x0, y0, x1, y1 = rect
     m = len(order)
@@ -157,64 +178,112 @@ def backward_tile(
         d_conic=np.zeros((m, 3)),
         hits=np.zeros(m, dtype=np.int64),
     )
-    T = t_final[y0:y1, x0:x1].astype(np.float64)
-    tfin = t_final[y0:y1, x0:x1]
-    acc = np.zeros((y1 - y0, x1 - x0, 3))  # suffix sum of alpha-weighted colors
-    bg_active = bool(np.any(background != 0.0))
-
-    for k in range(m - 1, -1, -1):
-        i = int(order[k])
-        bx0, by0, bx1, by1 = batch.aabb[i]
-        ix0 = max(int(bx0), x0)
-        ix1 = min(int(bx1), x1)
-        iy0 = max(int(by0), y0)
-        iy1 = min(int(by1), y1)
-        if ix0 >= ix1 or iy0 >= iy1:
-            continue
-        sl = (slice(iy0 - y0, iy1 - y0), slice(ix0 - x0, ix1 - x0))
-        alpha, dx, dy = (v[0] for v in alpha_patch(batch, i, ix0, ix1, iy0, iy1))
-        contrib = (alpha >= ALPHA_MIN) & (k < stop[iy0:iy1, ix0:ix1])
-        nhit = int(np.count_nonzero(contrib))
-        out.hits[k] = nhit
-        if nhit == 0:
-            continue
-        r = recip_one_minus(alpha, recip_mode)
-        Tl = T[sl]
-        Tnew = np.where(contrib, Tl * r, Tl)  # transmittance before splat k
-        T[sl] = Tnew
-
-        g = grad_img[iy0:iy1, ix0:ix1, :]
-        aT = np.where(contrib, alpha * Tnew, 0.0)
-        out.d_rgb[k] = (aT[..., None] * g).sum(axis=(0, 1))
-
-        crgb = batch.rgb[i].astype(np.float64)
-        dla = Tnew * ((crgb[None, None, :] - acc[sl]) * g).sum(axis=-1)
-        if bg_active:
-            dla = dla - (tfin[sl] * r) * (g @ background)
-        dla = np.where(contrib, dla, 0.0)
-        out.d_alpha[k] = dla.sum()
-
-        # alpha = opacity * exp(-q/2): d/d(opacity) = alpha/opacity,
-        # d/dq = -alpha/2.
-        adla = alpha * dla
-        out.d_opacity[k] = adla.sum() / float(batch.opacity[i])
-        dq = -0.5 * adla
-        ca, cb, cc = (float(v) for v in batch.conic[i])
-        dxg = dx.astype(np.float64)  # (1, w)
-        dyg = dy.astype(np.float64)  # (h, 1)
-        out.d_mean2[k, 0] = -(dq * (2 * ca * dxg + 2 * cb * dyg)).sum()
-        out.d_mean2[k, 1] = -(dq * (2 * cb * dxg + 2 * cc * dyg)).sum()
-        out.d_conic[k, 0] = (dq * dxg * dxg).sum()
-        out.d_conic[k, 1] = (dq * 2 * dxg * dyg).sum()
-        out.d_conic[k, 2] = (dq * dyg * dyg).sum()
-
-        alpha64 = alpha.astype(np.float64)
-        acc[sl] = np.where(
-            contrib[..., None],
-            alpha64[..., None] * crgb + (1.0 - alpha64)[..., None] * acc[sl],
-            acc[sl],
-        )
+    if m == 0:
+        return out
+    tile = (slice(y0, y1), slice(x0, x1))
+    T = t_final[tile].astype(np.float64)  # transmittance behind the sweep
+    S = np.zeros_like(T)  # suffix color projected onto the pixel gradient
+    bg_grad = grad_img[tile] @ background if np.any(background != 0.0) else None
+    win, area = clip_windows(batch, order, rect)
+    max_elems = RUN_MAX_BYTES // T.itemsize
+    for lo, hi, sx0, sy0, sx1, sy1 in reversed(_group_runs(win, area, max_elems)):
+        if sx0 < sx1 and sy0 < sy1:
+            _sweep_run(
+                out, batch, lo, hi, win[lo:hi], (sx0, sy0, sx1, sy1), rect,
+                T, S, t_final, stop, grad_img, bg_grad, recip_mode,
+            )
     return out
+
+
+def _sweep_run(
+    out: TilePartial,
+    batch: SplatBatch,
+    lo: int,
+    hi: int,
+    win: np.ndarray,
+    slab: tuple[int, int, int, int],
+    rect: tuple[int, int, int, int],
+    T: np.ndarray,
+    S: np.ndarray,
+    t_final: np.ndarray,
+    stop: np.ndarray,
+    grad_img: np.ndarray,
+    bg_grad: np.ndarray | None,
+    recip_mode: str,
+) -> None:
+    """Sweep list positions lo..hi-1 back to front over one (g, h, w) slab.
+
+    ``T`` and ``S`` hold the tile's running transmittance and projected
+    suffix color; they are advanced in place past the run.  Row k of the
+    transmittance slab is a running product from the back with factor
+    1/(1 - alpha) where entry lo + k blends and 1 elsewhere, so each pixel
+    sees the multiplies of a splat-at-a-time sweep in the same order.
+    The suffix color enters alpha's gradient only through its dot
+    product with the pixel gradient dL/dpixel, so S = suffix . dL/dpixel
+    is carried through the same linear recurrence,
+    S <- alpha (c . dL/dpixel) + (1 - alpha) S, exact in real arithmetic.
+    """
+    idx = out.order[lo:hi]
+    g = hi - lo
+    sx0, sy0, sx1, sy1 = slab
+    img = (slice(sy0, sy1), slice(sx0, sx1))
+    sl = (slice(sy0 - rect[1], sy1 - rect[1]), slice(sx0 - rect[0], sx1 - rect[0]))
+    alpha, dx, dy = alpha_patch(batch, idx, sx0, sx1, sy0, sy1)
+    contrib = alpha >= ALPHA_MIN
+    if g > 1:  # a single entry's slab is its window
+        contrib &= window_mask(win, slab)
+    if stop[img].min() < hi:
+        contrib &= np.arange(lo, hi)[:, None, None] < stop[img]
+    hits = np.count_nonzero(contrib, axis=(1, 2))
+    out.hits[lo:hi] = hits
+    if not hits.any():
+        return
+    r = recip_one_minus(alpha, recip_mode)
+    a64 = alpha.astype(np.float64, copy=False)
+    gpx = grad_img[img].reshape(-1, 3)  # (h*w, 3)
+    cg = (batch.rgb[idx].astype(np.float64) @ gpx.T).reshape(alpha.shape)
+
+    ac = a64 * contrib  # alpha where the entry blends, else 0
+    factor = np.where(contrib, r, 1.0)
+    keep = 1.0 - ac
+    add = ac * cg
+    Tacc = np.empty((g + 1,) + alpha.shape[1:])
+    Sacc = np.empty_like(Tacc)
+    Tacc[g] = T[sl]
+    Sacc[g] = S[sl]
+    for k in range(g - 1, -1, -1):
+        np.multiply(Tacc[k + 1], factor[k], out=Tacc[k])
+        np.multiply(keep[k], Sacc[k + 1], out=Sacc[k])
+        Sacc[k] += add[k]
+    T[sl] = Tacc[0]
+    S[sl] = Sacc[0]
+    Tb = Tacc[:g]  # transmittance in front of each entry
+
+    dla = cg - Sacc[1:]
+    dla *= Tb
+    if bg_grad is not None:
+        dla -= (t_final[img] * r) * bg_grad[sl]
+    dla *= contrib
+    aT = ac * Tb
+    out.d_rgb[lo:hi] = aT.reshape(g, -1) @ gpx
+    out.d_alpha[lo:hi] = dla.sum(axis=(1, 2))
+
+    # alpha = opacity * exp(-q/2): d/d(opacity) = alpha/opacity, d/dq = -alpha/2.
+    # mom[:, i, j] = sum over pixels of alpha * dla * dy^i * dx^j
+    adla = ac * dla
+    dxv = dx[:, 0, :].astype(np.float64)
+    dyv = dy[:, :, 0].astype(np.float64)
+    xpow = np.stack([np.ones_like(dxv), dxv, dxv * dxv], axis=2)  # (g, w, 3)
+    ypow = np.stack([np.ones_like(dyv), dyv, dyv * dyv], axis=1)  # (g, 3, h)
+    mom = ypow @ (adla @ xpow)
+    out.d_opacity[lo:hi] = mom[:, 0, 0] / batch.opacity[idx].astype(np.float64)
+    dq = -0.5 * mom  # moments of dL/dq
+    ca, cb, cc = batch.conic[idx].astype(np.float64).T
+    out.d_mean2[lo:hi, 0] = -(2 * ca * dq[:, 0, 1] + 2 * cb * dq[:, 1, 0])
+    out.d_mean2[lo:hi, 1] = -(2 * cb * dq[:, 0, 1] + 2 * cc * dq[:, 1, 0])
+    out.d_conic[lo:hi, 0] = dq[:, 0, 2]
+    out.d_conic[lo:hi, 1] = 2 * dq[:, 1, 1]
+    out.d_conic[lo:hi, 2] = dq[:, 2, 0]
 
 
 def accumulate_cross_tile(
@@ -222,9 +291,12 @@ def accumulate_cross_tile(
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Fold per-tile partials into per-splat totals in a fixed order.
 
-    Tiles fold in ascending tile index; within a tile, list positions
-    fold in batches of ``offload_batch`` (the accumulator drain cadence).
-    Returns (per-splat arrays, accumulate ops, drain events).
+    Tiles fold in ascending tile index and list positions in list order,
+    as one ``np.add.at`` per field over the concatenated partials
+    (``np.add.at`` applies repeated indices in order, so the sums do not
+    depend on how the fold is batched).  The drain count models an
+    accumulator that drains every ``offload_batch`` list positions of a
+    tile.  Returns (per-splat arrays, accumulate ops, drain events).
     """
     acc = {
         "d_rgb": np.zeros((n_splats, 3)),
@@ -234,41 +306,37 @@ def accumulate_cross_tile(
         "d_conic": np.zeros((n_splats, 3)),
         "hit_count": np.zeros(n_splats, dtype=np.int64),
     }
-    ops = 0
-    drains = 0
-    for part in sorted(partials, key=lambda p: p.tile_index):
-        p = len(part.order)
-        for b0 in range(0, p, offload_batch):
-            sel = slice(b0, min(b0 + offload_batch, p))
-            idx = part.order[sel]
-            np.add.at(acc["d_rgb"], idx, part.d_rgb[sel])
-            np.add.at(acc["d_alpha"], idx, part.d_alpha[sel])
-            np.add.at(acc["d_opacity"], idx, part.d_opacity[sel])
-            np.add.at(acc["d_mean2"], idx, part.d_mean2[sel])
-            np.add.at(acc["d_conic"], idx, part.d_conic[sel])
-            np.add.at(acc["hit_count"], idx, part.hits[sel])
-            drains += 1
-            ops += len(idx)
-    return acc, ops, drains
+    parts = sorted(partials, key=lambda p: p.tile_index)
+    if not parts:
+        return acc, 0, 0
+    idx = np.concatenate([p.order for p in parts])
+    for key in acc:
+        field = "hits" if key == "hit_count" else key
+        np.add.at(acc[key], idx, np.concatenate([getattr(p, field) for p in parts]))
+    drains = sum(-(-len(p.order) // offload_batch) for p in parts)
+    return acc, len(idx), drains
 
 
-def _normalize_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Backward of u = v/|v|: project g off u and divide by the norm."""
-    n = np.linalg.norm(v)
+def _normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Backward of u = v/|v| along the last axis: project g off u, divide by |v|."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
     u = v / n
-    return (g - u * float(u @ g)) / n
+    return (g - u * (u * g).sum(axis=-1, keepdims=True)) / n
 
 
-def _quat_rotmat_grad(q: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """dL/d(unit quaternion) given dL/dR, with q = (w, x, y, z)."""
-    w, x, y, z = q
-    dRw = 2.0 * np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
-    dRx = 2.0 * np.array([[0, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
-    dRy = 2.0 * np.array([[-2 * y, x, w], [x, 0, z], [-w, z, -2 * y]])
-    dRz = 2.0 * np.array([[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0]])
-    return np.array(
-        [(G * dRw).sum(), (G * dRx).sum(), (G * dRy).sum(), (G * dRz).sum()]
-    )
+def _quat_to_rotmat_vjp(q: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """dL/dq of ``quat_to_rotmat`` given dL/dR; q (..., 4) as (w, x, y, z), G (..., 3, 3)."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    zero = np.zeros_like(w)
+    dR = 2.0 * np.stack(
+        [
+            [[zero, -z, y], [z, zero, -x], [-y, x, zero]],
+            [[zero, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
+            [[-2 * y, x, w], [x, zero, z], [-w, z, -2 * y]],
+            [[-2 * z, -w, x], [w, -2 * z, y], [x, y, zero]],
+        ]
+    )  # (4, 3, 3, ...)
+    return np.einsum("kij...,...ij->...k", dR, G)
 
 
 def chain_to_3d(
@@ -279,8 +347,8 @@ def chain_to_3d(
 ) -> dict[str, np.ndarray]:
     """Chain per-splat screen-space grads to raw scene parameters.
 
-    Recomputes the forward projection quantities in float64 per Gaussian
-    (cheap next to the pixel loops) and applies the analytic Jacobians:
+    Recomputes the forward projection quantities in float64 for every
+    row with hits, batched over rows, and applies the analytic Jacobians:
     conic -> 2D covariance -> camera covariance and perspective Jacobian
     -> world covariance -> (scale, rotation); screen mean -> camera
     point -> world mean; color -> SH coefficients and view direction;
@@ -295,89 +363,74 @@ def chain_to_3d(
         "opacity": np.zeros(n),
         "sh": np.zeros_like(scene.sh),
     }
-    Rw = cam.rotation
-    cam_center = cam.center
-    degree = scene.degree
-
     rows = np.flatnonzero(screen["hit_count"] > 0)
-    for row in rows:
-        gi = int(batch.gaussian_index[row])
-        g_mean2 = screen["d_mean2"][row]
-        g_conic = screen["d_conic"][row]
-        g_opacity = float(screen["d_opacity"][row])
-        g_rgb = screen["d_rgb"][row]
+    if rows.size == 0:
+        return out
+    gi = batch.gaussian_index[rows]  # distinct scene rows
+    g_mean2 = screen["d_mean2"][rows]
+    g_conic = screen["d_conic"][rows]
+    Rw = cam.rotation
 
-        # recompute forward quantities
-        mean3 = scene.means[gi]
-        s = np.exp(scene.log_scales[gi])
-        q_raw = scene.rotations[gi]
-        q_norm = float(np.linalg.norm(q_raw))
-        q = q_raw / q_norm
-        R3 = quat_to_rotmat(q)
-        M = R3 * s[None, :]
-        cov_w = M @ M.T
-        t = Rw @ mean3 + cam.translation
-        tx, ty, tz = t
-        J = np.array(
-            [
-                [cam.fx / tz, 0.0, -cam.fx * tx / tz**2],
-                [0.0, cam.fy / tz, -cam.fy * ty / tz**2],
-            ]
-        )
-        cov_c = Rw @ cov_w @ Rw.T
-        cov2 = J @ cov_c @ J.T + LOW_PASS_DILATION * np.eye(2)
-        inv2 = np.linalg.inv(cov2)
+    # recompute forward quantities
+    mean3 = scene.means[gi]
+    s = np.exp(scene.log_scales[gi])
+    q_raw = scene.rotations[gi]
+    q = q_raw / np.linalg.norm(q_raw, axis=1, keepdims=True)
+    R3 = quat_to_rotmat(q)
+    M = R3 * s[:, None, :]
+    cov_c = Rw @ (M @ M.transpose(0, 2, 1)) @ Rw.T
+    t = mean3 @ Rw.T + cam.translation
+    tx, ty, tz = t.T
+    J = np.zeros((rows.size, 2, 3))
+    J[:, 0, 0] = cam.fx / tz
+    J[:, 0, 2] = -cam.fx * tx / tz**2
+    J[:, 1, 1] = cam.fy / tz
+    J[:, 1, 2] = -cam.fy * ty / tz**2
+    Jt = J.transpose(0, 2, 1)
+    inv2 = np.linalg.inv(J @ cov_c @ Jt + LOW_PASS_DILATION * np.eye(2))
 
-        # conic triple -> full symmetric matrix grad
-        Gconic = np.array(
-            [
-                [g_conic[0], 0.5 * g_conic[1]],
-                [0.5 * g_conic[1], g_conic[2]],
-            ]
-        )
-        Gcov2 = -inv2 @ Gconic @ inv2
-        GSc = J.T @ Gcov2 @ J
-        GJ = 2.0 * Gcov2 @ J @ cov_c
-        GSw = Rw.T @ GSc @ Rw
-        GM = 2.0 * GSw @ M
-        g_s = (GM * R3).sum(axis=0)
-        out["scale"][gi] += g_s * s  # d/d(log s) = d/ds * s
-        g_qunit = _quat_rotmat_grad(q, GM * s[None, :])
-        out["rotation"][gi] += (g_qunit - q * float(q @ g_qunit)) / q_norm
+    # conic triple -> full symmetric matrix grad
+    Gconic = np.empty((rows.size, 2, 2))
+    Gconic[:, 0, 0] = g_conic[:, 0]
+    Gconic[:, 0, 1] = Gconic[:, 1, 0] = 0.5 * g_conic[:, 1]
+    Gconic[:, 1, 1] = g_conic[:, 2]
+    Gcov2 = -inv2 @ Gconic @ inv2
+    GJ = 2.0 * Gcov2 @ J @ cov_c
+    GM = 2.0 * (Rw.T @ (Jt @ Gcov2 @ J) @ Rw) @ M
+    out["scale"][gi] = (GM * R3).sum(axis=1) * s  # d/d(log s) = d/ds * s
+    g_qunit = _quat_to_rotmat_vjp(q, GM * s[:, None, :])
+    out["rotation"][gi] = _normalize_vjp(q_raw, g_qunit)
 
-        # camera-space point grads: screen mean and the Jacobian's t-dependence
-        g_t = np.array(
-            [
-                g_mean2[0] * cam.fx / tz,
-                g_mean2[1] * cam.fy / tz,
-                -(g_mean2[0] * cam.fx * tx + g_mean2[1] * cam.fy * ty) / tz**2,
-            ]
-        )
-        g_t[0] += GJ[0, 2] * (-cam.fx / tz**2)
-        g_t[1] += GJ[1, 2] * (-cam.fy / tz**2)
-        g_t[2] += (
-            GJ[0, 0] * (-cam.fx / tz**2)
-            + GJ[1, 1] * (-cam.fy / tz**2)
-            + GJ[0, 2] * (2 * cam.fx * tx / tz**3)
-            + GJ[1, 2] * (2 * cam.fy * ty / tz**3)
-        )
-        g_mean3 = Rw.T @ g_t
+    # camera-space point grads: screen mean and the Jacobian's t-dependence
+    g_t = np.stack(
+        [
+            g_mean2[:, 0] * cam.fx / tz - GJ[:, 0, 2] * cam.fx / tz**2,
+            g_mean2[:, 1] * cam.fy / tz - GJ[:, 1, 2] * cam.fy / tz**2,
+            -(g_mean2[:, 0] * cam.fx * tx + g_mean2[:, 1] * cam.fy * ty) / tz**2
+            - GJ[:, 0, 0] * cam.fx / tz**2
+            - GJ[:, 1, 1] * cam.fy / tz**2
+            + GJ[:, 0, 2] * (2 * cam.fx * tx / tz**3)
+            + GJ[:, 1, 2] * (2 * cam.fy * ty / tz**3),
+        ],
+        axis=1,
+    )
+    g_mean3 = g_t @ Rw
 
-        # color -> SH coefficients and view direction
-        g_rgb_eff = np.where(batch.rgb_clamped[row], 0.0, g_rgb)
-        v = mean3 - cam_center
-        u = v / np.linalg.norm(v)
-        B = sh_basis(u, degree)  # (k,)
-        dB = sh_basis_grad(u, degree)  # (k, 3)
-        out["sh"][gi] += B[:, None] * g_rgb_eff[None, :]
-        g_dir = dB.T @ (scene.sh[gi] @ g_rgb_eff)
-        g_mean3 = g_mean3 + _normalize_grad(v, g_dir)
-        out["position"][gi] += g_mean3
+    # color -> SH coefficients and view direction
+    g_rgb = np.where(batch.rgb_clamped[rows], 0.0, screen["d_rgb"][rows])
+    v = mean3 - cam.center
+    u = v / np.linalg.norm(v, axis=1, keepdims=True)
+    B = sh_basis(u, scene.degree)  # (r, k)
+    dB = sh_basis_grad(u, scene.degree)  # (r, k, 3)
+    out["sh"][gi] = B[:, :, None] * g_rgb[:, None, :]
+    g_dir = np.einsum("rkd,rk->rd", dB, np.einsum("rkc,rc->rk", scene.sh[gi], g_rgb))
+    out["position"][gi] = g_mean3 + _normalize_vjp(v, g_dir)
 
-        # opacity logit through the sigmoid and its 0.99 ceiling
-        sig = float(stable_sigmoid(scene.opacity_logits[gi]))
-        if sig < OPACITY_MAX:
-            out["opacity"][gi] += g_opacity * sig * (1.0 - sig)
+    # opacity logit through the sigmoid and its 0.99 ceiling
+    sig = stable_sigmoid(scene.opacity_logits[gi])
+    out["opacity"][gi] = np.where(
+        sig < OPACITY_MAX, screen["d_opacity"][rows] * sig * (1.0 - sig), 0.0
+    )
     return out
 
 

@@ -181,6 +181,34 @@ class _BankTraceRecorder:
             self.groups.append(coords[s : s + 16])
 
 
+def clip_windows(
+    batch: SplatBatch, idx: np.ndarray, rect: tuple[int, int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """AABBs of entries ``idx`` (an index array) clipped to ``rect``, and their areas.
+
+    An empty window becomes the inverted box (x1, y1, x0, y0) of ``rect``,
+    which never widens a run's bounding box, and has area 0.
+    """
+    x0r, y0r, x1r, y1r = rect
+    win = batch.aabb[idx].astype(np.int64, copy=False)  # idx gathers: a copy
+    np.maximum(win[:, :2], (x0r, y0r), out=win[:, :2])
+    np.minimum(win[:, 2:], (x1r, y1r), out=win[:, 2:])
+    empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
+    win[empty] = (x1r, y1r, x0r, y0r)
+    area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
+    return win, area
+
+
+def window_mask(win: np.ndarray, slab: tuple[int, int, int, int]) -> np.ndarray:
+    """(g, h, w) mask of the slab pixels inside each entry's window."""
+    sx0, sy0, sx1, sy1 = slab
+    xs = np.arange(sx0, sx1)
+    ys = np.arange(sy0, sy1)
+    cols = (xs >= win[:, 0, None]) & (xs < win[:, 2, None])
+    rows = (ys >= win[:, 1, None]) & (ys < win[:, 3, None])
+    return rows[:, :, None] & cols[:, None, :]
+
+
 def _group_runs(
     win: np.ndarray, area: np.ndarray, max_elems: int
 ) -> list[tuple[int, int, int, int, int, int]]:
@@ -252,13 +280,7 @@ def blend_span(
     switch = end if centric_from is None else max(start, min(centric_from, end))
     if start >= end:
         return switch
-    x0r, y0r, x1r, y1r = rect
-    win = batch.aabb[order[start:end]].astype(np.int64, copy=False)
-    np.maximum(win[:, :2], (x0r, y0r), out=win[:, :2])
-    np.minimum(win[:, 2:], (x1r, y1r), out=win[:, 2:])
-    empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
-    win[empty] = (x1r, y1r, x0r, y0r)
-    area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
+    win, area = clip_windows(batch, order[start:end], rect)
     counters.candidates += int(area.sum())
     theta_px = None if theta is None else theta * state.T.size
     n_term = int(np.count_nonzero(state.terminated)) if theta is not None else 0
@@ -387,11 +409,7 @@ def _blend_slab(
     hit = alpha >= ALPHA_MIN
     inwin = None
     if g > 1:
-        xs = np.arange(sx0, sx1)
-        ys = np.arange(sy0, sy1)
-        cols = (xs >= win[:, 0, None]) & (xs < win[:, 2, None])
-        rows = (ys >= win[:, 1, None]) & (ys < win[:, 3, None])
-        inwin = rows[:, :, None] & cols[:, None, :]
+        inwin = window_mask(win, slab)
         hit &= inwin
 
     w = alpha * hit  # alpha where the entry blends, else 0

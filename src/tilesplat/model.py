@@ -145,6 +145,9 @@ class GaussianScene:
             raise ValueError(
                 f"sh coefficient count {self.sh.shape[1]} is not (d+1)^2 for d in 0..3"
             )
+        for name in ("means", "log_scales", "rotations", "opacity_logits", "sh"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite values")
 
     @classmethod
     def from_gaussians(cls, gaussians: list[Gaussian3D]) -> "GaussianScene":
@@ -199,6 +202,11 @@ class Camera:
     def validate(self) -> None:
         if self.world_to_cam.shape != (4, 4):
             raise ValueError("world_to_cam must be 4x4")
+        if not np.all(np.isfinite(self.world_to_cam)):
+            raise ValueError("world_to_cam contains non-finite values")
+        for name in ("fx", "fy", "cx", "cy", "near"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         R = self.world_to_cam[:3, :3]
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-5):
             raise ValueError("world_to_cam rotation block is not orthonormal")
@@ -208,6 +216,8 @@ class Camera:
             raise ValueError("image dimensions must be positive")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        if self.near <= 0:
+            raise ValueError(f"near must be positive, got {self.near}")
 
     @property
     def rotation(self) -> np.ndarray:

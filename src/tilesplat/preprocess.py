@@ -53,7 +53,7 @@ class SplatBatch:
     rgb: np.ndarray  # (m, 3)
     rgb_clamped: np.ndarray  # (m, 3) bool, channels pinned at zero by the SH clamp
     opacity: np.ndarray  # (m,)
-    radius: np.ndarray  # (m,) int64
+    radius: np.ndarray  # (m,) int64 3-sigma radius in pixels, at most the larger image side
     aabb: np.ndarray  # (m, 4) int64, half-open [x0, y0, x1, y1]
     gaussian_index: np.ndarray  # (m,) int64 row in the source scene
 
@@ -114,6 +114,7 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
     lower-precision blend.  Row order follows scene order, so ties in
     depth sort by ascending gaussian_index automatically.
     """
+    scene.validate()  # arrays may have been changed in place since construction
     stats = PreprocessStats(n_input=scene.n)
     scales, rots, opac = activate(scene.log_scales, scene.rotations, scene.opacity_logits)
     cov3 = covariance3(scales, rots)  # (n, 3, 3)
@@ -152,12 +153,15 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
         [cam.fx * t[:, 0] / tz + cam.cx, cam.fy * t[:, 1] / tz + cam.cy], axis=1
     )
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    radius = np.ceil(BOUNDING_SIGMAS * np.sqrt(lam_max)).astype(np.int64)
-    center = np.floor(mean2).astype(np.int64)
-    x0 = np.clip(center[:, 0] - radius, 0, cam.width)
-    x1 = np.clip(center[:, 0] + radius + 1, 0, cam.width)
-    y0 = np.clip(center[:, 1] - radius, 0, cam.height)
-    y1 = np.clip(center[:, 1] + radius + 1, 0, cam.height)
+    # Bounds stay in float64 (integer-valued, so exact) until clipped to the
+    # image: a splat far larger than the screen must not overflow the cast.
+    radius_f = np.ceil(BOUNDING_SIGMAS * np.sqrt(lam_max))
+    center = np.floor(mean2)
+    x0 = np.clip(center[:, 0] - radius_f, 0, cam.width).astype(np.int64)
+    x1 = np.clip(center[:, 0] + radius_f + 1, 0, cam.width).astype(np.int64)
+    y0 = np.clip(center[:, 1] - radius_f, 0, cam.height).astype(np.int64)
+    y1 = np.clip(center[:, 1] + radius_f + 1, 0, cam.height).astype(np.int64)
+    radius = np.minimum(radius_f, max(cam.width, cam.height)).astype(np.int64)
     on_screen = (x0 < x1) & (y0 < y1)
     stats.culled_offscreen = int(idx.size - on_screen.sum())
     if not on_screen.all():

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+import backward_oracle
 from tilesplat.backward import (
     GradAccumulator,
     TilePartial,
-    _normalize_grad,
+    _normalize_vjp,
+    _quat_to_rotmat_vjp,
     accumulate_cross_tile,
     backward_tile,
     loss_and_pixel_grads,
     scene_backward,
 )
 from tilesplat.gradcheck import analytic_grads, make_fd_case, reference_config
-from tilesplat.model import ImageRGB
+from tilesplat.model import ImageRGB, quat_to_rotmat
 from tilesplat.sh import SH_C0
 from tilesplat.synth import make_camera, random_scene
 
@@ -101,6 +103,26 @@ def test_stop_masks_gradient():
     assert part.hits[1] == part.hits[2] == 0
     assert np.all(part.d_rgb[1:] == 0)
     assert np.all(part.d_alpha[1:] == 0)
+
+
+def test_entry_gets_gradient_only_inside_its_window():
+    """Two entries in one run: the first one's AABB covers half the slab."""
+    wide = dict(conic=(0.01, 0.0, 0.01), rgb=(0.3, 0.6, 0.9), opacity=0.7)
+    batch = hand_batch(
+        [dict(mean2=(4.0, 4.0), depth=1.0, **wide), dict(mean2=(3.0, 5.0), depth=2.0, **wide)]
+    )
+    batch.aabb[0] = (0, 0, 4, 8)  # alpha stays far above 1/255 beyond it
+    rng = np.random.default_rng(0)
+    args = (
+        batch, np.array([0, 1]), (0, 0, 8, 8), 0,
+        rng.uniform(0.05, 0.2, size=(8, 8)), np.full((8, 8), 2, dtype=np.int32),
+        rng.normal(size=(8, 8, 3)), np.array([0.1, 0.2, 0.3]), "exact",
+    )
+    part = backward_tile(*args)
+    want = backward_oracle.backward_tile(*args)
+    assert list(part.hits) == [32, 64]
+    for key in ("d_rgb", "d_alpha", "d_opacity", "d_mean2", "d_conic"):
+        np.testing.assert_allclose(getattr(part, key), getattr(want, key), rtol=1e-12)
 
 
 def test_loss_and_pixel_grads():
@@ -209,21 +231,44 @@ def test_approx_recip_backward_close_to_exact():
         assert np.abs(a - b).max() / scale < 2e-2, key
 
 
+def central_fd(f, x, h):
+    """Central differences of scalar f at every entry of x."""
+    out = np.empty_like(x)
+    for j in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        out[j] = (f(xp) - f(xm)) / (2 * h)
+    return out
+
+
 def test_normalize_grad_matches_fd():
     rng = np.random.default_rng(5)
-    v = rng.normal(size=4)
-    g = rng.normal(size=4)
-    got = _normalize_grad(v, g)
-    h = 1e-7
-    want = np.empty(4)
-    for j in range(4):
-        vp, vm = v.copy(), v.copy()
-        vp[j] += h
-        vm[j] -= h
-        fp = (vp / np.linalg.norm(vp)) @ g
-        fm = (vm / np.linalg.norm(vm)) @ g
-        want[j] = (fp - fm) / (2 * h)
+    v = rng.normal(size=(6, 4))
+    g = rng.normal(size=(6, 4))
+    got = _normalize_vjp(v, g)
+    want = central_fd(
+        lambda x: ((x / np.linalg.norm(x, axis=1, keepdims=True)) * g).sum(), v, 1e-7
+    )
     np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def test_quat_rotmat_grad_matches_fd():
+    """Rotation backward of several rows: raw quaternion -> unit -> matrix."""
+    rng = np.random.default_rng(6)
+    q_raw = rng.normal(size=(5, 4))
+    G = rng.normal(size=(5, 3, 3))
+    q = q_raw / np.linalg.norm(q_raw, axis=1, keepdims=True)
+    got_unit = _quat_to_rotmat_vjp(q, G)
+    want_unit = central_fd(lambda x: (quat_to_rotmat(x) * G).sum(), q, 1e-6)
+    np.testing.assert_allclose(got_unit, want_unit, rtol=1e-6, atol=1e-9)
+    got = _normalize_vjp(q_raw, got_unit)
+    want = central_fd(
+        lambda x: (quat_to_rotmat(x / np.linalg.norm(x, axis=1, keepdims=True)) * G).sum(),
+        q_raw,
+        1e-6,
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 def test_backward_thread_determinism():

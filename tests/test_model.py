@@ -181,3 +181,48 @@ def test_image_type():
     bad = ImageRGB(np.full((2, 2, 3), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
+
+
+def _good_scene_arrays():
+    rng = np.random.default_rng(7)
+    return {
+        "means": rng.normal(size=(3, 3)),
+        "log_scales": rng.normal(size=(3, 3)),
+        "rotations": rng.normal(size=(3, 4)),
+        "opacity_logits": rng.normal(size=3),
+        "sh": rng.normal(size=(3, 4, 3)),
+    }
+
+
+@pytest.mark.parametrize("field", ["means", "log_scales", "rotations", "opacity_logits", "sh"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scene_rejects_non_finite(field, value):
+    arrays = _good_scene_arrays()
+    arrays[field].flat[1] = value
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+        GaussianScene(**arrays)
+    # an in-place change after construction is caught by the next validate
+    scene = GaussianScene(**_good_scene_arrays())
+    getattr(scene, field).flat[1] = value
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+        scene.validate()
+
+
+def test_camera_rejects_non_finite_and_bad_near():
+    from dataclasses import replace
+
+    from tilesplat.synth import make_camera
+
+    cam = make_camera(32, 32)
+    for field in ("fx", "fy", "cx", "cy", "near"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                replace(cam, **{field: value})
+    for near in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="^near must be positive"):
+            replace(cam, near=near)
+    wtc = cam.world_to_cam.copy()
+    wtc[0, 3] = np.nan
+    with pytest.raises(ValueError, match="^world_to_cam contains non-finite"):
+        replace(cam, world_to_cam=wtc)
+    assert replace(cam, near=0.5).near == 0.5

@@ -212,3 +212,31 @@ def test_empty_batch_binning():
     binning = bin_and_sort(batch, (16, 16), (32, 32))
     assert binning.total_invocations == 0
     assert all(len(l) == 0 for l in binning.lists)
+
+
+def test_screen_covering_splat_is_binned_without_overflow():
+    """A splat far larger than the screen covers every tile; no int64 overflow."""
+    import warnings
+
+    cam = make_camera(64, 48, focal=60.0)
+    rng = np.random.default_rng(8)
+    scene = random_scene(rng, 5, cam)
+    scene.log_scales[0] = 50.0  # 3 sigma is about 1e24 px
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch, stats = preprocess(scene, cam)
+        binning = bin_and_sort(batch, (16, 16), (cam.width, cam.height))
+    assert stats.culled_offscreen == 0 and stats.culled_degenerate == 0
+    row = int(np.flatnonzero(batch.gaussian_index == 0)[0])
+    np.testing.assert_array_equal(batch.aabb[row], [0, 0, 64, 48])
+    assert batch.radius[row] == 64  # capped at the larger image side
+    assert binning.tiles_per_splat[row] == binning.n_tiles
+    assert all(row in lst for lst in binning.lists)
+
+
+def test_non_finite_scene_is_rejected_not_culled():
+    cam = make_camera(32, 32)
+    scene = random_scene(np.random.default_rng(9), 4, cam)
+    scene.means[1, 2] = np.nan  # changed after construction
+    with pytest.raises(ValueError, match="^means contains non-finite"):
+        preprocess(scene, cam)

@@ -181,6 +181,21 @@ def test_ply_rejects_negative_count():
         scene_from_ply_bytes(header)
 
 
+@pytest.mark.parametrize(
+    "prop, field",
+    [("x", "means"), ("f_dc_1", "sh"), ("opacity", "opacity_logits"),
+     ("scale_2", "log_scales"), ("rot_0", "rotations")],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_ply_rejects_non_finite(prop, field, value):
+    payload = bytearray(golden_payload())
+    names = GOLDEN_HEADER.decode().split("\n")[3:-2]
+    offset = 4 * [line.split()[-1] for line in names].index(prop)
+    struct.pack_into("<f", payload, offset, value)
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+        scene_from_ply_bytes(GOLDEN_HEADER + bytes(payload))
+
+
 def test_ply_allows_comment_lines():
     header = GOLDEN_HEADER.replace(
         b"format binary_little_endian 1.0\n",
