@@ -45,11 +45,6 @@ class RecipLUT:
     d_edges: np.ndarray  # (9,) float64, descending
     seeds: np.ndarray  # (8,) float64, strictly increasing
 
-    @property
-    def alpha_edges(self) -> np.ndarray:
-        """Bin edges expressed in alpha, ascending from 0.5 to 0.99."""
-        return 1.0 - self.d_edges
-
 
 def make_recip_lut() -> RecipLUT:
     d_edges = _D_SWITCH / _RATIO ** np.arange(_N_ENTRIES + 1, dtype=np.float64)
@@ -68,7 +63,7 @@ def _lut_index(d: np.ndarray) -> np.ndarray:
     return np.clip(j, 0, _N_ENTRIES - 1).astype(np.intp)
 
 
-def recip_one_minus(alpha, mode: str = "approx", lut: RecipLUT = DEFAULT_LUT):
+def recip_one_minus(alpha, mode: str = "approx"):
     """Return an approximation of 1 / (1 - alpha).
 
     ``alpha`` may be a scalar or an array; values must lie in [0, 0.99]
@@ -92,7 +87,7 @@ def recip_one_minus(alpha, mode: str = "approx", lut: RecipLUT = DEFAULT_LUT):
         # NR branch evaluated everywhere, selected below; d >= 0.01 where used.
         with np.errstate(divide="ignore"):
             j = _lut_index(np.maximum(d, _D_MIN * 0.5))
-        x = lut.seeds[j].astype(a.dtype, copy=False)
+        x = DEFAULT_LUT.seeds[j].astype(a.dtype, copy=False)
         dd = d.astype(a.dtype, copy=False)
         x = x * (2.0 - dd * x)
         x = x * (2.0 - dd * x)

@@ -165,10 +165,8 @@ def cmd_train(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     log_lines = []
-    last_stats = None
     for it in range(args.iters):
         res = train_step(scene, views, tcfg, adam, dstats)
-        last_stats = res.stats
         log_lines.append(f"{it} {res.loss:.8f}")
         if args.log_every > 0 and it % args.log_every == 0:
             print(f"iter {it}: loss {res.loss:.6f}")
@@ -185,8 +183,7 @@ def cmd_train(args) -> int:
 
     save_ply(scene, outdir / "trained.ply")
     (outdir / "loss_log.txt").write_text("\n".join(log_lines) + "\n")
-    if last_stats is not None:
-        (outdir / "train_stats.txt").write_text(last_stats.to_text() + "\n")
+    (outdir / "train_stats.txt").write_text(res.stats.to_text() + "\n")
     first = float(log_lines[0].split()[1])
     last = float(log_lines[-1].split()[1])
     print(
@@ -451,6 +448,13 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilesplat",
@@ -470,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="initial PLY scene")
     p.add_argument("--cameras", required=True, help="camera JSON with image_path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--iters", type=_positive_int, default=100)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--config", help="JSON config file (flags override its keys)")
     p.add_argument("--tile", nargs=2, type=int, metavar=("W", "H"))
@@ -520,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_checkgrad)
 
     p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 
     return parser

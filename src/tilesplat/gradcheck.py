@@ -18,11 +18,17 @@ import numpy as np
 from .backward import TrainConfig, loss_and_pixel_grads, scene_backward
 from .forward import ALPHA_MIN, alpha_patch, render
 from .model import Camera, GaussianScene, ImageRGB, stable_sigmoid
-from .preprocess import BOUNDING_SIGMAS, preprocess
-from .sh import sh_basis
+from .preprocess import bounding_radius, preprocess
 from .synth import make_camera, orbit_camera, random_scene
 
 GROUP_KEYS = ("position", "scale", "rotation", "opacity", "sh")
+
+# fd_probe's least distances from each kink, sized to the perturbation scale.
+ALPHA_MARGIN = 1e-5  # per-pixel alpha from the 1/255 blend threshold
+FRAC_MARGIN = 2e-3  # splat centers and 3-sigma radii from integers
+DEPTH_MARGIN = 1e-3  # between any two depths
+COLOR_MARGIN = 0.02  # SH colors from the clamp at zero; must stay positive
+OPACITY_SIG_MAX = 0.97  # activated opacity, below the 0.99 ceiling
 
 
 def _group_arrays(scene: GaussianScene) -> dict[str, np.ndarray]:
@@ -173,16 +179,7 @@ def check_gradients(
     )
 
 
-def fd_probe(
-    scene: GaussianScene,
-    cam: Camera,
-    *,
-    alpha_margin: float = 1e-5,
-    frac_margin: float = 2e-3,
-    depth_margin: float = 1e-3,
-    color_margin: float = 0.02,
-    opacity_sig_max: float = 0.97,
-) -> bool:
+def fd_probe(scene: GaussianScene, cam: Camera) -> bool:
     """True if the scene sits safely inside one smooth piece of the forward map.
 
     Checked per view: every Gaussian visible; activated opacities clear
@@ -191,38 +188,34 @@ def fd_probe(
     clear of integer boundaries (pixel AABBs stable); per-pixel alphas
     clear of the 1/255 blend threshold and of the q = 0 corner.
     """
-    batch, stats = preprocess(scene, cam)
+    batch, _ = preprocess(scene, cam)
     if batch.n != scene.n:
         return False
     sig = stable_sigmoid(scene.opacity_logits)
-    if float(sig.max()) >= opacity_sig_max:
+    if float(sig.max()) >= OPACITY_SIG_MAX:
         return False
 
-    dirs = scene.means - cam.center
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    B = sh_basis(dirs, scene.degree)  # (n, k)
-    raw = 0.5 + np.einsum("nk,nkc->nc", B, scene.sh)
-    if float(raw.min()) < color_margin:
+    # The clamp only lifts negative channels to 0, so with a positive margin
+    # the clamped colors fall below it exactly when the raw ones do.
+    if float(batch.rgb.min()) < COLOR_MARGIN:
         return False
 
     if batch.n > 1:
         depth_sorted = np.sort(batch.depth)
-        if float(np.diff(depth_sorted).min()) < depth_margin:
+        if float(np.diff(depth_sorted).min()) < DEPTH_MARGIN:
             return False
 
     frac = batch.mean2 - np.floor(batch.mean2)
-    if float(min(frac.min(), (1.0 - frac).min())) < frac_margin:
+    if float(min(frac.min(), (1.0 - frac).min())) < FRAC_MARGIN:
         return False
-    a, b, c = batch.cov2[:, 0], batch.cov2[:, 1], batch.cov2[:, 2]
-    lam = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    rad = BOUNDING_SIGMAS * np.sqrt(lam)
-    if float(np.abs(rad - np.round(rad)).min()) < frac_margin:
+    rad = bounding_radius(batch.cov2[:, 0], batch.cov2[:, 1], batch.cov2[:, 2])
+    if float(np.abs(rad - np.round(rad)).min()) < FRAC_MARGIN:
         return False
 
     for i in range(batch.n):
         x0, y0, x1, y1 = (int(v) for v in batch.aabb[i])
         alpha, _, _ = alpha_patch(batch, i, x0, x1, y0, y1)
-        if float(np.abs(alpha - ALPHA_MIN).min()) < alpha_margin:
+        if float(np.abs(alpha - ALPHA_MIN).min()) < ALPHA_MARGIN:
             return False
         # q near 0 means alpha near the full opacity value
         if float(alpha.max()) > float(batch.opacity[i]) * (1.0 - 5e-7):

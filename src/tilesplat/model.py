@@ -7,7 +7,7 @@ activation layer maps them to the constrained values the renderer uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,29 +79,18 @@ def covariance3(scales, rotations) -> np.ndarray:
     return M @ np.swapaxes(M, -1, -2)
 
 
-@dataclass
-class Gaussian3D:
-    """One anisotropic Gaussian in raw (unactivated) parameters."""
-
-    mean3: np.ndarray  # (3,) world position
-    log_scale: np.ndarray  # (3,)
-    rotation: np.ndarray  # (4,) quaternion, w first, need not be unit
-    opacity_logit: float
-    sh: np.ndarray  # (k, 3) spherical-harmonic coefficients, k = (degree+1)^2
-
-
 _DEGREE_BY_COUNT = {1: 0, 4: 1, 9: 2, 16: 3}
 
 
 @dataclass
 class GaussianScene:
-    """Array-of-struct view of a set of Gaussians (one row per Gaussian)."""
+    """Gaussians in raw (unactivated) parameters, one row per Gaussian."""
 
     means: np.ndarray  # (n, 3)
     log_scales: np.ndarray  # (n, 3)
-    rotations: np.ndarray  # (n, 4)
+    rotations: np.ndarray  # (n, 4) quaternions, w first, need not be unit
     opacity_logits: np.ndarray  # (n,)
-    sh: np.ndarray  # (n, k, 3)
+    sh: np.ndarray  # (n, k, 3) SH coefficients, k = (degree+1)^2
 
     def __post_init__(self):
         self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
@@ -148,27 +137,6 @@ class GaussianScene:
         for name in ("means", "log_scales", "rotations", "opacity_logits", "sh"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
-
-    @classmethod
-    def from_gaussians(cls, gaussians: list[Gaussian3D]) -> "GaussianScene":
-        if not gaussians:
-            raise ValueError("empty scene")
-        return cls(
-            means=np.stack([g.mean3 for g in gaussians]),
-            log_scales=np.stack([g.log_scale for g in gaussians]),
-            rotations=np.stack([g.rotation for g in gaussians]),
-            opacity_logits=np.array([g.opacity_logit for g in gaussians]),
-            sh=np.stack([g.sh for g in gaussians]),
-        )
-
-    def gaussian(self, i: int) -> Gaussian3D:
-        return Gaussian3D(
-            mean3=self.means[i].copy(),
-            log_scale=self.log_scales[i].copy(),
-            rotation=self.rotations[i].copy(),
-            opacity_logit=float(self.opacity_logits[i]),
-            sh=self.sh[i].copy(),
-        )
 
     def copy(self) -> "GaussianScene":
         return GaussianScene(

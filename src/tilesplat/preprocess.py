@@ -27,21 +27,6 @@ BOUNDING_SIGMAS = 3.0
 DET_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Splat2D:
-    """One projected splat (a single row of a SplatBatch)."""
-
-    mean2: np.ndarray  # (2,) pixel coordinates
-    cov2: np.ndarray  # (3,) dilated 2D covariance (a, b, c)
-    conic: np.ndarray  # (3,) inverse covariance (a, b, c)
-    depth: float
-    rgb: np.ndarray  # (3,)
-    opacity: float
-    radius: int
-    aabb: np.ndarray  # (4,) [x0, y0, x1, y1], half-open pixel bounds
-    gaussian_index: int
-
-
 @dataclass
 class SplatBatch:
     """Projected splats in struct-of-arrays form, one row per visible splat."""
@@ -76,19 +61,6 @@ class SplatBatch:
             gaussian_index=self.gaussian_index,
         )
 
-    def row(self, i: int) -> Splat2D:
-        return Splat2D(
-            mean2=self.mean2[i].copy(),
-            cov2=self.cov2[i].copy(),
-            conic=self.conic[i].copy(),
-            depth=float(self.depth[i]),
-            rgb=self.rgb[i].copy(),
-            opacity=float(self.opacity[i]),
-            radius=int(self.radius[i]),
-            aabb=self.aabb[i].copy(),
-            gaussian_index=int(self.gaussian_index[i]),
-        )
-
 
 @dataclass
 class PreprocessStats:
@@ -105,6 +77,15 @@ class PreprocessStats:
             - self.culled_degenerate
             - self.culled_offscreen
         )
+
+
+def bounding_radius(a, b, c) -> np.ndarray:
+    """Unrounded 3-sigma radius in pixels of the 2D covariances (a, b, c).
+
+    The AABB extends ceil() of this around the floored mean.
+    """
+    lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+    return BOUNDING_SIGMAS * np.sqrt(lam_max)
 
 
 def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, PreprocessStats]:
@@ -152,10 +133,9 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
     mean2 = np.stack(
         [cam.fx * t[:, 0] / tz + cam.cx, cam.fy * t[:, 1] / tz + cam.cy], axis=1
     )
-    lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     # Bounds stay in float64 (integer-valued, so exact) until clipped to the
     # image: a splat far larger than the screen must not overflow the cast.
-    radius_f = np.ceil(BOUNDING_SIGMAS * np.sqrt(lam_max))
+    radius_f = np.ceil(bounding_radius(a, b, c))
     center = np.floor(mean2)
     x0 = np.clip(center[:, 0] - radius_f, 0, cam.width).astype(np.int64)
     x1 = np.clip(center[:, 0] + radius_f + 1, 0, cam.width).astype(np.int64)
@@ -206,45 +186,6 @@ def _empty_batch() -> SplatBatch:
         aabb=np.zeros((0, 4), dtype=np.int64),
         gaussian_index=np.zeros(0, dtype=np.int64),
     )
-
-
-def project_gaussian(scene: GaussianScene, i: int, cam: Camera) -> Splat2D | None:
-    """Project a single Gaussian; None if culled."""
-    sub = GaussianScene(
-        means=scene.means[i : i + 1],
-        log_scales=scene.log_scales[i : i + 1],
-        rotations=scene.rotations[i : i + 1],
-        opacity_logits=scene.opacity_logits[i : i + 1],
-        sh=scene.sh[i : i + 1],
-    )
-    batch, _ = preprocess(sub, cam)
-    if batch.n == 0:
-        return None
-    s = batch.row(0)
-    return Splat2D(
-        mean2=s.mean2,
-        cov2=s.cov2,
-        conic=s.conic,
-        depth=s.depth,
-        rgb=s.rgb,
-        opacity=s.opacity,
-        radius=s.radius,
-        aabb=s.aabb,
-        gaussian_index=i,
-    )
-
-
-def compute_aabb(mean2, cov2, width: int, height: int) -> np.ndarray | None:
-    """Half-open pixel AABB covering 3 sigma around the mean; None if off-screen."""
-    a, b, c = np.asarray(cov2, dtype=np.float64)
-    lam_max = 0.5 * (a + c) + np.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
-    r = int(np.ceil(BOUNDING_SIGMAS * np.sqrt(lam_max)))
-    cx, cy = int(np.floor(mean2[0])), int(np.floor(mean2[1]))
-    x0, x1 = max(cx - r, 0), min(cx + r + 1, width)
-    y0, y1 = max(cy - r, 0), min(cy + r + 1, height)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return np.array([x0, y0, x1, y1], dtype=np.int64)
 
 
 @dataclass

@@ -10,6 +10,7 @@ dropping alpha, and undoes all five row filters.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -176,16 +177,30 @@ def save_cameras(
     Path(path).write_text(json.dumps(entries, indent=2) + "\n")
 
 
+_CAMERA_KEYS = ("width", "height", "fx", "fy", "cx", "cy", "world_to_cam")
+
+
 def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
     """Camera list plus optional per-view target image path."""
     entries = json.loads(Path(path).read_text())
     if not isinstance(entries, list):
         raise ValueError("camera file must contain a JSON list")
     out = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"camera {i}: entry must be a JSON object")
+        for key in _CAMERA_KEYS:
+            if key not in entry:
+                raise ValueError(f"camera {i}: missing field {key!r}")
+        for key in ("width", "height"):
+            v = entry[key]
+            if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+                raise ValueError(f"camera {i}: {key} must be an integer, got {v!r}")
         mat = np.asarray(entry["world_to_cam"], dtype=np.float64)
         if mat.size != 16:
-            raise ValueError("world_to_cam must hold 16 values (row-major 4x4)")
+            raise ValueError(
+                f"camera {i}: world_to_cam must hold 16 values (row-major 4x4)"
+            )
         cam = Camera(
             world_to_cam=mat.reshape(4, 4),
             fx=float(entry["fx"]),
@@ -200,35 +215,14 @@ def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
     return out
 
 
-_RENDER_KEYS = {
-    "tile_size",
-    "z_tiles",
-    "eps_t",
-    "hybrid",
-    "hybrid_fraction",
-    "occlusion_threshold",
-    "background",
-    "dtype",
-    "threads",
-    "record_occlusion",
-    "bank_trace_groups",
-}
-
-_TRAIN_KEYS = {
-    "tile_size",
-    "loss",
-    "background",
-    "eps_t",
-    "recip_mode",
-    "offload_batch",
-    "dtype",
-    "threads",
-}
-
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
-def _coerce_common(d: dict) -> dict:
+def _config_from_dict(cls, kind: str, d: dict):
+    """Build a config dataclass, accepting exactly its field names as keys."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
     d = dict(d)
     if "tile_size" in d:
         d["tile_size"] = tuple(int(v) for v in d["tile_size"])
@@ -239,29 +233,15 @@ def _coerce_common(d: dict) -> dict:
         if name not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {name!r}")
         d["dtype"] = _DTYPES[name]
-    return d
+    return cls(**d)
 
 
 def render_config_from_dict(d: dict) -> RenderConfig:
-    unknown = set(d) - _RENDER_KEYS
-    if unknown:
-        raise ValueError(f"unknown render config keys: {sorted(unknown)}")
-    return RenderConfig(**_coerce_common(d))
+    return _config_from_dict(RenderConfig, "render", d)
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    unknown = set(d) - _TRAIN_KEYS
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    return TrainConfig(**_coerce_common(d))
-
-
-def load_render_config(path: str | Path) -> RenderConfig:
-    return render_config_from_dict(json.loads(Path(path).read_text()))
-
-
-def load_train_config(path: str | Path) -> TrainConfig:
-    return train_config_from_dict(json.loads(Path(path).read_text()))
+    return _config_from_dict(TrainConfig, "train", d)
 
 
 def quantize_u8(data: np.ndarray) -> np.ndarray:

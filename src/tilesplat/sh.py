@@ -112,27 +112,11 @@ def sh_basis_grad(dirs: np.ndarray, degree: int) -> np.ndarray:
     return G
 
 
-def eval_sh(coeffs: np.ndarray, dirs: np.ndarray, degree: int) -> np.ndarray:
-    """Evaluate RGB = max(0, 0.5 + sum_k coeffs[k] * Y_k(dir)).
-
-    ``coeffs`` is (..., k, 3) with k = (degree+1)^2 exactly; a mismatched
-    coefficient count is an error.  ``dirs`` broadcasts against the
-    leading dims of ``coeffs``.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    k = coeff_count(degree)
-    if coeffs.shape[-2] != k:
-        raise ValueError(
-            f"degree {degree} needs {k} coefficients, got {coeffs.shape[-2]}"
-        )
-    B = sh_basis(dirs, degree)
-    raw = 0.5 + np.einsum("...k,...kc->...c", B, coeffs)
-    return np.maximum(raw, 0.0)
-
-
 def eval_sh_batch(coeffs: np.ndarray, dirs: np.ndarray, degree: int):
-    """Per-row evaluation for (n, k, 3) coeffs and (n, 3) dirs.
+    """RGB = max(0, 0.5 + sum_k coeffs[k] * Y_k(dir)) per row.
 
+    ``coeffs`` is (n, k, 3) with k = (degree+1)^2 exactly; a mismatched
+    coefficient count is an error.  ``dirs`` is (n, 3), unit length.
     Returns (rgb, clamped) where ``clamped`` marks channels whose
     pre-clamp value went negative (their gradient is zero).
     """

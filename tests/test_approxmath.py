@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tilesplat.approxmath import DEFAULT_LUT, make_recip_lut, recip_one_minus
+from tilesplat.approxmath import make_recip_lut, recip_one_minus
 
 # geometric-mean seeds 2/(d_lo + d_hi) over the 8 geometric bins of
 # d = 1 - alpha in [0.01, 0.5]
@@ -119,9 +119,3 @@ def test_dtype_and_shape_preserved():
     assert isinstance(recip_one_minus(0.5, mode="approx"), float)
     a2d = np.full((3, 4), 0.25)
     assert recip_one_minus(a2d, mode="approx").shape == (3, 4)
-
-
-def test_custom_lut_passthrough():
-    out_default = recip_one_minus(0.8, mode="approx")
-    out_named = recip_one_minus(0.8, mode="approx", lut=DEFAULT_LUT)
-    assert out_default == out_named

@@ -207,3 +207,44 @@ def test_missing_file_exits_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iters", ["0", "-1"])
+def test_train_rejects_iters_below_one(tmp_path, capsys, iters):
+    from tilesplat.forward import render
+
+    rng = np.random.default_rng(1)
+    cam = make_camera(8, 8, focal=8.0)
+    _, initial = toy_training_scene(rng, cam)
+    save_ply(initial, tmp_path / "init.ply")
+    save_ppm(render(initial, cam).image, tmp_path / "target.ppm")
+    save_cameras(tmp_path / "cams.json", [cam], ["target.ppm"])
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--scene", str(tmp_path / "init.ply"),
+        "--cameras", str(tmp_path / "cams.json"), "--out", str(out),
+        "--iters", iters,
+    ])
+    assert rc == 2
+    assert f"argument --iters: must be >= 1, got {iters}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_selftest_runs_every_check(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "ok recip-bounds",
+        "ok ztile-equivalence",
+        "ok hybrid-identity",
+        "ok thread-determinism",
+        "ok ply-roundtrip",
+        "ok ppm-golden",
+        "ok gradcheck",
+        "all self-tests passed",
+    ]
+
+
+def test_selftest_has_no_seed_flag(capsys):
+    assert main(["selftest", "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from tilesplat.model import (
     OPACITY_MAX,
     Camera,
-    Gaussian3D,
     GaussianScene,
     ImageRGB,
     activate,
@@ -116,28 +115,6 @@ def test_scene_validation_and_degree():
             opacity_logits=np.zeros(2),
             sh=np.zeros((2, 5, 3)),
         )
-
-
-def test_scene_gaussian_roundtrip():
-    rng = np.random.default_rng(3)
-    gaussians = [
-        Gaussian3D(
-            mean3=rng.normal(size=3),
-            log_scale=rng.normal(size=3),
-            rotation=rng.normal(size=4),
-            opacity_logit=float(rng.normal()),
-            sh=rng.normal(size=(4, 3)),
-        )
-        for _ in range(3)
-    ]
-    scene = GaussianScene.from_gaussians(gaussians)
-    g1 = scene.gaussian(1)
-    np.testing.assert_array_equal(g1.mean3, gaussians[1].mean3)
-    np.testing.assert_array_equal(g1.sh, gaussians[1].sh)
-    assert g1.opacity_logit == gaussians[1].opacity_logit
-
-    with pytest.raises(ValueError, match="empty"):
-        GaussianScene.from_gaussians([])
 
 
 def test_scene_copy_is_deep():

@@ -8,9 +8,7 @@ from tilesplat.preprocess import (
     BOUNDING_SIGMAS,
     LOW_PASS_DILATION,
     bin_and_sort,
-    compute_aabb,
     preprocess,
-    project_gaussian,
 )
 from tilesplat.synth import make_camera, random_scene
 
@@ -32,7 +30,6 @@ def test_near_plane_cull():
     assert batch.n == 0
     assert stats.culled_near == 1
     assert stats.n_visible == 0
-    assert project_gaussian(scene, 0, cam) is None
 
 
 def test_projection_center_and_depth():
@@ -93,16 +90,68 @@ def test_cov2_matches_numeric_jacobian():
         np.testing.assert_allclose(conic @ got, np.eye(2), atol=1e-9)
 
 
-def test_compute_aabb_example():
+def aabb_oracle(mean2, cov2, width: int, height: int):
+    """Half-open 3-sigma pixel box around floor(mean), clipped; None if empty.
+
+    The scalar formula written out apart from preprocess, as the oracle
+    for its batched bounds.
+    """
+    a, b, c = (float(v) for v in cov2)
+    lam_max = 0.5 * (a + c) + np.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
+    r = int(np.ceil(BOUNDING_SIGMAS * np.sqrt(lam_max)))
+    cx, cy = int(np.floor(mean2[0])), int(np.floor(mean2[1]))
+    x0, x1 = max(cx - r, 0), min(cx + r + 1, width)
+    y0, y1 = max(cy - r, 0), min(cy + r + 1, height)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return np.array([x0, y0, x1, y1], dtype=np.int64), r
+
+
+def test_aabb_oracle_examples():
     # isotropic cov with lam_max = 4: radius ceil(3*2) = 6 around floor(mean)
-    box = compute_aabb(np.array([32.3, 20.7]), np.array([4.0, 0.0, 4.0]), 64, 64)
+    box, r = aabb_oracle([32.3, 20.7], [4.0, 0.0, 4.0], 64, 64)
     np.testing.assert_array_equal(box, [26, 14, 39, 27])
-
-
-def test_compute_aabb_clipping_and_offscreen():
-    box = compute_aabb(np.array([1.0, 1.0]), np.array([4.0, 0.0, 4.0]), 64, 64)
+    assert r == 6
+    box, _ = aabb_oracle([1.0, 1.0], [4.0, 0.0, 4.0], 64, 64)
     np.testing.assert_array_equal(box, [0, 0, 8, 8])
-    assert compute_aabb(np.array([-50.0, 30.0]), np.array([4.0, 0.0, 4.0]), 64, 64) is None
+    assert aabb_oracle([-50.0, 30.0], [4.0, 0.0, 4.0], 64, 64) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_aabb_matches_scalar_oracle_across_image_edges(seed):
+    """preprocess's clipped boxes, radii and off-screen culls equal the oracle.
+
+    The scene is projected twice with the same intrinsics: onto the image
+    and onto a much larger one that extends it to the right and below, so
+    every splat the image culls off-screen is still a row to check.
+    """
+    w, h = 48, 40
+    cam = make_camera(w, h, focal=60.0)
+    big = Camera(np.eye(4), cam.fx, cam.fy, cam.cx, cam.cy, 8 * w, 8 * h)
+    # means up to 40% of a side beyond each edge, sigmas up to 10 px
+    scene = random_scene(np.random.default_rng(seed), 300, cam,
+                         px_sigma=(0.5, 10.0), margin=-0.4)
+    small, stats = preprocess(scene, cam)
+    wide, _ = preprocess(scene, big)
+    rows = {int(g): i for i, g in enumerate(small.gaussian_index)}
+    straddles = np.zeros(4, dtype=bool)  # left, top, right, bottom
+    culled = checked = 0
+    for j, g in enumerate(wide.gaussian_index):
+        want = aabb_oracle(wide.mean2[j], wide.cov2[j], w, h)
+        if want is None:
+            assert int(g) not in rows
+            culled += 1
+            continue
+        box, r = want
+        i = rows[int(g)]
+        checked += 1
+        np.testing.assert_array_equal(small.aabb[i], box)
+        assert small.radius[i] == min(r, max(w, h))
+        cx, cy = np.floor(wide.mean2[j])
+        straddles |= [cx - r < 0, cy - r < 0, cx + r + 1 > w, cy + r + 1 > h]
+    assert checked == small.n
+    assert straddles.all()
+    assert 0 < culled <= stats.culled_offscreen
 
 
 def test_offscreen_cull_in_preprocess():
@@ -132,8 +181,6 @@ def test_batch_astype_shares_metadata():
     assert b32.mean2.dtype == np.float32
     assert b32.aabb is batch.aabb
     assert b32.gaussian_index is batch.gaussian_index
-    s = b32.row(0)
-    assert s.gaussian_index == int(batch.gaussian_index[0])
 
 
 def _brute_force_lists(batch, tile_size, image_size):

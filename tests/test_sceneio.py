@@ -1,5 +1,6 @@
 """PLY scenes, camera JSON, config files, and PPM/PNG images."""
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -7,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from tilesplat.forward import render
+from tilesplat.backward import TrainConfig
+from tilesplat.forward import RenderConfig, render
 from tilesplat.model import GaussianScene, ImageRGB
 from tilesplat.sceneio import (
     PlyError,
@@ -18,16 +20,16 @@ from tilesplat.sceneio import (
     load_image,
     load_ply,
     load_ppm,
-    load_render_config,
-    load_train_config,
     psnr,
     quantize_u8,
+    render_config_from_dict,
     save_cameras,
     save_image,
     save_ply,
     save_ppm,
     scene_from_ply_bytes,
     scene_to_ply_bytes,
+    train_config_from_dict,
 )
 from tilesplat.synth import make_camera, random_scene
 
@@ -228,44 +230,89 @@ def test_cameras_json_roundtrip(tmp_path):
     assert len(raw[0]["world_to_cam"]) == 16
 
 
-def test_render_config_loader(tmp_path):
-    path = tmp_path / "render.json"
-    path.write_text(json.dumps({
+@pytest.mark.parametrize("key", ["fx", "width", "world_to_cam"])
+def test_cameras_missing_field_names_camera_and_field(tmp_path, key):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)] * 2)
+    entries = json.loads(path.read_text())
+    del entries[1][key]
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=f"^camera 1: missing field '{key}'$"):
+        load_cameras(path)
+
+
+@pytest.mark.parametrize("key,value", [("width", 16.9), ("height", "16"),
+                                       ("height", None)])
+def test_cameras_reject_non_integral_size(tmp_path, key, value):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)])
+    entries = json.loads(path.read_text())
+    entries[0][key] = value
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=f"^camera 0: {key} must be an integer"):
+        load_cameras(path)
+
+
+def test_cameras_wrong_matrix_size_names_camera(tmp_path):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)] * 2)
+    entries = json.loads(path.read_text())
+    entries[1]["world_to_cam"] = entries[1]["world_to_cam"][:15]
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="^camera 1: world_to_cam must hold 16"):
+        load_cameras(path)
+
+
+def test_cameras_accept_integral_float_size(tmp_path):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(64, 48)])
+    entries = json.loads(path.read_text())
+    entries[0]["width"], entries[0]["height"] = 64.0, 48.0
+    path.write_text(json.dumps(entries))
+    cam = load_cameras(path)[0][0]
+    assert (cam.width, cam.height) == (64, 48)
+    assert type(cam.width) is int and type(cam.height) is int
+
+
+def test_render_config_loader():
+    cfg = render_config_from_dict({
         "tile_size": [16, 32],
         "z_tiles": 4,
         "background": [0.1, 0.2, 0.3],
         "dtype": "float64",
         "hybrid": "fixed_fraction",
         "hybrid_fraction": 0.25,
-    }))
-    cfg = load_render_config(path)
+    })
     assert cfg.tile_size == (16, 32)
     assert cfg.z_tiles == 4
     assert cfg.dtype == np.float64
     assert cfg.background == (0.1, 0.2, 0.3)
-    path.write_text(json.dumps({"tile": 16}))
     with pytest.raises(ValueError, match="unknown"):
-        load_render_config(path)
+        render_config_from_dict({"tile": 16})
 
 
-def test_render_config_rejects_seed(tmp_path):
+def test_render_config_rejects_seed():
     # the renderer draws no random numbers, so a seed key is an error
-    path = tmp_path / "render.json"
-    path.write_text(json.dumps({"z_tiles": 2, "seed": 3}))
     with pytest.raises(ValueError, match=r"unknown render config keys: \['seed'\]"):
-        load_render_config(path)
+        render_config_from_dict({"z_tiles": 2, "seed": 3})
 
 
-def test_train_config_loader(tmp_path):
-    path = tmp_path / "train.json"
-    path.write_text(json.dumps({"loss": "l1", "recip_mode": "approx",
-                                "tile_size": [32, 64]}))
-    tcfg = load_train_config(path)
+def test_train_config_loader():
+    tcfg = train_config_from_dict({"loss": "l1", "recip_mode": "approx",
+                                   "tile_size": [32, 64]})
     assert tcfg.loss == "l1" and tcfg.recip_mode == "approx"
     assert tcfg.tile_size == (32, 64)
-    path.write_text(json.dumps({"z_tiles": 2}))
-    with pytest.raises(ValueError, match="unknown"):
-        load_train_config(path)
+    with pytest.raises(ValueError, match=r"unknown train config keys: \['z_tiles'\]"):
+        train_config_from_dict({"z_tiles": 2})
+
+
+def test_config_keys_are_the_dataclass_fields():
+    # every field is settable from a config file, and nothing else is
+    for build, cls in ((render_config_from_dict, RenderConfig),
+                       (train_config_from_dict, TrainConfig)):
+        fields = {f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}
+        fields["dtype"] = "float64"
+        assert build(fields).dtype == np.float64
 
 
 def test_quantize_u8():

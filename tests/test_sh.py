@@ -9,7 +9,6 @@ from tilesplat.sh import (
     SH_C2,
     SH_C3,
     coeff_count,
-    eval_sh,
     eval_sh_batch,
     sh_basis,
     sh_basis_grad,
@@ -81,24 +80,23 @@ def test_basis_grad_matches_finite_differences():
 
 def test_eval_sh_degree0():
     coeffs = np.array([[[1.0, 0.0, -3.0]]])  # (1, 1, 3)
-    rgb = eval_sh(coeffs, Z, 0)
+    rgb, _ = eval_sh_batch(coeffs, Z[None], 0)
     np.testing.assert_allclose(
         rgb[0], [0.5 + SH_C0, 0.5, 0.0], atol=1e-15
     )  # third channel clamps at zero
 
 
 def test_eval_sh_view_dependence():
-    coeffs = np.zeros((1, 4, 3))
-    coeffs[0, 2, 0] = 1.0  # the z-linear basis function, red channel
-    up = eval_sh(coeffs, Z, 1)
-    down = eval_sh(coeffs, -Z, 1)
-    assert up[0, 0] == pytest.approx(0.5 + SH_C1)
-    assert down[0, 0] == pytest.approx(0.5 - SH_C1)
+    coeffs = np.zeros((2, 4, 3))
+    coeffs[:, 2, 0] = 1.0  # the z-linear basis function, red channel
+    rgb, _ = eval_sh_batch(coeffs, np.stack([Z, -Z]), 1)
+    assert rgb[0, 0] == pytest.approx(0.5 + SH_C1)  # viewed along +z
+    assert rgb[1, 0] == pytest.approx(0.5 - SH_C1)  # viewed along -z
 
 
 def test_eval_sh_count_mismatch():
     with pytest.raises(ValueError, match="coefficients"):
-        eval_sh(np.zeros((1, 4, 3)), Z, 2)
+        eval_sh_batch(np.zeros((1, 4, 3)), Z[None], 2)
     with pytest.raises(ValueError, match="coefficients"):
         eval_sh_batch(np.zeros((1, 9, 3)), Z[None], 1)
 
