@@ -72,6 +72,7 @@ class TrainConfig:
             raise ValueError("recip_mode must be 'exact' or 'approx'")
         if self.offload_batch < 1:
             raise ValueError("offload_batch must be >= 1")
+        self.render_config().validate()
 
     def render_config(self) -> RenderConfig:
         return RenderConfig(

@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON file plus per-flag overrides;
 unknown config keys are rejected. Exit codes: 0 success, 1 runtime
-failure (including failed checks), 2 usage error.
+failure (including failed checks), 2 usage error (including a config
+value that fails validation, caught before any output is written).
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ from .synth import (
 )
 
 
+class _UsageError(ValueError):
+    """A flag or config value that fails validation (exit code 2)."""
+
+
+def _validated(cfg):
+    """``cfg`` after its ``validate()``; a failure becomes a _UsageError."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return cfg
+
+
 def _load_config_dict(path: str | None) -> dict:
     if path is None:
         return {}
@@ -84,7 +98,6 @@ def _add_render_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dtype", choices=("float32", "float64"))
     p.add_argument("--threads", type=int)
     p.add_argument("--record-occlusion", action=argparse.BooleanOptionalAction)
-    p.add_argument("--bank-trace-groups", type=int)
 
 
 def _merged_render_config(args) -> RenderConfig:
@@ -102,16 +115,15 @@ def _merged_render_config(args) -> RenderConfig:
             "dtype": args.dtype,
             "threads": args.threads,
             "record_occlusion": args.record_occlusion,
-            "bank_trace_groups": args.bank_trace_groups,
         },
     )
-    return render_config_from_dict(cfg)
+    return _validated(render_config_from_dict(cfg))
 
 
 def cmd_render(args) -> int:
+    rcfg = _merged_render_config(args)
     scene = load_ply(args.scene)
     cameras = load_cameras(args.cameras)
-    rcfg = _merged_render_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (cam, _) in enumerate(cameras):
@@ -137,10 +149,11 @@ def _merged_train_config(args) -> TrainConfig:
             "threads": args.threads,
         },
     )
-    return train_config_from_dict(cfg)
+    return _validated(train_config_from_dict(cfg))
 
 
 def cmd_train(args) -> int:
+    tcfg = _merged_train_config(args)
     scene = load_ply(args.scene)
     cameras = load_cameras(args.cameras)
     base = Path(args.cameras).parent
@@ -157,7 +170,6 @@ def cmd_train(args) -> int:
             )
         views.append((cam, target))
 
-    tcfg = _merged_train_config(args)
     adam = AdamState(lr=args.lr)
     rng = np.random.default_rng(args.seed)
     dstats = DensifyStats.zeros(scene.n) if args.densify_every > 0 else None
@@ -216,7 +228,8 @@ def _analysis_scene(args, rng: np.random.Generator, default_kind: str):
 
 def cmd_analyze(args) -> int:
     rng = np.random.default_rng(args.seed)
-    threads = args.threads if args.threads else 1
+    threads = 1 if args.threads is None else args.threads
+    _validated(RenderConfig(threads=threads))
     lines: list[str] = []
 
     if args.report == "tile-sweep":
@@ -229,12 +242,14 @@ def cmd_analyze(args) -> int:
 
     elif args.report == "occlusion":
         cam, scene = _analysis_scene(args, rng, "indoor")
-        rcfg = RenderConfig(
-            tile_size=(32, 32),
-            z_tiles=args.z_tiles if args.z_tiles else 8,
-            eps_t=1e-4,
-            record_occlusion=True,
-            threads=threads,
+        rcfg = _validated(
+            RenderConfig(
+                tile_size=(32, 32),
+                z_tiles=8 if args.z_tiles is None else args.z_tiles,
+                eps_t=1e-4,
+                record_occlusion=True,
+                threads=threads,
+            )
         )
         res = render(scene, cam, rcfg)
         lines.append("depth_fraction occluded_fraction")
@@ -537,6 +552,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

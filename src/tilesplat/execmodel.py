@@ -2,10 +2,12 @@
 
 Nothing here changes rendered pixels.  The renderer fills in counters
 (candidate/performed/skipped alpha evaluations, per-tile list lengths,
-chunk-level occlusion counts, optional write-group traces) and the
-functions below turn them into the analyses a hardware study needs:
-tile-size sweeps, occlusion growth curves, shared-memory bank conflict
-counts, and the evaluation savings of the hybrid dataflow.
+chunk-level occlusion counts); the alpha-evaluation counts come from
+each tile's windows and its pixels' stop positions after blending
+(``count_evals``).  The functions below turn them into the analyses a
+hardware study needs: tile-size sweeps, occlusion growth curves,
+shared-memory bank conflict counts, and the evaluation savings of the
+hybrid dataflow.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class EvalCounters:
     candidates counts every (splat, pixel in AABB-and-tile) pairing.
     Gaussian-centric traversal performs all of them, terminated pixels
     included; pixel-centric traversal performs only live pixels and
-    counts the remainder as skipped.
+    counts the remainder as skipped.  ``count_evals`` applies this rule
+    to a blended tile.
     """
 
     candidates: int = 0
@@ -35,6 +38,63 @@ class EvalCounters:
         self.candidates += other.candidates
         self.performed += other.performed
         self.skipped += other.skipped
+
+
+def count_evals(
+    win: np.ndarray,
+    area: np.ndarray,
+    rect: tuple[int, int, int, int],
+    switch: int,
+    until: np.ndarray,
+) -> EvalCounters:
+    """Counters of a tile list blended front to back, pixel-centric from ``switch``.
+
+    ``win`` and ``area`` are the list's clipped windows and their areas
+    (``forward.clip_windows``), indexed by list position.  A pixel is
+    live before list position p exactly when p < ``until[pixel]``:
+    ``until`` is the pixel's stop if it terminated in the list, the list
+    length if it never did, and 0 if it was dead before the list began.
+    Entries before ``switch`` perform their whole window; later ones
+    skip the window pixels that are dead before them.  That takes one
+    summed-area table per distinct death position past ``switch``, never
+    an (entries, pixels) mask.
+    """
+    n = len(area)
+    candidates = int(area.sum())
+    first = max(switch, int(until.min()))  # no pixel is dead before until.min()
+    if first >= n:
+        return EvalCounters(candidates, candidates, 0)
+    skipped = 0
+    x0, y0, _, _ = rect
+    h, w = until.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)  # summed-area table
+    # between consecutive death positions the set of dead pixels stays the same
+    cuts = np.unique(until[(until > first) & (until < n)]).tolist()
+    for lo, hi in zip([first] + cuts, cuts + [n]):
+        dead = until <= lo
+        if dead.all():
+            skipped += int(area[lo:hi].sum())
+            continue
+        np.cumsum(np.cumsum(dead, axis=0), axis=1, out=sat[1:, 1:])
+        wx0, wy0, wx1, wy1 = (win[lo:hi] - (x0, y0, x0, y0)).T
+        sums = sat[wy1, wx1] - sat[wy0, wx1] - sat[wy1, wx0] + sat[wy0, wx0]
+        skipped += int(sums[area[lo:hi] > 0].sum())
+    return EvalCounters(candidates, candidates - skipped, skipped)
+
+
+def occlusion_switch(area: np.ndarray, until: np.ndarray, theta: float) -> int:
+    """Where the occlusion-threshold hybrid turns pixel-centric on one tile.
+
+    That is the position after the first entry with a non-empty window
+    after which more than ``theta`` of the tile's pixels have terminated
+    (pixels with ``until`` at or before the next position), or the list
+    length if there is none.  Switching after the last entry changes
+    nothing, so the last entry is not tested.
+    """
+    n = len(area)
+    ended = np.cumsum(np.bincount(until.ravel(), minlength=n + 1))
+    over = (ended[1:n] > theta * until.size) & (area[: n - 1] > 0)
+    return int(over.argmax()) + 1 if over.any() else n
 
 
 @dataclass
@@ -64,7 +124,6 @@ class RenderStats:
     counters: EvalCounters = field(default_factory=EvalCounters)
     hybrid_splits: list[int] | None = None  # per-tile first pixel-centric position
     occlusion: OcclusionTrace | None = None
-    bank_groups: list[np.ndarray] | None = None  # recorded 16-write pixel groups
 
     def to_text(self) -> str:
         lines = [

@@ -12,9 +12,10 @@ produce bit-identical pixels:
   with T_in^(k+1) = T_in^k * That_out^k makes this exactly equivalent to
   the global sweep when eps_t = 0; with eps_t > 0 termination is applied
   at chunk granularity.
-* Pixel-centric: walk the same list but skip pixels that have already
-  terminated.  Used for the trailing portion of the list in hybrid mode,
-  where most surviving work belongs to a few unterminated pixels.
+* Pixel-centric: the same walk, but work on pixels that have already
+  terminated is counted as skipped.  Used for the trailing portion of
+  the list in hybrid mode, where most surviving work belongs to a few
+  unterminated pixels.
 
 All of them go through one run kernel (``blend_span``).  It cuts a span
 of the list into runs of consecutive entries and blends each run as one
@@ -30,10 +31,11 @@ transmittance is a sequential product along the entry axis and color a
 sequential sum with the carried state first, so each pixel sees the
 same floating-point operations in the same order as when splats are
 blended one at a time.  Schedules differ only in the state a span
-starts from, its eps_t, and from which list position its work is
-counted pixel-centrically; the counters count window pixels, never the
-slab's padding.  A run whose slab has fully terminated is not evaluated
-at all, though its work is still counted as the traversal would do it.
+starts from and its eps_t.  A run whose slab has fully terminated is
+not evaluated at all.  The kernel computes pixel state only; each
+tile's counters follow afterwards from its clipped windows and each
+pixel's stop position (``execmodel.count_evals``), so they count window
+pixels, never the slab's padding.
 
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, floored at 0 and
@@ -48,7 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .execmodel import EvalCounters, OcclusionTrace, RenderStats
+from .execmodel import (
+    EvalCounters,
+    OcclusionTrace,
+    RenderStats,
+    count_evals,
+    occlusion_switch,
+)
 from .model import Camera, GaussianScene, ImageRGB
 from .preprocess import SplatBatch, TileBinning, bin_and_sort, preprocess
 
@@ -77,7 +85,6 @@ class RenderConfig:
     dtype: type = np.float32
     threads: int = 1
     record_occlusion: bool = False
-    bank_trace_groups: int = 0  # max write groups to record; 0 disables
 
     def validate(self) -> None:
         tw, th = self.tile_size
@@ -101,8 +108,6 @@ class RenderConfig:
             raise ValueError("background must be 3 finite non-negative values")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.bank_trace_groups < 0:
-            raise ValueError("bank_trace_groups must be >= 0")
 
 
 @dataclass
@@ -159,26 +164,6 @@ def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
     alpha *= batch.opacity[idx][:, None, None]
     np.minimum(alpha, dt.type(ALPHA_MAX), out=alpha)
     return alpha, dx, dy
-
-
-class _BankTraceRecorder:
-    """Collects 16-pixel write groups (raster order per splat region)."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.groups: list[np.ndarray] = []
-
-    def record(self, ix0: int, iy0: int, contrib: np.ndarray) -> None:
-        if len(self.groups) >= self.cap:
-            return
-        ys, xs = np.nonzero(contrib)
-        if xs.size == 0:
-            return
-        coords = np.stack([xs + ix0, ys + iy0], axis=1)
-        for s in range(0, len(coords), 16):
-            if len(self.groups) >= self.cap:
-                return
-            self.groups.append(coords[s : s + 16])
 
 
 def clip_windows(
@@ -257,129 +242,32 @@ def blend_span(
     batch: SplatBatch,
     order: np.ndarray,
     rect: tuple[int, int, int, int],
-    start: int,
-    end: int,
-    *,
-    eps_t: float,
-    counters: EvalCounters | None = None,
-    centric_from: int | None = None,
-    theta: float | None = None,
-    bank_rec: _BankTraceRecorder | None = None,
-) -> int:
-    """Blend order[start:end] into ``state`` front to back, run by run.
-
-    Entries at list positions >= ``centric_from`` are counted
-    pixel-centrically (terminated pixels skipped); earlier ones are
-    counted Gaussian-centrically and feed ``bank_rec``.  With ``theta``
-    set, counting also turns pixel-centric after the first entry at
-    which more than theta of the tile's pixels have terminated.  The
-    pixels do not depend on the counting mode.  Returns the position at
-    which counting turned pixel-centric (``end`` if it never did).
-    """
-    counters = counters if counters is not None else EvalCounters()
-    switch = end if centric_from is None else max(start, min(centric_from, end))
-    if start >= end:
-        return switch
-    win, area = clip_windows(batch, order[start:end], rect)
-    counters.candidates += int(area.sum())
-    theta_px = None if theta is None else theta * state.T.size
-    n_term = int(np.count_nonzero(state.terminated)) if theta is not None else 0
-    max_elems = RUN_MAX_BYTES // batch.mean2.dtype.itemsize
-    for lo, hi, sx0, sy0, sx1, sy1 in _group_runs(win, area, max_elems):
-        if sx0 >= sx1 or sy0 >= sy1:
-            continue
-        n_newly, theta_switch = _blend_run(
-            state, batch, order, rect, start + lo, start + hi,
-            win[lo:hi], area[lo:hi], (sx0, sy0, sx1, sy1),
-            eps_t=eps_t, counters=counters, centric_from=switch,
-            theta_px=theta_px, n_term=n_term, bank_rec=bank_rec,
-        )
-        n_term += n_newly
-        if theta_switch is not None:
-            switch = theta_switch
-            theta_px = None
-    return switch
-
-
-def _blend_run(
-    state: PixelState,
-    batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    lo: int,
-    hi: int,
     win: np.ndarray,
     area: np.ndarray,
-    slab: tuple[int, int, int, int],
-    *,
+    start: int,
+    end: int,
     eps_t: float,
-    counters: EvalCounters,
-    centric_from: int,
-    theta_px: float | None,
-    n_term: int,
-    bank_rec: _BankTraceRecorder | None,
-):
-    """Blend order[lo:hi] over the ``slab`` rectangle and count its work.
+) -> None:
+    """Blend order[start:end] into ``state`` front to back, run by run.
 
-    A slab whose pixels have all terminated is not evaluated: nothing in
-    it can blend, and only the counters move.  Returns (pixels newly
-    terminated, theta switch position or None).
+    ``win`` and ``area`` are ``clip_windows`` of the whole list, indexed
+    by list position.  A run whose slab has fully terminated is not
+    evaluated: nothing in it can blend.
     """
+    if start >= end:
+        return
     x0r, y0r, _, _ = rect
-    sx0, sy0, sx1, sy1 = slab
-    sl = (slice(sy0 - y0r, sy1 - y0r), slice(sx0 - x0r, sx1 - x0r))
-    g = hi - lo
-    blended = None
-    if not state.terminated[sl].all():
-        blended = _blend_slab(state, batch, order[lo:hi], sl, slab, win, lo, eps_t)
-
-    n_newly = 0
-    newly_rows = np.zeros(g, dtype=np.int64)
-    if blended is not None and blended.ended is not None:
-        n_newly = int(np.count_nonzero(blended.ended))
-        if n_newly and theta_px is not None:
-            rows = blended.n_live[blended.ended] - 1
-            newly_rows = np.bincount(rows, minlength=g)
-
-    switch = None
-    if theta_px is not None:
-        over = (n_term + np.cumsum(newly_rows) > theta_px) & (area > 0)
-        if over.any():
-            switch = lo + int(over.argmax()) + 1
-            centric_from = min(centric_from, switch)
-
-    kc = min(max(centric_from - lo, 0), g)  # first pixel-centric row
-    n_centric = int(area[kc:].sum())
-    counters.performed += int(area[:kc].sum())
-    if n_centric:
-        if blended is None:
-            n_live_px = 0
-        elif blended.live is None:
-            n_live_px = n_centric
-        else:
-            live = blended.live[kc:]
-            if blended.inwin is not None:
-                live = live & blended.inwin[kc:]
-            n_live_px = int(np.count_nonzero(live))
-        counters.performed += n_live_px
-        counters.skipped += n_centric - n_live_px
-    if bank_rec is not None and blended is not None:
-        for k in range(kc):
-            if len(bank_rec.groups) >= bank_rec.cap:
-                break
-            bank_rec.record(sx0, sy0, blended.hit[k])
-    return n_newly, switch
-
-
-@dataclass
-class _SlabBlend:
-    """What accounting needs from one blended slab; masks are (g, h, w)."""
-
-    hit: np.ndarray  # entry blended into pixel
-    live: np.ndarray | None  # pixel live before entry; None: all live
-    inwin: np.ndarray | None  # pixel in entry's window; None: all are
-    ended: np.ndarray | None  # (h, w) pixels that terminated in this run
-    n_live: np.ndarray | None  # (h, w) live rows per pixel
+    max_elems = RUN_MAX_BYTES // batch.mean2.dtype.itemsize
+    for lo, hi, sx0, sy0, sx1, sy1 in _group_runs(
+        win[start:end], area[start:end], max_elems
+    ):
+        sl = (slice(sy0 - y0r, sy1 - y0r), slice(sx0 - x0r, sx1 - x0r))
+        if sx0 < sx1 and sy0 < sy1 and not state.terminated[sl].all():
+            lo, hi = start + lo, start + hi
+            _blend_slab(
+                state, batch, order[lo:hi], sl, (sx0, sy0, sx1, sy1),
+                win[lo:hi], lo, eps_t,
+            )
 
 
 def _blend_slab(
@@ -391,7 +279,7 @@ def _blend_slab(
     win: np.ndarray,
     lo: int,
     eps_t: float,
-) -> _SlabBlend:
+) -> None:
     """Blend entries ``idx`` (list positions lo...) as one dense slab.
 
     Row k of the (g+1, h, w) transmittance slab is T before entry
@@ -424,9 +312,7 @@ def _blend_slab(
 
     carried = state.terminated[sl]
     any_carried = bool(carried.any())
-    live = None
     ended = None
-    n_live = None
     if any_carried or (eps_t > 0.0 and Tacc[g].min() < eps_t):
         free = ~carried
         if eps_t > 0.0 and Tacc[0][free].min(initial=np.inf) >= eps_t:
@@ -464,7 +350,6 @@ def _blend_slab(
         stop_sl = state.stop[sl]
         stop_sl[ended] = lo + n_live[ended]
         state.terminated[sl] |= ended
-    return _SlabBlend(hit, live, inwin, ended, n_live)
 
 
 def _merge_partial(
@@ -491,7 +376,6 @@ class TileBlend:
     counters: EvalCounters
     split: int  # first list position counted pixel-centrically
     occluded: list[int] | None  # pixels with T < eps_t after each chunk
-    bank_groups: list[np.ndarray] | None
 
 
 def blend_tile(
@@ -506,64 +390,51 @@ def blend_tile(
     the list prefix from T = 1 with eps_t = 0 and merges them in depth
     order; the occlusion-threshold hybrid stops chunking once more than
     theta of the tile has terminated.  Whatever is left of the list then
-    runs pixel-centrically on the merged state.
+    blends on the merged state.  Counting follows from the final state.
     """
     x0, y0, x1, y1 = rect
     h, w = y1 - y0, x1 - x0
     dtype = batch.mean2.dtype
     m = len(order)
     K = cfg.z_tiles
-    counters = EvalCounters()
-    bank_rec = (
-        _BankTraceRecorder(cfg.bank_trace_groups) if cfg.bank_trace_groups > 0 else None
-    )
+    win, area = clip_windows(batch, order, rect)
     occluded: list[int] | None = [] if cfg.record_occlusion else None
 
     if cfg.hybrid == "fixed_fraction" and m > 0:
         split: int | None = int(np.ceil((1.0 - cfg.hybrid_fraction) * m))
     elif cfg.hybrid == "occlusion_threshold":
-        split = None  # decided dynamically
+        split = None  # decided by the blend
     else:
         split = m
-    theta = cfg.occlusion_threshold if split is None else None
 
     state = _fresh_state(h, w, dtype, m)
     if K == 1:
-        split_used = blend_span(
-            state, batch, order, rect, 0, m,
-            eps_t=cfg.eps_t, counters=counters, centric_from=split,
-            theta=theta, bank_rec=bank_rec,
-        )
+        blend_span(state, batch, order, rect, win, area, 0, m, cfg.eps_t)
+        if split is None:
+            split = occlusion_switch(area, state.stop, cfg.occlusion_threshold)
         if occluded is not None:
             occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
     else:
-        prefix_end = m if split is None else split
-        switch_pos = prefix_end
-        for kk, (lo, hi) in enumerate(_chunk_bounds(prefix_end, K)):
-            if theta is not None and np.count_nonzero(state.terminated) > (
-                theta * state.T.size
-            ):
-                switch_pos = lo
+        theta_px = None if split is not None else cfg.occlusion_threshold * state.T.size
+        split = m if split is None else split
+        for kk, (lo, hi) in enumerate(_chunk_bounds(split, K)):
+            if theta_px is not None and np.count_nonzero(state.terminated) > theta_px:
+                split = lo
                 if occluded is not None:
                     # remaining chunk boundaries report the frozen count
                     occ = int(np.count_nonzero(state.T < cfg.eps_t))
                     occluded.extend([occ] * (K - kk))
                 break
             part = _fresh_state(h, w, dtype, hi)
-            blend_span(
-                part, batch, order, rect, lo, hi,
-                eps_t=0.0, counters=counters, bank_rec=bank_rec,
-            )
+            blend_span(part, batch, order, rect, win, area, lo, hi, 0.0)
             _merge_partial(state, part, cfg.eps_t, hi)
             if occluded is not None:
                 occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
-        blend_span(
-            state, batch, order, rect, switch_pos, m,
-            eps_t=cfg.eps_t, counters=counters, centric_from=switch_pos,
-        )
-        split_used = switch_pos if split is None else split
-    bank_groups = bank_rec.groups if bank_rec is not None else None
-    return TileBlend(state, counters, split_used, occluded, bank_groups)
+        blend_span(state, batch, order, rect, win, area, split, m, cfg.eps_t)
+    # Each pixel's stop is m if it never terminated, the position after
+    # its terminating entry, or (terminated in a merge) at most split.
+    counters = count_evals(win, area, rect, split, state.stop)
+    return TileBlend(state, counters, split, occluded)
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
@@ -634,7 +505,7 @@ def render(
         if want_trace:
             t_final[y0:y1, x0:x1] = tb.state.T
             stop_img[y0:y1, x0:x1] = tb.state.stop
-        return tb.counters, tb.split, tb.occluded, tb.bank_groups  # not the state
+        return tb.counters, tb.split, tb.occluded  # not the state
 
     n_tiles = binning.n_tiles
     if cfg.threads > 1 and n_tiles > 1:
@@ -658,19 +529,12 @@ def render(
         invocations=binning.total_invocations,
     )
     occl_total = np.zeros(K, dtype=np.int64) if cfg.record_occlusion else None
-    all_groups: list[np.ndarray] | None = (
-        [] if cfg.bank_trace_groups > 0 else None
-    )
     splits: list[int] = []
-    for counters, split, occluded, bank_groups in results:
+    for counters, split, occluded in results:
         stats.counters.merge(counters)
         splits.append(split)
         if occl_total is not None:
             occl_total += np.asarray(occluded, dtype=np.int64)
-        if all_groups is not None and bank_groups:
-            take = cfg.bank_trace_groups - len(all_groups)
-            if take > 0:
-                all_groups.extend(bank_groups[:take])
     if cfg.hybrid != "off":
         stats.hybrid_splits = splits
     if occl_total is not None:
@@ -680,8 +544,6 @@ def render(
             total_pixels=w * h,
             eps_t=cfg.eps_t,
         )
-    if all_groups is not None:
-        stats.bank_groups = all_groups
 
     trace = None
     if want_trace:

@@ -94,9 +94,16 @@ def scene_from_ply_bytes(data: bytes) -> GaussianScene:
         if parts[0] == "format":
             fmt = parts[1:]
         elif parts[0] == "element":
+            if len(parts) != 3:
+                raise PlyError(f"element needs a name and a count: {line.strip()!r}")
             if parts[1] != "vertex" or count is not None:
                 raise PlyError(f"unsupported element {parts[1]!r}")
-            count = int(parts[2])
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise PlyError(
+                    f"vertex count is not an integer: {line.strip()!r}"
+                ) from None
         elif parts[0] == "property":
             if len(parts) != 3 or parts[1] != "float":
                 raise PlyError(f"unsupported property {line.strip()!r}")
@@ -196,20 +203,26 @@ def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
             v = entry[key]
             if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
                 raise ValueError(f"camera {i}: {key} must be an integer, got {v!r}")
-        mat = np.asarray(entry["world_to_cam"], dtype=np.float64)
-        if mat.size != 16:
+        try:
+            mat = np.asarray(entry["world_to_cam"], dtype=np.float64).reshape(4, 4)
+        except (TypeError, ValueError):
             raise ValueError(
-                f"camera {i}: world_to_cam must hold 16 values (row-major 4x4)"
-            )
+                f"camera {i}: world_to_cam must hold 16 numbers (row-major 4x4)"
+            ) from None
+        num = {}
+        for key in ("fx", "fy", "cx", "cy", "near"):
+            v = entry.get(key, 0.2)  # only near may be missing
+            try:
+                num[key] = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"camera {i}: {key} must be a number, got {v!r}"
+                ) from None
         cam = Camera(
-            world_to_cam=mat.reshape(4, 4),
-            fx=float(entry["fx"]),
-            fy=float(entry["fy"]),
-            cx=float(entry["cx"]),
-            cy=float(entry["cy"]),
+            world_to_cam=mat,
             width=int(entry["width"]),
             height=int(entry["height"]),
-            near=float(entry.get("near", 0.2)),
+            **num,
         )
         out.append((cam, entry.get("image_path")))
     return out

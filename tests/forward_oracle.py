@@ -3,11 +3,11 @@
 This is the per-splat loop the batched run kernel in
 ``tilesplat.forward`` replaced, kept as a test oracle.  It walks each
 tile's depth-sorted list front to back, evaluates alpha with scalar
-conic coefficients over the splat's own window, and blends that window
-in place.  The schedules (global sweep, z-chunks with merge, fixed
+conic coefficients over the splat's own window, blends that window in
+place and counts its work as it goes.  The schedules (global sweep, z-chunks with merge, fixed
 fraction and occlusion-threshold hybrids) are spelled out as separate
-branches.  Tests require the kernel to reproduce these pixels, counters
-and write-group traces exactly (``np.array_equal``, not a tolerance).
+branches.  Tests require the kernel to reproduce these pixels and counters
+exactly (``np.array_equal``, not a tolerance).
 
 Color is held interleaved, (h, w, 3); ``planar`` converts it to the
 kernel's (3, h, w) layout for comparison.
@@ -64,26 +64,6 @@ def alpha_window(batch: SplatBatch, i: int, x0: int, x1: int, y0: int, y1: int):
     return np.minimum(batch.opacity[i] * np.exp(-half * q), dt.type(ALPHA_MAX))
 
 
-class BankRecorder:
-    """16-pixel write groups in raster order per splat window."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.groups: list[np.ndarray] = []
-
-    def record(self, ix0: int, iy0: int, contrib: np.ndarray) -> None:
-        if len(self.groups) >= self.cap:
-            return
-        ys, xs = np.nonzero(contrib)
-        if xs.size == 0:
-            return
-        coords = np.stack([xs + ix0, ys + iy0], axis=1)
-        for s in range(0, len(coords), 16):
-            if len(self.groups) >= self.cap:
-                return
-            self.groups.append(coords[s : s + 16])
-
-
 def sweep(
     state: State,
     batch: SplatBatch,
@@ -96,7 +76,6 @@ def sweep(
     pixel_centric: bool,
     counters: EvalCounters,
     theta: float | None = None,
-    bank_rec: BankRecorder | None = None,
 ) -> int:
     """Blend order[start:end] into state one splat at a time.
 
@@ -138,8 +117,6 @@ def sweep(
                 stop_sl = state.stop[sl]
                 stop_sl[newly] = k + 1
                 state.terminated[sl] |= newly
-        if bank_rec is not None:
-            bank_rec.record(ix0, iy0, contrib)
         if theta is not None and np.count_nonzero(state.terminated) > theta * n_pix:
             return k + 1
     return end
@@ -159,7 +136,7 @@ def merge_partial(state: State, part: State, eps_t: float, chunk_end: int) -> No
 
 
 def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
-    """One tile under cfg's schedule: (state, counters, split, occluded, groups)."""
+    """One tile under cfg's schedule: (state, counters, split, occluded)."""
     x0, y0, x1, y1 = rect
     h, w = y1 - y0, x1 - x0
     dtype = batch.mean2.dtype
@@ -167,7 +144,6 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
     K = cfg.z_tiles
     eps_t = cfg.eps_t
     counters = EvalCounters()
-    bank_rec = BankRecorder(cfg.bank_trace_groups) if cfg.bank_trace_groups > 0 else None
     occluded = None
 
     if cfg.hybrid == "fixed_fraction" and m > 0:
@@ -182,7 +158,7 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
         if split is None:
             switch = sweep(
                 state, batch, order, rect, 0, m, eps_t=eps_t, pixel_centric=False,
-                counters=counters, theta=cfg.occlusion_threshold, bank_rec=bank_rec,
+                counters=counters, theta=cfg.occlusion_threshold,
             )
             sweep(
                 state, batch, order, rect, switch, m, eps_t=eps_t,
@@ -192,7 +168,7 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
         else:
             sweep(
                 state, batch, order, rect, 0, split, eps_t=eps_t,
-                pixel_centric=False, counters=counters, bank_rec=bank_rec,
+                pixel_centric=False, counters=counters,
             )
             if split < m:
                 sweep(
@@ -218,7 +194,7 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
             part = fresh_state(h, w, dtype, hi)
             sweep(
                 part, batch, order, rect, lo, hi, eps_t=0.0, pixel_centric=False,
-                counters=counters, bank_rec=bank_rec,
+                counters=counters,
             )
             merge_partial(state, part, eps_t, hi)
             if occluded is not None:
@@ -229,8 +205,7 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
                 pixel_centric=True, counters=counters,
             )
         split_used = switch_pos if split is None else split
-    groups = bank_rec.groups if bank_rec is not None else None
-    return state, counters, split_used, occluded, groups
+    return state, counters, split_used, occluded
 
 
 def render(scene, cam, cfg: RenderConfig):
@@ -255,12 +230,11 @@ def render(scene, cam, cfg: RenderConfig):
         invocations=binning.total_invocations,
     )
     occl_total = np.zeros(cfg.z_tiles, dtype=np.int64) if cfg.record_occlusion else None
-    groups_all = [] if cfg.bank_trace_groups > 0 else None
     splits = []
     for t in range(binning.n_tiles):
         rect = binning.tile_rect(t)
         x0, y0, x1, y1 = rect
-        state, counters, split, occluded, groups = blend_tile(
+        state, counters, split, occluded = blend_tile(
             batch, binning.lists[t], rect, cfg
         )
         img[y0:y1, x0:x1] = state.rgb + state.T[..., None] * bg
@@ -271,10 +245,6 @@ def render(scene, cam, cfg: RenderConfig):
         splits.append(split)
         if occl_total is not None:
             occl_total += np.asarray(occluded, dtype=np.int64)
-        if groups_all is not None and groups:
-            take = cfg.bank_trace_groups - len(groups_all)
-            if take > 0:
-                groups_all.extend(groups[:take])
     if cfg.hybrid != "off":
         stats.hybrid_splits = splits
     if occl_total is not None:
@@ -282,6 +252,4 @@ def render(scene, cam, cfg: RenderConfig):
             n_chunks=cfg.z_tiles, occluded_after_chunk=occl_total,
             total_pixels=w * h, eps_t=cfg.eps_t,
         )
-    if groups_all is not None:
-        stats.bank_groups = groups_all
     return img, stats, t_final, stop, n_contrib

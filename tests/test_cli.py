@@ -248,3 +248,54 @@ def test_selftest_runs_every_check(capsys):
 def test_selftest_has_no_seed_flag(capsys):
     assert main(["selftest", "--seed", "3"]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--z-tiles", "0"], "z_tiles must be >= 1"),
+    (["--tile", "0", "8"], "tile_size must be positive"),
+    (["--eps-t", "-1"], "eps_t must be >= 0"),
+    (["--threads", "0"], "threads must be >= 1"),
+])
+def test_render_rejects_bad_config_before_writing(workdir, capsys, flags, message):
+    out = workdir / "out"
+    rc = main([
+        "render", "--scene", str(workdir / "scene.ply"),
+        "--cameras", str(workdir / "cams.json"), "--out", str(out), *flags,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--threads", "0"], "threads must be >= 1"),
+    (["--tile", "0", "8"], "tile_size must be positive"),
+    (["--eps-t", "-1"], "eps_t must be >= 0"),
+    (["--offload-batch", "0"], "offload_batch must be >= 1"),
+])
+def test_train_rejects_bad_config_before_writing(tmp_path, capsys, flags, message):
+    cam = make_camera(8, 8, focal=8.0)
+    _, initial = toy_training_scene(np.random.default_rng(1), cam)
+    save_ply(initial, tmp_path / "init.ply")
+    save_cameras(tmp_path / "cams.json", [cam], ["target.ppm"])  # never read
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--scene", str(tmp_path / "init.ply"),
+        "--cameras", str(tmp_path / "cams.json"), "--out", str(out), *flags,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--threads", "0"], "threads must be >= 1"),
+    (["--threads", "-2"], "threads must be >= 1"),
+    (["--z-tiles", "0"], "z_tiles must be >= 1"),
+])
+def test_analyze_rejects_bad_config(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.txt"
+    rc = main(["analyze", "--report", "occlusion", "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -8,8 +8,10 @@ from tilesplat.execmodel import (
     EvalCounters,
     OcclusionTrace,
     bank_conflicts,
+    count_evals,
     hybrid_savings,
     occlusion_curve,
+    occlusion_switch,
     sweep_reduction,
     tile_sweep,
 )
@@ -143,3 +145,39 @@ def test_render_stats_text_keys():
         scene, cam, RenderConfig(tile_size=(16, 16), z_tiles=2, record_occlusion=True)
     )
     assert "occluded_after_chunk" in occ.stats.to_text()
+
+
+def test_count_evals_matches_per_entry_count():
+    """Long lists on a 64x64 tile span several chunks; pixels die in and between them."""
+    rng = np.random.default_rng(4)
+    rect = (64, 128, 128, 192)
+    for n in (1, 17, 150):
+        x0 = rng.integers(40, 140, size=n)
+        y0 = rng.integers(100, 210, size=n)
+        win = np.stack([x0, y0, x0 + rng.integers(1, 40, size=n),
+                        y0 + rng.integers(1, 40, size=n)], axis=1)
+        np.maximum(win[:, :2], rect[:2], out=win[:, :2])
+        np.minimum(win[:, 2:], rect[2:], out=win[:, 2:])
+        empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
+        win[empty] = (128, 192, 64, 128)  # clip_windows' inverted box
+        area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
+        until = rng.integers(0, n + 1, size=(64, 64))
+        for switch in (0, n // 3, n):
+            want = EvalCounters(candidates=int(area.sum()))
+            for p in range(n):
+                x0w, y0w, x1w, y1w = win[p] - (64, 128, 64, 128)
+                inside = until[y0w:y1w, x0w:x1w] if area[p] else until[:0]
+                dead = int(np.count_nonzero(inside <= p)) if p >= switch else 0
+                want.performed += int(area[p]) - dead
+                want.skipped += dead
+            assert count_evals(win, area, rect, switch, until) == want
+
+
+def test_occlusion_switch_from_stop_histogram():
+    until = np.array([[0, 1], [3, 5]])  # dead on arrival, ends at entries 0 and 2, never
+    area = np.array([4, 4, 4, 4, 4])
+    assert occlusion_switch(area, until, 0.3) == 1  # 2 of 4 ended after entry 0
+    assert occlusion_switch(area, until, 0.5) == 3  # 3 of 4 after entry 2
+    assert occlusion_switch(area, until, 0.8) == 5  # never before the last entry
+    area[:2] = 0  # entries 0 and 1 miss the tile
+    assert occlusion_switch(area, until, 0.3) == 3

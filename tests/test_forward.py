@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tilesplat.execmodel import EvalCounters
+from tilesplat.execmodel import count_evals, occlusion_switch
 from tilesplat.forward import (
     ALPHA_MIN,
     RenderConfig,
@@ -15,6 +15,7 @@ from tilesplat.forward import (
     _merge_partial,
     alpha_patch,
     blend_span,
+    clip_windows,
     composite_background,
     render,
 )
@@ -81,15 +82,29 @@ def test_alpha_patch_batched_matches_single_windows():
         assert np.array_equal(sub[0], alpha[i, 3:15, 7:14])
 
 
-def blend(batch, order, rect, eps_t, *, carry=None, counters=None, **kw):
+def blend(batch, order, rect, eps_t, *, carry=None):
     """Fresh (or copied) state with order blended into it."""
     x0, y0, x1, y1 = rect
     if carry is None:
         state = _fresh_state(y1 - y0, x1 - x0, batch.mean2.dtype, len(order))
     else:
         state = copy.deepcopy(carry)
-    blend_span(state, batch, order, rect, 0, len(order), eps_t=eps_t, counters=counters, **kw)
+    win, area = clip_windows(batch, order, rect)
+    blend_span(state, batch, order, rect, win, area, 0, len(order), eps_t)
     return state
+
+
+def until_of(state, m, carry=None):
+    """Each pixel's until: stop if it terminated, m if not, 0 if dead on arrival."""
+    until = np.where(state.terminated, state.stop, m)
+    if carry is not None:
+        until[carry.terminated] = 0
+    return until
+
+
+def count(batch, order, rect, switch, until):
+    win, area = clip_windows(batch, order, rect)
+    return count_evals(win, area, rect, switch, until)
 
 
 def test_group_runs_rule():
@@ -164,8 +179,8 @@ def test_termination_stop_positions():
         for k in range(3)
     ]
     batch = hand_batch(splats, image=(4, 4))
-    counters = EvalCounters()
-    state = blend(batch, np.arange(3), (0, 0, 4, 4), eps_t=0.05, counters=counters)
+    state = blend(batch, np.arange(3), (0, 0, 4, 4), eps_t=0.05)
+    counters = count(batch, np.arange(3), (0, 0, 4, 4), 3, until_of(state, 3))
     # the center pixel saturates on the first splat: T = 0.01 < 0.05
     assert state.terminated[1, 1]
     assert state.stop[1, 1] == 1
@@ -184,12 +199,10 @@ def test_pixel_centric_skips_terminated():
     order = np.arange(3)
     rect = (0, 0, 4, 4)
     ref = blend(batch, order, rect, eps_t=0.05)
-    counters = EvalCounters()
-    got = blend(batch, order, rect, eps_t=0.05, counters=counters, centric_from=0)
-    np.testing.assert_array_equal(ref.rgb, got.rgb)
-    np.testing.assert_array_equal(ref.T, got.T)
-    np.testing.assert_array_equal(ref.stop, got.stop)
-    assert counters.skipped > 0
+    counters = count(batch, order, rect, 0, until_of(ref, 3))
+    # the center pixel ends on splat 0, so splats 1 and 2 skip it
+    assert ref.stop[1, 1] == 1
+    assert counters.skipped >= 2
     assert counters.performed + counters.skipped == counters.candidates
 
 
@@ -200,11 +213,8 @@ def test_pixel_centric_saturated_carry_performs_nothing():
     )
     carry = _fresh_state(4, 4, np.float64, 1)
     carry.terminated[:] = True
-    counters = EvalCounters()
-    out = blend(
-        batch, np.arange(1), (0, 0, 4, 4), 1e-4,
-        carry=carry, counters=counters, centric_from=0,
-    )
+    out = blend(batch, np.arange(1), (0, 0, 4, 4), 1e-4, carry=carry)
+    counters = count(batch, np.arange(1), (0, 0, 4, 4), 0, until_of(out, 1, carry))
     assert counters.performed == 0
     assert counters.skipped == counters.candidates == 16
     np.testing.assert_array_equal(out.rgb, carry.rgb)
@@ -220,13 +230,12 @@ def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
     batch.aabb[0] = (8, 8, 12, 12)  # misses the tile
     carry = _fresh_state(4, 4, np.float64, 3)
     carry.terminated[:2] = True  # half the tile, already past theta
-    state = copy.deepcopy(carry)
-    counters = EvalCounters()
-    switch = blend_span(
-        state, batch, np.arange(3), (0, 0, 4, 4), 0, 3,
-        eps_t=1e-4, counters=counters, theta=0.25,
-    )
+    state = blend(batch, np.arange(3), (0, 0, 4, 4), 1e-4, carry=carry)
+    until = until_of(state, 3, carry)
+    win, area = clip_windows(batch, np.arange(3), (0, 0, 4, 4))
+    switch = occlusion_switch(area, until, 0.25)
     assert switch == 2  # after splat 1, the first one with pixels here
+    counters = count_evals(win, area, (0, 0, 4, 4), switch, until)
     assert counters.candidates == 32
     assert counters.performed == 16 + 8 and counters.skipped == 8
 
@@ -365,7 +374,6 @@ def test_config_validation():
         dict(background=(0.1, 0.2)),
         dict(background=(-0.1, 0.2, 0.3)),
         dict(threads=0),
-        dict(bank_trace_groups=-1),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -398,18 +406,6 @@ def test_occlusion_trace_recording():
     counts = occ.occluded_after_chunk
     assert np.all(np.diff(counts) >= 0)  # occlusion only grows
     assert counts[-1] > 0
-
-
-def test_bank_trace_groups_cap():
-    rng = np.random.default_rng(11)
-    cam = make_camera(64, 64)
-    scene = random_scene(rng, 64, cam)
-    cfg = RenderConfig(tile_size=(32, 32), bank_trace_groups=20)
-    res = render(scene, cam, cfg)
-    groups = res.stats.bank_groups
-    assert groups is not None
-    assert 0 < len(groups) <= 20
-    assert all(1 <= len(g) <= 16 and g.shape[1] == 2 for g in groups)
 
 
 def test_partial_edge_tiles():

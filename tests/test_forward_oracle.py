@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import forward_oracle as oracle
-from tilesplat.execmodel import EvalCounters
+from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
 from tilesplat.forward import (
     RenderConfig,
-    _BankTraceRecorder,
     _fresh_state,
     blend_span,
     blend_tile,
+    clip_windows,
     render,
 )
 from tilesplat.preprocess import bin_and_sort, preprocess
@@ -42,13 +42,6 @@ def assert_states_equal(got, want):
     assert np.array_equal(got.stop, want.stop)
 
 
-def assert_groups_equal(got, want):
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 EPS = st.sampled_from([0.0, 1e-4, 1.5])
 DTYPE = st.sampled_from([np.float32, np.float64])
 
@@ -66,29 +59,27 @@ DTYPE = st.sampled_from([np.float32, np.float64])
     hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
     fraction=st.sampled_from([0.25, 0.6]),
     theta=st.sampled_from([0.05, 0.5, 0.9]),
-    bank=st.sampled_from([0, 7, 200]),
     occlusion=st.booleans(),
 )
 def test_schedules_match_oracle(
-    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, bank, occlusion
+    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, occlusion
 ):
     scene, cam = small_scene(seed, n, w, h)
     cfg = RenderConfig(
         tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
         hybrid_fraction=fraction, occlusion_threshold=theta,
         background=(0.2, 0.1, 0.4), dtype=dtype,
-        record_occlusion=occlusion, bank_trace_groups=bank,
+        record_occlusion=occlusion,
     )
     res = render(scene, cam, cfg)
     img, stats, t_final, stop, n_contrib = oracle.render(scene, cam, cfg)
     assert np.array_equal(res.image.data, img)
     assert res.stats.to_text() == stats.to_text()
-    assert_groups_equal(res.stats.bank_groups, stats.bank_groups)
     if occlusion:
         occ = res.stats.occlusion.occluded_after_chunk
         assert np.array_equal(occ, stats.occlusion.occluded_after_chunk)
 
-    # every tile's full state, counters, split and trace
+    # every tile's full state, counters, split and occlusion counts
     batch64, _ = preprocess(scene, cam)
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
@@ -99,14 +90,13 @@ def test_schedules_match_oracle(
         rect = binning.tile_rect(t)
         x0, y0, x1, y1 = rect
         tb = blend_tile(batch, binning.lists[t], rect, cfg)
-        state, counters, split, occluded, groups = oracle.blend_tile(
+        state, counters, split, occluded = oracle.blend_tile(
             batch, binning.lists[t], rect, cfg
         )
         assert_states_equal(tb.state, state.planar())
         assert tb.counters == counters
         assert tb.split == split
         assert tb.occluded == occluded
-        assert_groups_equal(tb.bank_groups, groups)
         got_t[y0:y1, x0:x1] = tb.state.T
         got_stop[y0:y1, x0:x1] = tb.state.stop
         got_n[y0:y1, x0:x1] = tb.state.n_contrib
@@ -131,15 +121,15 @@ def test_schedules_match_oracle(
     mode=st.sampled_from(["centric_from", "theta"]),
     at=st.floats(0.0, 1.0),
     p_term=st.sampled_from([0.0, 0.3, 0.97, 1.0]),
-    bank=st.sampled_from([0, 5, 300]),
 )
 def test_span_with_carried_state_matches_oracle(
-    seed, n, tile, dtype, eps_t, span, mode, at, p_term, bank
+    seed, n, tile, dtype, eps_t, span, mode, at, p_term
 ):
     """Any carried state, including live pixels already below eps_t.
 
     The list is every splat in depth order, so some entries miss the
-    tile entirely.
+    tile entirely.  The span's counters and switch are computed from the
+    blended state as for a list of its own, order[start:end].
     """
     scene, cam = small_scene(seed, n, 48, 40)
     batch = preprocess(scene, cam)[0].astype(dtype)
@@ -162,18 +152,16 @@ def test_span_with_carried_state_matches_oracle(
 
     want = copy.deepcopy(carry)
     want_counters = EvalCounters()
-    want_rec = oracle.BankRecorder(bank) if bank else None
+    theta = 0.4 * at
     if mode == "theta":
-        theta, centric_from = 0.4 * at, None
         switch = oracle.sweep(
             want, batch, order, rect, start, end, eps_t=eps_t, pixel_centric=False,
-            counters=want_counters, theta=theta, bank_rec=want_rec,
+            counters=want_counters, theta=theta,
         )
     else:
-        theta, centric_from = None, start + int(round(at * (end - start)))
         switch = oracle.sweep(
-            want, batch, order, rect, start, centric_from, eps_t=eps_t,
-            pixel_centric=False, counters=want_counters, bank_rec=want_rec,
+            want, batch, order, rect, start, start + int(round(at * (end - start))),
+            eps_t=eps_t, pixel_centric=False, counters=want_counters,
         )
     oracle.sweep(
         want, batch, order, rect, switch, end, eps_t=eps_t, pixel_centric=True,
@@ -184,15 +172,13 @@ def test_span_with_carried_state_matches_oracle(
     got.rgb[:] = carry.planar().rgb
     for name in ("T", "terminated", "n_contrib", "stop"):
         getattr(got, name)[:] = getattr(carry, name)
-    got_counters = EvalCounters()
-    got_rec = _BankTraceRecorder(bank) if bank else None
-    got_switch = blend_span(
-        got, batch, order, rect, start, end, eps_t=eps_t, counters=got_counters,
-        centric_from=centric_from, theta=theta, bank_rec=got_rec,
-    )
-    assert got_switch == switch
+    win, area = clip_windows(batch, order, rect)
+    blend_span(got, batch, order, rect, win, area, start, end, eps_t)
     assert_states_equal(got, want.planar())
-    assert got_counters == want_counters
-    assert_groups_equal(
-        got_rec.groups if got_rec else None, want_rec.groups if want_rec else None
-    )
+
+    until = np.where(got.terminated, got.stop - start, m - start)
+    until[carry.terminated] = 0  # dead before the span began
+    win, area = win[start:end], area[start:end]
+    if mode == "theta":
+        assert start + occlusion_switch(area, until, theta) == switch
+    assert count_evals(win, area, rect, switch - start, until) == want_counters

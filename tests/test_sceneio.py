@@ -184,6 +184,20 @@ def test_ply_rejects_negative_count():
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [(b"element", "element needs a name and a count: 'element'"),
+     (b"element vertex", "element needs a name and a count: 'element vertex'"),
+     (b"element vertex x", "vertex count is not an integer: 'element vertex x'"),
+     (b"element vertex 1.5", "vertex count is not an integer: 'element vertex 1.5'"),
+     (b"element vertex 1 2", "element needs a name and a count: 'element vertex 1 2'")],
+)
+def test_ply_bad_element_line_names_it(line, message):
+    header = GOLDEN_HEADER.replace(b"element vertex 1", line)
+    with pytest.raises(PlyError, match=f"^{message}$"):
+        scene_from_ply_bytes(header + golden_payload())
+
+
+@pytest.mark.parametrize(
     "prop, field",
     [("x", "means"), ("f_dc_1", "sh"), ("opacity", "opacity_logits"),
      ("scale_2", "log_scales"), ("rot_0", "rotations")],
@@ -260,6 +274,28 @@ def test_cameras_wrong_matrix_size_names_camera(tmp_path):
     entries[1]["world_to_cam"] = entries[1]["world_to_cam"][:15]
     path.write_text(json.dumps(entries))
     with pytest.raises(ValueError, match="^camera 1: world_to_cam must hold 16"):
+        load_cameras(path)
+
+
+@pytest.mark.parametrize("key,value", [("fx", "abc"), ("fy", None), ("cx", [1.0]),
+                                       ("cy", {"v": 1}), ("near", "near")])
+def test_cameras_non_numeric_field_names_camera_and_field(tmp_path, key, value):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)] * 2)
+    entries = json.loads(path.read_text())
+    entries[1][key] = value
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=f"^camera 1: {key} must be a number, got "):
+        load_cameras(path)
+
+
+def test_cameras_non_numeric_matrix_names_camera(tmp_path):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)])
+    entries = json.loads(path.read_text())
+    entries[0]["world_to_cam"][3] = "abc"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="^camera 0: world_to_cam must hold 16 numbers"):
         load_cameras(path)
 
 
