@@ -113,7 +113,6 @@ class TilePartial:
     tile_index: int
     order: np.ndarray  # (p,) batch rows, same as the forward traversal
     d_rgb: np.ndarray  # (p, 3)
-    d_alpha: np.ndarray  # (p,)
     d_opacity: np.ndarray  # (p,)
     d_mean2: np.ndarray  # (p, 2)
     d_conic: np.ndarray  # (p, 3)
@@ -126,7 +125,6 @@ class GradAccumulator:
 
     # batch-aligned (one row per visible splat)
     d_rgb: np.ndarray
-    d_alpha: np.ndarray
     d_opacity: np.ndarray
     d_mean2: np.ndarray
     d_conic: np.ndarray
@@ -173,7 +171,6 @@ def backward_tile(
         tile_index=tile_index,
         order=order,
         d_rgb=np.zeros((m, 3)),
-        d_alpha=np.zeros(m),
         d_opacity=np.zeros(m),
         d_mean2=np.zeros((m, 2)),
         d_conic=np.zeros((m, 3)),
@@ -267,7 +264,6 @@ def _sweep_run(
     dla *= contrib
     aT = ac * Tb
     out.d_rgb[lo:hi] = aT.reshape(g, -1) @ gpx
-    out.d_alpha[lo:hi] = dla.sum(axis=(1, 2))
 
     # alpha = opacity * exp(-q/2): d/d(opacity) = alpha/opacity, d/dq = -alpha/2.
     # mom[:, i, j] = sum over pixels of alpha * dla * dy^i * dx^j
@@ -301,7 +297,6 @@ def accumulate_cross_tile(
     """
     acc = {
         "d_rgb": np.zeros((n_splats, 3)),
-        "d_alpha": np.zeros(n_splats),
         "d_opacity": np.zeros(n_splats),
         "d_mean2": np.zeros((n_splats, 2)),
         "d_conic": np.zeros((n_splats, 3)),
@@ -471,7 +466,6 @@ def scene_backward(
     chained = chain_to_3d(scene, cam, trace.batch64, acc)
     gacc = GradAccumulator(
         d_rgb=acc["d_rgb"],
-        d_alpha=acc["d_alpha"],
         d_opacity=acc["d_opacity"],
         d_mean2=acc["d_mean2"],
         d_conic=acc["d_conic"],

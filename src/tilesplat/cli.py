@@ -215,7 +215,7 @@ def _analysis_scene(args, rng: np.random.Generator, default_kind: str):
     kind = args.synthetic if args.synthetic is not None else default_kind
     if kind == "outdoor":
         cam = make_camera(512, 512)
-        return cam, outdoor_scene(rng, cam, n=args.n if args.n else 1000)
+        return cam, outdoor_scene(rng, cam, n=1000 if args.n is None else args.n)
     if kind == "indoor":
         cam = make_camera(128, 128)
         return cam, indoor_scene(rng, cam)
@@ -223,13 +223,13 @@ def _analysis_scene(args, rng: np.random.Generator, default_kind: str):
         cam = make_camera(128, 128)
         return cam, opaque_foreground_scene(rng, cam)
     cam = make_camera(128, 128)
-    return cam, random_scene(rng, args.n if args.n else 256, cam)
+    return cam, random_scene(rng, 256 if args.n is None else args.n, cam)
 
 
 def cmd_analyze(args) -> int:
     rng = np.random.default_rng(args.seed)
     threads = 1 if args.threads is None else args.threads
-    _validated(RenderConfig(threads=threads))
+    _validated(RenderConfig(threads=threads, hybrid_fraction=args.fraction))
     lines: list[str] = []
 
     if args.report == "tile-sweep":
@@ -265,7 +265,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"column_group_skewed_conflicts {skew.conflicts(column)}")
         lines.append(f"column_group_unskewed_conflicts {unskew.conflicts(column)}")
         groups = []
-        for _ in range(args.n if args.n else 10_000):
+        for _ in range(10_000 if args.n is None else args.n):
             length = int(rng.integers(1, 17))
             x0 = int(rng.integers(0, 64))
             y0 = int(rng.integers(0, 64))
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("outdoor", "indoor", "opaque", "random"),
         help="synthetic scene class when no --scene is given",
     )
-    p.add_argument("--n", type=int, help="scene size / random group count")
+    p.add_argument("--n", type=_positive_int, help="scene size / random group count")
     p.add_argument("--z-tiles", type=int)
     p.add_argument("--fraction", type=float, default=0.25)
     p.add_argument("--threads", type=int)

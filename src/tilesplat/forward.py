@@ -31,11 +31,13 @@ transmittance is a sequential product along the entry axis and color a
 sequential sum with the carried state first, so each pixel sees the
 same floating-point operations in the same order as when splats are
 blended one at a time.  Schedules differ only in the state a span
-starts from and its eps_t.  A run whose slab has fully terminated is
-not evaluated at all.  The kernel computes pixel state only; each
-tile's counters follow afterwards from its clipped windows and each
-pixel's stop position (``execmodel.count_evals``), so they count window
-pixels, never the slab's padding.
+starts from and its eps_t.  The pixel state is color, T and stop: a
+pixel is dead (terminated) exactly when T < eps_t, and stop is the list
+position after the splat (or the end of the depth chunk) that took it
+there.  A run whose slab is all dead is not evaluated at all.  The kernel computes pixel state only;
+each tile's counters follow afterwards from its clipped windows and
+each pixel's stop position (``execmodel.count_evals``), so they count
+window pixels, never the slab's padding.
 
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, floored at 0 and
@@ -94,6 +96,8 @@ class RenderConfig:
             raise ValueError("z_tiles must be >= 1")
         if self.eps_t < 0:
             raise ValueError("eps_t must be >= 0")
+        if not self.eps_t <= 1.0:  # T starts at 1; also rejects NaN
+            raise ValueError("eps_t must be <= 1")
         if self.hybrid not in _HYBRID_MODES:
             raise ValueError(f"hybrid must be one of {_HYBRID_MODES}")
         if not 0.0 < self.hybrid_fraction < 1.0:
@@ -112,21 +116,22 @@ class RenderConfig:
 
 @dataclass
 class PixelState:
-    """Per-pixel blend state over one tile (arrays are tile-shaped)."""
+    """Per-pixel blend state over one tile (arrays are tile-shaped).
+
+    A pixel is dead (terminated) exactly when T < eps_t; nothing else
+    records it.  T only falls, so a dead pixel stays dead and blends
+    nothing more.
+    """
 
     rgb: np.ndarray  # (3, h, w) accumulated color, planar, background excluded
     T: np.ndarray  # (h, w) transmittance
-    terminated: np.ndarray  # (h, w) bool
-    n_contrib: np.ndarray  # (h, w) int32 splats blended
-    stop: np.ndarray  # (h, w) int32 list position after the last blended splat
+    stop: np.ndarray  # (h, w) int32 list position where the pixel died, else list end
 
 
 def _fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
     return PixelState(
         rgb=np.zeros((3, h, w), dtype=dtype),
         T=np.ones((h, w), dtype=dtype),
-        terminated=np.zeros((h, w), dtype=bool),
-        n_contrib=np.zeros((h, w), dtype=np.int32),
         stop=np.full((h, w), end_pos, dtype=np.int32),
     )
 
@@ -251,7 +256,7 @@ def blend_span(
     """Blend order[start:end] into ``state`` front to back, run by run.
 
     ``win`` and ``area`` are ``clip_windows`` of the whole list, indexed
-    by list position.  A run whose slab has fully terminated is not
+    by list position.  A run whose slab is all dead (T < eps_t) is not
     evaluated: nothing in it can blend.
     """
     if start >= end:
@@ -262,7 +267,7 @@ def blend_span(
         win[start:end], area[start:end], max_elems
     ):
         sl = (slice(sy0 - y0r, sy1 - y0r), slice(sx0 - x0r, sx1 - x0r))
-        if sx0 < sx1 and sy0 < sy1 and not state.terminated[sl].all():
+        if sx0 < sx1 and sy0 < sy1 and state.T[sl].max() >= eps_t:
             lo, hi = start + lo, start + hi
             _blend_slab(
                 state, batch, order[lo:hi], sl, (sx0, sy0, sx1, sy1),
@@ -284,21 +289,20 @@ def _blend_slab(
 
     Row k of the (g+1, h, w) transmittance slab is T before entry
     lo + k: a running product over rows whose factor is 1 wherever the
-    entry does not blend.  A live pixel terminates at the first entry
-    covering it after which its T is below eps_t, so its final T is the
-    slab row at its live-row count.  Color is one sequential reduction
-    over rows, carry first, so every pixel sees exactly the additions
-    and products of a one-splat-at-a-time blend.
+    entry does not blend.  A pixel is live before entry lo + k exactly
+    while row k is at least eps_t.  T only falls, so the live rows are a
+    prefix, and the pixel's final T is the row at its live-row count.
+    Color is one sequential reduction over rows, carry first, so every
+    pixel sees exactly the additions and products of a one-splat-at-a-time
+    blend.
     """
     sx0, sy0, sx1, sy1 = slab
     g = len(idx)
     alpha, _, _ = alpha_patch(batch, idx, sx0, sx1, sy0, sy1)
     dt = alpha.dtype.type
     hit = alpha >= ALPHA_MIN
-    inwin = None
     if g > 1:
-        inwin = window_mask(win, slab)
-        hit &= inwin
+        hit &= window_mask(win, slab)
 
     w = alpha * hit  # alpha where the entry blends, else 0
     Tacc = np.empty((g + 1,) + alpha.shape[1:], dtype=dt)
@@ -310,33 +314,13 @@ def _blend_slab(
     else:
         np.multiply.accumulate(Tacc, axis=0, out=Tacc)
 
-    carried = state.terminated[sl]
-    any_carried = bool(carried.any())
-    ended = None
-    if any_carried or (eps_t > 0.0 and Tacc[g].min() < eps_t):
-        free = ~carried
-        if eps_t > 0.0 and Tacc[0][free].min(initial=np.inf) >= eps_t:
-            # T falls only where an entry covers the pixel, so a pixel that
-            # arrives live with T >= eps_t stays live while T >= eps_t.
-            live = Tacc[:g] >= eps_t
-            if any_carried:
-                live &= free
-            n_live = np.count_nonzero(live, axis=0)
-            ended = (Tacc[g] < eps_t) & free
-        else:
-            n_live = np.full(carried.shape, g)
-            if eps_t > 0.0:  # a live pixel below eps_t ends at its next covering entry
-                term = Tacc[1:] < eps_t
-                if inwin is not None:
-                    term &= inwin
-                first = term.argmax(axis=0)
-                ended = np.take_along_axis(term, first[None], axis=0)[0] & free
-                n_live[ended] = first[ended] + 1
-            n_live[carried] = 0
-            live = np.arange(g)[:, None, None] < n_live
-        hit &= live
+    if eps_t > 0.0 and Tacc[g].min() < eps_t:
+        live = Tacc[:g] >= eps_t
+        n_live = np.count_nonzero(live, axis=0)
         w *= live
         state.T[sl] = np.take_along_axis(Tacc, n_live[None], axis=0)[0]
+        ended = live[0] & (Tacc[g] < eps_t)  # live on entry, dead after
+        state.stop[sl][ended] = lo + n_live[ended]
     else:
         state.T[sl] = Tacc[g]
 
@@ -345,27 +329,18 @@ def _blend_slab(
     S[0] = state.rgb[:, sl[0], sl[1]]
     np.multiply(Tw[:, None], batch.rgb[idx][:, :, None, None], out=S[1:])
     state.rgb[:, sl[0], sl[1]] = np.add.reduce(S, axis=0)
-    state.n_contrib[sl] += hit.sum(axis=0, dtype=np.int32)
-    if ended is not None and ended.any():
-        stop_sl = state.stop[sl]
-        stop_sl[ended] = lo + n_live[ended]
-        state.terminated[sl] |= ended
 
 
 def _merge_partial(
     state: PixelState, part: PixelState, eps_t: float, chunk_end: int
 ) -> None:
     """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state."""
-    live = ~state.terminated
+    live = state.T >= eps_t
     w = np.where(live, state.T, state.T.dtype.type(0))
     state.rgb += w * part.rgb
     state.T = np.where(live, state.T * part.T, state.T)
-    state.n_contrib += np.where(live, part.n_contrib, 0)
     if eps_t > 0.0:
-        newly = live & (state.T < eps_t)
-        if newly.any():
-            state.stop[newly] = chunk_end
-            state.terminated |= newly
+        state.stop[live & (state.T < eps_t)] = chunk_end
 
 
 @dataclass
@@ -418,7 +393,7 @@ def blend_tile(
         theta_px = None if split is not None else cfg.occlusion_threshold * state.T.size
         split = m if split is None else split
         for kk, (lo, hi) in enumerate(_chunk_bounds(split, K)):
-            if theta_px is not None and np.count_nonzero(state.terminated) > theta_px:
+            if theta_px is not None and np.count_nonzero(state.T < cfg.eps_t) > theta_px:
                 split = lo
                 if occluded is not None:
                     # remaining chunk boundaries report the frozen count

@@ -21,24 +21,12 @@ from .model import Camera, GaussianScene, ImageRGB, stable_sigmoid
 from .preprocess import bounding_radius, preprocess
 from .synth import make_camera, orbit_camera, random_scene
 
-GROUP_KEYS = ("position", "scale", "rotation", "opacity", "sh")
-
 # fd_probe's least distances from each kink, sized to the perturbation scale.
 ALPHA_MARGIN = 1e-5  # per-pixel alpha from the 1/255 blend threshold
 FRAC_MARGIN = 2e-3  # splat centers and 3-sigma radii from integers
 DEPTH_MARGIN = 1e-3  # between any two depths
 COLOR_MARGIN = 0.02  # SH colors from the clamp at zero; must stay positive
 OPACITY_SIG_MAX = 0.97  # activated opacity, below the 0.99 ceiling
-
-
-def _group_arrays(scene: GaussianScene) -> dict[str, np.ndarray]:
-    return {
-        "position": scene.means,
-        "scale": scene.log_scales,
-        "rotation": scene.rotations,
-        "opacity": scene.opacity_logits,
-        "sh": scene.sh,
-    }
 
 
 def reference_config(
@@ -73,7 +61,7 @@ def total_loss(
 def analytic_grads(
     scene: GaussianScene, views: list[tuple[Camera, ImageRGB]], tcfg: TrainConfig
 ) -> dict[str, np.ndarray]:
-    arrays = _group_arrays(scene)
+    arrays = scene.params()
     out = {k: np.zeros_like(v) for k, v in arrays.items()}
     nv = len(views)
     for cam, target in views:
@@ -92,7 +80,7 @@ def fd_grads(
     h: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central differences over every raw parameter (scene restored after)."""
-    arrays = _group_arrays(scene)
+    arrays = scene.params()
     out = {k: np.zeros_like(v) for k, v in arrays.items()}
     for name, arr in arrays.items():
         flat = arr.reshape(-1)
@@ -161,11 +149,10 @@ def check_gradients(
     rows: list[GradCheckRow] = []
     n_failed = 0
     max_rel = 0.0
-    for name in GROUP_KEYS:
-        a = ana[name].reshape(-1)
+    for name, grad in ana.items():
+        a = grad.reshape(-1)
         b = num[name].reshape(-1)
-        shape = ana[name].shape
-        for j, idx in enumerate(np.ndindex(shape)):
+        for j, idx in enumerate(np.ndindex(grad.shape)):
             err = abs(a[j] - b[j])
             ok = err <= max(rtol * abs(b[j]), atol)
             if not ok:

@@ -138,6 +138,16 @@ class GaussianScene:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
 
+    def params(self) -> dict[str, np.ndarray]:
+        """Raw parameter arrays (not copies) by optimizer group name."""
+        return {
+            "position": self.means,
+            "scale": self.log_scales,
+            "rotation": self.rotations,
+            "opacity": self.opacity_logits,
+            "sh": self.sh,
+        }
+
     def copy(self) -> "GaussianScene":
         return GaussianScene(
             means=self.means.copy(),

@@ -1,10 +1,10 @@
 """Adam optimizer and clone/split/prune density control.
 
-Parameters are grouped (position, scale, rotation, opacity, sh) with a
-per-group learning-rate multiplier on top of the base rate.  Moment
-buffers are created lazily and remapped when density control changes
-the Gaussian count (survivors keep their moments, new Gaussians start
-cold).
+Parameters are grouped as ``GaussianScene.params`` names them
+(position, scale, rotation, opacity, sh), with a per-group
+learning-rate multiplier on top of the base rate.  Moment buffers are
+created lazily and remapped when density control changes the Gaussian
+count (survivors keep their moments, new Gaussians start cold).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GaussianScene, quat_normalize, stable_sigmoid
-
-PARAM_GROUPS = ("position", "scale", "rotation", "opacity", "sh")
 
 _DEFAULT_GROUP_LR = {
     "position": 0.5,
@@ -72,14 +70,7 @@ def scene_adam_step(
     scene: GaussianScene, grads: dict[str, np.ndarray], state: AdamState
 ) -> None:
     """Adam over the five scene parameter groups; quaternions renormalized after."""
-    params = {
-        "position": scene.means,
-        "scale": scene.log_scales,
-        "rotation": scene.rotations,
-        "opacity": scene.opacity_logits,
-        "sh": scene.sh,
-    }
-    adam_step(params, grads, state)
+    adam_step(scene.params(), grads, state)
     scene.rotations[:] = quat_normalize(scene.rotations)
 
 

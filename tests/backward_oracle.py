@@ -41,7 +41,6 @@ def backward_tile(
         tile_index=tile_index,
         order=order,
         d_rgb=np.zeros((m, 3)),
-        d_alpha=np.zeros(m),
         d_opacity=np.zeros(m),
         d_mean2=np.zeros((m, 2)),
         d_conic=np.zeros((m, 3)),
@@ -82,7 +81,6 @@ def backward_tile(
         if bg_active:
             dla = dla - (tfin[sl] * r) * (g @ background)
         dla = np.where(contrib, dla, 0.0)
-        out.d_alpha[k] = dla.sum()
 
         adla = alpha * dla
         out.d_opacity[k] = adla.sum() / float(batch.opacity[i])
@@ -111,7 +109,6 @@ def accumulate_cross_tile(
     """Fold partials tile by tile, ``offload_batch`` list positions at a time."""
     acc = {
         "d_rgb": np.zeros((n_splats, 3)),
-        "d_alpha": np.zeros(n_splats),
         "d_opacity": np.zeros(n_splats),
         "d_mean2": np.zeros((n_splats, 2)),
         "d_conic": np.zeros((n_splats, 3)),
@@ -125,7 +122,6 @@ def accumulate_cross_tile(
             sel = slice(b0, min(b0 + offload_batch, p))
             idx = part.order[sel]
             np.add.at(acc["d_rgb"], idx, part.d_rgb[sel])
-            np.add.at(acc["d_alpha"], idx, part.d_alpha[sel])
             np.add.at(acc["d_opacity"], idx, part.d_opacity[sel])
             np.add.at(acc["d_mean2"], idx, part.d_mean2[sel])
             np.add.at(acc["d_conic"], idx, part.d_conic[sel])

@@ -28,14 +28,11 @@ from tilesplat.preprocess import SplatBatch, bin_and_sort, preprocess
 class State:
     rgb: np.ndarray  # (h, w, 3)
     T: np.ndarray
-    terminated: np.ndarray
-    n_contrib: np.ndarray
+    terminated: np.ndarray  # its own record; the kernel's T < eps_t must match it
     stop: np.ndarray
 
     def planar(self) -> "State":
-        return State(
-            self.rgb.transpose(2, 0, 1), self.T, self.terminated, self.n_contrib, self.stop
-        )
+        return State(self.rgb.transpose(2, 0, 1), self.T, self.terminated, self.stop)
 
 
 def fresh_state(h: int, w: int, dtype, end_pos: int) -> State:
@@ -43,7 +40,6 @@ def fresh_state(h: int, w: int, dtype, end_pos: int) -> State:
         rgb=np.zeros((h, w, 3), dtype=dtype),
         T=np.ones((h, w), dtype=dtype),
         terminated=np.zeros((h, w), dtype=bool),
-        n_contrib=np.zeros((h, w), dtype=np.int32),
         stop=np.full((h, w), end_pos, dtype=np.int32),
     )
 
@@ -110,7 +106,6 @@ def sweep(
         state.rgb[sl] += (Tl * w)[..., None] * batch.rgb[i]
         Tnew = np.where(contrib, Tl * (1 - alpha), Tl)
         state.T[sl] = Tnew
-        state.n_contrib[sl] += contrib
         if eps_t > 0.0:
             newly = live & (Tnew < eps_t)
             if newly.any():
@@ -127,7 +122,6 @@ def merge_partial(state: State, part: State, eps_t: float, chunk_end: int) -> No
     w = np.where(live, state.T, state.T.dtype.type(0))
     state.rgb += w[..., None] * part.rgb
     state.T = np.where(live, state.T * part.T, state.T)
-    state.n_contrib += np.where(live, part.n_contrib, 0)
     if eps_t > 0.0:
         newly = live & (state.T < eps_t)
         if newly.any():
@@ -209,7 +203,7 @@ def blend_tile(batch: SplatBatch, order: np.ndarray, rect, cfg: RenderConfig):
 
 
 def render(scene, cam, cfg: RenderConfig):
-    """Whole-image oracle render: (image, stats, t_final, stop, n_contrib)."""
+    """Whole-image oracle render: (image, stats, t_final, stop)."""
     cfg.validate()
     dtype = np.dtype(cfg.dtype).type
     batch64, pstats = preprocess(scene, cam)
@@ -220,7 +214,6 @@ def render(scene, cam, cfg: RenderConfig):
     img = np.zeros((h, w, 3), dtype=dtype)
     t_final = np.ones((h, w), dtype=dtype)
     stop = np.zeros((h, w), dtype=np.int32)
-    n_contrib = np.zeros((h, w), dtype=np.int32)
     stats = RenderStats(
         image_w=w, image_h=h, tile_w=binning.tile_w, tile_h=binning.tile_h,
         n_tiles=binning.n_tiles, n_input=pstats.n_input,
@@ -240,7 +233,6 @@ def render(scene, cam, cfg: RenderConfig):
         img[y0:y1, x0:x1] = state.rgb + state.T[..., None] * bg
         t_final[y0:y1, x0:x1] = state.T
         stop[y0:y1, x0:x1] = state.stop
-        n_contrib[y0:y1, x0:x1] = state.n_contrib
         stats.counters.merge(counters)
         splits.append(split)
         if occl_total is not None:
@@ -252,4 +244,4 @@ def render(scene, cam, cfg: RenderConfig):
             n_chunks=cfg.z_tiles, occluded_after_chunk=occl_total,
             total_pixels=w * h, eps_t=cfg.eps_t,
         )
-    return img, stats, t_final, stop, n_contrib
+    return img, stats, t_final, stop

@@ -7,6 +7,7 @@ import backward_oracle
 from tilesplat.backward import (
     GradAccumulator,
     TilePartial,
+    TrainConfig,
     _normalize_vjp,
     _quat_to_rotmat_vjp,
     accumulate_cross_tile,
@@ -52,7 +53,6 @@ def test_single_splat_closed_forms():
     np.testing.assert_allclose(part.d_rgb[0], a0 * g[0, 0] + a1 * g[0, 1], rtol=1e-12)
     # d(out)/d(alpha) = (color - background) . pixel grad, transmittance 1
     dla = np.array([(c - bg) @ g[0, 0], (c - bg) @ g[0, 1]])
-    np.testing.assert_allclose(part.d_alpha[0], dla.sum(), rtol=1e-12)
     # alpha = opacity * exp(-q/2)
     np.testing.assert_allclose(
         part.d_opacity[0], (a0 * dla[0] + a1 * dla[1]) / o, rtol=1e-12
@@ -81,11 +81,10 @@ def test_two_splat_suffix_accumulator():
 
     np.testing.assert_allclose(part.d_rgb[0], 0.5 * np.ones(3), rtol=1e-12)
     np.testing.assert_allclose(part.d_rgb[1], 0.5 * 0.8 * np.ones(3), rtol=1e-12)
-    # front splat sees the composited color behind it in its alpha grad
-    assert part.d_alpha[0] == pytest.approx((c1 - 0.8 * c2) @ np.ones(3), rel=1e-12)
-    assert part.d_alpha[1] == pytest.approx(0.5 * (c2 @ np.ones(3)), rel=1e-12)
-    # alpha equals opacity at the mean, so d_opacity matches d_alpha here
-    np.testing.assert_allclose(part.d_opacity, part.d_alpha, rtol=1e-12)
+    # alpha equals opacity at the mean, so d_opacity is the alpha grad here;
+    # the front splat sees the composited color behind it
+    assert part.d_opacity[0] == pytest.approx((c1 - 0.8 * c2) @ np.ones(3), rel=1e-12)
+    assert part.d_opacity[1] == pytest.approx(0.5 * (c2 @ np.ones(3)), rel=1e-12)
 
 
 def test_stop_masks_gradient():
@@ -102,7 +101,7 @@ def test_stop_masks_gradient():
     assert part.hits[0] == 1
     assert part.hits[1] == part.hits[2] == 0
     assert np.all(part.d_rgb[1:] == 0)
-    assert np.all(part.d_alpha[1:] == 0)
+    assert np.all(part.d_opacity[1:] == 0)
 
 
 def test_entry_gets_gradient_only_inside_its_window():
@@ -121,8 +120,14 @@ def test_entry_gets_gradient_only_inside_its_window():
     part = backward_tile(*args)
     want = backward_oracle.backward_tile(*args)
     assert list(part.hits) == [32, 64]
-    for key in ("d_rgb", "d_alpha", "d_opacity", "d_mean2", "d_conic"):
+    for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         np.testing.assert_allclose(getattr(part, key), getattr(want, key), rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps_t", [-1.0, 1.5, float("nan")])
+def test_train_config_rejects_eps_t_outside_unit_interval(eps_t):
+    with pytest.raises(ValueError, match="eps_t"):
+        TrainConfig(eps_t=eps_t).validate()
 
 
 def test_loss_and_pixel_grads():
@@ -146,7 +151,6 @@ def make_partial(tile_index, order, value):
         tile_index=tile_index,
         order=np.asarray(order, dtype=np.int64),
         d_rgb=np.full((p, 3), value),
-        d_alpha=np.full(p, value),
         d_opacity=np.full(p, value),
         d_mean2=np.full((p, 2), value),
         d_conic=np.full((p, 3), value),
@@ -162,10 +166,10 @@ def test_accumulate_cross_tile_fold():
     acc, ops, drains = accumulate_cross_tile(parts, 24, offload_batch=16)
     assert ops == 23
     assert drains == 1 + 2  # ceil(3/16) + ceil(20/16)
-    assert acc["d_alpha"][0] == pytest.approx(2.0 + 2.0 + 1.0)
-    assert acc["d_alpha"][5] == pytest.approx(2.0 + 1.0)
-    assert acc["d_alpha"][19] == pytest.approx(1.0)
-    assert np.all(acc["d_alpha"][20:] == 0)
+    assert acc["d_opacity"][0] == pytest.approx(2.0 + 2.0 + 1.0)
+    assert acc["d_opacity"][5] == pytest.approx(2.0 + 1.0)
+    assert acc["d_opacity"][19] == pytest.approx(1.0)
+    assert np.all(acc["d_opacity"][20:] == 0)
     assert acc["hit_count"][0] == 3
 
 

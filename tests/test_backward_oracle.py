@@ -77,7 +77,7 @@ def test_scene_backward_matches_oracle(
     assert ops == want_ops
     assert drains == want_drains
     assert np.array_equal(gacc.hit_count, screen["hit_count"])
-    for key in ("d_rgb", "d_alpha", "d_opacity", "d_mean2", "d_conic"):
+    for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         assert_close(getattr(gacc, key), screen[key], key)
     for key, val in gacc.param_grads().items():
         assert_close(val, params[key], key)
@@ -120,5 +120,5 @@ def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, backgrou
     assert got.tile_index == want.tile_index
     assert np.array_equal(got.order, want.order)
     assert np.array_equal(got.hits, want.hits)
-    for key in ("d_rgb", "d_alpha", "d_opacity", "d_mean2", "d_conic"):
+    for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         assert_close(getattr(got, key), getattr(want, key), key)

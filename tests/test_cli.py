@@ -254,6 +254,7 @@ def test_selftest_has_no_seed_flag(capsys):
     (["--z-tiles", "0"], "z_tiles must be >= 1"),
     (["--tile", "0", "8"], "tile_size must be positive"),
     (["--eps-t", "-1"], "eps_t must be >= 0"),
+    (["--eps-t", "1.5"], "eps_t must be <= 1"),
     (["--threads", "0"], "threads must be >= 1"),
 ])
 def test_render_rejects_bad_config_before_writing(workdir, capsys, flags, message):
@@ -271,6 +272,7 @@ def test_render_rejects_bad_config_before_writing(workdir, capsys, flags, messag
     (["--threads", "0"], "threads must be >= 1"),
     (["--tile", "0", "8"], "tile_size must be positive"),
     (["--eps-t", "-1"], "eps_t must be >= 0"),
+    (["--eps-t", "1.5"], "eps_t must be <= 1"),
     (["--offload-batch", "0"], "offload_batch must be >= 1"),
 ])
 def test_train_rejects_bad_config_before_writing(tmp_path, capsys, flags, message):
@@ -299,3 +301,39 @@ def test_analyze_rejects_bad_config(tmp_path, capsys, flags, message):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("report,fraction", [
+    ("hybrid", "0"),
+    ("hybrid", "1"),
+    ("hybrid", "nan"),
+    ("bank", "1.5"),
+])
+def test_analyze_rejects_fraction_outside_unit_interval(tmp_path, capsys, report, fraction):
+    out = tmp_path / "report.txt"
+    rc = main(["analyze", "--report", report, "--fraction", fraction, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: hybrid_fraction must be in (0, 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("report,n", [
+    ("tile-sweep", "0"),
+    ("bank", "-3"),
+    ("hybrid", "0"),
+])
+def test_analyze_rejects_n_below_one(tmp_path, capsys, report, n):
+    out = tmp_path / "report.txt"
+    rc = main(["analyze", "--report", report, "--n", n, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"argument --n: must be >= 1, got {n}" in captured.err
+    assert not out.exists()
+
+
+def test_analyze_n_sets_the_group_count(capsys):
+    assert main(["analyze", "--report", "bank", "--n", "5"]) == 0
+    assert "random_groups 5\n" in capsys.readouterr().out

@@ -94,11 +94,11 @@ def blend(batch, order, rect, eps_t, *, carry=None):
     return state
 
 
-def until_of(state, m, carry=None):
+def until_of(state, m, eps_t, carry=None):
     """Each pixel's until: stop if it terminated, m if not, 0 if dead on arrival."""
-    until = np.where(state.terminated, state.stop, m)
+    until = np.where(state.T < eps_t, state.stop, m)
     if carry is not None:
-        until[carry.terminated] = 0
+        until[carry.T < eps_t] = 0
     return until
 
 
@@ -151,7 +151,8 @@ def test_two_splat_compositing_hand_unrolled():
     want = aA * np.array([1.0, 0.0, 0.25]) + (1 - aA) * aB * np.array([0.0, 1.0, 0.5])
     want = want + (1 - aA) * (1 - aB) * bg
     np.testing.assert_allclose(img[2, 2], want, rtol=1e-12)
-    assert state.n_contrib[2, 2] == 2
+    assert state.T[2, 2] == pytest.approx((1 - aA) * (1 - aB), rel=1e-12)
+    assert state.stop[2, 2] == 2  # eps_t = 0: nothing terminates
 
     # off-center pixel: same identity with the gaussian falloff applied
     aA = 0.6 * np.exp(-0.5 * (0.5 * 2.0))  # dx = dy = 1
@@ -169,7 +170,7 @@ def test_below_threshold_alpha_does_not_blend():
     state = blend(batch, np.array([0]), (0, 0, 8, 8), eps_t=0.0)
     assert np.all(state.rgb == 0)
     assert np.all(state.T == 1)
-    assert np.all(state.n_contrib == 0)
+    assert np.all(state.stop == 1)
 
 
 def test_termination_stop_positions():
@@ -180,11 +181,11 @@ def test_termination_stop_positions():
     ]
     batch = hand_batch(splats, image=(4, 4))
     state = blend(batch, np.arange(3), (0, 0, 4, 4), eps_t=0.05)
-    counters = count(batch, np.arange(3), (0, 0, 4, 4), 3, until_of(state, 3))
+    counters = count(batch, np.arange(3), (0, 0, 4, 4), 3, until_of(state, 3, 0.05))
     # the center pixel saturates on the first splat: T = 0.01 < 0.05
-    assert state.terminated[1, 1]
     assert state.stop[1, 1] == 1
-    assert state.n_contrib[1, 1] == 1
+    assert state.T[1, 1] == pytest.approx(0.01)  # only that splat blended
+    np.testing.assert_allclose(state.rgb[:, 1, 1], 0.99)
     # gaussian-centric traversal still evaluates every candidate
     assert counters.performed == counters.candidates == 3 * 16
 
@@ -199,7 +200,7 @@ def test_pixel_centric_skips_terminated():
     order = np.arange(3)
     rect = (0, 0, 4, 4)
     ref = blend(batch, order, rect, eps_t=0.05)
-    counters = count(batch, order, rect, 0, until_of(ref, 3))
+    counters = count(batch, order, rect, 0, until_of(ref, 3, 0.05))
     # the center pixel ends on splat 0, so splats 1 and 2 skip it
     assert ref.stop[1, 1] == 1
     assert counters.skipped >= 2
@@ -212,12 +213,14 @@ def test_pixel_centric_saturated_carry_performs_nothing():
         image=(4, 4),
     )
     carry = _fresh_state(4, 4, np.float64, 1)
-    carry.terminated[:] = True
+    carry.T[:] = 0.5e-4  # every pixel already below eps_t
     out = blend(batch, np.arange(1), (0, 0, 4, 4), 1e-4, carry=carry)
-    counters = count(batch, np.arange(1), (0, 0, 4, 4), 0, until_of(out, 1, carry))
+    counters = count(batch, np.arange(1), (0, 0, 4, 4), 0, until_of(out, 1, 1e-4, carry))
     assert counters.performed == 0
     assert counters.skipped == counters.candidates == 16
     np.testing.assert_array_equal(out.rgb, carry.rgb)
+    np.testing.assert_array_equal(out.T, carry.T)
+    np.testing.assert_array_equal(out.stop, carry.stop)
 
 
 def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
@@ -229,9 +232,9 @@ def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
     batch = hand_batch(splats, image=(4, 4))
     batch.aabb[0] = (8, 8, 12, 12)  # misses the tile
     carry = _fresh_state(4, 4, np.float64, 3)
-    carry.terminated[:2] = True  # half the tile, already past theta
+    carry.T[:2] = 0.5e-4  # half the tile already below eps_t, past theta
     state = blend(batch, np.arange(3), (0, 0, 4, 4), 1e-4, carry=carry)
-    until = until_of(state, 3, carry)
+    until = until_of(state, 3, 1e-4, carry)
     win, area = clip_windows(batch, np.arange(3), (0, 0, 4, 4))
     switch = occlusion_switch(area, until, 0.25)
     assert switch == 2  # after splat 1, the first one with pixels here
@@ -248,8 +251,10 @@ def test_pixel_at_exactly_eps_t_is_still_live():
     carry = _fresh_state(4, 4, np.float64, 1)
     carry.T[:] = 0.25  # not below eps_t, so not terminated
     out = blend(batch, np.arange(1), (0, 0, 4, 4), 0.25, carry=carry)
-    assert np.all(out.n_contrib == 1)
-    assert np.all(out.terminated) and np.all(out.stop == 1)
+    alpha = alpha_patch(batch, 0, 0, 4, 0, 4)[0][0]  # above 1/255 on the whole tile
+    np.testing.assert_allclose(out.rgb, np.broadcast_to(0.25 * alpha, (3, 4, 4)))
+    np.testing.assert_allclose(out.T, 0.25 * (1 - alpha))
+    assert np.all(out.T < 0.25) and np.all(out.stop == 1)
 
 
 def test_single_chunk_merge_is_bitwise_global():
@@ -269,7 +274,7 @@ def test_single_chunk_merge_is_bitwise_global():
     _merge_partial(merged, part, 1e-4, len(order))
     np.testing.assert_array_equal(ref.rgb, merged.rgb)
     np.testing.assert_array_equal(ref.T, merged.T)
-    np.testing.assert_array_equal(ref.n_contrib, merged.n_contrib)
+    np.testing.assert_array_equal(ref.stop, merged.stop)
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 8])
@@ -367,6 +372,8 @@ def test_config_validation():
         dict(tile_size=(0, 16)),
         dict(z_tiles=0),
         dict(eps_t=-1.0),
+        dict(eps_t=1.5),
+        dict(eps_t=float("nan")),
         dict(hybrid="maybe"),
         dict(hybrid_fraction=0.0),
         dict(occlusion_threshold=1.0),

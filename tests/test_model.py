@@ -117,6 +117,23 @@ def test_scene_validation_and_degree():
         )
 
 
+def test_scene_params_are_the_raw_arrays_by_group():
+    scene = GaussianScene(
+        means=np.zeros((2, 3)),
+        log_scales=np.zeros((2, 3)),
+        rotations=np.tile([1.0, 0, 0, 0], (2, 1)),
+        opacity_logits=np.zeros(2),
+        sh=np.zeros((2, 4, 3)),
+    )
+    params = scene.params()
+    assert list(params) == ["position", "scale", "rotation", "opacity", "sh"]
+    assert params["position"] is scene.means
+    assert params["scale"] is scene.log_scales
+    assert params["rotation"] is scene.rotations
+    assert params["opacity"] is scene.opacity_logits
+    assert params["sh"] is scene.sh
+
+
 def test_scene_copy_is_deep():
     scene = GaussianScene(
         means=np.zeros((1, 3)),
