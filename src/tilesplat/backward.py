@@ -1,18 +1,23 @@
 """Backward pass: pixel loss gradients to Gaussian parameter gradients.
 
 Each tile is differentiated independently by walking its splat list back
-to front.  The list is cut into the forward pass's runs
-(``forward._group_runs``) and each run is swept as one dense (g, h, w)
-slab, last run first, with one ``alpha_patch`` and one
-``recip_one_minus`` call per run.  The transmittance a splat saw in the
-forward pass is recovered by dividing the running value by (1 - alpha)
-as the walk retreats, which is what recip_one_minus models: a running
-product from the back whose factor is 1 wherever an entry does not
-blend, so every pixel sees the multiplies of a splat-at-a-time walk in
-the same order.  The suffix color (alpha-weighted color of everything
-behind the current splat) is carried as its dot product with the pixel
-gradient, one scalar per pixel, through the same linear recurrence.
-Per-splat sums are reductions over the slab's pixel axes.
+to front.  The list is cut into runs of consecutive entries
+(``_group_runs``) and each run is swept as one dense (g, h, w) slab over
+the bounding box of its entries' windows, last run first, with one
+``alpha_patch`` and one ``recip_one_minus`` call per run.  A run grows
+greedily while g * area(bounding box) <= sum(window area +
+RUN_OVERHEAD_PX) and one slab array fits in RUN_MAX_BYTES: small splats
+on small tiles become one run per tile, while large splats stay in short
+runs that evaluate little beyond their windows.  The transmittance a
+splat saw in the forward pass is recovered by dividing the running value
+by (1 - alpha) as the walk retreats, which is what recip_one_minus
+models: a running product from the back whose factor is 1 wherever an
+entry does not blend, so every pixel sees the multiplies of a
+splat-at-a-time walk in the same order.  The suffix color
+(alpha-weighted color of everything behind the current splat) is carried
+as its dot product with the pixel gradient, one scalar per pixel,
+through the same linear recurrence.  Per-splat sums are reductions over
+the slab's pixel axes.
 
 Per-splat partials from all tiles are folded into one accumulator in
 tile order, then chained through projection, covariance, activation,
@@ -33,14 +38,11 @@ from .approxmath import recip_one_minus
 from .execmodel import TrainStats
 from .forward import (
     ALPHA_MIN,
-    RUN_MAX_BYTES,
     ForwardTrace,
     RenderConfig,
-    _group_runs,
     alpha_patch,
     clip_windows,
     render,
-    window_mask,
 )
 from .model import (
     OPACITY_MAX,
@@ -52,6 +54,68 @@ from .model import (
 )
 from .preprocess import LOW_PASS_DILATION, SplatBatch
 from .sh import sh_basis, sh_basis_grad
+
+
+# Run grouping (see the module docstring).  RUN_OVERHEAD_PX is the fixed
+# cost of one run-kernel call in pixel-equivalents, measured on the
+# benchmark's workloads.  RUN_MAX_BYTES caps one (g, h, w) slab array,
+# which keeps a run's ~8 live temporaries within a core's L2 cache and
+# the process's peak memory flat.
+RUN_OVERHEAD_PX = 4096
+RUN_MAX_BYTES = 1 << 17
+
+
+def window_mask(win: np.ndarray, slab: tuple[int, int, int, int]) -> np.ndarray:
+    """(g, h, w) mask of the slab pixels inside each entry's window."""
+    sx0, sy0, sx1, sy1 = slab
+    xs = np.arange(sx0, sx1)
+    ys = np.arange(sy0, sy1)
+    cols = (xs >= win[:, 0, None]) & (xs < win[:, 2, None])
+    rows = (ys >= win[:, 1, None]) & (ys < win[:, 3, None])
+    return rows[:, :, None] & cols[:, None, :]
+
+
+def _group_runs(
+    win: np.ndarray, area: np.ndarray, max_elems: int
+) -> list[tuple[int, int, int, int, int, int]]:
+    """Split consecutive list entries into dense-slab runs.
+
+    ``win`` holds each entry's clipped window (x0, y0, x1, y1), with
+    empty windows set to an inverted box that never widens a run;
+    ``area`` holds the window areas.  A run may hold g entries when g
+    times the area of their bounding box is at most the sum of (window
+    area + RUN_OVERHEAD_PX) and at most ``max_elems``.  The whole span
+    is one run if it qualifies; otherwise runs grow greedily.  Returns
+    (lo, hi, x0, y0, x1, y1) per run, positions relative to ``win``.
+    """
+    n = len(area)
+    bx0, by0 = win[:, :2].min(axis=0).tolist()
+    bx1, by1 = win[:, 2:].max(axis=0).tolist()
+    dense = n * max(bx1 - bx0, 0) * max(by1 - by0, 0)
+    if n == 1 or dense <= min(int(area.sum()) + n * RUN_OVERHEAD_PX, max_elems):
+        return [(0, n, bx0, by0, bx1, by1)]
+    wx0, wy0, wx1, wy1 = (col.tolist() for col in win.T)
+    areas = area.tolist()
+    runs = []
+    lo = 0
+    while lo < n:
+        bx0, by0, bx1, by1 = wx0[lo], wy0[lo], wx1[lo], wy1[lo]
+        budget = areas[lo] + RUN_OVERHEAD_PX
+        hi = lo + 1
+        while hi < n:
+            nx0 = min(bx0, wx0[hi])
+            ny0 = min(by0, wy0[hi])
+            nx1 = max(bx1, wx1[hi])
+            ny1 = max(by1, wy1[hi])
+            dense = (hi - lo + 1) * max(nx1 - nx0, 0) * max(ny1 - ny0, 0)
+            nbudget = budget + areas[hi] + RUN_OVERHEAD_PX
+            if dense > nbudget or dense > max_elems:
+                break
+            bx0, by0, bx1, by1, budget = nx0, ny0, nx1, ny1, nbudget
+            hi += 1
+        runs.append((lo, hi, bx0, by0, bx1, by1))
+        lo = hi
+    return runs
 
 
 @dataclass
@@ -163,7 +227,7 @@ def backward_tile(
     is dL/d(pixel) including any loss scaling.  A splat only receives
     gradient from pixels it actually blended into (alpha above threshold,
     inside its window, and list position before the pixel's stop).  The
-    list is cut into the forward's runs, which are swept last run first.
+    list is cut into runs (``_group_runs``), which are swept last run first.
     """
     x0, y0, x1, y1 = rect
     m = len(order)

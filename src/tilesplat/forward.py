@@ -17,32 +17,40 @@ produce bit-identical pixels:
   the list in hybrid mode, where most surviving work belongs to a few
   unterminated pixels.
 
-All of them go through one run kernel (``blend_span``).  It cuts a span
-of the list into runs of consecutive entries and blends each run as one
-dense (g, h, w) slab over the bounding box of the entries' AABB-and-tile
-windows, masking each entry to its own window.  A run grows greedily
-while g * area(bounding box) <= sum(window area + RUN_OVERHEAD_PX) and
-one (g, h, w) slab array fits in RUN_MAX_BYTES: small splats on small
-tiles become one run per tile, while large splats stay in short runs
-that evaluate little beyond their windows.  RUN_OVERHEAD_PX is the fixed
-cost of one kernel call in pixel-equivalents, measured on the
-benchmark's render workloads.  Within a run,
-transmittance is a sequential product along the entry axis and color a
-sequential sum with the carried state first, so each pixel sees the
-same floating-point operations in the same order as when splats are
-blended one at a time.  Schedules differ only in the state a span
-starts from and its eps_t.  The pixel state is color, T and stop: a
-pixel is dead (terminated) exactly when T < eps_t, and stop is the list
-position after the splat (or the end of the depth chunk) that took it
-there.  A run whose slab is all dead is not evaluated at all.  The kernel computes pixel state only;
-each tile's counters follow afterwards from its clipped windows and
-each pixel's stop position (``execmodel.count_evals``), so they count
-window pixels, never the slab's padding.
+All of them blend through one lockstep kernel over blend blocks
+(``BlockGroup.blend``).  Each tile is cut into blocks of at most
+BLOCK x BLOCK pixels, and a block's list is the subsequence of its
+tile's list whose clipped window meets the block, in list order.
+Skipping the other entries is exact: at a pixel outside an entry's
+window the entry would blend as T * 1 and rgb + 0, which changes
+nothing.  Every block-list entry keeps its tile list position, so a
+pixel's stop means the same as in the tile's list.  A pass sorts the
+blocks by the length of the span it blends, so the blocks still active
+at step k are a prefix, and step k evaluates alpha and blends list
+position k of every active block in one set of NumPy calls over
+(active blocks, block pixels).  A block whose pixels are all dead
+leaves the active set.  Each pixel sees the same floating-point
+operations in the same order as when splats are blended one at a time,
+so neither the lockstep order nor the grouping changes a bit.
+
+The pixel state is color, T and stop: a pixel is dead (terminated)
+exactly when T < eps_t, and stop is the list position after the splat
+(or the end of the depth chunk) that took it there.  Schedules differ
+only in the spans they blend, the state a span starts from and its
+eps_t.  The kernel computes pixel state only; each tile's counters
+follow afterwards from its clipped windows and each pixel's stop
+position (``execmodel.count_evals``), so they count window pixels,
+never a block's padding.
+
+Tiles are blended in groups of whole tiles, in tile order, of at most
+GROUP_MAX_PX block pixels.  A group is blended to the end and
+composited into the image before the next one starts, which bounds the
+memory a render holds; with threads > 1 the groups run on a pool.
 
 Pixel centers sit at half-integer coordinates; alpha is
-opacity * exp(-q/2) with q the conic quadratic form, floored at 0 and
-the product clamped to 0.99.  Splats with alpha below 1/255 at a pixel
-do not blend there.
+opacity * exp(-q/2) with q the conic quadratic form, clipped to
+[0, Q_MAX], and the product clamped to 0.99.  Splats with alpha below
+1/255 at a pixel do not blend there.
 """
 
 from __future__ import annotations
@@ -64,13 +72,19 @@ from .preprocess import SplatBatch, TileBinning, bin_and_sort, preprocess
 
 ALPHA_MIN = 1.0 / 255.0
 ALPHA_MAX = 0.99
+# Cap on the quadratic form q.  Any q above it gives alpha <= exp(-50),
+# far below ALPHA_MIN, so no pixel blends differently; the cap keeps exp
+# out of the subnormal range, where it runs about ten times slower.
+Q_MAX = 100.0
 
-# Run grouping (see the module docstring).  RUN_OVERHEAD_PX is the fixed
-# cost of one run-kernel call in pixel-equivalents.  RUN_MAX_BYTES caps
-# one (g, h, w) slab array, which keeps a run's ~8 live temporaries
-# within a core's L2 cache and the process's peak memory flat.
-RUN_OVERHEAD_PX = 4096
-RUN_MAX_BYTES = 1 << 17
+# Largest blend-block side.  On the benchmark scenes 8 px made the
+# large-splat render 1.3x slower (more block-list entries per pixel of
+# work) and 32 px the float64 train forward 1.4x slower (more evaluated
+# pixels outside the entries' windows).
+BLOCK = 16
+# Block pixels per tile group.  It bounds the (blocks, pixels) arrays of
+# one lockstep step, and with them the process's peak memory.
+GROUP_MAX_PX = 1 << 16
 
 _HYBRID_MODES = ("off", "fixed_fraction", "occlusion_threshold")
 
@@ -116,24 +130,55 @@ class RenderConfig:
 
 @dataclass
 class PixelState:
-    """Per-pixel blend state over one tile (arrays are tile-shaped).
+    """Per-pixel blend state over a tile (h, w) or a group's blocks (n, P).
 
     A pixel is dead (terminated) exactly when T < eps_t; nothing else
     records it.  T only falls, so a dead pixel stays dead and blends
     nothing more.
     """
 
-    rgb: np.ndarray  # (3, h, w) accumulated color, planar, background excluded
-    T: np.ndarray  # (h, w) transmittance
-    stop: np.ndarray  # (h, w) int32 list position where the pixel died, else list end
+    rgb: np.ndarray  # (3, ...) accumulated color, planar, background excluded
+    T: np.ndarray  # (...) transmittance
+    stop: np.ndarray  # (...) int32 list position where the pixel died, else list end
 
 
-def _fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
-    return PixelState(
-        rgb=np.zeros((3, h, w), dtype=dtype),
-        T=np.ones((h, w), dtype=dtype),
-        stop=np.full((h, w), end_pos, dtype=np.int32),
-    )
+def splat_alpha(
+    xc: np.ndarray,
+    yc: np.ndarray,
+    mean: np.ndarray,
+    conic: np.ndarray,
+    opacity: np.ndarray,
+):
+    """Alpha of g splats at pixel centres, in the dtype of the arguments.
+
+    ``mean`` (g, 2), ``conic`` (g, 3) and ``opacity`` (g,) are the
+    entries' splat parameters.  ``xc`` and ``yc`` are pixel-centre
+    coordinates per entry, in any shapes that broadcast to the result's
+    (g, ...) with one splat per leading index: (1, 1, w) and (1, h, 1)
+    for a rectangle, (g, P) for P pixels per entry.  Returns (alpha, dx,
+    dy), dx/dy the offsets from each splat mean.  Each value depends only
+    on its own splat and pixel, so a pixel gets the same alpha in every
+    schedule and batch it is evaluated in.
+    """
+    dt = xc.dtype.type
+    half = dt(0.5)
+    per = (slice(None),) + (None,) * (max(xc.ndim, yc.ndim) - 1)
+    dx = xc - mean[:, 0][per]
+    dy = yc - mean[:, 1][per]
+    a = conic[:, 0][per]
+    b = conic[:, 1][per]
+    c = conic[:, 2][per]
+    # a*dx^2 + 2b*dy*dx + c*dy^2, then opacity * exp(-q/2) clamped; in place
+    # (IEEE addition and multiplication commute, so operand order is free)
+    alpha = 2 * b * dy * dx
+    alpha += a * dx**2
+    alpha += c * dy**2
+    np.clip(alpha, dt(0), dt(Q_MAX), out=alpha)  # 0 guards tiny negatives from rounding
+    alpha *= -half
+    np.exp(alpha, out=alpha)
+    alpha *= opacity[per]
+    np.minimum(alpha, dt(ALPHA_MAX), out=alpha)
+    return alpha, dx, dy
 
 
 def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
@@ -141,284 +186,401 @@ def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
 
     ``idx`` is a splat index, a slice or a 1-D array of g indices.  Returns
     (alpha, dx, dy) of shapes (g, h, w), (g, 1, w) and (g, h, 1), where
-    dx/dy are pixel-center offsets from each splat mean.  Every blend
-    schedule and the backward pass call this one function, and each
-    pixel's value depends only on its own splat and coordinates, so a
-    pixel gets the same alpha whatever rectangle or batch it is
-    evaluated in.
+    dx/dy are pixel-center offsets from each splat mean (``splat_alpha``).
     """
     if isinstance(idx, (int, np.integer)):
         idx = slice(idx, idx + 1)  # a view, cheaper than a gather
     dt = batch.mean2.dtype
     half = dt.type(0.5)
-    mean = batch.mean2[idx]
-    dx = (np.arange(x0, x1).astype(dt) + half)[None, None, :] - mean[:, 0, None, None]
-    dy = (np.arange(y0, y1).astype(dt) + half)[None, :, None] - mean[:, 1, None, None]
-    conic = batch.conic[idx]
-    a = conic[:, 0, None, None]
-    b = conic[:, 1, None, None]
-    c = conic[:, 2, None, None]
-    # a*dx^2 + 2b*dy*dx + c*dy^2, then opacity * exp(-q/2) clamped; in place
-    # (IEEE addition and multiplication commute, so operand order is free)
-    alpha = 2 * b * dy * dx
-    alpha += a * dx**2
-    alpha += c * dy**2
-    np.maximum(alpha, dt.type(0), out=alpha)  # guard tiny negative from rounding
-    alpha *= -half
-    np.exp(alpha, out=alpha)
-    alpha *= batch.opacity[idx][:, None, None]
-    np.minimum(alpha, dt.type(ALPHA_MAX), out=alpha)
-    return alpha, dx, dy
+    xc = (np.arange(x0, x1).astype(dt) + half)[None, None, :]
+    yc = (np.arange(y0, y1).astype(dt) + half)[None, :, None]
+    return splat_alpha(xc, yc, batch.mean2[idx], batch.conic[idx], batch.opacity[idx])
 
 
 def clip_windows(
-    batch: SplatBatch, idx: np.ndarray, rect: tuple[int, int, int, int]
+    batch: SplatBatch, idx: np.ndarray, rect
 ) -> tuple[np.ndarray, np.ndarray]:
     """AABBs of entries ``idx`` (an index array) clipped to ``rect``, and their areas.
 
-    An empty window becomes the inverted box (x1, y1, x0, y0) of ``rect``,
-    which never widens a run's bounding box, and has area 0.
+    ``rect`` is one (x0, y0, x1, y1) or one per entry, shape (len(idx), 4).
+    An empty window becomes the inverted box (x1, y1, x0, y0) of its
+    rect, which never widens a bounding box, and has area 0.
     """
-    x0r, y0r, x1r, y1r = rect
+    rect = np.broadcast_to(np.asarray(rect, dtype=np.int64), (len(idx), 4))
     win = batch.aabb[idx].astype(np.int64, copy=False)  # idx gathers: a copy
-    np.maximum(win[:, :2], (x0r, y0r), out=win[:, :2])
-    np.minimum(win[:, 2:], (x1r, y1r), out=win[:, 2:])
+    np.maximum(win[:, :2], rect[:, :2], out=win[:, :2])
+    np.minimum(win[:, 2:], rect[:, 2:], out=win[:, 2:])
     empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
-    win[empty] = (x1r, y1r, x0r, y0r)
+    win[empty] = rect[empty][:, [2, 3, 0, 1]]
     area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
     return win, area
 
 
-def window_mask(win: np.ndarray, slab: tuple[int, int, int, int]) -> np.ndarray:
-    """(g, h, w) mask of the slab pixels inside each entry's window."""
-    sx0, sy0, sx1, sy1 = slab
-    xs = np.arange(sx0, sx1)
-    ys = np.arange(sy0, sy1)
-    cols = (xs >= win[:, 0, None]) & (xs < win[:, 2, None])
-    rows = (ys >= win[:, 1, None]) & (ys < win[:, 3, None])
-    return rows[:, :, None] & cols[:, None, :]
+def _block_side(tile_side: int) -> int:
+    """Block side for a tile side: ceil(side / BLOCK) blocks of equal size."""
+    n = -(-tile_side // BLOCK)
+    return -(-tile_side // n)
 
 
-def _group_runs(
-    win: np.ndarray, area: np.ndarray, max_elems: int
-) -> list[tuple[int, int, int, int, int, int]]:
-    """Split consecutive list entries into dense-slab runs.
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of values[offsets[i]:offsets[i + 1]]; empty segments sum to 0."""
+    c = np.concatenate(([0], np.cumsum(values)))
+    return c[offsets[1:]] - c[offsets[:-1]]
 
-    ``win`` holds each entry's clipped window (x0, y0, x1, y1), with
-    empty windows set to an inverted box that never widens a run;
-    ``area`` holds the window areas.  A run may hold g entries when g
-    times the area of their bounding box is at most the sum of (window
-    area + RUN_OVERHEAD_PX) and at most ``max_elems``.  The whole span
-    is one run if it qualifies; otherwise runs grow greedily.  Returns
-    (lo, hi, x0, y0, x1, y1) per run, positions relative to ``win``.
+
+class BlockGroup:
+    """Whole tiles cut into blend blocks, with every block's list.
+
+    Every tile of ``tile_size`` (w, h) is cut into the same grid of
+    bh x bw blocks (``_block_side``), numbered tile by tile and row-major
+    within a tile.  Pixel arrays are flat per block, (n_blocks, bh * bw).
+    A block's pixels outside its tile's rect (which may be clipped by the
+    image edge) are padding; ``valid`` marks the others.  Entries are the
+    tiles' lists, concatenated (``entry_off``), with their clipped
+    windows ``win`` and areas.  Block lists are stored concatenated,
+    block by block (``list_off``), each in list order: the entry's splat
+    parameters, its window in block-local coordinates and its tile list
+    position.
     """
-    n = len(area)
-    bx0, by0 = win[:, :2].min(axis=0).tolist()
-    bx1, by1 = win[:, 2:].max(axis=0).tolist()
-    dense = n * max(bx1 - bx0, 0) * max(by1 - by0, 0)
-    if n == 1 or dense <= min(int(area.sum()) + n * RUN_OVERHEAD_PX, max_elems):
-        return [(0, n, bx0, by0, bx1, by1)]
-    wx0, wy0, wx1, wy1 = (col.tolist() for col in win.T)
-    areas = area.tolist()
-    runs = []
-    lo = 0
-    while lo < n:
-        bx0, by0, bx1, by1 = wx0[lo], wy0[lo], wx1[lo], wy1[lo]
-        budget = areas[lo] + RUN_OVERHEAD_PX
-        hi = lo + 1
-        while hi < n:
-            nx0 = min(bx0, wx0[hi])
-            ny0 = min(by0, wy0[hi])
-            nx1 = max(bx1, wx1[hi])
-            ny1 = max(by1, wy1[hi])
-            dense = (hi - lo + 1) * max(nx1 - nx0, 0) * max(ny1 - ny0, 0)
-            nbudget = budget + areas[hi] + RUN_OVERHEAD_PX
-            if dense > nbudget or dense > max_elems:
+
+    def __init__(self, batch: SplatBatch, orders, rects, tile_size: tuple[int, int]):
+        tw, th = tile_size
+        self.tile_size = tile_size
+        bh, bw = self.block = (_block_side(th), _block_side(tw))
+        nby, nbx = self.grid = (-(-th // bh), -(-tw // bw))
+        rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+        nt = len(rects)
+        x0, y0, x1, y1 = rects.T
+        self.rects = rects
+        self.tile_px = (x1 - x0) * (y1 - y0)
+        # runs of tiles side by side in one tile row, for pasting
+        cut = np.flatnonzero((y0[1:] != y0[:-1]) | (x0[1:] != x1[:-1])) + 1
+        self.runs = list(zip([0, *cut.tolist()], [*cut.tolist(), nt]))
+
+        nb = nt * nby * nbx
+        self.block_off = np.arange(nt + 1) * (nby * nbx)
+        self.block_tile = np.repeat(np.arange(nt), nby * nbx)
+        local = np.arange(nb) % (nby * nbx)
+        ox = x0[self.block_tile] + local % nbx * bw
+        oy = y0[self.block_tile] + local // nbx * bh
+        cols = np.broadcast_to((ox[:, None] + np.arange(bw))[:, None, :], (nb, bh, bw))
+        rows = np.broadcast_to((oy[:, None] + np.arange(bh))[:, :, None], (nb, bh, bw))
+        cols, rows = cols.reshape(nb, -1), rows.reshape(nb, -1)
+        dt = batch.mean2.dtype
+        self.dtype = dt
+        self.xc = cols.astype(dt) + dt.type(0.5)
+        self.yc = rows.astype(dt) + dt.type(0.5)
+        self.valid = (cols < x1[self.block_tile, None]) & (rows < y1[self.block_tile, None])
+        self.px = np.tile(np.arange(bw, dtype=np.int8), bh)
+        self.py = np.repeat(np.arange(bh, dtype=np.int8), bw)
+        del cols, rows
+
+        self.m = np.array([len(o) for o in orders], dtype=np.int64)
+        self.entry_off = np.concatenate(([0], np.cumsum(self.m)))
+        etile = np.repeat(np.arange(nt), self.m)
+        splat = np.concatenate([np.asarray(o, dtype=np.int64) for o in orders])
+        self.win, self.area = clip_windows(batch, splat, rects[etile])
+
+        # Expand each entry into the blocks its window meets, then order the
+        # pairs by block; the stable sort keeps list order within a block.
+        c0 = (self.win[:, 0] - x0[etile]) // bw
+        r0 = (self.win[:, 1] - y0[etile]) // bh
+        span_c = -(-(self.win[:, 2] - x0[etile]) // bw) - c0
+        span_r = -(-(self.win[:, 3] - y0[etile]) // bh) - r0
+        count = np.where(self.area > 0, span_c * span_r, 0)
+        e = np.repeat(np.arange(len(splat), dtype=np.int32), count)
+        k = np.arange(len(e), dtype=np.int32) - np.repeat(
+            (np.cumsum(count) - count).astype(np.int32), count
+        )
+        sc = span_c[e]
+        blk = (
+            self.block_off[etile[e]] + (r0[e] + k // sc) * nbx + c0[e] + k % sc
+        ).astype(np.int32)
+        del k, sc
+        by_block = np.argsort(blk, kind="stable")
+        e, blk = e[by_block], blk[by_block]
+        del by_block
+        self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
+        s = splat[e]
+        self.params = np.column_stack(
+            (batch.mean2[s], batch.conic[s], batch.opacity[s], batch.rgb[s])
+        )
+        self.pos = (np.arange(len(splat)) - self.entry_off[etile])[e].astype(np.int32)
+        lwin = self.win[e] - np.stack([ox, oy, ox, oy], axis=1)[blk]
+        np.clip(lwin, 0, (bw, bh, bw, bh), out=lwin)
+        self.lwin = lwin.astype(np.int8)
+
+    def fresh_state(self, end_pos: np.ndarray) -> PixelState:
+        """T = 1, no color and stop = ``end_pos[tile]``; padding starts dead (T = 0)."""
+        stop = np.empty(self.valid.shape, dtype=np.int32)
+        stop[:] = self.per_block(end_pos)
+        return PixelState(
+            rgb=np.zeros((3,) + self.valid.shape, dtype=self.dtype),
+            T=self.valid.astype(self.dtype),
+            stop=stop,
+        )
+
+    def per_block(self, tile_values: np.ndarray) -> np.ndarray:
+        """Per-tile values as a (n_blocks, 1) column."""
+        return tile_values[self.block_tile][:, None]
+
+    def tile_sums(self, block_values: np.ndarray) -> np.ndarray:
+        """Per-tile sums of a (n_blocks, P) array."""
+        return _segment_sums(block_values.sum(axis=1), self.block_off)
+
+    def dead(self, state: PixelState, eps_t: float) -> np.ndarray:
+        """Mask of the pixels (not padding) with T < eps_t."""
+        return (state.T < eps_t) & self.valid
+
+    def paste(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Write (n_blocks, P, ...) values into ``out`` (image h, w, ...), without padding."""
+        tw, _ = self.tile_size
+        bh, bw = self.block
+        nby, nbx = self.grid
+        rest = values.shape[2:]
+        axes = (1, 3, 0, 2, 4) + tuple(range(5, 5 + len(rest)))
+        for t0, t1 in self.runs:
+            x0, y0 = self.rects[t0, :2]
+            x1, y1 = self.rects[t1 - 1, 2:]
+            v = values[self.block_off[t0] : self.block_off[t1]]
+            v = v.reshape((t1 - t0, nby, nbx, bh, bw) + rest).transpose(axes)
+            v = v.reshape((nby * bh, t1 - t0, nbx * bw) + rest)[: y1 - y0, :, :tw]
+            out[y0:y1, x0:x1] = v.reshape((y1 - y0, (t1 - t0) * tw) + rest)[:, : x1 - x0]
+
+    def blend(
+        self,
+        state: PixelState,
+        start: np.ndarray,
+        end: np.ndarray,
+        eps_t: float,
+    ) -> None:
+        """Blend tile list positions [start[t], end[t]) of every tile t into ``state``."""
+        lengths = np.diff(self.list_off)
+        lo = _segment_sums(self.pos < np.repeat(start[self.block_tile], lengths), self.list_off)
+        hi = _segment_sums(self.pos < np.repeat(end[self.block_tile], lengths), self.list_off)
+        self._lockstep(state, self.list_off[:-1] + lo, hi - lo, eps_t)
+
+    def _lockstep(
+        self, state: PixelState, first: np.ndarray, n: np.ndarray, eps_t: float
+    ) -> None:
+        """Blend block-list entries first[b] ... first[b] + n[b] - 1 of every block b.
+
+        Step k blends the k-th entry of every block whose span is longer
+        than k.  Blocks are sorted by span length, longest first, so those
+        are the first n_at[k], and the entries are laid out step by step
+        (``pidx``) so each step reads one slice.  The blocks blended are
+        held in copies of their state.  Once at least an eighth of the
+        held blocks have no live pixel, those are written back and
+        dropped, and each step's slice becomes a gather over the held
+        blocks (``held``).  Pixels are checked for liveness only once one
+        of them has died.
+        """
+        act = n > 0
+        if eps_t > 0.0:
+            act &= state.T.max(axis=1) >= eps_t  # no live pixel: nothing blends
+        blocks = np.flatnonzero(act)
+        if blocks.size == 0:
+            return
+        lens = n[blocks]
+        by_len = np.argsort(-lens, kind="stable")
+        blocks, lens = blocks[by_len], lens[by_len]
+        steps = int(lens[0])
+        n_at = np.searchsorted(-lens, -np.arange(steps + 1), side="left")
+        step_off = np.concatenate(([0], np.cumsum(n_at[:-1])))
+        slot = np.repeat(np.arange(len(blocks)), lens)
+        rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
+        pidx = np.empty(len(slot), dtype=np.int64)
+        pidx[step_off[rank] + slot] = first[blocks][slot] + rank
+        del slot, rank
+        params = self.params[pidx]
+        lwin = self.lwin[pidx]
+        stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
+        del pidx
+
+        T = state.T[blocks]
+        rgb = state.rgb[:, blocks]
+        stop = state.stop[blocks]
+        xc, yc = self.xc[blocks], self.yc[blocks]
+        px, py = self.px, self.py
+        any_dead = eps_t > 0.0 and bool(((T < eps_t) & self.valid[blocks]).any())
+        held = np.arange(len(blocks))
+        gather = False
+        for k in range(steps):
+            if gather:
+                a = int(np.searchsorted(held, n_at[k]))
+                rows = step_off[k] + held[:a]
+            else:
+                a = int(n_at[k])
+                rows = slice(step_off[k], step_off[k] + a)
+            p, win = params[rows], lwin[rows]
+            Tk = T[:a]
+            alpha, _, _ = splat_alpha(xc[:a], yc[:a], p[:, 0:2], p[:, 2:5], p[:, 5])
+            hit = alpha >= ALPHA_MIN
+            hit &= px >= win[:, 0, None]
+            hit &= px < win[:, 2, None]
+            hit &= py >= win[:, 1, None]
+            hit &= py < win[:, 3, None]
+            if any_dead:
+                hit &= Tk >= eps_t
+            alpha *= hit  # alpha where the entry blends, else 0
+            rgb[:, :a] += (Tk * alpha) * p[:, 6:9].T[:, :, None]
+            np.subtract(1, alpha, out=alpha)
+            Tk *= alpha  # factor 1 where the entry does not blend
+            if eps_t <= 0.0:
+                continue
+            hit &= Tk < eps_t  # live before the entry, dead after
+            if not hit.any():
+                continue
+            any_dead = True
+            stop[:a] += hit * (stop_at[rows][:, None] - stop[:a])
+            dead = Tk.max(axis=1) < eps_t
+            if 8 * np.count_nonzero(dead) < a:
+                continue
+            keep = held < n_at[k + 1]
+            keep[:a] &= ~dead
+            out = blocks[held[~keep]]
+            state.T[out] = T[~keep]
+            state.rgb[:, out] = rgb[:, ~keep]
+            state.stop[out] = stop[~keep]
+            T, rgb, stop = T[keep], rgb[:, keep], stop[keep]
+            xc, yc, held = xc[keep], yc[keep], held[keep]
+            gather = True
+            if not len(held):
                 break
-            bx0, by0, bx1, by1, budget = nx0, ny0, nx1, ny1, nbudget
-            hi += 1
-        runs.append((lo, hi, bx0, by0, bx1, by1))
-        lo = hi
-    return runs
+        out = blocks[held]
+        state.T[out] = T
+        state.rgb[:, out] = rgb
+        state.stop[out] = stop
 
 
-def blend_span(
-    state: PixelState,
-    batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    win: np.ndarray,
-    area: np.ndarray,
-    start: int,
-    end: int,
-    eps_t: float,
-) -> None:
-    """Blend order[start:end] into ``state`` front to back, run by run.
+def _merge_partial(state: PixelState, part: PixelState, eps_t: float, chunk_end) -> None:
+    """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state.
 
-    ``win`` and ``area`` are ``clip_windows`` of the whole list, indexed
-    by list position.  A run whose slab is all dead (T < eps_t) is not
-    evaluated: nothing in it can blend.
+    ``chunk_end`` is an int or an array that broadcasts against the state.
+    Selections are products with the live mask (x * 1 and x + 0 are
+    exact), which NumPy runs far faster than ``np.where`` on mixed masks.
     """
-    if start >= end:
-        return
-    x0r, y0r, _, _ = rect
-    max_elems = RUN_MAX_BYTES // batch.mean2.dtype.itemsize
-    for lo, hi, sx0, sy0, sx1, sy1 in _group_runs(
-        win[start:end], area[start:end], max_elems
-    ):
-        sl = (slice(sy0 - y0r, sy1 - y0r), slice(sx0 - x0r, sx1 - x0r))
-        if sx0 < sx1 and sy0 < sy1 and state.T[sl].max() >= eps_t:
-            lo, hi = start + lo, start + hi
-            _blend_slab(
-                state, batch, order[lo:hi], sl, (sx0, sy0, sx1, sy1),
-                win[lo:hi], lo, eps_t,
-            )
-
-
-def _blend_slab(
-    state: PixelState,
-    batch: SplatBatch,
-    idx: np.ndarray,
-    sl: tuple[slice, slice],
-    slab: tuple[int, int, int, int],
-    win: np.ndarray,
-    lo: int,
-    eps_t: float,
-) -> None:
-    """Blend entries ``idx`` (list positions lo...) as one dense slab.
-
-    Row k of the (g+1, h, w) transmittance slab is T before entry
-    lo + k: a running product over rows whose factor is 1 wherever the
-    entry does not blend.  A pixel is live before entry lo + k exactly
-    while row k is at least eps_t.  T only falls, so the live rows are a
-    prefix, and the pixel's final T is the row at its live-row count.
-    Color is one sequential reduction over rows, carry first, so every
-    pixel sees exactly the additions and products of a one-splat-at-a-time
-    blend.
-    """
-    sx0, sy0, sx1, sy1 = slab
-    g = len(idx)
-    alpha, _, _ = alpha_patch(batch, idx, sx0, sx1, sy0, sy1)
-    dt = alpha.dtype.type
-    hit = alpha >= ALPHA_MIN
-    if g > 1:
-        hit &= window_mask(win, slab)
-
-    w = alpha * hit  # alpha where the entry blends, else 0
-    Tacc = np.empty((g + 1,) + alpha.shape[1:], dtype=dt)
-    Tacc[0] = state.T[sl]
-    np.subtract(dt(1), w, out=Tacc[1:])  # factor 1 where the entry does not blend
-    if Tacc[0].size >= 512:  # a strided accumulate costs more than a row loop
-        for k in range(g):
-            np.multiply(Tacc[k], Tacc[k + 1], out=Tacc[k + 1])
-    else:
-        np.multiply.accumulate(Tacc, axis=0, out=Tacc)
-
-    if eps_t > 0.0 and Tacc[g].min() < eps_t:
-        live = Tacc[:g] >= eps_t
-        n_live = np.count_nonzero(live, axis=0)
-        w *= live
-        state.T[sl] = np.take_along_axis(Tacc, n_live[None], axis=0)[0]
-        ended = live[0] & (Tacc[g] < eps_t)  # live on entry, dead after
-        state.stop[sl][ended] = lo + n_live[ended]
-    else:
-        state.T[sl] = Tacc[g]
-
-    Tw = Tacc[:g] * w
-    S = np.empty((g + 1, 3) + alpha.shape[1:], dtype=dt)
-    S[0] = state.rgb[:, sl[0], sl[1]]
-    np.multiply(Tw[:, None], batch.rgb[idx][:, :, None, None], out=S[1:])
-    state.rgb[:, sl[0], sl[1]] = np.add.reduce(S, axis=0)
-
-
-def _merge_partial(
-    state: PixelState, part: PixelState, eps_t: float, chunk_end: int
-) -> None:
-    """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state."""
     live = state.T >= eps_t
-    w = np.where(live, state.T, state.T.dtype.type(0))
-    state.rgb += w * part.rgb
-    state.T = np.where(live, state.T * part.T, state.T)
+    state.rgb += (state.T * live) * part.rgb
+    factor = part.T * live
+    factor += ~live  # part.T where live, else 1
+    state.T *= factor
     if eps_t > 0.0:
-        state.stop[live & (state.T < eps_t)] = chunk_end
+        ended = live & (state.T < eps_t)
+        state.stop += ended * (chunk_end - state.stop)
 
 
-@dataclass
-class TileBlend:
-    """One tile blended under a RenderConfig schedule."""
-
-    state: PixelState
-    counters: EvalCounters
-    split: int  # first list position counted pixel-centrically
-    occluded: list[int] | None  # pixels with T < eps_t after each chunk
-
-
-def blend_tile(
-    batch: SplatBatch,
-    order: np.ndarray,
-    rect: tuple[int, int, int, int],
-    cfg: RenderConfig,
-) -> TileBlend:
-    """Blend one tile's depth-sorted list under cfg's schedule.
+def _blend_group(
+    grp: BlockGroup, cfg: RenderConfig
+) -> tuple[PixelState, np.ndarray, list[int] | None]:
+    """Blend a group's tiles under cfg's schedule: (state, split per tile, occluded).
 
     K = cfg.z_tiles = 1 is one global sweep.  K > 1 blends K chunks of
-    the list prefix from T = 1 with eps_t = 0 and merges them in depth
-    order; the occlusion-threshold hybrid stops chunking once more than
-    theta of the tile has terminated.  Whatever is left of the list then
-    blends on the merged state.  Counting follows from the final state.
+    each list prefix from T = 1 with eps_t = 0 and merges them in depth
+    order; the occlusion-threshold hybrid stops chunking a tile once more
+    than theta of it has terminated.  Whatever is left of each list then
+    blends on the merged state.  ``occluded`` holds the group's dead
+    pixels after each chunk when cfg.record_occlusion is set.
     """
-    x0, y0, x1, y1 = rect
-    h, w = y1 - y0, x1 - x0
-    dtype = batch.mean2.dtype
-    m = len(order)
+    m = grp.m
     K = cfg.z_tiles
-    win, area = clip_windows(batch, order, rect)
+    eps_t = cfg.eps_t
+    theta = cfg.occlusion_threshold
     occluded: list[int] | None = [] if cfg.record_occlusion else None
-
-    if cfg.hybrid == "fixed_fraction" and m > 0:
-        split: int | None = int(np.ceil((1.0 - cfg.hybrid_fraction) * m))
-    elif cfg.hybrid == "occlusion_threshold":
-        split = None  # decided by the blend
+    if cfg.hybrid == "fixed_fraction":
+        split = np.ceil((1.0 - cfg.hybrid_fraction) * m).astype(np.int64)
     else:
-        split = m
+        split = m.copy()
 
-    state = _fresh_state(h, w, dtype, m)
+    state = grp.fresh_state(m)
     if K == 1:
-        blend_span(state, batch, order, rect, win, area, 0, m, cfg.eps_t)
-        if split is None:
-            split = occlusion_switch(area, state.stop, cfg.occlusion_threshold)
+        grp.blend(state, np.zeros_like(m), m, eps_t)
+        if cfg.hybrid == "occlusion_threshold":
+            for t in range(len(m)):
+                b = slice(grp.block_off[t], grp.block_off[t + 1])
+                until = state.stop[b][grp.valid[b]]
+                es = slice(grp.entry_off[t], grp.entry_off[t + 1])
+                split[t] = occlusion_switch(grp.area[es], until, theta)
         if occluded is not None:
-            occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
-    else:
-        theta_px = None if split is not None else cfg.occlusion_threshold * state.T.size
-        split = m if split is None else split
-        for kk, (lo, hi) in enumerate(_chunk_bounds(split, K)):
-            if theta_px is not None and np.count_nonzero(state.T < cfg.eps_t) > theta_px:
-                split = lo
-                if occluded is not None:
-                    # remaining chunk boundaries report the frozen count
-                    occ = int(np.count_nonzero(state.T < cfg.eps_t))
-                    occluded.extend([occ] * (K - kk))
-                break
-            part = _fresh_state(h, w, dtype, hi)
-            blend_span(part, batch, order, rect, win, area, lo, hi, 0.0)
-            _merge_partial(state, part, cfg.eps_t, hi)
-            if occluded is not None:
-                occluded.append(int(np.count_nonzero(state.T < cfg.eps_t)))
-        blend_span(state, batch, order, rect, win, area, split, m, cfg.eps_t)
-    # Each pixel's stop is m if it never terminated, the position after
-    # its terminating entry, or (terminated in a merge) at most split.
-    counters = count_evals(win, area, rect, split, state.stop)
-    return TileBlend(state, counters, split, occluded)
+            occluded.append(int(np.count_nonzero(grp.dead(state, eps_t))))
+        return state, split, occluded
+
+    chunking = np.ones(len(m), dtype=bool)
+    for lo, hi in _chunk_bounds(split.copy(), K):
+        if cfg.hybrid == "occlusion_threshold":
+            over = chunking & (grp.tile_sums(grp.dead(state, eps_t)) > theta * grp.tile_px)
+            split[over] = lo[over]
+            chunking &= ~over
+            hi = np.where(chunking, hi, lo)  # a switched tile chunks no more
+        part = grp.fresh_state(hi)
+        grp.blend(part, lo, hi, 0.0)
+        _merge_partial(state, part, eps_t, grp.per_block(hi))
+        if occluded is not None:
+            # a switched tile's state is unchanged, so it reports its frozen count
+            occluded.append(int(np.count_nonzero(grp.dead(state, eps_t))))
+    grp.blend(state, split, m, eps_t)
+    return state, split, occluded
+
+
+def _tile_groups(binning: TileBinning) -> list[range]:
+    """Runs of consecutive tiles with at most GROUP_MAX_PX block pixels.
+
+    Every tile has the same block grid; a tile larger than the cap is a
+    group of its own.
+    """
+    bh, bw = _block_side(binning.tile_h), _block_side(binning.tile_w)
+    tile_px = -(-binning.tile_h // bh) * bh * -(-binning.tile_w // bw) * bw
+    per = max(1, GROUP_MAX_PX // tile_px)
+    return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
+
+
+def _render_group(
+    batch: SplatBatch,
+    binning: TileBinning,
+    tiles: range,
+    cfg: RenderConfig,
+    img: np.ndarray,
+    t_final: np.ndarray | None,
+    stop_img: np.ndarray | None,
+) -> tuple[EvalCounters, np.ndarray, list[int] | None]:
+    """Blend one group and paste its pixels: (counters, split per tile, occluded).
+
+    Writes the composited color into ``img`` and, when given, T into
+    ``t_final`` and stop into ``stop_img`` (required for the hybrids,
+    which count per tile from each pixel's stop).
+    """
+    rects = [binning.tile_rect(t) for t in tiles]
+    tile_size = (binning.tile_w, binning.tile_h)
+    grp = BlockGroup(batch, [binning.lists[t] for t in tiles], rects, tile_size)
+    state, split, occluded = _blend_group(grp, cfg)
+    bg = np.asarray(cfg.background, dtype=img.dtype)
+    grp.paste(composite_background(state, bg), img)
+    if t_final is not None:
+        grp.paste(state.T, t_final)
+    if stop_img is not None:
+        grp.paste(state.stop, stop_img)
+    if cfg.hybrid == "off":
+        total = int(grp.area.sum())
+        return EvalCounters(total, total, 0), split, occluded
+    counters = EvalCounters()
+    for i, (x0, y0, x1, y1) in enumerate(rects):
+        es = slice(grp.entry_off[i], grp.entry_off[i + 1])
+        until = stop_img[y0:y1, x0:x1]
+        counters.merge(count_evals(grp.win[es], grp.area[es], rects[i], int(split[i]), until))
+    return counters, split, occluded
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
-    """Final (h, w, 3) tile color: accumulated rgb plus remaining T times bg."""
-    return (state.rgb + state.T * background[:, None, None]).transpose(1, 2, 0)
+    """Final color, channels last: accumulated rgb plus remaining T times bg."""
+    bg = background.reshape((3,) + (1,) * state.T.ndim)
+    return np.moveaxis(state.rgb + state.T * bg, 0, -1)
 
 
-def _chunk_bounds(prefix_end: int, k: int) -> list[tuple[int, int]]:
-    """K equal-count chunks of [0, prefix_end); the last takes the remainder."""
+def _chunk_bounds(prefix_end, k: int) -> list[tuple]:
+    """K equal-count chunks of [0, prefix_end); the last takes the remainder.
+
+    ``prefix_end`` is an int or an array of them, one per tile.
+    """
     base = prefix_end // k
     bounds = [(i * base, (i + 1) * base) for i in range(k - 1)]
     bounds.append(((k - 1) * base, prefix_end))
@@ -450,11 +612,12 @@ def render(
     *,
     want_trace: bool = False,
 ) -> RenderResult:
-    """Render a scene: preprocess, bin, blend tiles, composite background.
+    """Render a scene: preprocess, bin, blend tile groups, composite background.
 
-    Tiles are independent; with cfg.threads > 1 they run on a thread
-    pool.  Per-tile work and the (tile-order) reduction of stats are
-    fixed, so results are bit-identical across thread counts and reruns.
+    Groups are independent; with cfg.threads > 1 they run on a thread
+    pool.  No pixel's arithmetic depends on the grouping, and stats are
+    reduced in tile order, so results are bit-identical across thread
+    counts and reruns.
     """
     cfg = cfg if cfg is not None else RenderConfig()
     cfg.validate()
@@ -465,36 +628,30 @@ def render(
     batch64, pstats = preprocess(scene, cam)
     binning = bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height))
     batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
-    bg = np.asarray(cfg.background, dtype=dtype)
 
     h, w = cam.height, cam.width
     img = np.zeros((h, w, 3), dtype=dtype)
     t_final = np.ones((h, w), dtype=dtype) if want_trace else None
-    stop_img = np.zeros((h, w), dtype=np.int32) if want_trace else None
+    tracked = want_trace or cfg.hybrid != "off"
+    stop_img = np.zeros((h, w), dtype=np.int32) if tracked else None
     K = cfg.z_tiles
 
-    def run_tile(t: int):
-        x0, y0, x1, y1 = rect = binning.tile_rect(t)
-        tb = blend_tile(batch, binning.lists[t], rect, cfg)
-        img[y0:y1, x0:x1] = composite_background(tb.state, bg)
-        if want_trace:
-            t_final[y0:y1, x0:x1] = tb.state.T
-            stop_img[y0:y1, x0:x1] = tb.state.stop
-        return tb.counters, tb.split, tb.occluded  # not the state
+    def run_group(tiles: range):
+        return _render_group(batch, binning, tiles, cfg, img, t_final, stop_img)
 
-    n_tiles = binning.n_tiles
-    if cfg.threads > 1 and n_tiles > 1:
+    groups = _tile_groups(binning)
+    if cfg.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(run_tile, range(n_tiles)))
+            results = list(ex.map(run_group, groups))
     else:
-        results = [run_tile(t) for t in range(n_tiles)]
+        results = [run_group(g) for g in groups]
 
     stats = RenderStats(
         image_w=w,
         image_h=h,
         tile_w=binning.tile_w,
         tile_h=binning.tile_h,
-        n_tiles=n_tiles,
+        n_tiles=binning.n_tiles,
         n_input=pstats.n_input,
         culled_near=pstats.culled_near,
         culled_degenerate=pstats.culled_degenerate,
@@ -507,7 +664,7 @@ def render(
     splits: list[int] = []
     for counters, split, occluded in results:
         stats.counters.merge(counters)
-        splits.append(split)
+        splits.extend(split.tolist())
         if occl_total is not None:
             occl_total += np.asarray(occluded, dtype=np.int64)
     if cfg.hybrid != "off":

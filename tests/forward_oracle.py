@@ -1,7 +1,7 @@
 """Reference blend: one splat at a time over its clipped AABB window.
 
-This is the per-splat loop the batched run kernel in
-``tilesplat.forward`` replaced, kept as a test oracle.  It walks each
+This is the per-splat loop that ``tilesplat.forward``'s batched
+kernels replaced, kept as a test oracle.  It walks each
 tile's depth-sorted list front to back, evaluates alpha with scalar
 conic coefficients over the splat's own window, blends that window in
 place and counts its work as it goes.  The schedules (global sweep, z-chunks with merge, fixed

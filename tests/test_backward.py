@@ -8,6 +8,7 @@ from tilesplat.backward import (
     GradAccumulator,
     TilePartial,
     TrainConfig,
+    _group_runs,
     _normalize_vjp,
     _quat_to_rotmat_vjp,
     accumulate_cross_tile,
@@ -32,6 +33,23 @@ def run_backward(batch, order, rect, t_final, stop, grad_img, bg=(0, 0, 0)):
         np.asarray(bg, dtype=np.float64),
         "exact",
     )
+
+
+def test_group_runs_rule():
+    # eight 4x4 windows on a 16x16 tile: one run covering the tile
+    win = np.array([[4 * (k % 4), 4 * (k // 4), 4 * (k % 4) + 4, 4 * (k // 4) + 4]
+                    for k in range(8)])
+    area = np.full(8, 16)
+    assert _group_runs(win, area, 4096) == [(0, 8, 0, 0, 16, 8)]
+    # two 64x64 windows at opposite corners of a 128 px tile stay apart
+    win = np.array([[0, 0, 64, 64], [64, 64, 128, 128]])
+    assert [r[:2] for r in _group_runs(win, np.full(2, 4096), 1 << 20)] == [(0, 1), (1, 2)]
+    # the slab cap bounds g * slab pixels
+    runs = _group_runs(np.tile([0, 0, 16, 16], (40, 1)), np.full(40, 256), 16 * 256)
+    assert [r[:2] for r in runs] == [(0, 16), (16, 32), (32, 40)]
+    # an empty window (inverted box) joins a run without widening it
+    win = np.array([[0, 0, 4, 4], [8, 8, 0, 0], [0, 0, 4, 4]])
+    assert _group_runs(win, np.array([16, 0, 16]), 4096) == [(0, 3, 0, 0, 4, 4)]
 
 
 def test_single_splat_closed_forms():

@@ -10,17 +10,16 @@ from tilesplat.forward import (
     ALPHA_MIN,
     RenderConfig,
     _chunk_bounds,
-    _fresh_state,
-    _group_runs,
     _merge_partial,
     alpha_patch,
-    blend_span,
     clip_windows,
     composite_background,
     render,
 )
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
+
+from tile_kernel import blend_tile_span, fresh_state
 
 
 def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
@@ -86,11 +85,10 @@ def blend(batch, order, rect, eps_t, *, carry=None):
     """Fresh (or copied) state with order blended into it."""
     x0, y0, x1, y1 = rect
     if carry is None:
-        state = _fresh_state(y1 - y0, x1 - x0, batch.mean2.dtype, len(order))
+        state = fresh_state(y1 - y0, x1 - x0, batch.mean2.dtype, len(order))
     else:
         state = copy.deepcopy(carry)
-    win, area = clip_windows(batch, order, rect)
-    blend_span(state, batch, order, rect, win, area, 0, len(order), eps_t)
+    blend_tile_span(state, batch, order, rect, 0, len(order), eps_t)
     return state
 
 
@@ -105,23 +103,6 @@ def until_of(state, m, eps_t, carry=None):
 def count(batch, order, rect, switch, until):
     win, area = clip_windows(batch, order, rect)
     return count_evals(win, area, rect, switch, until)
-
-
-def test_group_runs_rule():
-    # eight 4x4 windows on a 16x16 tile: one run covering the tile
-    win = np.array([[4 * (k % 4), 4 * (k // 4), 4 * (k % 4) + 4, 4 * (k // 4) + 4]
-                    for k in range(8)])
-    area = np.full(8, 16)
-    assert _group_runs(win, area, 4096) == [(0, 8, 0, 0, 16, 8)]
-    # two 64x64 windows at opposite corners of a 128 px tile stay apart
-    win = np.array([[0, 0, 64, 64], [64, 64, 128, 128]])
-    assert [r[:2] for r in _group_runs(win, np.full(2, 4096), 1 << 20)] == [(0, 1), (1, 2)]
-    # the slab cap bounds g * slab pixels
-    runs = _group_runs(np.tile([0, 0, 16, 16], (40, 1)), np.full(40, 256), 16 * 256)
-    assert [r[:2] for r in runs] == [(0, 16), (16, 32), (32, 40)]
-    # an empty window (inverted box) joins a run without widening it
-    win = np.array([[0, 0, 4, 4], [8, 8, 0, 0], [0, 0, 4, 4]])
-    assert _group_runs(win, np.array([16, 0, 16]), 4096) == [(0, 3, 0, 0, 4, 4)]
 
 
 def test_chunk_bounds_partition():
@@ -212,7 +193,7 @@ def test_pixel_centric_saturated_carry_performs_nothing():
         [dict(mean2=(1.5, 1.5), conic=(1, 0, 1), depth=1, rgb=(1, 1, 1), opacity=0.9)],
         image=(4, 4),
     )
-    carry = _fresh_state(4, 4, np.float64, 1)
+    carry = fresh_state(4, 4, np.float64, 1)
     carry.T[:] = 0.5e-4  # every pixel already below eps_t
     out = blend(batch, np.arange(1), (0, 0, 4, 4), 1e-4, carry=carry)
     counters = count(batch, np.arange(1), (0, 0, 4, 4), 0, until_of(out, 1, 1e-4, carry))
@@ -231,7 +212,7 @@ def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
     ]
     batch = hand_batch(splats, image=(4, 4))
     batch.aabb[0] = (8, 8, 12, 12)  # misses the tile
-    carry = _fresh_state(4, 4, np.float64, 3)
+    carry = fresh_state(4, 4, np.float64, 3)
     carry.T[:2] = 0.5e-4  # half the tile already below eps_t, past theta
     state = blend(batch, np.arange(3), (0, 0, 4, 4), 1e-4, carry=carry)
     until = until_of(state, 3, 1e-4, carry)
@@ -248,7 +229,7 @@ def test_pixel_at_exactly_eps_t_is_still_live():
         [dict(mean2=(1.5, 1.5), conic=(1, 0, 1), depth=1, rgb=(1, 1, 1), opacity=0.5)],
         image=(4, 4),
     )
-    carry = _fresh_state(4, 4, np.float64, 1)
+    carry = fresh_state(4, 4, np.float64, 1)
     carry.T[:] = 0.25  # not below eps_t, so not terminated
     out = blend(batch, np.arange(1), (0, 0, 4, 4), 0.25, carry=carry)
     alpha = alpha_patch(batch, 0, 0, 4, 0, 4)[0][0]  # above 1/255 on the whole tile
@@ -270,7 +251,7 @@ def test_single_chunk_merge_is_bitwise_global():
     rect = (0, 0, 32, 32)
     ref = blend(batch, order, rect, eps_t=1e-4)
     part = blend(batch, order, rect, eps_t=0.0)
-    merged = _fresh_state(32, 32, np.float32, len(order))
+    merged = fresh_state(32, 32, np.float32, len(order))
     _merge_partial(merged, part, 1e-4, len(order))
     np.testing.assert_array_equal(ref.rgb, merged.rgb)
     np.testing.assert_array_equal(ref.T, merged.T)

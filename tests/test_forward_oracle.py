@@ -1,23 +1,21 @@
-"""The batched run kernel against the per-splat reference loop, bit for bit."""
+"""The lockstep block kernel against the per-splat reference loop, bit for bit."""
 
 import copy
+import dataclasses
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import forward_oracle as oracle
+from tile_kernel import blend_tile_span, fresh_state, render_tiles
+from tilesplat import forward
 from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
-from tilesplat.forward import (
-    RenderConfig,
-    _fresh_state,
-    blend_span,
-    blend_tile,
-    clip_windows,
-    render,
-)
+from tilesplat.forward import RenderConfig, clip_windows, render
 from tilesplat.preprocess import bin_and_sort, preprocess
-from tilesplat.synth import make_camera, random_scene
+from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
 EXAMPLES = settings(
     max_examples=30,
@@ -44,15 +42,21 @@ def assert_states_equal(got, want, eps_t):
 
 EPS = st.sampled_from([0.0, 1e-4, 1.0])
 DTYPE = st.sampled_from([np.float32, np.float64])
+# Tile sides that are multiples of the 16 px block, that are not (so
+# blocks overhang the tile), and that are smaller than one block.
+TILE = st.one_of(
+    st.sampled_from([(16, 16), (24, 40), (17, 64), (64, 32), (5, 9), (8, 8)]),
+    st.tuples(st.integers(3, 64), st.integers(3, 64)),
+)
 
 
 @EXAMPLES
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(1, 30),
-    w=st.integers(8, 48),
-    h=st.integers(8, 48),
-    tile=st.tuples(st.integers(8, 64), st.integers(8, 64)),
+    w=st.integers(8, 72),
+    h=st.integers(8, 72),
+    tile=TILE,
     dtype=DTYPE,
     eps_t=EPS,
     z_tiles=st.integers(1, 4),
@@ -60,10 +64,15 @@ DTYPE = st.sampled_from([np.float32, np.float64])
     fraction=st.sampled_from([0.25, 0.6]),
     theta=st.sampled_from([0.05, 0.5, 0.9]),
     occlusion=st.booleans(),
+    group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 700]),
 )
 def test_schedules_match_oracle(
-    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, occlusion
+    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, occlusion,
+    group_px,
 ):
+    """Images, stats and occlusion counts, with groups of the default size,
+    of one tile and of a few tiles; then every tile's color, T, stop,
+    counters, split and occlusion counts."""
     scene, cam = small_scene(seed, n, w, h)
     cfg = RenderConfig(
         tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
@@ -71,7 +80,8 @@ def test_schedules_match_oracle(
         background=(0.2, 0.1, 0.4), dtype=dtype,
         record_occlusion=occlusion,
     )
-    res = render(scene, cam, cfg)
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+        res = render(scene, cam, cfg)
     img, stats, t_final, stop = oracle.render(scene, cam, cfg)
     assert np.array_equal(res.image.data, img)
     assert res.stats.to_text() == stats.to_text()
@@ -79,27 +89,24 @@ def test_schedules_match_oracle(
         occ = res.stats.occlusion.occluded_after_chunk
         assert np.array_equal(occ, stats.occlusion.occluded_after_chunk)
 
-    # every tile's full state, counters, split and occlusion counts
+    # With a black background the image is the accumulated color itself.
     batch64, _ = preprocess(scene, cam)
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
-    got_t = np.empty_like(t_final)
-    got_stop = np.empty_like(stop)
-    for t in range(binning.n_tiles):
-        rect = binning.tile_rect(t)
-        x0, y0, x1, y1 = rect
-        tb = blend_tile(batch, binning.lists[t], rect, cfg)
-        state, counters, split, occluded = oracle.blend_tile(
-            batch, binning.lists[t], rect, cfg
-        )
-        assert_states_equal(tb.state, state.planar(), eps_t)
-        assert tb.counters == counters
-        assert tb.split == split
-        assert tb.occluded == occluded
-        got_t[y0:y1, x0:x1] = tb.state.T
-        got_stop[y0:y1, x0:x1] = tb.state.stop
+    black = dataclasses.replace(cfg, background=(0.0, 0.0, 0.0))
+    rgb, got_t, got_stop, tiles = render_tiles(batch, binning, black)
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
+    for t, (counters, split, occluded) in enumerate(tiles):
+        x0, y0, x1, y1 = rect = binning.tile_rect(t)
+        state, want_counters, want_split, want_occluded = oracle.blend_tile(
+            batch, binning.lists[t], rect, cfg
+        )
+        assert np.array_equal(rgb[y0:y1, x0:x1], state.rgb)
+        assert np.array_equal(got_t[y0:y1, x0:x1] < eps_t, state.terminated)
+        assert counters == want_counters
+        assert split == want_split
+        assert occluded == want_occluded
 
     if z_tiles == 1 and hybrid == "off":
         traced = render(scene, cam, cfg, want_trace=True).trace
@@ -107,11 +114,33 @@ def test_schedules_match_oracle(
         assert np.array_equal(traced.stop, stop)
 
 
+@pytest.mark.parametrize(
+    "z_tiles, hybrid", [(1, "off"), (1, "occlusion_threshold"), (3, "fixed_fraction")]
+)
+def test_opaque_scene_matches_oracle(z_tiles, hybrid):
+    """Blocks die at different list positions behind an opaque wall, so
+    the kernel drops dead blocks in the middle of a pass."""
+    rng = np.random.default_rng(11)
+    cam = make_camera(48, 40)
+    scene = opaque_foreground_scene(rng, cam, n_back=60)
+    cfg = RenderConfig(
+        tile_size=(24, 20), z_tiles=z_tiles, hybrid=hybrid, eps_t=1e-4,
+        background=(0.2, 0.1, 0.4), record_occlusion=True,
+    )
+    res = render(scene, cam, cfg, want_trace=z_tiles == 1 and hybrid == "off")
+    img, stats, t_final, stop = oracle.render(scene, cam, cfg)
+    assert np.array_equal(res.image.data, img)
+    assert res.stats.to_text() == stats.to_text()
+    if res.trace is not None:
+        assert np.array_equal(res.trace.t_final, t_final)
+        assert np.array_equal(res.trace.stop, stop)
+
+
 @EXAMPLES
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(1, 40),
-    tile=st.integers(8, 64),
+    tile=TILE,
     dtype=DTYPE,
     eps_t=st.sampled_from([0.0, 1e-4, 0.3, 1.0]),
     span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -134,9 +163,9 @@ def test_span_with_carried_state_matches_oracle(
     m = len(order)
     start, end = sorted(int(round(f * m)) for f in span)
     rng = np.random.default_rng(seed)
-    x0 = int(rng.integers(0, 48 - min(tile, 48) + 1))
-    y0 = int(rng.integers(0, 40 - min(tile, 40) + 1))
-    rect = (x0, y0, min(x0 + tile, 48), min(y0 + tile, 40))
+    x0 = int(rng.integers(0, 48 - min(tile[0], 48) + 1))
+    y0 = int(rng.integers(0, 40 - min(tile[1], 40) + 1))
+    rect = (x0, y0, min(x0 + tile[0], 48), min(y0 + tile[1], 40))
     h, w = rect[3] - rect[1], rect[2] - rect[0]
 
     carry = oracle.fresh_state(h, w, dtype, m)
@@ -166,16 +195,16 @@ def test_span_with_carried_state_matches_oracle(
         counters=want_counters,
     )
 
-    got = _fresh_state(h, w, dtype, m)
+    got = fresh_state(h, w, dtype, m)
     got.rgb[:] = carry.planar().rgb
     got.T[:] = carry.T
     got.stop[:] = carry.stop
-    win, area = clip_windows(batch, order, rect)
-    blend_span(got, batch, order, rect, win, area, start, end, eps_t)
+    blend_tile_span(got, batch, order, rect, start, end, eps_t)
     assert_states_equal(got, want.planar(), eps_t)
 
     until = np.where(got.T < eps_t, got.stop - start, m - start)
     until[carry.terminated] = 0  # dead before the span began
+    win, area = clip_windows(batch, order, rect)
     win, area = win[start:end], area[start:end]
     if mode == "theta":
         assert start + occlusion_switch(area, until, theta) == switch
