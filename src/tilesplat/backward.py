@@ -1,14 +1,16 @@
 """Backward pass: pixel loss gradients to Gaussian parameter gradients.
 
 Each tile is differentiated independently by walking its splat list back
-to front.  The list is cut into runs of consecutive entries
-(``_group_runs``) and each run is swept as one dense (g, h, w) slab over
-the bounding box of its entries' windows, last run first, with one
-``alpha_patch`` and one ``recip_one_minus`` call per run.  A run grows
-greedily while g * area(bounding box) <= sum(window area +
-RUN_OVERHEAD_PX) and one slab array fits in RUN_MAX_BYTES: small splats
-on small tiles become one run per tile, while large splats stay in short
-runs that evaluate little beyond their windows.  The transmittance a
+to front.  An entry's window is its AABB clipped to the tile and cut to
+the box of its q <= 2 ln(255 opacity) ellipse (``preprocess.blend_box``),
+outside which it blends nothing.  The list is cut into runs of
+consecutive entries (``_group_runs``) and each run is swept as one dense
+(g, h, w) slab over the bounding box of its entries' windows, last run
+first, with one ``alpha_patch`` and one ``recip_one_minus`` call per
+run.  A run grows greedily while g * area(bounding box) <= sum(window
+area + RUN_OVERHEAD_PX) and one slab array fits in RUN_MAX_BYTES: small
+splats on small tiles become one run per tile, while large splats stay
+in short runs that evaluate little beyond their windows.  The transmittance a
 splat saw in the forward pass is recovered by dividing the running value
 by (1 - alpha) as the walk retreats, which is what recip_one_minus
 models: a running product from the back whose factor is 1 wherever an
@@ -29,7 +31,6 @@ with hits.  The accumulator's drain count models a fold that drains every
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
 from .forward import (
-    ALPHA_MIN,
     ForwardTrace,
     RenderConfig,
     alpha_patch,
@@ -52,7 +52,7 @@ from .model import (
     quat_to_rotmat,
     stable_sigmoid,
 )
-from .preprocess import LOW_PASS_DILATION, SplatBatch
+from .preprocess import ALPHA_MIN, LOW_PASS_DILATION, SplatBatch, blend_box
 from .sh import sh_basis, sh_basis_grad
 
 
@@ -226,8 +226,9 @@ def backward_tile(
     ``t_final`` and ``stop`` are the full-image trace arrays; ``grad_img``
     is dL/d(pixel) including any loss scaling.  A splat only receives
     gradient from pixels it actually blended into (alpha above threshold,
-    inside its window, and list position before the pixel's stop).  The
-    list is cut into runs (``_group_runs``), which are swept last run first.
+    inside its window, and list position before the pixel's stop).  Each
+    window is cut to the box where the splat can blend (``blend_box``), and
+    the list is cut into runs (``_group_runs``), swept last run first.
     """
     x0, y0, x1, y1 = rect
     m = len(order)
@@ -246,7 +247,8 @@ def backward_tile(
     T = t_final[tile].astype(np.float64)  # transmittance behind the sweep
     S = np.zeros_like(T)  # suffix color projected onto the pixel gradient
     bg_grad = grad_img[tile] @ background if np.any(background != 0.0) else None
-    win, area = clip_windows(batch, order, rect)
+    mean, conic, opacity = batch.mean2[order], batch.conic[order], batch.opacity[order]
+    win, area = clip_windows(blend_box(mean, conic, opacity, batch.aabb[order]), rect)
     max_elems = RUN_MAX_BYTES // T.itemsize
     for lo, hi, sx0, sy0, sx1, sy1 in reversed(_group_runs(win, area, max_elems)):
         if sx0 < sx1 and sy0 < sy1:
@@ -508,23 +510,14 @@ def scene_backward(
     binning = trace.binning
     batch = trace.batch
     bg = np.asarray(tcfg.background, dtype=np.float64)
-
-    def run_tile(t: int) -> TilePartial | None:
-        order = binning.lists[t]
-        if len(order) == 0:
-            return None
-        return backward_tile(
+    partials = [
+        backward_tile(
             batch, order, binning.tile_rect(t), t,
             trace.t_final, trace.stop, grad_img, bg, tcfg.recip_mode,
         )
-
-    n_tiles = binning.n_tiles
-    if tcfg.threads > 1 and n_tiles > 1:
-        with ThreadPoolExecutor(max_workers=tcfg.threads) as ex:
-            results = list(ex.map(run_tile, range(n_tiles)))
-    else:
-        results = [run_tile(t) for t in range(n_tiles)]
-    partials = [p for p in results if p is not None]
+        for t, order in enumerate(binning.lists)
+        if len(order)
+    ]
 
     acc, ops, drains = accumulate_cross_tile(partials, batch.n, tcfg.offload_batch)
     chained = chain_to_3d(scene, cam, trace.batch64, acc)

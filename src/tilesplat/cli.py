@@ -25,7 +25,7 @@ from .execmodel import (
     sweep_reduction,
     tile_sweep,
 )
-from .forward import RenderConfig, render
+from .forward import BlockGroup, RenderConfig, _tile_groups, render
 from .gradcheck import check_gradients, make_fd_case
 from .model import ImageRGB
 from .optim import (
@@ -35,7 +35,7 @@ from .optim import (
     density_control,
     remap_adam_state,
 )
-from .preprocess import preprocess
+from .preprocess import bin_and_sort, preprocess
 from .sceneio import (
     image_to_ppm_bytes,
     load_cameras,
@@ -239,6 +239,33 @@ def cmd_analyze(args) -> int:
         lines.append("tile_size invocations")
         lines.extend(f"{s}x{s} {inv}" for s, inv in sweep)
         lines.append(f"reduction_16_to_64 {sweep_reduction(sweep, 16, 64):.4f}")
+
+    elif args.report == "bounds":
+        cam, scene = _analysis_scene(args, rng, "outdoor")
+        rcfg = RenderConfig()
+        batch, _ = preprocess(scene, cam)
+        binning = bin_and_sort(batch, rcfg.tile_size, (cam.width, cam.height))
+        batch = batch.astype(rcfg.dtype)
+        totals = np.zeros((4, 2), dtype=np.int64)  # rows of (before, after) pruning
+        for tiles in _tile_groups(binning):
+            grp = BlockGroup(
+                batch, [binning.lists[t] for t in tiles],
+                [binning.tile_rect(t) for t in tiles], rcfg.tile_size,
+            )
+            lwin = grp.lwin.astype(np.int64)
+            kept_px = (lwin[:, 2] - lwin[:, 0]) * (lwin[:, 3] - lwin[:, 1])
+            block_px = grp.block[0] * grp.block[1]
+            totals += [
+                [grp.m.sum()] * 2,
+                [grp.area.sum(), kept_px.sum()],
+                [grp.aabb_pairs, len(grp.pos)],
+                [grp.aabb_pairs * block_px, len(grp.pos) * block_px],
+            ]
+        lines.append(f"bounds before after kept ({rcfg.tile_size[0]}x{rcfg.tile_size[1]} tiles)")
+        for name, (before, after) in zip(
+            ("invocations", "window_px", "block_entries", "block_px"), totals
+        ):
+            lines.append(f"{name} {before} {after} {after / max(before, 1):.4f}")
 
     elif args.report == "occlusion":
         cam, scene = _analysis_scene(args, rng, "indoor")
@@ -509,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report",
         required=True,
-        choices=("tile-sweep", "occlusion", "bank", "hybrid"),
+        choices=("tile-sweep", "bounds", "occlusion", "bank", "hybrid"),
     )
     p.add_argument("--scene", help="PLY scene file (default: synthetic)")
     p.add_argument("--cameras", help="camera JSON (first camera is used)")

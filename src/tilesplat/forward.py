@@ -20,18 +20,24 @@ produce bit-identical pixels:
 All of them blend through one lockstep kernel over blend blocks
 (``BlockGroup.blend``).  Each tile is cut into blocks of at most
 BLOCK x BLOCK pixels, and a block's list is the subsequence of its
-tile's list whose clipped window meets the block, in list order.
-Skipping the other entries is exact: at a pixel outside an entry's
-window the entry would blend as T * 1 and rgb + 0, which changes
-nothing.  Every block-list entry keeps its tile list position, so a
-pixel's stop means the same as in the tile's list.  A pass sorts the
-blocks by the length of the span it blends, so the blocks still active
-at step k are a prefix, and step k evaluates alpha and blends list
-position k of every active block in one set of NumPy calls over
-(active blocks, block pixels).  A block whose pixels are all dead
-leaves the active set.  Each pixel sees the same floating-point
-operations in the same order as when splats are blended one at a time,
-so neither the lockstep order nor the grouping changes a bit.
+tile's list whose clipped window meets the block, in list order, less
+the entries whose alpha cannot reach ALPHA_MIN at any pixel centre of
+block and window (``preprocess.can_blend``: the least q over that
+rectangle against 2 ln(255 opacity), with a margin for the blend
+dtype's rounding).  Skipping entries is exact: where an entry's window
+does not reach, or its alpha stays below ALPHA_MIN, the entry would
+blend as T * 1 and rgb + 0, which changes no pixel and kills none, in
+every schedule and from any carried state.  Windows, and with them the
+counters, stay the 3-sigma AABBs of binning.  Every block-list entry
+keeps its tile list position, so a pixel's stop means the same as in
+the tile's list.  A pass sorts the blocks by the length of the span it
+blends, so the blocks still active at step k are a prefix, and step k
+evaluates alpha and blends list position k of every active block in
+one set of NumPy calls over (active blocks, block pixels).  A block
+whose pixels are all dead leaves the active set.  Each pixel sees the
+same floating-point operations in the same order as when splats are
+blended one at a time, so neither the lockstep order nor the grouping
+changes a bit.
 
 The pixel state is color, T and stop: a pixel is dead (terminated)
 exactly when T < eps_t, and stop is the list position after the splat
@@ -68,9 +74,15 @@ from .execmodel import (
     occlusion_switch,
 )
 from .model import Camera, GaussianScene, ImageRGB
-from .preprocess import SplatBatch, TileBinning, bin_and_sort, preprocess
+from .preprocess import (
+    ALPHA_MIN,
+    SplatBatch,
+    TileBinning,
+    bin_and_sort,
+    can_blend,
+    preprocess,
+)
 
-ALPHA_MIN = 1.0 / 255.0
 ALPHA_MAX = 0.99
 # Cap on the quadratic form q.  Any q above it gives alpha <= exp(-50),
 # far below ALPHA_MIN, so no pixel blends differently; the cap keeps exp
@@ -197,17 +209,15 @@ def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
     return splat_alpha(xc, yc, batch.mean2[idx], batch.conic[idx], batch.opacity[idx])
 
 
-def clip_windows(
-    batch: SplatBatch, idx: np.ndarray, rect
-) -> tuple[np.ndarray, np.ndarray]:
-    """AABBs of entries ``idx`` (an index array) clipped to ``rect``, and their areas.
+def clip_windows(boxes: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel boxes (n, 4), such as ``batch.aabb[idx]``, clipped to ``rect``, and their areas.
 
-    ``rect`` is one (x0, y0, x1, y1) or one per entry, shape (len(idx), 4).
-    An empty window becomes the inverted box (x1, y1, x0, y0) of its
-    rect, which never widens a bounding box, and has area 0.
+    ``rect`` is one (x0, y0, x1, y1) or one per box, shape (n, 4).  An
+    empty window becomes the inverted box (x1, y1, x0, y0) of its rect,
+    which never widens a bounding box, and has area 0.
     """
-    rect = np.broadcast_to(np.asarray(rect, dtype=np.int64), (len(idx), 4))
-    win = batch.aabb[idx].astype(np.int64, copy=False)  # idx gathers: a copy
+    rect = np.broadcast_to(np.asarray(rect, dtype=np.int64), (len(boxes), 4))
+    win = boxes.astype(np.int64)  # a copy
     np.maximum(win[:, :2], rect[:, :2], out=win[:, :2])
     np.minimum(win[:, 2:], rect[:, 2:], out=win[:, 2:])
     empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
@@ -237,10 +247,12 @@ class BlockGroup:
     A block's pixels outside its tile's rect (which may be clipped by the
     image edge) are padding; ``valid`` marks the others.  Entries are the
     tiles' lists, concatenated (``entry_off``), with their clipped
-    windows ``win`` and areas.  Block lists are stored concatenated,
-    block by block (``list_off``), each in list order: the entry's splat
-    parameters, its window in block-local coordinates and its tile list
-    position.
+    windows ``win`` and areas.  A block's list holds the entries whose
+    window meets the block (``aabb_pairs`` such pairs in the group) and
+    that can blend there (``preprocess.can_blend``).  Block lists are
+    stored concatenated, block by block (``list_off``), each in list
+    order: the entry's splat parameters, its window in block-local
+    coordinates and its tile list position.
     """
 
     def __init__(self, batch: SplatBatch, orders, rects, tile_size: tuple[int, int]):
@@ -279,7 +291,7 @@ class BlockGroup:
         self.entry_off = np.concatenate(([0], np.cumsum(self.m)))
         etile = np.repeat(np.arange(nt), self.m)
         splat = np.concatenate([np.asarray(o, dtype=np.int64) for o in orders])
-        self.win, self.area = clip_windows(batch, splat, rects[etile])
+        self.win, self.area = clip_windows(batch.aabb[splat], rects[etile])
 
         # Expand each entry into the blocks its window meets, then order the
         # pairs by block; the stable sort keeps list order within a block.
@@ -297,8 +309,17 @@ class BlockGroup:
             self.block_off[etile[e]] + (r0[e] + k // sc) * nbx + c0[e] + k % sc
         ).astype(np.int32)
         del k, sc
+        # Keep a pair only where the entry can blend in block and window.
+        origin = np.stack([ox, oy, ox, oy], axis=1)[blk]
+        lwin = self.win[e] - origin
+        np.clip(lwin, 0, (bw, bh, bw, bh), out=lwin)
+        s = splat[e]
+        keep = can_blend(batch.mean2[s], batch.conic[s], batch.opacity[s], lwin + origin)
+        self.aabb_pairs = len(e)
+        e, blk, lwin = e[keep], blk[keep], lwin[keep]
+        del origin, s, keep
         by_block = np.argsort(blk, kind="stable")
-        e, blk = e[by_block], blk[by_block]
+        e, blk, lwin = e[by_block], blk[by_block], lwin[by_block]
         del by_block
         self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
         s = splat[e]
@@ -306,8 +327,6 @@ class BlockGroup:
             (batch.mean2[s], batch.conic[s], batch.opacity[s], batch.rgb[s])
         )
         self.pos = (np.arange(len(splat)) - self.entry_off[etile])[e].astype(np.int32)
-        lwin = self.win[e] - np.stack([ox, oy, ox, oy], axis=1)[blk]
-        np.clip(lwin, 0, (bw, bh, bw, bh), out=lwin)
         self.lwin = lwin.astype(np.int8)
 
     def fresh_state(self, end_pos: np.ndarray) -> PixelState:

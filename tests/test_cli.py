@@ -178,6 +178,23 @@ def test_analyze_reports(report, needle, capsys, tmp_path):
     assert needle in (tmp_path / "report.txt").read_text()
 
 
+def test_analyze_bounds_report(capsys):
+    """Pruning the block lists keeps binning's invocations and never adds work."""
+    rc = main(["analyze", "--report", "bounds", "--n", "150"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rows = {
+        name: (int(before), int(after), float(kept))
+        for name, before, after, kept in (line.split() for line in out.splitlines()[1:])
+    }
+    assert set(rows) == {"invocations", "window_px", "block_entries", "block_px"}
+    assert rows["invocations"][0] == rows["invocations"][1] > 0
+    for before, after, kept in rows.values():
+        assert 0 < after <= before
+        assert kept == pytest.approx(after / before, abs=1e-4)
+    assert rows["block_entries"][1] < rows["block_entries"][0]
+
+
 def test_analyze_on_file_scene(workdir, capsys):
     rc = main([
         "analyze", "--report", "tile-sweep",

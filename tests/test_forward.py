@@ -101,7 +101,7 @@ def until_of(state, m, eps_t, carry=None):
 
 
 def count(batch, order, rect, switch, until):
-    win, area = clip_windows(batch, order, rect)
+    win, area = clip_windows(batch.aabb[order], rect)
     return count_evals(win, area, rect, switch, until)
 
 
@@ -216,7 +216,7 @@ def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
     carry.T[:2] = 0.5e-4  # half the tile already below eps_t, past theta
     state = blend(batch, np.arange(3), (0, 0, 4, 4), 1e-4, carry=carry)
     until = until_of(state, 3, 1e-4, carry)
-    win, area = clip_windows(batch, np.arange(3), (0, 0, 4, 4))
+    win, area = clip_windows(batch.aabb[:3], (0, 0, 4, 4))
     switch = occlusion_switch(area, until, 0.25)
     assert switch == 2  # after splat 1, the first one with pixels here
     counters = count_evals(win, area, (0, 0, 4, 4), switch, until)

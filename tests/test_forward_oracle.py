@@ -204,8 +204,61 @@ def test_span_with_carried_state_matches_oracle(
 
     until = np.where(got.T < eps_t, got.stop - start, m - start)
     until[carry.terminated] = 0  # dead before the span began
-    win, area = clip_windows(batch, order, rect)
+    win, area = clip_windows(batch.aabb[order], rect)
     win, area = win[start:end], area[start:end]
     if mode == "theta":
         assert start + occlusion_switch(area, until, theta) == switch
     assert count_evals(win, area, rect, switch - start, until) == want_counters
+
+
+def needle_scene(seed: int, n: int, w: int, h: int):
+    """Round splats and needles, some with opacity within a hair of 1/255."""
+    cam = make_camera(w, h, focal=float(max(w, h)))
+    rng = np.random.default_rng(seed)
+    scene = random_scene(
+        rng, n, cam, px_sigma=(0.3, 12.0), logit_range=(-6.5, 3.0), margin=-0.2
+    )
+    needle = rng.uniform(size=n) < 0.5
+    scene.log_scales[needle, 0] += np.log(rng.uniform(2.0, 8.0, size=needle.sum()))
+    scene.log_scales[needle, 1] -= 3.0
+    edge = rng.uniform(size=n) < 0.3  # opacity 1/255, give or take a little
+    scene.opacity_logits[edge] = -np.log(254.0) + rng.normal(scale=1e-4, size=edge.sum())
+    return scene, cam
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 25),
+    w=st.integers(4, 72),
+    h=st.integers(4, 72),
+    tile=TILE,
+    dtype=DTYPE,
+)
+def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype):
+    """Brute force over every block pixel of every (entry, block) pair that
+    the windows meet: a pair with a window pixel where alpha reaches
+    ALPHA_MIN is in the block's list, in list order, and nothing else is."""
+    scene, cam = needle_scene(seed, n, w, h)
+    batch64, _ = preprocess(scene, cam)
+    batch = batch64.astype(dtype)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    tiles = range(binning.n_tiles)
+    grp = forward.BlockGroup(
+        batch, [binning.lists[t] for t in tiles], [binning.tile_rect(t) for t in tiles], tile
+    )
+    for b in range(len(grp.valid)):
+        order = binning.lists[grp.block_tile[b]]
+        kept = grp.pos[grp.list_off[b] : grp.list_off[b + 1]]
+        assert np.all(np.diff(kept) > 0)
+        xc, yc = grp.xc[b][grp.valid[b]], grp.yc[b][grp.valid[b]]
+        cols, rows = xc.astype(np.int64), yc.astype(np.int64)  # floor of the centres
+        alpha, _, _ = forward.splat_alpha(
+            xc[None], yc[None], batch.mean2[order], batch.conic[order], batch.opacity[order]
+        )
+        win = grp.win[grp.entry_off[grp.block_tile[b]] :][: len(order)]
+        inside = (cols >= win[:, 0, None]) & (cols < win[:, 2, None])
+        inside &= (rows >= win[:, 1, None]) & (rows < win[:, 3, None])
+        blends = np.flatnonzero(((alpha >= forward.ALPHA_MIN) & inside).any(axis=1))
+        assert np.isin(blends, kept).all()
+        assert inside[kept].any(axis=1).all()

@@ -3,7 +3,9 @@
 Counters balance, culling accounts for every input Gaussian, pixels are
 finite and non-negative, and the thread count changes no byte of the
 image or the stats text, for every schedule and with renders spread over
-one group or several.
+one group or several.  The hybrid schedules give the pure sweep's color,
+T and stop bit for bit, and depth chunks at eps_t = 0 give the global
+sweep's image within rounding.
 """
 
 import dataclasses
@@ -13,9 +15,19 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tile_kernel import render_tiles
 from tilesplat import forward
 from tilesplat.forward import RenderConfig, render
+from tilesplat.preprocess import bin_and_sort, preprocess
 from tilesplat.synth import make_camera, random_scene
+
+SMALL = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def scene_and_camera(seed: int, n: int, w: int, h: int):
+    cam = make_camera(w, h, focal=float(max(w, h)))
+    rng = np.random.default_rng(seed)
+    return random_scene(rng, n, cam, px_sigma=(0.5, 8.0), logit_range=(-3.0, 6.0)), cam
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -55,3 +67,53 @@ def test_render_invariants(seed, n, w, h, tile, z_tiles, hybrid, eps_t, dtype, g
     for res in runs[1:]:
         assert res.image.data.tobytes() == img.tobytes()
         assert res.stats.to_text() == stats.to_text()
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    w=st.integers(8, 64),
+    h=st.integers(8, 64),
+    tile=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    hybrid=st.sampled_from(["fixed_fraction", "occlusion_threshold"]),
+    fraction=st.sampled_from([0.1, 0.5, 0.9]),
+    theta=st.sampled_from([0.05, 0.5, 0.9]),
+    eps_t=st.sampled_from([0.0, 1e-4, 0.5]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_hybrid_equals_pure(seed, n, w, h, tile, hybrid, fraction, theta, eps_t, dtype):
+    """The pixel-centric tail changes no bit of color, T or stop."""
+    scene, cam = scene_and_camera(seed, n, w, h)
+    cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
+    pure = render(scene, cam, cfg, want_trace=True)
+    batch64, _ = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    hyb = dataclasses.replace(
+        cfg, hybrid=hybrid, hybrid_fraction=fraction, occlusion_threshold=theta
+    )
+    rgb, T, stop, _ = render_tiles(batch64.astype(dtype), binning, hyb)
+    assert np.array_equal(rgb, pure.image.data)  # black background: the color itself
+    assert np.array_equal(T, pure.trace.t_final)
+    assert np.array_equal(stop, pure.trace.stop)
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 60),
+    w=st.integers(8, 64),
+    h=st.integers(8, 64),
+    tile=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    z_tiles=st.integers(2, 8),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype):
+    """At eps_t = 0 the chunk merge is exact up to rounding (criterion 01's bound)."""
+    scene, cam = scene_and_camera(seed, n, w, h)
+    rel, floor = (1e-5, 1e-7) if dtype == np.float32 else (1e-12, 1e-15)
+    cfg = RenderConfig(tile_size=tile, eps_t=0.0, background=(0.1, 0.2, 0.3), dtype=dtype)
+    a = render(scene, cam, cfg).image.data.astype(np.float64)
+    b = render(scene, cam, dataclasses.replace(cfg, z_tiles=z_tiles)).image.data
+    b = b.astype(np.float64)
+    assert np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + floor)
