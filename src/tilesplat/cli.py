@@ -25,7 +25,7 @@ from .execmodel import (
     sweep_reduction,
     tile_sweep,
 )
-from .forward import BlockGroup, RenderConfig, _tile_groups, render
+from .forward import RenderConfig, render
 from .gradcheck import check_gradients, make_fd_case
 from .model import ImageRGB
 from .optim import (
@@ -35,7 +35,7 @@ from .optim import (
     density_control,
     remap_adam_state,
 )
-from .preprocess import bin_and_sort, preprocess
+from .preprocess import preprocess
 from .sceneio import (
     image_to_ppm_bytes,
     load_cameras,
@@ -243,15 +243,8 @@ def cmd_analyze(args) -> int:
     elif args.report == "bounds":
         cam, scene = _analysis_scene(args, rng, "outdoor")
         rcfg = RenderConfig()
-        batch, _ = preprocess(scene, cam)
-        binning = bin_and_sort(batch, rcfg.tile_size, (cam.width, cam.height))
-        batch = batch.astype(rcfg.dtype)
         totals = np.zeros((4, 2), dtype=np.int64)  # rows of (before, after) pruning
-        for tiles in _tile_groups(binning):
-            grp = BlockGroup(
-                batch, [binning.lists[t] for t in tiles],
-                [binning.tile_rect(t) for t in tiles], rcfg.tile_size,
-            )
+        for _, grp, _ in render(scene, cam, rcfg, want_trace=True).trace.groups:
             lwin = grp.lwin.astype(np.int64)
             kept_px = (lwin[:, 2] - lwin[:, 0]) * (lwin[:, 3] - lwin[:, 1])
             block_px = grp.block[0] * grp.block[1]

@@ -52,6 +52,10 @@ Tiles are blended in groups of whole tiles, in tile order, of at most
 GROUP_MAX_PX block pixels.  A group is blended to the end and
 composited into the image before the next one starts, which bounds the
 memory a render holds; with threads > 1 the groups run on a pool.
+With ``want_trace`` each lockstep step also records the pixels it
+blended, their alpha and their entry (``BlockGroup.blend``);
+``ForwardTrace.groups`` keeps the records in tile order, and the
+backward pass replays them instead of deciding again what blends.
 
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, clipped to
@@ -193,22 +197,6 @@ def splat_alpha(
     return alpha, dx, dy
 
 
-def alpha_patch(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
-    """Alpha of splats ``idx`` over one pixel rectangle, in the batch dtype.
-
-    ``idx`` is a splat index, a slice or a 1-D array of g indices.  Returns
-    (alpha, dx, dy) of shapes (g, h, w), (g, 1, w) and (g, h, 1), where
-    dx/dy are pixel-center offsets from each splat mean (``splat_alpha``).
-    """
-    if isinstance(idx, (int, np.integer)):
-        idx = slice(idx, idx + 1)  # a view, cheaper than a gather
-    dt = batch.mean2.dtype
-    half = dt.type(0.5)
-    xc = (np.arange(x0, x1).astype(dt) + half)[None, None, :]
-    yc = (np.arange(y0, y1).astype(dt) + half)[None, :, None]
-    return splat_alpha(xc, yc, batch.mean2[idx], batch.conic[idx], batch.opacity[idx])
-
-
 def clip_windows(boxes: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
     """Pixel boxes (n, 4), such as ``batch.aabb[idx]``, clipped to ``rect``, and their areas.
 
@@ -251,8 +239,9 @@ class BlockGroup:
     window meets the block (``aabb_pairs`` such pairs in the group) and
     that can blend there (``preprocess.can_blend``).  Block lists are
     stored concatenated, block by block (``list_off``), each in list
-    order: the entry's splat parameters, its window in block-local
-    coordinates and its tile list position.
+    order: the group entry, its splat parameters, its window in
+    block-local coordinates and its tile list position.  A group-flat
+    pixel index is block * bh * bw + pixel.
     """
 
     def __init__(self, batch: SplatBatch, orders, rects, tile_size: tuple[int, int]):
@@ -326,6 +315,7 @@ class BlockGroup:
         self.params = np.column_stack(
             (batch.mean2[s], batch.conic[s], batch.opacity[s], batch.rgb[s])
         )
+        self.entry = e
         self.pos = (np.arange(len(splat)) - self.entry_off[etile])[e].astype(np.int32)
         self.lwin = lwin.astype(np.int8)
 
@@ -372,15 +362,26 @@ class BlockGroup:
         start: np.ndarray,
         end: np.ndarray,
         eps_t: float,
+        record: list | None = None,
     ) -> None:
-        """Blend tile list positions [start[t], end[t]) of every tile t into ``state``."""
+        """Blend tile list positions [start[t], end[t]) of every tile t into ``state``.
+
+        ``record``, when given, receives one (pixels, alpha, entries)
+        triple of arrays per lockstep step: the group-flat index of every
+        pixel the step blended (alpha >= ALPHA_MIN, inside the window,
+        live before the entry) as int32, its alpha in the blend dtype and
+        its group entry as int32.  A pixel occurs at most once per step,
+        and each block's entries come in list order, so reading the steps
+        backwards visits every pixel's blends back to front.
+        """
         lengths = np.diff(self.list_off)
         lo = _segment_sums(self.pos < np.repeat(start[self.block_tile], lengths), self.list_off)
         hi = _segment_sums(self.pos < np.repeat(end[self.block_tile], lengths), self.list_off)
-        self._lockstep(state, self.list_off[:-1] + lo, hi - lo, eps_t)
+        self._lockstep(state, self.list_off[:-1] + lo, hi - lo, eps_t, record)
 
     def _lockstep(
-        self, state: PixelState, first: np.ndarray, n: np.ndarray, eps_t: float
+        self, state: PixelState, first: np.ndarray, n: np.ndarray, eps_t: float,
+        record: list | None,
     ) -> None:
         """Blend block-list entries first[b] ... first[b] + n[b] - 1 of every block b.
 
@@ -414,6 +415,10 @@ class BlockGroup:
         params = self.params[pidx]
         lwin = self.lwin[pidx]
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
+        if record is not None:
+            entry = self.entry[pidx]
+            P = self.valid.shape[1]
+            shift = (blocks - np.arange(len(blocks))) * P  # held row r -> group-flat
         del pidx
 
         T = state.T[blocks]
@@ -441,6 +446,11 @@ class BlockGroup:
             hit &= py < win[:, 3, None]
             if any_dead:
                 hit &= Tk >= eps_t
+            if record is not None:
+                nz = np.flatnonzero(hit)
+                r = nz // P
+                flat = (nz + shift[r]).astype(np.int32)
+                record.append((flat, alpha.ravel()[nz], entry[rows][r]))
             alpha *= hit  # alpha where the entry blends, else 0
             rgb[:, :a] += (Tk * alpha) * p[:, 6:9].T[:, :, None]
             np.subtract(1, alpha, out=alpha)
@@ -463,6 +473,8 @@ class BlockGroup:
             state.stop[out] = stop[~keep]
             T, rgb, stop = T[keep], rgb[:, keep], stop[keep]
             xc, yc, held = xc[keep], yc[keep], held[keep]
+            if record is not None:
+                shift = (blocks[held] - np.arange(len(held))) * P
             gather = True
             if not len(held):
                 break
@@ -490,11 +502,12 @@ def _merge_partial(state: PixelState, part: PixelState, eps_t: float, chunk_end)
 
 
 def _blend_group(
-    grp: BlockGroup, cfg: RenderConfig
+    grp: BlockGroup, cfg: RenderConfig, record: list | None = None
 ) -> tuple[PixelState, np.ndarray, list[int] | None]:
     """Blend a group's tiles under cfg's schedule: (state, split per tile, occluded).
 
-    K = cfg.z_tiles = 1 is one global sweep.  K > 1 blends K chunks of
+    K = cfg.z_tiles = 1 is one global sweep, whose steps go to ``record``
+    when given (``BlockGroup.blend``).  K > 1 blends K chunks of
     each list prefix from T = 1 with eps_t = 0 and merges them in depth
     order; the occlusion-threshold hybrid stops chunking a tile once more
     than theta of it has terminated.  Whatever is left of each list then
@@ -513,7 +526,7 @@ def _blend_group(
 
     state = grp.fresh_state(m)
     if K == 1:
-        grp.blend(state, np.zeros_like(m), m, eps_t)
+        grp.blend(state, np.zeros_like(m), m, eps_t, record)
         if cfg.hybrid == "occlusion_threshold":
             for t in range(len(m)):
                 b = slice(grp.block_off[t], grp.block_off[t + 1])
@@ -561,17 +574,21 @@ def _render_group(
     img: np.ndarray,
     t_final: np.ndarray | None,
     stop_img: np.ndarray | None,
-) -> tuple[EvalCounters, np.ndarray, list[int] | None]:
-    """Blend one group and paste its pixels: (counters, split per tile, occluded).
+    want_steps: bool = False,
+) -> tuple[EvalCounters, np.ndarray, list[int] | None, tuple | None]:
+    """Blend one group and paste its pixels: (counters, split per tile, occluded, traced).
 
     Writes the composited color into ``img`` and, when given, T into
     ``t_final`` and stop into ``stop_img`` (required for the hybrids,
-    which count per tile from each pixel's stop).
+    which count per tile from each pixel's stop).  ``traced`` is
+    (tiles, group, recorded steps) with ``want_steps``, else None.
     """
     rects = [binning.tile_rect(t) for t in tiles]
     tile_size = (binning.tile_w, binning.tile_h)
     grp = BlockGroup(batch, [binning.lists[t] for t in tiles], rects, tile_size)
-    state, split, occluded = _blend_group(grp, cfg)
+    steps = [] if want_steps else None
+    state, split, occluded = _blend_group(grp, cfg, steps)
+    traced = (tiles, grp, steps) if want_steps else None
     bg = np.asarray(cfg.background, dtype=img.dtype)
     grp.paste(composite_background(state, bg), img)
     if t_final is not None:
@@ -580,13 +597,13 @@ def _render_group(
         grp.paste(state.stop, stop_img)
     if cfg.hybrid == "off":
         total = int(grp.area.sum())
-        return EvalCounters(total, total, 0), split, occluded
+        return EvalCounters(total, total, 0), split, occluded, traced
     counters = EvalCounters()
     for i, (x0, y0, x1, y1) in enumerate(rects):
         es = slice(grp.entry_off[i], grp.entry_off[i + 1])
         until = stop_img[y0:y1, x0:x1]
         counters.merge(count_evals(grp.win[es], grp.area[es], rects[i], int(split[i]), until))
-    return counters, split, occluded
+    return counters, split, occluded, traced
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
@@ -615,6 +632,8 @@ class ForwardTrace:
     binning: TileBinning
     t_final: np.ndarray  # (h, w) final transmittance per pixel
     stop: np.ndarray  # (h, w) int32 list position after each pixel's last blend
+    # per tile group, in tile order: (tiles, BlockGroup, its recorded blend steps)
+    groups: list[tuple[range, BlockGroup, list]]
 
 
 @dataclass
@@ -656,7 +675,7 @@ def render(
     K = cfg.z_tiles
 
     def run_group(tiles: range):
-        return _render_group(batch, binning, tiles, cfg, img, t_final, stop_img)
+        return _render_group(batch, binning, tiles, cfg, img, t_final, stop_img, want_trace)
 
     groups = _tile_groups(binning)
     if cfg.threads > 1 and len(groups) > 1:
@@ -681,7 +700,7 @@ def render(
     )
     occl_total = np.zeros(K, dtype=np.int64) if cfg.record_occlusion else None
     splits: list[int] = []
-    for counters, split, occluded in results:
+    for counters, split, occluded, _ in results:
         stats.counters.merge(counters)
         splits.extend(split.tolist())
         if occl_total is not None:
@@ -704,5 +723,6 @@ def render(
             binning=binning,
             t_final=t_final,
             stop=stop_img,
+            groups=[traced for *_, traced in results],
         )
     return RenderResult(image=ImageRGB(img), stats=stats, trace=trace)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import TrainConfig, loss_and_pixel_grads, scene_backward
-from .forward import ALPHA_MIN, alpha_patch, render
+from .forward import ALPHA_MIN, render, splat_alpha
 from .model import Camera, GaussianScene, ImageRGB, stable_sigmoid
 from .preprocess import bounding_radius, preprocess
 from .synth import make_camera, orbit_camera, random_scene
@@ -201,7 +201,10 @@ def fd_probe(scene: GaussianScene, cam: Camera) -> bool:
 
     for i in range(batch.n):
         x0, y0, x1, y1 = (int(v) for v in batch.aabb[i])
-        alpha, _, _ = alpha_patch(batch, i, x0, x1, y0, y1)
+        xc = np.arange(x0, x1, dtype=np.float64)[None, None, :] + 0.5
+        yc = np.arange(y0, y1, dtype=np.float64)[None, :, None] + 0.5
+        one = slice(i, i + 1)
+        alpha, _, _ = splat_alpha(xc, yc, batch.mean2[one], batch.conic[one], batch.opacity[one])
         if float(np.abs(alpha - ALPHA_MIN).min()) < ALPHA_MARGIN:
             return False
         # q near 0 means alpha near the full opacity value

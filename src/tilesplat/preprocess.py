@@ -8,10 +8,10 @@ blend kernels.  Splats behind the near plane, with numerically singular
 2D covariance, or with no on-screen footprint are culled.
 
 Binning assigns each surviving splat to every tile its 3-sigma AABB
-overlaps and sorts each tile's list by (depth, gaussian index).  Where
-inside that box a splat can blend at all (alpha = opacity * exp(-q/2)
-at least ALPHA_MIN) is decided here too: ``can_blend`` tests pixel
-rectangles exactly and ``blend_box`` bounds the ellipse by a box.
+overlaps and sorts each tile's list by (depth, gaussian index).
+``can_blend`` tells whether a splat can blend at all (alpha =
+opacity * exp(-q/2) at least ALPHA_MIN) somewhere in a pixel rectangle;
+the forward pass uses it to prune its block lists.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ def bounding_radius(a, b, c) -> np.ndarray:
     return BOUNDING_SIGMAS * np.sqrt(lam_max)
 
 
-def _blend_limit(conic: np.ndarray, opacity: np.ndarray, reach2: np.ndarray) -> np.ndarray:
-    """Largest q at which each splat can blend, plus a rounding margin.
-
-    alpha = opacity * exp(-q/2) reaches ALPHA_MIN exactly when
-    q <= 2 ln(255 opacity).  The margin covers the blend dtype's rounding
-    of q at offsets with dx^2 + dy^2 up to ``reach2``.  Below 0 the splat
-    blends nowhere.
-    """
-    a, b, c = np.abs(conic).T
-    margin = 1e-3 + 1e-5 * (a + 2 * b + c) * reach2
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log(opacity / ALPHA_MIN) + margin
-
-
 def can_blend(mean, conic, opacity, rect: np.ndarray) -> np.ndarray:
     """Mask of the splats whose alpha can reach ALPHA_MIN in ``rect``.
 
@@ -129,29 +115,13 @@ def can_blend(mean, conic, opacity, rect: np.ndarray) -> np.ndarray:
         for dy in ly, hy:
             dx = np.minimum(np.maximum(-b / a * dy, lx), hx)
             np.minimum(q, (a * dx + 2 * b * dy) * dx + c * dy * dy, out=q)
+    # alpha reaches ALPHA_MIN exactly where q <= 2 ln(255 opacity); the margin
+    # covers the blend dtype's rounding of q at offsets up to the farthest centre
     reach2 = np.maximum(-lx, hx) ** 2 + np.maximum(-ly, hy) ** 2
-    return ~(q > _blend_limit(conic, opacity, reach2))  # NaN keeps
-
-
-def blend_box(mean, conic, opacity, box: np.ndarray) -> np.ndarray:
-    """Pixel boxes ``box`` (n, 4) cut to where each splat can blend.
-
-    The ellipse q <= L spans sqrt(L c / det) either side of the mean in x
-    and sqrt(L a / det) in y, for the conic (a, b, c) with det = ac - b^2.
-    Arguments as for ``can_blend``; the result may be empty (x0 >= x1).
-    """
-    mean, conic, opacity = (np.asarray(v, dtype=np.float64) for v in (mean, conic, opacity))
-    reach = np.maximum(np.abs(box[:, :2] + 0.5 - mean), np.abs(box[:, 2:] - 0.5 - mean))
-    limit = _blend_limit(conic, opacity, reach[:, 0] ** 2 + reach[:, 1] ** 2)
-    a, b, c = conic.T
-    det = a * c - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = np.sqrt(np.maximum(limit, 0.0)[:, None] * np.stack([c, a], axis=1) / det[:, None])
-    half[~(det > 0)] = np.inf  # not positive definite: no bound
-    lo = np.clip(np.ceil(mean - half - 0.5), box[:, :2], box[:, 2:])
-    hi = np.clip(np.floor(mean + half - 0.5) + 1, lo, box[:, 2:])
-    hi[limit < 0] = lo[limit < 0]
-    return np.concatenate([lo, hi], axis=1).astype(np.int64)
+    margin = 1e-3 + 1e-5 * (np.abs(a) + 2 * np.abs(b) + np.abs(c)) * reach2
+    with np.errstate(divide="ignore"):
+        limit = 2.0 * np.log(opacity / ALPHA_MIN) + margin
+    return ~(q > limit)  # NaN keeps
 
 
 def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, PreprocessStats]:

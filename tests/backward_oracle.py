@@ -17,7 +17,7 @@ import numpy as np
 
 from tilesplat.approxmath import recip_one_minus
 from tilesplat.backward import TilePartial
-from tilesplat.forward import ALPHA_MIN, ForwardTrace, alpha_patch
+from tilesplat.forward import ALPHA_MIN, ForwardTrace, splat_alpha
 from tilesplat.model import OPACITY_MAX, Camera, GaussianScene, quat_to_rotmat, stable_sigmoid
 from tilesplat.preprocess import LOW_PASS_DILATION, SplatBatch
 from tilesplat.sh import sh_basis, sh_basis_grad
@@ -61,7 +61,12 @@ def backward_tile(
         if ix0 >= ix1 or iy0 >= iy1:
             continue
         sl = (slice(iy0 - y0, iy1 - y0), slice(ix0 - x0, ix1 - x0))
-        alpha, dx, dy = (v[0] for v in alpha_patch(batch, i, ix0, ix1, iy0, iy1))
+        dt = batch.mean2.dtype.type
+        xc = (np.arange(ix0, ix1).astype(dt) + dt(0.5))[None, None, :]
+        yc = (np.arange(iy0, iy1).astype(dt) + dt(0.5))[None, :, None]
+        one = slice(i, i + 1)
+        splat = (batch.mean2[one], batch.conic[one], batch.opacity[one])
+        alpha, dx, dy = (v[0] for v in splat_alpha(xc, yc, *splat))
         contrib = (alpha >= ALPHA_MIN) & (k < stop[iy0:iy1, ix0:ix1])
         nhit = int(np.count_nonzero(contrib))
         out.hits[k] = nhit

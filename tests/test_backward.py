@@ -8,7 +8,6 @@ from tilesplat.backward import (
     GradAccumulator,
     TilePartial,
     TrainConfig,
-    _group_runs,
     _normalize_vjp,
     _quat_to_rotmat_vjp,
     accumulate_cross_tile,
@@ -22,34 +21,24 @@ from tilesplat.sh import SH_C0
 from tilesplat.synth import make_camera, random_scene
 
 from test_forward import hand_batch
+from tile_kernel import traced_tile
 
 
-def run_backward(batch, order, rect, t_final, stop, grad_img, bg=(0, 0, 0)):
-    return backward_tile(
-        batch, np.asarray(order), rect, 0,
-        np.asarray(t_final, dtype=np.float64),
-        np.asarray(stop, dtype=np.int64),
+def run_backward(batch, order, rect, grad_img, bg=(0, 0, 0), eps_t=1e-4):
+    """Blend ``order`` over one tile with a record, then replay it.
+
+    Returns the tile's partial and the traced (T, stop) images.
+    """
+    order = np.asarray(order)
+    h, w = np.shape(grad_img)[:2]
+    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (w, h))
+    part = backward_tile(
+        batch, order, grp, steps, 0, t_final,
         np.asarray(grad_img, dtype=np.float64),
         np.asarray(bg, dtype=np.float64),
         "exact",
     )
-
-
-def test_group_runs_rule():
-    # eight 4x4 windows on a 16x16 tile: one run covering the tile
-    win = np.array([[4 * (k % 4), 4 * (k // 4), 4 * (k % 4) + 4, 4 * (k // 4) + 4]
-                    for k in range(8)])
-    area = np.full(8, 16)
-    assert _group_runs(win, area, 4096) == [(0, 8, 0, 0, 16, 8)]
-    # two 64x64 windows at opposite corners of a 128 px tile stay apart
-    win = np.array([[0, 0, 64, 64], [64, 64, 128, 128]])
-    assert [r[:2] for r in _group_runs(win, np.full(2, 4096), 1 << 20)] == [(0, 1), (1, 2)]
-    # the slab cap bounds g * slab pixels
-    runs = _group_runs(np.tile([0, 0, 16, 16], (40, 1)), np.full(40, 256), 16 * 256)
-    assert [r[:2] for r in runs] == [(0, 16), (16, 32), (32, 40)]
-    # an empty window (inverted box) joins a run without widening it
-    win = np.array([[0, 0, 4, 4], [8, 8, 0, 0], [0, 0, 4, 4]])
-    assert _group_runs(win, np.array([16, 0, 16]), 4096) == [(0, 3, 0, 0, 4, 4)]
+    return part, t_final, stop
 
 
 def test_single_splat_closed_forms():
@@ -64,9 +53,9 @@ def test_single_splat_closed_forms():
     a0 = o                      # at the mean
     a1 = o * np.exp(-0.5)       # dx = 1
     g = np.array([[[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]])
-    t_final = np.array([[1 - a0, 1 - a1]])
-    stop = np.array([[1, 1]])
-    part = run_backward(batch, [0], (0, 0, 2, 1), t_final, stop, g, bg)
+    part, t_final, stop = run_backward(batch, [0], (0, 0, 2, 1), g, bg)
+    np.testing.assert_allclose(t_final, [[1 - a0, 1 - a1]], rtol=1e-15)
+    assert np.all(stop == 1)
 
     np.testing.assert_allclose(part.d_rgb[0], a0 * g[0, 0] + a1 * g[0, 1], rtol=1e-12)
     # d(out)/d(alpha) = (color - background) . pixel grad, transmittance 1
@@ -93,9 +82,9 @@ def test_two_splat_suffix_accumulator():
         image=(1, 1),
     )
     g = np.ones((1, 1, 3))
-    t_final = np.array([[0.5 * 0.2]])
-    stop = np.array([[2]])
-    part = run_backward(batch, [0, 1], (0, 0, 1, 1), t_final, stop, g)
+    part, t_final, stop = run_backward(batch, [0, 1], (0, 0, 1, 1), g)
+    assert t_final[0, 0] == pytest.approx(0.5 * 0.2, rel=1e-15)
+    assert stop[0, 0] == 2
 
     np.testing.assert_allclose(part.d_rgb[0], 0.5 * np.ones(3), rtol=1e-12)
     np.testing.assert_allclose(part.d_rgb[1], 0.5 * 0.8 * np.ones(3), rtol=1e-12)
@@ -112,10 +101,11 @@ def test_stop_masks_gradient():
         for k in range(3)
     ]
     batch = hand_batch(splats, image=(1, 1))
-    part = run_backward(
-        batch, [0, 1, 2], (0, 0, 1, 1),
-        [[0.01]], [[1]], np.ones((1, 1, 3)),
+    # T = 0.01 after splat 1, below eps_t: the pixel stops there
+    part, t_final, stop = run_backward(
+        batch, [0, 1, 2], (0, 0, 1, 1), np.ones((1, 1, 3)), eps_t=0.05
     )
+    assert t_final[0, 0] == pytest.approx(0.01) and stop[0, 0] == 1
     assert part.hits[0] == 1
     assert part.hits[1] == part.hits[2] == 0
     assert np.all(part.d_rgb[1:] == 0)
@@ -123,20 +113,19 @@ def test_stop_masks_gradient():
 
 
 def test_entry_gets_gradient_only_inside_its_window():
-    """Two entries in one run: the first one's AABB covers half the slab."""
+    """Two overlapping entries: the first one's AABB covers half the tile."""
     wide = dict(conic=(0.01, 0.0, 0.01), rgb=(0.3, 0.6, 0.9), opacity=0.7)
     batch = hand_batch(
         [dict(mean2=(4.0, 4.0), depth=1.0, **wide), dict(mean2=(3.0, 5.0), depth=2.0, **wide)]
     )
     batch.aabb[0] = (0, 0, 4, 8)  # alpha stays far above 1/255 beyond it
     rng = np.random.default_rng(0)
-    args = (
-        batch, np.array([0, 1]), (0, 0, 8, 8), 0,
-        rng.uniform(0.05, 0.2, size=(8, 8)), np.full((8, 8), 2, dtype=np.int32),
-        rng.normal(size=(8, 8, 3)), np.array([0.1, 0.2, 0.3]), "exact",
+    order, rect, bg = np.array([0, 1]), (0, 0, 8, 8), (0.1, 0.2, 0.3)
+    g = rng.normal(size=(8, 8, 3))
+    part, t_final, stop = run_backward(batch, order, rect, g, bg, eps_t=0.0)
+    want = backward_oracle.backward_tile(
+        batch, order, rect, 0, t_final, stop, g, np.asarray(bg), "exact"
     )
-    part = backward_tile(*args)
-    want = backward_oracle.backward_tile(*args)
     assert list(part.hits) == [32, 64]
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         np.testing.assert_allclose(getattr(part, key), getattr(want, key), rtol=1e-12)

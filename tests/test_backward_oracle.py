@@ -1,9 +1,10 @@
-"""The batched backward against the splat-at-a-time reference loops.
+"""The replayed backward against the splat-at-a-time reference loops.
 
-Counts (hits, accumulate ops, drain events) must be equal.  Gradients
-are sums taken in another order (slab reductions, a projected suffix
-color, batched Jacobians), so each array must be within 1e-12 of the
-oracle's largest magnitude in that array.
+Both read traces the forward pass made.  Counts (hits, accumulate ops,
+drain events) must be equal.  Gradients are sums taken in another order
+(per-entry bincounts over replayed pairs, a projected suffix color,
+batched Jacobians), so each array must be within 1e-12 of the oracle's
+largest magnitude in that array.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from tilesplat.forward import render
 from tilesplat.model import ImageRGB
 from tilesplat.preprocess import preprocess
 from tilesplat.synth import make_camera, random_scene
+
+from tile_kernel import traced_tile
 
 EXAMPLES = settings(
     max_examples=30,
@@ -91,10 +94,10 @@ def test_scene_backward_matches_oracle(
     dtype=DTYPE,
     recip_mode=RECIP,
     background=BACKGROUND,
-    p_stop=st.sampled_from([0.0, 0.5, 1.0]),
+    eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
 )
-def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, background, p_stop):
-    """Any trace: pixels stop anywhere in the list, T is arbitrary.
+def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, background, eps_t):
+    """One tile blended with a record: pixels stop wherever eps_t takes them.
 
     The list is every splat in depth order, so some entries miss the
     tile entirely.
@@ -102,21 +105,16 @@ def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, backgrou
     scene, cam = small_scene(seed, n, 48, 40)
     batch = preprocess(scene, cam)[0].astype(dtype)
     order = np.argsort(batch.depth, kind="stable")
-    m = len(order)
     rng = np.random.default_rng(seed)
     x0 = int(rng.integers(0, 48 - min(tile, 48) + 1))
     y0 = int(rng.integers(0, 40 - min(tile, 40) + 1))
     rect = (x0, y0, min(x0 + tile, 48), min(y0 + tile, 40))
-    t_final = rng.uniform(0.0, 1.0, size=(40, 48)).astype(dtype)
-    stop = np.where(
-        rng.uniform(size=(40, 48)) < p_stop, rng.integers(0, m + 1, size=(40, 48)), m
-    ).astype(np.int32)
+    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (48, 40))
     grad_img = rng.normal(size=(40, 48, 3))
     bg = np.asarray(background)
 
-    args = (batch, order, rect, 3, t_final, stop, grad_img, bg, recip_mode)
-    got = backward_tile(*args)
-    want = oracle.backward_tile(*args)
+    got = backward_tile(batch, order, grp, steps, 3, t_final, grad_img, bg, recip_mode)
+    want = oracle.backward_tile(batch, order, rect, 3, t_final, stop, grad_img, bg, recip_mode)
     assert got.tile_index == want.tile_index
     assert np.array_equal(got.order, want.order)
     assert np.array_equal(got.hits, want.hits)

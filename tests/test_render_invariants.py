@@ -5,7 +5,8 @@ finite and non-negative, and the thread count changes no byte of the
 image or the stats text, for every schedule and with renders spread over
 one group or several.  The hybrid schedules give the pure sweep's color,
 T and stop bit for bit, and depth chunks at eps_t = 0 give the global
-sweep's image within rounding.
+sweep's image within rounding.  The blend steps a traced render records
+can be replayed back to front, as the backward pass does.
 """
 
 import dataclasses
@@ -117,3 +118,49 @@ def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype):
     b = render(scene, cam, dataclasses.replace(cfg, z_tiles=z_tiles)).image.data
     b = b.astype(np.float64)
     assert np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + floor)
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 40),
+    w=st.integers(8, 64),
+    h=st.integers(8, 64),
+    tile=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    eps_t=st.sampled_from([0.0, 1e-4, 0.5]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 500]),
+)
+def test_recorded_steps_replay_back_to_front(seed, n, w, h, tile, eps_t, dtype, group_px):
+    """What the backward relies on: no recorded step repeats a pixel, and at
+    every pixel the list positions of the entries it blended strictly
+    increase from step to step.  The record reproduces T bit for bit and
+    does not depend on the thread count."""
+    scene, cam = scene_and_camera(seed, n, w, h)
+    cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+        traces = [
+            render(scene, cam, dataclasses.replace(cfg, threads=t), want_trace=True).trace
+            for t in (1, 2)
+        ]
+    tr = traces[0]
+    for (tiles, grp, steps), (tiles2, _, steps2) in zip(tr.groups, traces[1].groups):
+        assert tiles == tiles2 and len(steps) == len(steps2)
+        for step, step2 in zip(steps, steps2):
+            assert all(np.array_equal(a, b) for a, b in zip(step, step2))
+        T = np.ones(grp.valid.size, dtype=dtype)
+        T[~grp.valid.reshape(-1)] = 0
+        last = np.full(grp.valid.size, -1)
+        for pixels, alpha, entries in steps:
+            assert pixels.dtype == entries.dtype == np.int32 and alpha.dtype == dtype
+            assert len(np.unique(pixels)) == len(pixels)
+            tile = np.searchsorted(grp.entry_off, entries, side="right") - 1
+            pos = entries - grp.entry_off[tile]
+            assert np.all(pos > last[pixels])
+            last[pixels] = pos
+            T[pixels] *= 1 - alpha
+        got = tr.t_final.copy()
+        got[:] = np.nan  # every pixel of the group's tiles is written
+        grp.paste(T.reshape(grp.valid.shape), got)
+        for x0, y0, x1, y1 in grp.rects:
+            assert np.array_equal(got[y0:y1, x0:x1], tr.t_final[y0:y1, x0:x1])

@@ -7,6 +7,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tilesplat.backward import TrainConfig
 from tilesplat.forward import RenderConfig, render
@@ -134,6 +137,38 @@ def test_ply_empty_scene_roundtrip():
     )
     back = scene_from_ply_bytes(scene_to_ply_bytes(scene))
     assert back.n == 0 and back.degree == 0
+
+
+# float32 values a scene may hold: -0.0, subnormals and the largest finite
+# magnitudes next to whatever hypothesis draws
+PLY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.1754942e-38, 1e30, -3.4028235e38]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5), degree=st.integers(0, 3))
+def test_ply_bytes_roundtrip_property(data, n, degree):
+    """bytes -> scene -> bytes is byte-exact, and every float keeps its bits."""
+    shapes = {
+        "means": (n, 3),
+        "log_scales": (n, 3),
+        "rotations": (n, 4),
+        "opacity_logits": (n,),
+        "sh": (n, (degree + 1) ** 2, 3),
+    }
+    values = {
+        key: data.draw(arrays(np.float32, shape, elements=PLY_FLOAT))
+        for key, shape in shapes.items()
+    }
+    blob = scene_to_ply_bytes(GaussianScene(**values))
+    back = scene_from_ply_bytes(blob)
+    assert back.n == n and back.degree == degree
+    assert scene_to_ply_bytes(back) == blob
+    for key, want in values.items():
+        got = getattr(back, key).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), key
 
 
 def test_ply_truncation_message():

@@ -4,7 +4,9 @@
 with ``BlockGroup.blend``.  ``fresh_state`` makes one tile's state
 (planar (3, h, w) color, (h, w) T and stop), and ``blend_tile_span``
 cuts such a state into that layout, blends a span of the tile's list
-and writes the result back.  ``render_tiles`` runs
+and writes the result back.  ``traced_tile`` blends a whole list over
+one tile as a group of its own and keeps the steps it records, which is
+what the backward replays.  ``render_tiles`` runs
 ``forward._render_group`` once per tile, which exposes each tile's
 counters, split and occlusion counts.
 """
@@ -68,6 +70,32 @@ def blend_tile_span(
     state.stop[:] = stop[y0:, x0:]
 
 
+def traced_tile(
+    batch: SplatBatch,
+    order: np.ndarray,
+    rect: tuple[int, int, int, int],
+    eps_t: float,
+    image_size: tuple[int, int],
+):
+    """Blend all of ``order`` over one tile, recording: (group, steps, T, stop).
+
+    T and stop are image arrays of ``image_size`` (w, h); outside the
+    tile T is 1 and stop is the list length.
+    """
+    x0, y0, x1, y1 = rect
+    m = len(order)
+    grp = BlockGroup(batch, [order], [rect], (x1 - x0, y1 - y0))
+    state = grp.fresh_state(np.array([m]))
+    steps: list = []
+    grp.blend(state, np.array([0]), np.array([m]), eps_t, steps)
+    w, h = image_size
+    t_final = np.ones((h, w), dtype=batch.mean2.dtype)
+    stop = np.full((h, w), m, dtype=np.int32)
+    grp.paste(state.T, t_final)
+    grp.paste(state.stop, stop)
+    return grp, steps, t_final, stop
+
+
 def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig):
     """Every tile as a group of its own: (image, T, stop, per-tile results).
 
@@ -79,7 +107,7 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig):
     stop = np.zeros((h, w), dtype=np.int32)
     tiles = []
     for t in range(binning.n_tiles):
-        counters, split, occluded = forward._render_group(
+        counters, split, occluded, _ = forward._render_group(
             batch, binning, range(t, t + 1), cfg, img, t_final, stop
         )
         tiles.append((counters, int(split[0]), occluded))
