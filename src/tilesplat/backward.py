@@ -33,7 +33,7 @@ import numpy as np
 
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
-from .forward import BlockGroup, ForwardTrace, RenderConfig, render
+from .forward import BlockGroup, ForwardTrace, RenderConfig, render, require_int
 from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, quat_to_rotmat, stable_sigmoid
 from .preprocess import LOW_PASS_DILATION, SplatBatch
 from .sh import sh_basis, sh_basis_grad
@@ -55,6 +55,7 @@ class TrainConfig:
             raise ValueError("loss must be 'l1' or 'l2'")
         if self.recip_mode not in ("exact", "approx"):
             raise ValueError("recip_mode must be 'exact' or 'approx'")
+        require_int("offload_batch", self.offload_batch)
         if self.offload_batch < 1:
             raise ValueError("offload_batch must be >= 1")
         self.render_config().validate()

@@ -25,7 +25,7 @@ from .execmodel import (
     sweep_reduction,
     tile_sweep,
 )
-from .forward import RenderConfig, render
+from .forward import RenderConfig, block_groups, render
 from .gradcheck import check_gradients, make_fd_case
 from .model import ImageRGB
 from .optim import (
@@ -244,7 +244,7 @@ def cmd_analyze(args) -> int:
         cam, scene = _analysis_scene(args, rng, "outdoor")
         rcfg = RenderConfig()
         totals = np.zeros((4, 2), dtype=np.int64)  # rows of (before, after) pruning
-        for _, grp, _ in render(scene, cam, rcfg, want_trace=True).trace.groups:
+        for grp in block_groups(scene, cam, rcfg):
             lwin = grp.lwin.astype(np.int64)
             kept_px = (lwin[:, 2] - lwin[:, 0]) * (lwin[:, 3] - lwin[:, 1])
             block_px = grp.block[0] * grp.block[1]

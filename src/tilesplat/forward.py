@@ -39,19 +39,34 @@ same floating-point operations in the same order as when splats are
 blended one at a time, so neither the lockstep order nor the grouping
 changes a bit.
 
+A pass blends rows of block pixels.  A plain span blends each block's
+row in place.  Depth chunks blend (block, chunk) rows, each from the
+fresh state with eps_t = 0 (``BlockGroup.blend_chunks``), and each row
+is folded into its block's running state as it is written back, in
+depth order, with the merge's arithmetic (``_merge_partial``).  Rows
+with no entry in their chunk, and with eps_t > 0 the blocks with no
+live pixel, are left out, since the fold is the identity there.  The K
+chunks of a list are independent, so all (block, chunk) rows blend in
+one pass, and a group then holds K rows per block.  The
+occlusion-threshold hybrid needs the merged state after chunk k to
+decide whether a tile blends chunk k + 1, so it blends one chunk per
+pass, over the tiles still chunking.
+
 The pixel state is color, T and stop: a pixel is dead (terminated)
 exactly when T < eps_t, and stop is the list position after the splat
 (or the end of the depth chunk) that took it there.  Schedules differ
 only in the spans they blend, the state a span starts from and its
 eps_t.  The kernel computes pixel state only; each tile's counters
 follow afterwards from its clipped windows and each pixel's stop
-position (``execmodel.count_evals``), so they count window pixels,
-never a block's padding.
+position (``execmodel.count_skipped``, which gives ``count_evals``'
+counts for a whole group), so they count window pixels, never a
+block's padding.
 
-Tiles are blended in groups of whole tiles, in tile order, of at most
-GROUP_MAX_PX block pixels.  A group is blended to the end and
-composited into the image before the next one starts, which bounds the
-memory a render holds; with threads > 1 the groups run on a pool.
+Tiles are blended in groups of whole tiles, in tile order, whose pass
+rows hold at most GROUP_MAX_PX block pixels.  A group is blended to
+the end and composited into the image before the next one starts,
+which bounds the memory a render holds; with threads > 1 the groups
+run on a pool.
 With ``want_trace`` each lockstep step also records the pixels it
 blended, their alpha and their entry (``BlockGroup.blend``);
 ``ForwardTrace.groups`` keeps the records in tile order, and the
@@ -65,6 +80,7 @@ opacity * exp(-q/2) with q the conic quadratic form, clipped to
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,7 +90,7 @@ from .execmodel import (
     EvalCounters,
     OcclusionTrace,
     RenderStats,
-    count_evals,
+    count_skipped,
     occlusion_switch,
 )
 from .model import Camera, GaussianScene, ImageRGB
@@ -119,9 +135,15 @@ class RenderConfig:
     record_occlusion: bool = False
 
     def validate(self) -> None:
-        tw, th = self.tile_size
+        try:
+            tw, th = self.tile_size
+        except (TypeError, ValueError):
+            raise ValueError(f"tile_size must be two integers, got {self.tile_size!r}") from None
+        require_int("tile_size", tw)
+        require_int("tile_size", th)
         if tw <= 0 or th <= 0:
             raise ValueError("tile_size must be positive")
+        require_int("z_tiles", self.z_tiles)
         if self.z_tiles < 1:
             raise ValueError("z_tiles must be >= 1")
         if self.eps_t < 0:
@@ -140,8 +162,15 @@ class RenderConfig:
             not np.isfinite(v) or v < 0 for v in self.background
         ):
             raise ValueError("background must be 3 finite non-negative values")
+        require_int("threads", self.threads)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a NumPy one too), not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -220,10 +249,21 @@ def _block_side(tile_side: int) -> int:
     return -(-tile_side // n)
 
 
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of values[offsets[i]:offsets[i + 1]]; empty segments sum to 0."""
-    c = np.concatenate(([0], np.cumsum(values)))
-    return c[offsets[1:]] - c[offsets[:-1]]
+class SplatTable:
+    """A render's splats, packed once for the block lists of all its groups.
+
+    ``params`` (n, 9) holds each splat's blend-dtype mean, conic, opacity
+    and rgb: the row a block-list entry carries into the kernel.
+    ``splat64`` (6, n) holds the same mean, conic and opacity as float64
+    rows, the columns ``preprocess.can_blend`` reads.  ``aabb`` are the
+    binning boxes.
+    """
+
+    def __init__(self, batch: SplatBatch):
+        self.dtype = batch.mean2.dtype
+        self.aabb = batch.aabb
+        self.params = np.column_stack((batch.mean2, batch.conic, batch.opacity, batch.rgb))
+        self.splat64 = np.ascontiguousarray(self.params[:, :6].T, dtype=np.float64)
 
 
 class BlockGroup:
@@ -244,7 +284,7 @@ class BlockGroup:
     pixel index is block * bh * bw + pixel.
     """
 
-    def __init__(self, batch: SplatBatch, orders, rects, tile_size: tuple[int, int]):
+    def __init__(self, table: SplatTable, orders, rects, tile_size: tuple[int, int]):
         tw, th = tile_size
         self.tile_size = tile_size
         bh, bw = self.block = (_block_side(th), _block_side(tw))
@@ -262,16 +302,16 @@ class BlockGroup:
         self.block_off = np.arange(nt + 1) * (nby * nbx)
         self.block_tile = np.repeat(np.arange(nt), nby * nbx)
         local = np.arange(nb) % (nby * nbx)
-        ox = x0[self.block_tile] + local % nbx * bw
-        oy = y0[self.block_tile] + local // nbx * bh
-        cols = np.broadcast_to((ox[:, None] + np.arange(bw))[:, None, :], (nb, bh, bw))
-        rows = np.broadcast_to((oy[:, None] + np.arange(bh))[:, :, None], (nb, bh, bw))
-        cols, rows = cols.reshape(nb, -1), rows.reshape(nb, -1)
-        dt = batch.mean2.dtype
-        self.dtype = dt
-        self.xc = cols.astype(dt) + dt.type(0.5)
-        self.yc = rows.astype(dt) + dt.type(0.5)
-        self.valid = (cols < x1[self.block_tile, None]) & (rows < y1[self.block_tile, None])
+        cols = (x0[self.block_tile] + local % nbx * bw)[:, None] + np.arange(bw)  # (nb, bw)
+        rows = (y0[self.block_tile] + local // nbx * bh)[:, None] + np.arange(bh)  # (nb, bh)
+        dt = self.dtype = table.dtype
+        px = (nb, bh, bw)
+        self.xc = np.broadcast_to((cols.astype(dt) + dt.type(0.5))[:, None, :], px).reshape(nb, -1)
+        self.yc = np.broadcast_to((rows.astype(dt) + dt.type(0.5))[:, :, None], px).reshape(nb, -1)
+        self.valid = (
+            (cols < x1[self.block_tile, None])[:, None, :]
+            & (rows < y1[self.block_tile, None])[:, :, None]
+        ).reshape(nb, -1)
         self.px = np.tile(np.arange(bw, dtype=np.int8), bh)
         self.py = np.repeat(np.arange(bh, dtype=np.int8), bw)
         del cols, rows
@@ -280,66 +320,63 @@ class BlockGroup:
         self.entry_off = np.concatenate(([0], np.cumsum(self.m)))
         etile = np.repeat(np.arange(nt), self.m)
         splat = np.concatenate([np.asarray(o, dtype=np.int64) for o in orders])
-        self.win, self.area = clip_windows(batch.aabb[splat], rects[etile])
+        self.win, self.area = clip_windows(np.take(table.aabb, splat, axis=0), rects[etile])
 
-        # Expand each entry into the blocks its window meets, then order the
-        # pairs by block; the stable sort keeps list order within a block.
-        c0 = (self.win[:, 0] - x0[etile]) // bw
-        r0 = (self.win[:, 1] - y0[etile]) // bh
-        span_c = -(-(self.win[:, 2] - x0[etile]) // bw) - c0
-        span_r = -(-(self.win[:, 3] - y0[etile]) // bh) - r0
+        # Expand each entry into the blocks its window meets, span_c by
+        # span_r of them from block (r0, c0) of its tile; pair order is
+        # entry order.
+        ex0, ey0 = x0[etile], y0[etile]
+        c0 = (self.win[:, 0] - ex0) // bw
+        r0 = (self.win[:, 1] - ey0) // bh
+        span_c = -(-(self.win[:, 2] - ex0) // bw) - c0
+        span_r = -(-(self.win[:, 3] - ey0) // bh) - r0
         count = np.where(self.area > 0, span_c * span_r, 0)
         e = np.repeat(np.arange(len(splat), dtype=np.int32), count)
         k = np.arange(len(e), dtype=np.int32) - np.repeat(
             (np.cumsum(count) - count).astype(np.int32), count
         )
-        sc = span_c[e]
-        blk = (
-            self.block_off[etile[e]] + (r0[e] + k // sc) * nbx + c0[e] + k % sc
-        ).astype(np.int32)
-        del k, sc
-        # Keep a pair only where the entry can blend in block and window.
-        origin = np.stack([ox, oy, ox, oy], axis=1)[blk]
-        lwin = self.win[e] - origin
-        np.clip(lwin, 0, (bw, bh, bw, bh), out=lwin)
-        s = splat[e]
-        keep = can_blend(batch.mean2[s], batch.conic[s], batch.opacity[s], lwin + origin)
-        self.aabb_pairs = len(e)
-        e, blk, lwin = e[keep], blk[keep], lwin[keep]
-        del origin, s, keep
-        by_block = np.argsort(blk, kind="stable")
-        e, blk, lwin = e[by_block], blk[by_block], lwin[by_block]
-        del by_block
-        self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
-        s = splat[e]
-        self.params = np.column_stack(
-            (batch.mean2[s], batch.conic[s], batch.opacity[s], batch.rgb[s])
+        dr, dc = np.divmod(k, span_c.astype(np.int32)[e])
+        del k
+        blk = (self.block_off[etile] + r0 * nbx + c0).astype(np.int32)[e] + dr * nbx + dc
+        # each pair's block origin, and the window cut to the block
+        ox = (ex0 + c0 * bw).astype(np.int32)[e] + dc * bw
+        oy = (ey0 + r0 * bh).astype(np.int32)[e] + dr * bh
+        del dr, dc
+        wx0, wy0, wx1, wy1 = self.win.astype(np.int32).T
+        rect = (
+            np.maximum(wx0[e], ox),
+            np.maximum(wy0[e], oy),
+            np.minimum(wx1[e], ox + bw),
+            np.minimum(wy1[e], oy + bh),
         )
+        # Keep a pair only where the entry can blend in block and window,
+        # then order the pairs by block; the stable sort keeps list order.
+        keep = np.flatnonzero(can_blend(np.take(table.splat64, splat[e], axis=1), rect))
+        self.aabb_pairs = len(e)
+        keep = keep[np.argsort(blk[keep], kind="stable")]
+        lwin = np.empty((len(keep), 4), dtype=np.int8)
+        for j, (r, o) in enumerate(zip(rect, (ox, oy, ox, oy))):
+            lwin[:, j] = r[keep] - o[keep]
+        self.lwin = lwin
+        del rect, ox, oy
+        blk, e = blk[keep], e[keep]
+        self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
+        self.params = np.take(table.params, splat[e], axis=0)
         self.entry = e
-        self.pos = (np.arange(len(splat)) - self.entry_off[etile])[e].astype(np.int32)
-        self.lwin = lwin.astype(np.int8)
+        self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
+        # Block-list entries by (block, list position), for ``_at``.
+        self._stride = int(self.m.max(initial=0)) + 1
+        self._key = blk * np.int64(self._stride) + self.pos
 
     def fresh_state(self, end_pos: np.ndarray) -> PixelState:
         """T = 1, no color and stop = ``end_pos[tile]``; padding starts dead (T = 0)."""
         stop = np.empty(self.valid.shape, dtype=np.int32)
-        stop[:] = self.per_block(end_pos)
+        stop[:] = end_pos[self.block_tile][:, None]
         return PixelState(
             rgb=np.zeros((3,) + self.valid.shape, dtype=self.dtype),
             T=self.valid.astype(self.dtype),
             stop=stop,
         )
-
-    def per_block(self, tile_values: np.ndarray) -> np.ndarray:
-        """Per-tile values as a (n_blocks, 1) column."""
-        return tile_values[self.block_tile][:, None]
-
-    def tile_sums(self, block_values: np.ndarray) -> np.ndarray:
-        """Per-tile sums of a (n_blocks, P) array."""
-        return _segment_sums(block_values.sum(axis=1), self.block_off)
-
-    def dead(self, state: PixelState, eps_t: float) -> np.ndarray:
-        """Mask of the pixels (not padding) with T < eps_t."""
-        return (state.T < eps_t) & self.valid
 
     def paste(self, values: np.ndarray, out: np.ndarray) -> None:
         """Write (n_blocks, P, ...) values into ``out`` (image h, w, ...), without padding."""
@@ -355,6 +392,21 @@ class BlockGroup:
             v = v.reshape((t1 - t0, nby, nbx, bh, bw) + rest).transpose(axes)
             v = v.reshape((nby * bh, t1 - t0, nbx * bw) + rest)[: y1 - y0, :, :tw]
             out[y0:y1, x0:x1] = v.reshape((y1 - y0, (t1 - t0) * tw) + rest)[:, : x1 - x0]
+
+    def tiles(self, block_values: np.ndarray) -> np.ndarray:
+        """Whole tiles' (n, P) block values as (n / blocks per tile, nby * bh, nbx * bw) images.
+
+        Padding is included, at the right and bottom of each image.
+        """
+        bh, bw = self.block
+        nby, nbx = self.grid
+        v = block_values.reshape(-1, nby, nbx, bh, bw).transpose(0, 1, 3, 2, 4)
+        return v.reshape(-1, nby * bh, nbx * bw)
+
+    def _at(self, tile_pos: np.ndarray) -> np.ndarray:
+        """Per block, its first block-list entry at tile list position tile_pos[tile] or later."""
+        nb = len(self.block_tile)
+        return np.searchsorted(self._key, np.arange(nb) * self._stride + tile_pos[self.block_tile])
 
     def blend(
         self,
@@ -374,46 +426,118 @@ class BlockGroup:
         and each block's entries come in list order, so reading the steps
         backwards visits every pixel's blends back to front.
         """
-        lengths = np.diff(self.list_off)
-        lo = _segment_sums(self.pos < np.repeat(start[self.block_tile], lengths), self.list_off)
-        hi = _segment_sums(self.pos < np.repeat(end[self.block_tile], lengths), self.list_off)
-        self._lockstep(state, self.list_off[:-1] + lo, hi - lo, eps_t, record)
-
-    def _lockstep(
-        self, state: PixelState, first: np.ndarray, n: np.ndarray, eps_t: float,
-        record: list | None,
-    ) -> None:
-        """Blend block-list entries first[b] ... first[b] + n[b] - 1 of every block b.
-
-        Step k blends the k-th entry of every block whose span is longer
-        than k.  Blocks are sorted by span length, longest first, so those
-        are the first n_at[k], and the entries are laid out step by step
-        (``pidx``) so each step reads one slice.  The blocks blended are
-        held in copies of their state.  Once at least an eighth of the
-        held blocks have no live pixel, those are written back and
-        dropped, and each step's slice becomes a gather over the held
-        blocks (``held``).  Pixels are checked for liveness only once one
-        of them has died.
-        """
+        first = self._at(start)
+        n = self._at(end) - first
         act = n > 0
         if eps_t > 0.0:
             act &= state.T.max(axis=1) >= eps_t  # no live pixel: nothing blends
         blocks = np.flatnonzero(act)
-        if blocks.size == 0:
-            return
-        lens = n[blocks]
-        by_len = np.argsort(-lens, kind="stable")
-        blocks, lens = blocks[by_len], lens[by_len]
+        if blocks.size:
+            self._lockstep(blocks, first[blocks], n[blocks], eps_t, state, record)
+
+    def blend_chunks(
+        self, state: PixelState, chunks: list[tuple], eps_t: float, untouched: np.ndarray
+    ) -> np.ndarray:
+        """Blend depth chunks of every tile's list and fold them into ``state`` in order.
+
+        ``chunks`` are (lo, hi) arrays of tile list positions, in depth
+        order.  Each (block, chunk) row starts from the fresh state (T = 1,
+        0 on padding, no color) and blends [lo, hi) with eps_t = 0; all
+        rows blend in one lockstep pass.  Each row is then folded into
+        the block's running state with ``_merge_partial``, chunk by chunk,
+        and a pixel the fold kills stops at hi.  Rows with no entry in
+        their chunk are left out, and with eps_t > 0 so are the blocks
+        with no live pixel: the fold is the identity on them.
+
+        ``untouched`` marks the blocks whose state is still
+        ``fresh_state(m)``; folded blocks are cleared from it.  On such a
+        block the merge's arithmetic reduces to the row itself, with stop
+        hi where the row's T fell below eps_t, and that is what is
+        written.  Returns the pixels each chunk's fold killed,
+        (len(chunks), n_tiles).
+        """
+        nt = len(self.m)
+        died = np.zeros((len(chunks), nt), dtype=np.int64)
+        live = state.T.max(axis=1) >= eps_t if eps_t > 0.0 else True
+        rows, first, n, chunk = [], [], [], []
+        for k, (lo, hi) in enumerate(chunks):
+            f = self._at(lo)
+            c = self._at(hi) - f
+            b = np.flatnonzero((c > 0) & live)
+            rows.append(b)
+            first.append(f[b])
+            n.append(c[b])
+            chunk.append(np.full(len(b), k))
+        rows, first, n, chunk = map(np.concatenate, (rows, first, n, chunk))
+        if not len(rows):
+            return died
+        perm, T, rgb = self._lockstep(rows, first, n, 0.0)
+        rows, chunk = rows[perm], chunk[perm]  # in the pass's order, as T and rgb
+        for k, (_, hi) in enumerate(chunks):
+            in_k = chunk == k
+            for copy in True, False:
+                sel = np.flatnonzero(in_k & (untouched[rows] == copy))
+                if not len(sel):
+                    continue
+                b = rows[sel]
+                tile = self.block_tile[b]
+                part_T, part_rgb = (T, rgb) if len(sel) == len(rows) else (T[sel], rgb[:, sel])
+                if copy:
+                    state.T[b] = part_T
+                    state.rgb[:, b] = part_rgb
+                    ended = None
+                    if eps_t > 0.0:
+                        ended = (part_T < eps_t) & self.valid[b]
+                        state.stop[b] = np.where(ended, hi[tile, None], self.m[tile, None])
+                else:
+                    sub = PixelState(rgb=state.rgb[:, b], T=state.T[b], stop=state.stop[b])
+                    part = PixelState(rgb=part_rgb, T=part_T, stop=None)
+                    ended = _merge_partial(sub, part, eps_t, hi[tile, None])
+                    state.rgb[:, b], state.T[b], state.stop[b] = sub.rgb, sub.T, sub.stop
+                if ended is not None:
+                    np.add.at(died[k], tile, np.count_nonzero(ended, axis=1))
+            untouched[rows[in_k]] = False
+        return died
+
+    def _lockstep(
+        self,
+        blocks: np.ndarray,
+        first: np.ndarray,
+        n: np.ndarray,
+        eps_t: float,
+        state: PixelState | None = None,
+        record: list | None = None,
+    ):
+        """Blend block-list entries first[i] ... first[i] + n[i] - 1 over block blocks[i].
+
+        Every n[i] is positive; row i is block blocks[i]'s pixels.  With
+        ``state``, the blocks are distinct and blend in place.  Without
+        it, every row starts from the fresh state (T = 1, 0 on padding,
+        no color) and blends with eps_t = 0, and the result is returned
+        as (perm, T, rgb): row perm[j] ended with T[j] and rgb[:, j].
+
+        Step k blends the k-th entry of every row whose span is longer
+        than k.  Rows are sorted by span length, longest first, so those
+        are the first n_at[k], and the entries are laid out step by step
+        (``pidx``) so each step reads one slice.  The rows blended are
+        held in copies of their state.  Once at least an eighth of the
+        held rows have no live pixel, those are written back and
+        dropped, and each step's slice becomes a gather over the held
+        rows (``held``).  Pixels are checked for liveness only once one
+        of them has died.
+        """
+        by_len = np.argsort(-n, kind="stable")
+        blocks, lens = blocks[by_len], n[by_len]
         steps = int(lens[0])
         n_at = np.searchsorted(-lens, -np.arange(steps + 1), side="left")
         step_off = np.concatenate(([0], np.cumsum(n_at[:-1])))
         slot = np.repeat(np.arange(len(blocks)), lens)
         rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
         pidx = np.empty(len(slot), dtype=np.int64)
-        pidx[step_off[rank] + slot] = first[blocks][slot] + rank
+        pidx[step_off[rank] + slot] = first[by_len][slot] + rank
         del slot, rank
-        params = self.params[pidx]
-        lwin = self.lwin[pidx]
+        params = np.take(self.params, pidx, axis=0)  # take: faster than [] on narrow rows
+        lwin = np.take(self.lwin, pidx, axis=0)
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
             entry = self.entry[pidx]
@@ -421,9 +545,14 @@ class BlockGroup:
             shift = (blocks - np.arange(len(blocks))) * P  # held row r -> group-flat
         del pidx
 
-        T = state.T[blocks]
-        rgb = state.rgb[:, blocks]
-        stop = state.stop[blocks]
+        if state is None:
+            T = self.valid[blocks].astype(self.dtype)
+            rgb = np.zeros((3,) + T.shape, dtype=self.dtype)
+            stop = None
+        else:
+            T = state.T[blocks]
+            rgb = state.rgb[:, blocks]
+            stop = state.stop[blocks]
         xc, yc = self.xc[blocks], self.yc[blocks]
         px, py = self.px, self.py
         any_dead = eps_t > 0.0 and bool(((T < eps_t) & self.valid[blocks]).any())
@@ -433,10 +562,11 @@ class BlockGroup:
             if gather:
                 a = int(np.searchsorted(held, n_at[k]))
                 rows = step_off[k] + held[:a]
+                p, win = np.take(params, rows, axis=0), np.take(lwin, rows, axis=0)
             else:
                 a = int(n_at[k])
                 rows = slice(step_off[k], step_off[k] + a)
-            p, win = params[rows], lwin[rows]
+                p, win = params[rows], lwin[rows]
             Tk = T[:a]
             alpha, _, _ = splat_alpha(xc[:a], yc[:a], p[:, 0:2], p[:, 2:5], p[:, 5])
             hit = alpha >= ALPHA_MIN
@@ -478,27 +608,35 @@ class BlockGroup:
             gather = True
             if not len(held):
                 break
+        if state is None:
+            return by_len, T, rgb
         out = blocks[held]
         state.T[out] = T
         state.rgb[:, out] = rgb
         state.stop[out] = stop
 
 
-def _merge_partial(state: PixelState, part: PixelState, eps_t: float, chunk_end) -> None:
+def _merge_partial(
+    state: PixelState, part: PixelState, eps_t: float, chunk_end
+) -> np.ndarray | None:
     """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state.
 
     ``chunk_end`` is an int or an array that broadcasts against the state.
     Selections are products with the live mask (x * 1 and x + 0 are
     exact), which NumPy runs far faster than ``np.where`` on mixed masks.
+    Returns the mask of the pixels the fold killed, or None when
+    eps_t = 0 (no pixel dies).  ``part.stop`` is not read.
     """
     live = state.T >= eps_t
     state.rgb += (state.T * live) * part.rgb
     factor = part.T * live
     factor += ~live  # part.T where live, else 1
     state.T *= factor
-    if eps_t > 0.0:
-        ended = live & (state.T < eps_t)
-        state.stop += ended * (chunk_end - state.stop)
+    if eps_t <= 0.0:
+        return None
+    ended = live & (state.T < eps_t)
+    state.stop += ended * (chunk_end - state.stop)
+    return ended
 
 
 def _blend_group(
@@ -507,12 +645,15 @@ def _blend_group(
     """Blend a group's tiles under cfg's schedule: (state, split per tile, occluded).
 
     K = cfg.z_tiles = 1 is one global sweep, whose steps go to ``record``
-    when given (``BlockGroup.blend``).  K > 1 blends K chunks of
-    each list prefix from T = 1 with eps_t = 0 and merges them in depth
-    order; the occlusion-threshold hybrid stops chunking a tile once more
-    than theta of it has terminated.  Whatever is left of each list then
-    blends on the merged state.  ``occluded`` holds the group's dead
-    pixels after each chunk when cfg.record_occlusion is set.
+    when given (``BlockGroup.blend``).  K > 1 cuts each list prefix into
+    K chunks that blend from T = 1 with eps_t = 0 and fold into the
+    merged state in depth order (``BlockGroup.blend_chunks``).  The
+    chunks are independent, so they blend in one pass, except under the
+    occlusion-threshold hybrid: it blends one chunk per pass and stops
+    chunking a tile once more than theta of it has terminated.
+    Whatever is left of each list then blends on the merged state.
+    ``occluded`` holds the group's dead pixels after each chunk when
+    cfg.record_occlusion is set.
     """
     m = grp.m
     K = cfg.z_tiles
@@ -534,40 +675,58 @@ def _blend_group(
                 es = slice(grp.entry_off[t], grp.entry_off[t + 1])
                 split[t] = occlusion_switch(grp.area[es], until, theta)
         if occluded is not None:
-            occluded.append(int(np.count_nonzero(grp.dead(state, eps_t))))
+            occluded.append(int(np.count_nonzero((state.T < eps_t) & grp.valid)))
         return state, split, occluded
 
-    chunking = np.ones(len(m), dtype=bool)
-    for lo, hi in _chunk_bounds(split.copy(), K):
-        if cfg.hybrid == "occlusion_threshold":
-            over = chunking & (grp.tile_sums(grp.dead(state, eps_t)) > theta * grp.tile_px)
+    chunks = _chunk_bounds(split.copy(), K)
+    untouched = np.ones(len(grp.block_tile), dtype=bool)
+    if cfg.hybrid != "occlusion_threshold":
+        died = grp.blend_chunks(state, chunks, eps_t, untouched)
+    else:
+        died = np.zeros((K, len(m)), dtype=np.int64)
+        dead = np.zeros(len(m), dtype=np.int64)  # per tile; the folds are all that kill
+        chunking = np.ones(len(m), dtype=bool)
+        for k, (lo, hi) in enumerate(chunks):
+            over = chunking & (dead > theta * grp.tile_px)
             split[over] = lo[over]
             chunking &= ~over
             hi = np.where(chunking, hi, lo)  # a switched tile chunks no more
-        part = grp.fresh_state(hi)
-        grp.blend(part, lo, hi, 0.0)
-        _merge_partial(state, part, eps_t, grp.per_block(hi))
-        if occluded is not None:
-            # a switched tile's state is unchanged, so it reports its frozen count
-            occluded.append(int(np.count_nonzero(grp.dead(state, eps_t))))
+            died[k] = grp.blend_chunks(state, [(lo, hi)], eps_t, untouched)[0]
+            dead += died[k]
+    if occluded is not None:
+        # a switched tile's state is unchanged, so it keeps its frozen count
+        occluded.extend(np.cumsum(died.sum(axis=1)).tolist())
     grp.blend(state, split, m, eps_t)
     return state, split, occluded
 
 
-def _tile_groups(binning: TileBinning) -> list[range]:
-    """Runs of consecutive tiles with at most GROUP_MAX_PX block pixels.
+def _tile_groups(binning: TileBinning, rows: int = 1) -> list[range]:
+    """Runs of consecutive tiles whose blocks hold at most GROUP_MAX_PX pixels.
 
-    Every tile has the same block grid; a tile larger than the cap is a
-    group of its own.
+    Every tile has the same block grid.  ``rows`` counts how many pixel
+    rows a pass holds per block (one per depth chunk when the chunks
+    blend in one pass).  A tile larger than the cap is a group of its
+    own.
     """
     bh, bw = _block_side(binning.tile_h), _block_side(binning.tile_w)
     tile_px = -(-binning.tile_h // bh) * bh * -(-binning.tile_w // bw) * bw
-    per = max(1, GROUP_MAX_PX // tile_px)
+    per = max(1, GROUP_MAX_PX // (tile_px * rows))
     return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
 
 
+def _pass_rows(cfg: RenderConfig) -> int:
+    """Rows per block in a lockstep pass: K when the depth chunks blend in one pass."""
+    return 1 if cfg.hybrid == "occlusion_threshold" else cfg.z_tiles
+
+
+def _group(table: SplatTable, binning: TileBinning, tiles: range) -> BlockGroup:
+    rects = [binning.tile_rect(t) for t in tiles]
+    lists = [binning.lists[t] for t in tiles]
+    return BlockGroup(table, lists, rects, (binning.tile_w, binning.tile_h))
+
+
 def _render_group(
-    batch: SplatBatch,
+    table: SplatTable,
     binning: TileBinning,
     tiles: range,
     cfg: RenderConfig,
@@ -579,13 +738,10 @@ def _render_group(
     """Blend one group and paste its pixels: (counters, split per tile, occluded, traced).
 
     Writes the composited color into ``img`` and, when given, T into
-    ``t_final`` and stop into ``stop_img`` (required for the hybrids,
-    which count per tile from each pixel's stop).  ``traced`` is
-    (tiles, group, recorded steps) with ``want_steps``, else None.
+    ``t_final`` and stop into ``stop_img``.  ``traced`` is (tiles,
+    group, recorded steps) with ``want_steps``, else None.
     """
-    rects = [binning.tile_rect(t) for t in tiles]
-    tile_size = (binning.tile_w, binning.tile_h)
-    grp = BlockGroup(batch, [binning.lists[t] for t in tiles], rects, tile_size)
+    grp = _group(table, binning, tiles)
     steps = [] if want_steps else None
     state, split, occluded = _blend_group(grp, cfg, steps)
     traced = (tiles, grp, steps) if want_steps else None
@@ -595,15 +751,12 @@ def _render_group(
         grp.paste(state.T, t_final)
     if stop_img is not None:
         grp.paste(state.stop, stop_img)
-    if cfg.hybrid == "off":
-        total = int(grp.area.sum())
-        return EvalCounters(total, total, 0), split, occluded, traced
-    counters = EvalCounters()
-    for i, (x0, y0, x1, y1) in enumerate(rects):
-        es = slice(grp.entry_off[i], grp.entry_off[i + 1])
-        until = stop_img[y0:y1, x0:x1]
-        counters.merge(count_evals(grp.win[es], grp.area[es], rects[i], int(split[i]), until))
-    return counters, split, occluded, traced
+    total = int(grp.area.sum())
+    skipped = 0
+    if cfg.hybrid != "off":
+        until = grp.tiles(state.stop)  # padding keeps the list end: nothing blends there
+        skipped = int(count_skipped(grp.win, grp.area, grp.m, grp.rects, split, until).sum())
+    return EvalCounters(total, total - skipped, skipped), split, occluded, traced
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
@@ -643,6 +796,27 @@ class RenderResult:
     trace: ForwardTrace | None = None
 
 
+def _prepare(scene: GaussianScene, cam: Camera, cfg: RenderConfig):
+    """Project, bin and pack a render's splats: (batch64, pstats, binning, batch, table)."""
+    batch64, pstats = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height))
+    dtype = np.dtype(cfg.dtype).type
+    batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
+    return batch64, pstats, binning, batch, SplatTable(batch)
+
+
+def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterator[BlockGroup]:
+    """The tile groups, with their block lists, that ``render`` would blend, one at a time.
+
+    Nothing is blended; this is for reading the block lists (``analyze
+    --report bounds``).
+    """
+    cfg.validate()
+    _, _, binning, _, table = _prepare(scene, cam, cfg)
+    for tiles in _tile_groups(binning, _pass_rows(cfg)):
+        yield _group(table, binning, tiles)
+
+
 def render(
     scene: GaussianScene,
     cam: Camera,
@@ -661,23 +835,18 @@ def render(
     cfg.validate()
     if want_trace and (cfg.z_tiles != 1 or cfg.hybrid != "off"):
         raise ValueError("gradient tracing requires z_tiles=1 and hybrid='off'")
-    dtype = np.dtype(cfg.dtype).type
-
-    batch64, pstats = preprocess(scene, cam)
-    binning = bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height))
-    batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
+    batch64, pstats, binning, batch, table = _prepare(scene, cam, cfg)
 
     h, w = cam.height, cam.width
-    img = np.zeros((h, w, 3), dtype=dtype)
-    t_final = np.ones((h, w), dtype=dtype) if want_trace else None
-    tracked = want_trace or cfg.hybrid != "off"
-    stop_img = np.zeros((h, w), dtype=np.int32) if tracked else None
+    img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
+    t_final = np.ones((h, w), dtype=img.dtype) if want_trace else None
+    stop_img = np.zeros((h, w), dtype=np.int32) if want_trace else None
     K = cfg.z_tiles
 
     def run_group(tiles: range):
-        return _render_group(batch, binning, tiles, cfg, img, t_final, stop_img, want_trace)
+        return _render_group(table, binning, tiles, cfg, img, t_final, stop_img, want_trace)
 
-    groups = _tile_groups(binning)
+    groups = _tile_groups(binning, _pass_rows(cfg))
     if cfg.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(run_group, groups))

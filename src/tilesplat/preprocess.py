@@ -93,28 +93,46 @@ def bounding_radius(a, b, c) -> np.ndarray:
     return BOUNDING_SIGMAS * np.sqrt(lam_max)
 
 
-def can_blend(mean, conic, opacity, rect: np.ndarray) -> np.ndarray:
+def can_blend(splat: np.ndarray, rect) -> np.ndarray:
     """Mask of the splats whose alpha can reach ALPHA_MIN in ``rect``.
 
-    ``mean`` (n, 2), ``conic`` (n, 3) and ``opacity`` (n,) are blend-dtype
-    splat parameters, ``rect`` (n, 4) one non-empty half-open pixel
-    rectangle per splat; the test runs in float64.  Over the rectangle of
-    pixel centres, the convex q has its minimum 0 when the mean lies
-    inside, and otherwise on an edge, where q is a parabola in the free
-    offset.  False only where no pixel can blend.
+    ``splat`` (6, n) holds blend-dtype splat parameters as float64 rows:
+    mean x and y, conic a, b and c, and opacity.  ``rect`` is (x0, y0,
+    x1, y1), four integer arrays of n: one non-empty half-open pixel
+    rectangle per splat.  Over the rectangle of pixel centres, the
+    convex q has its minimum 0 when the mean lies inside, and otherwise
+    on an edge, where q is a parabola in the free offset.  False only
+    where no pixel can blend.
     """
-    mean, conic, opacity = (np.asarray(v, dtype=np.float64) for v in (mean, conic, opacity))
-    a, b, c = conic.T
-    lx, ly = (rect[:, :2] + 0.5 - mean).T  # offsets of the first and last pixel centres
-    hx, hy = (rect[:, 2:] - 0.5 - mean).T
+    mx, my, a, b, c, opacity = splat
+    x0, y0, x1, y1 = rect
+    lx, ly = x0 + 0.5 - mx, y0 + 0.5 - my  # offsets of the first and last pixel centres
+    hx, hy = x1 - 0.5 - mx, y1 - 0.5 - my
     q = np.where((lx <= 0) & (hx >= 0) & (ly <= 0) & (hy >= 0), 0.0, np.inf)
+    b2 = 2 * b
+
+    def edge_min(dx, dy):  # q = (a dx + 2b dy) dx + c dy dy into q's running minimum
+        t = a * dx
+        t += b2 * dy
+        t *= dx
+        u = c * dy
+        u *= dy
+        t += u
+        np.minimum(q, t, out=q)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for dx in lx, hx:
-            dy = np.minimum(np.maximum(-b / c * dx, ly), hy)
-            np.minimum(q, (a * dx + 2 * b * dy) * dx + c * dy * dy, out=q)
-        for dy in ly, hy:
-            dx = np.minimum(np.maximum(-b / a * dy, lx), hx)
-            np.minimum(q, (a * dx + 2 * b * dy) * dx + c * dy * dy, out=q)
+        slope = -b / c
+        for dx in lx, hx:  # left and right edges, dy free
+            dy = slope * dx
+            np.maximum(dy, ly, out=dy)
+            np.minimum(dy, hy, out=dy)
+            edge_min(dx, dy)
+        slope = -b / a
+        for dy in ly, hy:  # top and bottom edges, dx free
+            dx = slope * dy
+            np.maximum(dx, lx, out=dx)
+            np.minimum(dx, hx, out=dx)
+            edge_min(dx, dy)
     # alpha reaches ALPHA_MIN exactly where q <= 2 ln(255 opacity); the margin
     # covers the blend dtype's rounding of q at offsets up to the farthest centre
     reach2 = np.maximum(-lx, hx) ** 2 + np.maximum(-ly, hy) ** 2

@@ -238,7 +238,7 @@ def _config_from_dict(cls, kind: str, d: dict):
         raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
     d = dict(d)
     if "tile_size" in d:
-        d["tile_size"] = tuple(int(v) for v in d["tile_size"])
+        d["tile_size"] = tuple(d["tile_size"])  # validation rejects non-integers
     if "background" in d:
         d["background"] = tuple(float(v) for v in d["background"])
     if "dtype" in d:

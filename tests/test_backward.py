@@ -137,6 +137,18 @@ def test_train_config_rejects_eps_t_outside_unit_interval(eps_t):
         TrainConfig(eps_t=eps_t).validate()
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(offload_batch=2.5), "offload_batch"),
+    (dict(offload_batch=True), "offload_batch"),
+    (dict(tile_size=(8.5, 8)), "tile_size"),
+    (dict(threads=1.0), "threads"),
+])
+def test_train_config_rejects_non_integers(kw, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kw).validate()
+    TrainConfig(offload_batch=np.int64(4), tile_size=(np.int64(8), 8)).validate()
+
+
 def test_loss_and_pixel_grads():
     rendered = ImageRGB(np.array([[[0.5, 0.25, 0.0]]], dtype=np.float32))
     target = ImageRGB(np.array([[[0.25, 0.25, 0.5]]], dtype=np.float32))

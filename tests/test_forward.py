@@ -386,6 +386,42 @@ def test_config_validation():
             RenderConfig(**kw).validate()
 
 
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        (dict(z_tiles=2.5), "z_tiles"),
+        (dict(z_tiles=True), "z_tiles"),
+        (dict(z_tiles=np.float64(2.0)), "z_tiles"),
+        (dict(tile_size=(16.5, 16)), "tile_size"),
+        (dict(tile_size=(16, np.float32(16))), "tile_size"),
+        (dict(tile_size=(16,)), "tile_size"),
+        (dict(tile_size=(16, 16, 16)), "tile_size"),
+        (dict(tile_size=16), "tile_size"),
+        (dict(tile_size="ab"), "tile_size"),
+        (dict(threads=2.5), "threads"),
+        (dict(threads=np.bool_(True)), "threads"),
+    ],
+)
+def test_config_rejects_non_integers(kw, field):
+    """Integer fields reject floats and bools with a ValueError naming the field."""
+    with pytest.raises(ValueError, match=field):
+        RenderConfig(**kw).validate()
+
+
+def test_config_accepts_numpy_integers():
+    rng = np.random.default_rng(3)
+    cam = make_camera(40, 24)
+    scene = random_scene(rng, 12, cam)
+    plain = RenderConfig(tile_size=(16, 8), z_tiles=2, threads=2)
+    numpy_ints = RenderConfig(
+        tile_size=(np.int32(16), np.int64(8)), z_tiles=np.int64(2), threads=np.uint8(2)
+    )
+    numpy_ints.validate()
+    a, b = render(scene, cam, plain), render(scene, cam, numpy_ints)
+    assert np.array_equal(a.image.data, b.image.data)
+    assert a.stats.to_text() == b.stats.to_text()
+
+
 def test_threads_bit_identical():
     rng = np.random.default_rng(9)
     cam = make_camera(64, 64)
@@ -422,3 +458,43 @@ def test_partial_edge_tiles():
     assert res.image.data.shape == (30, 50, 3)
     full = render(scene, cam, RenderConfig(tile_size=(64, 64)))
     np.testing.assert_allclose(res.image.data, full.image.data, atol=2e-7)
+
+
+@pytest.mark.parametrize("tile", [(16, 16), (32, 32), (24, 40), (200, 200)])
+def test_tile_groups_hold_at_most_the_cap_per_pass(tile):
+    """With K rows per block (depth chunks in one pass) a group's blocks
+    hold at most GROUP_MAX_PX pixels, unless one tile alone exceeds it."""
+    from tilesplat import forward
+    from tilesplat.preprocess import bin_and_sort, preprocess
+
+    rng = np.random.default_rng(4)
+    cam = make_camera(256, 192)
+    batch, _ = preprocess(random_scene(rng, 50, cam), cam)
+    binning = bin_and_sort(batch, tile, (256, 192))
+    for rows in (1, 2, 4, 8):
+        groups = forward._tile_groups(binning, rows)
+        assert [t for g in groups for t in g] == list(range(binning.n_tiles))
+        grp = forward._group(forward.SplatTable(batch), binning, groups[0])
+        px = grp.valid.size * rows
+        assert px <= forward.GROUP_MAX_PX or len(groups[0]) == 1
+
+
+def test_block_groups_are_the_groups_render_blends():
+    """``block_groups`` builds, without blending, the block lists that a
+    traced render records its steps over."""
+    from unittest import mock
+
+    from tilesplat import forward
+
+    rng = np.random.default_rng(6)
+    cam = make_camera(160, 96)
+    scene = random_scene(rng, 90, cam)
+    cfg = RenderConfig(tile_size=(32, 16))
+    with mock.patch.object(forward, "GROUP_MAX_PX", 4 * 32 * 16):
+        traced = [grp for _, grp, _ in render(scene, cam, cfg, want_trace=True).trace.groups]
+        built = list(forward.block_groups(scene, cam, cfg))
+    assert len(built) == len(traced) > 1
+    for a, b in zip(built, traced):
+        assert a.aabb_pairs == b.aabb_pairs
+        for name in ("list_off", "entry", "pos", "lwin", "params", "win", "area", "m"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name

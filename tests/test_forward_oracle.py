@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import forward_oracle as oracle
 from tile_kernel import blend_tile_span, fresh_state, render_tiles
 from tilesplat import forward
-from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
+from tilesplat.execmodel import EvalCounters, count_evals, count_skipped, occlusion_switch
 from tilesplat.forward import RenderConfig, clip_windows, render
 from tilesplat.preprocess import bin_and_sort, preprocess
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
@@ -244,9 +244,7 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype):
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
     tiles = range(binning.n_tiles)
-    grp = forward.BlockGroup(
-        batch, [binning.lists[t] for t in tiles], [binning.tile_rect(t) for t in tiles], tile
-    )
+    grp = forward._group(forward.SplatTable(batch), binning, tiles)
     for b in range(len(grp.valid)):
         order = binning.lists[grp.block_tile[b]]
         kept = grp.pos[grp.list_off[b] : grp.list_off[b + 1]]
@@ -262,3 +260,166 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype):
         blends = np.flatnonzero(((alpha >= forward.ALPHA_MIN) & inside).any(axis=1))
         assert np.isin(blends, kept).all()
         assert inside[kept].any(axis=1).all()
+
+
+def opaque_or_small_scene(seed: int, n: int, w: int, h: int, opaque: bool):
+    """``small_scene``, or an opaque wall over n background splats."""
+    if not opaque:
+        return small_scene(seed, n, w, h)
+    cam = make_camera(w, h, focal=float(max(w, h)))
+    return opaque_foreground_scene(np.random.default_rng(seed), cam, n_back=n), cam
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 24),
+    w=st.integers(8, 72),
+    h=st.integers(8, 72),
+    tile=TILE,
+    dtype=DTYPE,
+    eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
+    z_tiles=st.integers(2, 8),
+    hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
+    theta=st.sampled_from([0.05, 0.5, 0.9]),
+    threads=st.sampled_from([1, 2]),
+    group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 2000]),
+    opaque=st.booleans(),
+)
+def test_chunk_folds_match_oracle(
+    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, theta, threads, group_px, opaque
+):
+    """Depth chunks folded at write-back, all K in one pass unless the
+    occlusion-threshold hybrid is on, give the oracle's chunk-by-chunk
+    merge bit for bit: image, stats, occlusion counts, and every tile's
+    T, stop, counters and split.  Few splats make lists shorter than K;
+    group caps of one tile and of a few tiles split K-row passes across
+    groups, which threads=2 blends on a pool."""
+    scene, cam = opaque_or_small_scene(seed, n, w, h, opaque)
+    cfg = RenderConfig(
+        tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
+        occlusion_threshold=theta, background=(0.2, 0.1, 0.4), dtype=dtype,
+        threads=threads, record_occlusion=True,
+    )
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+        res = render(scene, cam, cfg)
+    img, stats, t_final, stop = oracle.render(scene, cam, cfg)
+    assert np.array_equal(res.image.data, img)
+    assert res.stats.to_text() == stats.to_text()
+    assert np.array_equal(
+        res.stats.occlusion.occluded_after_chunk, stats.occlusion.occluded_after_chunk
+    )
+
+    batch64, _ = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    black = dataclasses.replace(cfg, background=(0.0, 0.0, 0.0))
+    _, got_t, got_stop, tiles = render_tiles(batch64.astype(dtype), binning, black)
+    assert np.array_equal(got_t, t_final)
+    assert np.array_equal(got_stop, stop)
+    for t, (counters, split, occluded) in enumerate(tiles):
+        _, want_counters, want_split, want_occluded = oracle.blend_tile(
+            batch64.astype(dtype), binning.lists[t], binning.tile_rect(t), cfg
+        )
+        assert (counters, split, occluded) == (want_counters, want_split, want_occluded)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_switch_after_first_chunk_matches_oracle(threads):
+    """Behind an opaque wall most tiles switch to pixel-centric after the
+    first of K chunks, so the later chunk passes hold only the tiles that
+    still chunk."""
+    rng = np.random.default_rng(5)
+    cam = make_camera(96, 64)
+    scene = opaque_foreground_scene(rng, cam, n_back=120)
+    cfg = RenderConfig(
+        tile_size=(16, 16), z_tiles=4, hybrid="occlusion_threshold", eps_t=1e-4,
+        occlusion_threshold=0.5, background=(0.2, 0.1, 0.4), threads=threads,
+        record_occlusion=True,
+    )
+    with mock.patch.object(forward, "GROUP_MAX_PX", 4 * 256):  # 4 tiles per group
+        res = render(scene, cam, cfg)
+    img, stats, _, _ = oracle.render(scene, cam, cfg)
+    assert np.array_equal(res.image.data, img)
+    assert res.stats.to_text() == stats.to_text()
+    lengths = np.array(res.stats.per_tile_lengths)
+    splits = np.array(res.stats.hybrid_splits)
+    after_first = (splits == lengths // 4) & (lengths >= 4)
+    assert after_first.sum() >= 4 and not after_first.all()
+
+
+def _count_per_tile(grp, binning, tiles, switch, stop):
+    """``count_evals`` of every tile of a group, from its stops in block layout."""
+    w, h = binning.image_w, binning.image_h
+    until = np.zeros((h, w), dtype=np.int32)
+    grp.paste(stop, until)
+    out = []
+    for i, t in enumerate(tiles):
+        x0, y0, x1, y1 = rect = binning.tile_rect(t)
+        es = slice(grp.entry_off[i], grp.entry_off[i + 1])
+        tile_until = until[y0:y1, x0:x1]
+        out.append(count_evals(grp.win[es], grp.area[es], rect, int(switch[i]), tile_until))
+    return out
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 30),
+    w=st.integers(8, 72),
+    h=st.integers(8, 72),
+    tile=TILE,
+    eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
+    z_tiles=st.integers(1, 8),
+    hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
+    fraction=st.sampled_from([0.25, 0.6]),
+    theta=st.sampled_from([0.05, 0.5, 0.9]),
+    opaque=st.booleans(),
+)
+def test_group_counters_match_count_evals(
+    seed, n, w, h, tile, eps_t, z_tiles, hybrid, fraction, theta, opaque
+):
+    """``count_skipped`` over a group's tiles equals ``count_evals`` tile by
+    tile after every schedule: tiles with no entries, tiles whose
+    pixels all died before the switch, and tiles with deaths past it."""
+    scene, cam = opaque_or_small_scene(seed, n, w, h, opaque)
+    batch64, _ = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    cfg = RenderConfig(
+        tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
+        hybrid_fraction=fraction, occlusion_threshold=theta,
+    )
+    tiles = range(binning.n_tiles)
+    grp = forward._group(forward.SplatTable(batch64.astype(np.float32)), binning, tiles)
+    state, split, _ = forward._blend_group(grp, cfg)
+    until = grp.tiles(state.stop)
+    skipped = count_skipped(grp.win, grp.area, grp.m, grp.rects, split, until)
+    want = _count_per_tile(grp, binning, tiles, split, state.stop)
+    assert skipped.tolist() == [c.skipped for c in want]
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2**16), n=st.integers(0, 30), tile=TILE)
+def test_group_counters_match_count_evals_on_any_stops(seed, n, tile):
+    """Arbitrary stops and switches per tile: every pixel dead before the
+    switch, one death position past it, several, or any mix; padding
+    keeps the list end, as it does after blending."""
+    scene, cam = small_scene(seed, n, 48, 40)
+    batch64, _ = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, tile, (48, 40))
+    tiles = range(binning.n_tiles)
+    grp = forward._group(forward.SplatTable(batch64), binning, tiles)
+    rng = np.random.default_rng(seed)
+    nb, P = grp.valid.shape
+    m = grp.m[grp.block_tile][:, None]
+    switch = rng.integers(0, grp.m + 1)
+    sw = switch[grp.block_tile][:, None]
+    kind = rng.integers(0, 4, size=len(grp.m))[grp.block_tile][:, None]
+    mix = rng.integers(0, m + 1, size=(nb, P))
+    before = rng.integers(0, sw + 1, size=(nb, P))
+    one = np.where(rng.uniform(size=(nb, P)) < 0.5, before, rng.integers(sw, m + 1))
+    several = np.maximum(mix, before)
+    stop = np.select([kind == 0, kind == 1, kind == 2], [before, one, several], mix)
+    stop = np.where(grp.valid, stop, m).astype(np.int32)
+    skipped = count_skipped(grp.win, grp.area, grp.m, grp.rects, switch, grp.tiles(stop))
+    want = _count_per_tile(grp, binning, tiles, switch, stop)
+    assert skipped.tolist() == [c.skipped for c in want]

@@ -362,6 +362,13 @@ def test_render_config_loader():
         render_config_from_dict({"tile": 16})
 
 
+def test_config_file_keeps_fractional_tile_size_for_validation():
+    # a fractional tile side in a config file is an error, not truncated
+    cfg = render_config_from_dict({"tile_size": [16.5, 16]})
+    with pytest.raises(ValueError, match="tile_size"):
+        cfg.validate()
+
+
 def test_render_config_rejects_seed():
     # the renderer draws no random numbers, so a seed key is an error
     with pytest.raises(ValueError, match=r"unknown render config keys: \['seed'\]"):

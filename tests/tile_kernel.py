@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from tilesplat import forward
-from tilesplat.forward import BlockGroup, PixelState, RenderConfig
+from tilesplat.forward import BlockGroup, PixelState, RenderConfig, SplatTable
 from tilesplat.preprocess import SplatBatch
 
 
@@ -52,7 +52,7 @@ def blend_tile_span(
 ) -> None:
     """Blend order[start:end] into one tile's ``state`` through the block kernel."""
     x0, y0, x1, y1 = rect
-    grp = BlockGroup(batch, [order], [rect], (x1 - x0, y1 - y0))
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0))
     blocks = PixelState(
         rgb=_to_blocks(state.rgb, grp),
         T=_to_blocks(state.T, grp),
@@ -84,7 +84,7 @@ def traced_tile(
     """
     x0, y0, x1, y1 = rect
     m = len(order)
-    grp = BlockGroup(batch, [order], [rect], (x1 - x0, y1 - y0))
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0))
     state = grp.fresh_state(np.array([m]))
     steps: list = []
     grp.blend(state, np.array([0]), np.array([m]), eps_t, steps)
@@ -105,10 +105,11 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig):
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
     t_final = np.zeros((h, w), dtype=batch.mean2.dtype)
     stop = np.zeros((h, w), dtype=np.int32)
+    table = SplatTable(batch)
     tiles = []
     for t in range(binning.n_tiles):
         counters, split, occluded, _ = forward._render_group(
-            batch, binning, range(t, t + 1), cfg, img, t_final, stop
+            table, binning, range(t, t + 1), cfg, img, t_final, stop
         )
         tiles.append((counters, int(split[0]), occluded))
     return img, t_final, stop, tiles
