@@ -4,10 +4,10 @@ Nothing here changes rendered pixels.  The renderer fills in counters
 (candidate/performed/skipped alpha evaluations, per-tile list lengths,
 chunk-level occlusion counts); the alpha-evaluation counts come from
 each tile's windows and its pixels' stop positions after blending
-(``count_evals``, or ``count_skipped`` for many tiles at once).  The
-functions below turn them into the analyses a hardware study needs:
-tile-size sweeps, occlusion growth curves, shared-memory bank conflict
-counts, and the evaluation savings of the hybrid dataflow.
+(``count_evals``).  The functions below turn them into the analyses a
+hardware study needs: tile-size sweeps, occlusion growth curves,
+shared-memory bank conflict counts, and the evaluation savings of the
+hybrid dataflow.
 """
 
 from __future__ import annotations
@@ -80,55 +80,6 @@ def count_evals(
         sums = sat[wy1, wx1] - sat[wy0, wx1] - sat[wy1, wx0] + sat[wy0, wx0]
         skipped += int(sums[area[lo:hi] > 0].sum())
     return EvalCounters(candidates, candidates - skipped, skipped)
-
-
-def count_skipped(
-    win: np.ndarray,
-    area: np.ndarray,
-    m: np.ndarray,
-    rects: np.ndarray,
-    switch: np.ndarray,
-    until: np.ndarray,
-) -> np.ndarray:
-    """``count_evals``' skipped count for each of n tiles at once.
-
-    ``m`` holds the tiles' list lengths, ``win`` and ``area`` their lists'
-    windows and areas concatenated tile by tile, ``rects`` (n, 4) the
-    tiles' rects and ``switch`` each tile's first pixel-centric
-    position.  ``until`` (n, H, W) holds each tile's pixels from its
-    top-left corner; where a tile is smaller than H x W it is padded
-    with the tile's list length, which never counts as dead.  A tile
-    whose pixels die at no list position past its first skipping entry,
-    max(switch, earliest until), has one set of dead pixels for all of
-    its entries from there on, and one summed-area table covers all
-    such tiles.  The other tiles go through ``count_evals``.
-    """
-    n = len(m)
-    per_tile = until.reshape(n, -1)
-    first = np.maximum(switch, per_tile.min(axis=1))
-    single = ~((per_tile > first[:, None]) & (per_tile < m[:, None])).any(axis=1)
-
-    skipped = np.zeros(n, dtype=np.int64)
-    off = np.concatenate(([0], np.cumsum(m)))
-    tile = np.repeat(np.arange(n), m)
-    pos = np.arange(len(tile)) - off[tile]
-    j = np.flatnonzero(single[tile] & (pos >= first[tile]) & (area > 0))
-    if len(j):
-        sat = np.zeros((n, until.shape[1] + 1, until.shape[2] + 1), dtype=np.int32)
-        np.cumsum(until <= first[:, None, None], axis=2, dtype=np.int32, out=sat[:, 1:, 1:])
-        np.cumsum(sat[:, 1:, 1:], axis=1, out=sat[:, 1:, 1:])
-        t = tile[j]
-        x0, y0 = rects[t, 0], rects[t, 1]
-        wx0, wy0, wx1, wy1 = win[j].T
-        wx0, wx1, wy0, wy1 = wx0 - x0, wx1 - x0, wy0 - y0, wy1 - y0
-        sums = sat[t, wy1, wx1] - sat[t, wy0, wx1] - sat[t, wy1, wx0] + sat[t, wy0, wx0]
-        np.add.at(skipped, t, sums)
-    for i in np.flatnonzero(~single):
-        x0, y0, x1, y1 = rect = tuple(int(v) for v in rects[i])
-        es = slice(off[i], off[i + 1])
-        tile_until = until[i, : y1 - y0, : x1 - x0]
-        skipped[i] = count_evals(win[es], area[es], rect, int(switch[i]), tile_until).skipped
-    return skipped
 
 
 def occlusion_switch(area: np.ndarray, until: np.ndarray, theta: float) -> int:

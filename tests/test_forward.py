@@ -460,23 +460,43 @@ def test_partial_edge_tiles():
     np.testing.assert_allclose(res.image.data, full.image.data, atol=2e-7)
 
 
-@pytest.mark.parametrize("tile", [(16, 16), (32, 32), (24, 40), (200, 200)])
+@pytest.mark.parametrize("tile", [(16, 16), (32, 32), (24, 40), (200, 200), (320, 320)])
 def test_tile_groups_hold_at_most_the_cap_per_pass(tile):
-    """With K rows per block (depth chunks in one pass) a group's blocks
-    hold at most GROUP_MAX_PX pixels, unless one tile alone exceeds it."""
+    """Every lockstep pass holds at most GROUP_MAX_PX block pixels: a
+    group's blocks times the depth chunks it blends at once.  Only a lone
+    tile that exceeds the cap by itself, blending one chunk, holds more."""
+    from unittest import mock
+
     from tilesplat import forward
     from tilesplat.preprocess import bin_and_sort, preprocess
 
     rng = np.random.default_rng(4)
     cam = make_camera(256, 192)
-    batch, _ = preprocess(random_scene(rng, 50, cam), cam)
-    binning = bin_and_sort(batch, tile, (256, 192))
-    for rows in (1, 2, 4, 8):
-        groups = forward._tile_groups(binning, rows)
+    scene = random_scene(rng, 50, cam)
+    binning = bin_and_sort(preprocess(scene, cam)[0], tile, (256, 192))
+    blend, blend_chunks = forward.BlockGroup.blend, forward.BlockGroup.blend_chunks
+    passes = []
+
+    def spy_blend(self, state, *args):
+        passes.append((len(self.m), self.valid.size, 1))
+        return blend(self, state, *args)
+
+    def spy_blend_chunks(self, state, chunks, *args):
+        passes.append((len(self.m), self.valid.size, len(chunks)))
+        return blend_chunks(self, state, chunks, *args)
+
+    for z_tiles in (1, 2, 4, 8):
+        groups = forward._tile_groups(binning, z_tiles)
         assert [t for g in groups for t in g] == list(range(binning.n_tiles))
-        grp = forward._group(forward.SplatTable(batch), binning, groups[0])
-        px = grp.valid.size * rows
-        assert px <= forward.GROUP_MAX_PX or len(groups[0]) == 1
+        passes.clear()
+        with (
+            mock.patch.object(forward.BlockGroup, "blend", spy_blend),
+            mock.patch.object(forward.BlockGroup, "blend_chunks", spy_blend_chunks),
+        ):
+            render(scene, cam, RenderConfig(tile_size=tile, z_tiles=z_tiles))
+        assert len(passes) >= len(groups)
+        for tiles, px, chunks in passes:
+            assert px * chunks <= forward.GROUP_MAX_PX or (tiles == 1 and chunks == 1)
 
 
 def test_block_groups_are_the_groups_render_blends():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import forward_oracle as oracle
 from tile_kernel import blend_tile_span, fresh_state, render_tiles
 from tilesplat import forward
-from tilesplat.execmodel import EvalCounters, count_evals, count_skipped, occlusion_switch
+from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
 from tilesplat.forward import RenderConfig, clip_windows, render
 from tilesplat.preprocess import bin_and_sort, preprocess
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
@@ -345,81 +345,3 @@ def test_switch_after_first_chunk_matches_oracle(threads):
     splits = np.array(res.stats.hybrid_splits)
     after_first = (splits == lengths // 4) & (lengths >= 4)
     assert after_first.sum() >= 4 and not after_first.all()
-
-
-def _count_per_tile(grp, binning, tiles, switch, stop):
-    """``count_evals`` of every tile of a group, from its stops in block layout."""
-    w, h = binning.image_w, binning.image_h
-    until = np.zeros((h, w), dtype=np.int32)
-    grp.paste(stop, until)
-    out = []
-    for i, t in enumerate(tiles):
-        x0, y0, x1, y1 = rect = binning.tile_rect(t)
-        es = slice(grp.entry_off[i], grp.entry_off[i + 1])
-        tile_until = until[y0:y1, x0:x1]
-        out.append(count_evals(grp.win[es], grp.area[es], rect, int(switch[i]), tile_until))
-    return out
-
-
-@EXAMPLES
-@given(
-    seed=st.integers(0, 2**16),
-    n=st.integers(0, 30),
-    w=st.integers(8, 72),
-    h=st.integers(8, 72),
-    tile=TILE,
-    eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
-    z_tiles=st.integers(1, 8),
-    hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
-    fraction=st.sampled_from([0.25, 0.6]),
-    theta=st.sampled_from([0.05, 0.5, 0.9]),
-    opaque=st.booleans(),
-)
-def test_group_counters_match_count_evals(
-    seed, n, w, h, tile, eps_t, z_tiles, hybrid, fraction, theta, opaque
-):
-    """``count_skipped`` over a group's tiles equals ``count_evals`` tile by
-    tile after every schedule: tiles with no entries, tiles whose
-    pixels all died before the switch, and tiles with deaths past it."""
-    scene, cam = opaque_or_small_scene(seed, n, w, h, opaque)
-    batch64, _ = preprocess(scene, cam)
-    binning = bin_and_sort(batch64, tile, (w, h))
-    cfg = RenderConfig(
-        tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
-        hybrid_fraction=fraction, occlusion_threshold=theta,
-    )
-    tiles = range(binning.n_tiles)
-    grp = forward._group(forward.SplatTable(batch64.astype(np.float32)), binning, tiles)
-    state, split, _ = forward._blend_group(grp, cfg)
-    until = grp.tiles(state.stop)
-    skipped = count_skipped(grp.win, grp.area, grp.m, grp.rects, split, until)
-    want = _count_per_tile(grp, binning, tiles, split, state.stop)
-    assert skipped.tolist() == [c.skipped for c in want]
-
-
-@EXAMPLES
-@given(seed=st.integers(0, 2**16), n=st.integers(0, 30), tile=TILE)
-def test_group_counters_match_count_evals_on_any_stops(seed, n, tile):
-    """Arbitrary stops and switches per tile: every pixel dead before the
-    switch, one death position past it, several, or any mix; padding
-    keeps the list end, as it does after blending."""
-    scene, cam = small_scene(seed, n, 48, 40)
-    batch64, _ = preprocess(scene, cam)
-    binning = bin_and_sort(batch64, tile, (48, 40))
-    tiles = range(binning.n_tiles)
-    grp = forward._group(forward.SplatTable(batch64), binning, tiles)
-    rng = np.random.default_rng(seed)
-    nb, P = grp.valid.shape
-    m = grp.m[grp.block_tile][:, None]
-    switch = rng.integers(0, grp.m + 1)
-    sw = switch[grp.block_tile][:, None]
-    kind = rng.integers(0, 4, size=len(grp.m))[grp.block_tile][:, None]
-    mix = rng.integers(0, m + 1, size=(nb, P))
-    before = rng.integers(0, sw + 1, size=(nb, P))
-    one = np.where(rng.uniform(size=(nb, P)) < 0.5, before, rng.integers(sw, m + 1))
-    several = np.maximum(mix, before)
-    stop = np.select([kind == 0, kind == 1, kind == 2], [before, one, several], mix)
-    stop = np.where(grp.valid, stop, m).astype(np.int32)
-    skipped = count_skipped(grp.win, grp.area, grp.m, grp.rects, switch, grp.tiles(stop))
-    want = _count_per_tile(grp, binning, tiles, switch, stop)
-    assert skipped.tolist() == [c.skipped for c in want]
