@@ -254,7 +254,9 @@ def cmd_analyze(args) -> int:
                 [grp.aabb_pairs, len(grp.pos)],
                 [grp.aabb_pairs * block_px, len(grp.pos) * block_px],
             ]
-        lines.append(f"bounds before after kept ({rcfg.tile_size[0]}x{rcfg.tile_size[1]} tiles)")
+        tw, th = rcfg.tile_size
+        bh, bw = grp.block  # every group of a render has the same blocks
+        lines.append(f"bounds before after kept ({tw}x{th} tiles, {bw}x{bh} blocks)")
         for name, (before, after) in zip(
             ("invocations", "window_px", "block_entries", "block_px"), totals
         ):

@@ -19,7 +19,7 @@ produce bit-identical pixels:
 
 All of them blend through one lockstep kernel over blend blocks
 (``BlockGroup.blend``).  Each tile is cut into blocks of at most
-BLOCK x BLOCK pixels, and a block's list is the subsequence of its
+side x side pixels, and a block's list is the subsequence of its
 tile's list whose clipped window meets the block, in list order, less
 the entries whose alpha cannot reach ALPHA_MIN at any pixel centre of
 block and window (``preprocess.can_blend``: the least q over that
@@ -38,6 +38,17 @@ whose pixels are all dead leaves the active set.  Each pixel sees the
 same floating-point operations in the same order as when splats are
 blended one at a time, so neither the lockstep order nor the grouping
 changes a bit.
+
+A render picks its largest block side, BLOCK (16) or BLOCK // 2 (8),
+once from its splats' boxes (``_pick_block``).  Small splats fill only
+a corner of a 16 px block, so 8 px blocks evaluate fewer pixels, but
+they split every entry into more block-list rows, each of which costs
+a gather and a step.  The rule counts each side's (splat, block) pairs
+on the image-wide block grid and takes the side with the least
+pairs * (block pixels + ROW_PX), ROW_PX being a row's cost in pixel
+evaluations: 8 px wins when it evaluates under 0.75 of the 16 px
+pixels.  The side decides which blocks an entry is listed in, never
+what a pixel sees, so pixels, T, stop and counters do not depend on it.
 
 A pass blends rows of block pixels.  A plain span blends each block's
 row in place.  Depth chunks blend (block, chunk) rows, each from the
@@ -109,11 +120,17 @@ ALPHA_MAX = 0.99
 # out of the subnormal range, where it runs about ten times slower.
 Q_MAX = 100.0
 
-# Largest blend-block side.  On the benchmark scenes 8 px made the
-# large-splat render 1.3x slower (more block-list entries per pixel of
-# work) and 32 px the float64 train forward 1.4x slower (more evaluated
-# pixels outside the entries' windows).
+# Largest blend-block side; a render blends blocks of at most BLOCK or
+# BLOCK // 2 px (``_pick_block``).  32 px made the float64 train forward
+# 1.4x slower (more evaluated pixels outside the entries' windows).
 BLOCK = 16
+# Cost of one block-list row (an entry's parameters gathered into a
+# lockstep step), in pixel evaluations.  It sets the 8 px blocks' cut at
+# E8 / E16 = 0.75, evaluated block pixels at 8 over 16 px; the benchmark
+# scenes measure 0.68-0.71 with small splats (8 px: 1.05-1.20x faster)
+# and 0.83-0.89 with large ones (8 px: 1.12-1.35x slower), and any value
+# from about 20 to 43 picks the same sides on them.
+ROW_PX = 32
 # Block pixels per tile group.  It bounds the (blocks, pixels) arrays of
 # one lockstep step, and with them the process's peak memory.
 GROUP_MAX_PX = 1 << 16
@@ -243,10 +260,32 @@ def clip_windows(boxes: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
     return win, area
 
 
-def _block_side(tile_side: int) -> int:
-    """Block side for a tile side: ceil(side / BLOCK) blocks of equal size."""
-    n = -(-tile_side // BLOCK)
+def _block_side(tile_side: int, side: int) -> int:
+    """Block side for a tile side: ceil(tile_side / side) blocks of equal size."""
+    n = -(-tile_side // side)
     return -(-tile_side // n)
+
+
+def _block_pairs(aabb: np.ndarray, side: int) -> int:
+    """(box, block) pairs on the image-wide grid of side x side blocks.
+
+    ``aabb`` are binning's boxes, already clipped to the image.  When
+    ``side`` divides the tile side, this is the sum of the groups'
+    ``aabb_pairs``.
+    """
+    span = -(-aabb[:, 2:] // side) - aabb[:, :2] // side
+    return int(np.dot(span[:, 0], span[:, 1]))
+
+
+def _pick_block(aabb: np.ndarray) -> int:
+    """A render's largest block side, BLOCK or BLOCK // 2, from its splats' boxes.
+
+    Takes the side with the least pairs * (block pixels + ROW_PX), the
+    block pixels the kernel evaluates plus the rows it gathers; ties
+    keep BLOCK.
+    """
+    cost = [_block_pairs(aabb, s) * (s * s + ROW_PX) for s in (BLOCK, BLOCK // 2)]
+    return BLOCK // 2 if cost[1] < cost[0] else BLOCK
 
 
 class SplatTable:
@@ -270,8 +309,8 @@ class BlockGroup:
     """Whole tiles cut into blend blocks, with every block's list.
 
     Every tile of ``tile_size`` (w, h) is cut into the same grid of
-    bh x bw blocks (``_block_side``), numbered tile by tile and row-major
-    within a tile.  Pixel arrays are flat per block, (n_blocks, bh * bw).
+    bh x bw blocks of at most ``side`` px (``_block_side``), numbered
+    tile by tile and row-major within a tile.  Pixel arrays are flat per block, (n_blocks, bh * bw).
     A block's pixels outside its tile's rect (which may be clipped by the
     image edge) are padding; ``valid`` marks the others.  Entries are the
     tiles' lists, concatenated (``entry_off``), with their clipped
@@ -284,10 +323,12 @@ class BlockGroup:
     pixel index is block * bh * bw + pixel.
     """
 
-    def __init__(self, table: SplatTable, orders, rects, tile_size: tuple[int, int]):
+    def __init__(
+        self, table: SplatTable, orders, rects, tile_size: tuple[int, int], side: int
+    ):
         tw, th = tile_size
         self.tile_size = tile_size
-        bh, bw = self.block = (_block_side(th), _block_side(tw))
+        bh, bw = self.block = (_block_side(th, side), _block_side(tw, side))
         nby, nbx = self.grid = (-(-th // bh), -(-tw // bw))
         rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
         nt = len(rects)
@@ -364,9 +405,11 @@ class BlockGroup:
         self.params = np.take(table.params, splat[e], axis=0)
         self.entry = e
         self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
-        # Block-list entries by (block, list position), for ``_at``.
+        # Block-list entries by (block, list position), for ``_at``; int32
+        # when every key fits.
         self._stride = int(self.m.max(initial=0)) + 1
-        self._key = blk * np.int64(self._stride) + self.pos
+        key = np.int32 if nb * self._stride <= np.iinfo(np.int32).max else np.int64
+        self._key = blk.astype(key, copy=False) * key(self._stride) + self.pos
 
     def fresh_state(self, end_pos: np.ndarray) -> PixelState:
         """T = 1, no color and stop = ``end_pos[tile]``; padding starts dead (T = 0)."""
@@ -405,8 +448,10 @@ class BlockGroup:
 
     def _at(self, tile_pos: np.ndarray) -> np.ndarray:
         """Per block, its first block-list entry at tile list position tile_pos[tile] or later."""
-        nb = len(self.block_tile)
-        return np.searchsorted(self._key, np.arange(nb) * self._stride + tile_pos[self.block_tile])
+        key = self._key.dtype.type
+        at = np.arange(len(self.block_tile), dtype=key) * key(self._stride)
+        at += tile_pos[self.block_tile].astype(key)
+        return np.searchsorted(self._key, at)
 
     def blend(
         self,
@@ -705,15 +750,15 @@ def _blend_group(
     return state, split, occluded
 
 
-def _tile_groups(binning: TileBinning, rows: int = 1) -> list[range]:
+def _tile_groups(binning: TileBinning, side: int, rows: int = 1) -> list[range]:
     """Runs of consecutive tiles whose blocks hold at most GROUP_MAX_PX pixels.
 
-    Every tile has the same block grid.  ``rows`` counts how many pixel
-    rows a pass holds per block (one per depth chunk when the chunks
-    blend in one pass).  A tile larger than the cap is a group of its
-    own.
+    Every tile has the same grid of blocks of at most ``side`` px, padding
+    included.  ``rows`` counts how many pixel rows a pass holds per block
+    (one per depth chunk when the chunks blend in one pass).  A tile
+    larger than the cap is a group of its own.
     """
-    bh, bw = _block_side(binning.tile_h), _block_side(binning.tile_w)
+    bh, bw = _block_side(binning.tile_h, side), _block_side(binning.tile_w, side)
     tile_px = -(-binning.tile_h // bh) * bh * -(-binning.tile_w // bw) * bw
     per = max(1, GROUP_MAX_PX // (tile_px * rows))
     return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
@@ -724,16 +769,17 @@ def _pass_rows(cfg: RenderConfig) -> int:
     return 1 if cfg.hybrid == "occlusion_threshold" else cfg.z_tiles
 
 
-def _group(table: SplatTable, binning: TileBinning, tiles: range) -> BlockGroup:
+def _group(table: SplatTable, binning: TileBinning, tiles: range, side: int) -> BlockGroup:
     rects = [binning.tile_rect(t) for t in tiles]
     lists = [binning.lists[t] for t in tiles]
-    return BlockGroup(table, lists, rects, (binning.tile_w, binning.tile_h))
+    return BlockGroup(table, lists, rects, (binning.tile_w, binning.tile_h), side)
 
 
 def _render_group(
     table: SplatTable,
     binning: TileBinning,
     tiles: range,
+    side: int,
     cfg: RenderConfig,
     img: np.ndarray,
     t_final: np.ndarray | None,
@@ -746,7 +792,7 @@ def _render_group(
     ``t_final`` and stop into ``stop_img``.  ``traced`` is (tiles,
     group, recorded steps) with ``want_steps``, else None.
     """
-    grp = _group(table, binning, tiles)
+    grp = _group(table, binning, tiles, side)
     steps = [] if want_steps else None
     state, split, occluded = _blend_group(grp, cfg, steps)
     traced = (tiles, grp, steps) if want_steps else None
@@ -807,12 +853,15 @@ class RenderResult:
 
 
 def _prepare(scene: GaussianScene, cam: Camera, cfg: RenderConfig):
-    """Project, bin and pack a render's splats: (batch64, pstats, binning, batch, table)."""
+    """Project, bin and pack a render's splats, and pick its block side.
+
+    Returns (batch64, pstats, binning, batch, table, side).
+    """
     batch64, pstats = preprocess(scene, cam)
     binning = bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height))
     dtype = np.dtype(cfg.dtype).type
     batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
-    return batch64, pstats, binning, batch, SplatTable(batch)
+    return batch64, pstats, binning, batch, SplatTable(batch), _pick_block(batch64.aabb)
 
 
 def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterator[BlockGroup]:
@@ -822,9 +871,9 @@ def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterat
     --report bounds``).
     """
     cfg.validate()
-    _, _, binning, _, table = _prepare(scene, cam, cfg)
-    for tiles in _tile_groups(binning, _pass_rows(cfg)):
-        yield _group(table, binning, tiles)
+    _, _, binning, _, table, side = _prepare(scene, cam, cfg)
+    for tiles in _tile_groups(binning, side, _pass_rows(cfg)):
+        yield _group(table, binning, tiles, side)
 
 
 def render(
@@ -845,7 +894,7 @@ def render(
     cfg.validate()
     if want_trace and (cfg.z_tiles != 1 or cfg.hybrid != "off"):
         raise ValueError("gradient tracing requires z_tiles=1 and hybrid='off'")
-    batch64, pstats, binning, batch, table = _prepare(scene, cam, cfg)
+    batch64, pstats, binning, batch, table, side = _prepare(scene, cam, cfg)
 
     h, w = cam.height, cam.width
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
@@ -854,9 +903,9 @@ def render(
     K = cfg.z_tiles
 
     def run_group(tiles: range):
-        return _render_group(table, binning, tiles, cfg, img, t_final, stop_img, want_trace)
+        return _render_group(table, binning, tiles, side, cfg, img, t_final, stop_img, want_trace)
 
-    groups = _tile_groups(binning, _pass_rows(cfg))
+    groups = _tile_groups(binning, side, _pass_rows(cfg))
     if cfg.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(run_group, groups))

@@ -12,13 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import backward_oracle as oracle
+from tilesplat import forward
 from tilesplat.backward import TrainConfig, backward_tile, loss_and_pixel_grads, scene_backward
 from tilesplat.forward import render
 from tilesplat.model import ImageRGB
 from tilesplat.preprocess import preprocess
 from tilesplat.synth import make_camera, random_scene
 
-from tile_kernel import traced_tile
+from tile_kernel import picking, traced_tile
 
 EXAMPLES = settings(
     max_examples=30,
@@ -30,6 +31,7 @@ REL = 1e-12
 DTYPE = st.sampled_from([np.float32, np.float64])
 RECIP = st.sampled_from(["exact", "approx"])
 BACKGROUND = st.sampled_from([(0.0, 0.0, 0.0), (0.2, 0.1, 0.4)])
+SIDE = st.sampled_from([forward.BLOCK, forward.BLOCK // 2])
 
 
 def small_scene(seed: int, n: int, w: int, h: int):
@@ -58,16 +60,18 @@ def assert_close(got, want, what):
     loss=st.sampled_from(["l1", "l2"]),
     background=BACKGROUND,
     eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
+    side=SIDE,
 )
 def test_scene_backward_matches_oracle(
-    seed, n, w, h, tile, dtype, recip_mode, loss, background, eps_t
+    seed, n, w, h, tile, dtype, recip_mode, loss, background, eps_t, side
 ):
     scene, cam = small_scene(seed, n, w, h)
     tcfg = TrainConfig(
         tile_size=tile, loss=loss, background=background, eps_t=eps_t,
         recip_mode=recip_mode, dtype=dtype,
     )
-    res = render(scene, cam, tcfg.render_config(), want_trace=True)
+    with picking(side):
+        res = render(scene, cam, tcfg.render_config(), want_trace=True)
     rng = np.random.default_rng(seed)
     target = ImageRGB(rng.uniform(0.0, 1.0, size=(h, w, 3)))
     _, grad_img = loss_and_pixel_grads(res.image, target, loss)
@@ -95,12 +99,15 @@ def test_scene_backward_matches_oracle(
     recip_mode=RECIP,
     background=BACKGROUND,
     eps_t=st.sampled_from([0.0, 1e-4, 0.3]),
+    side=SIDE,
 )
-def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, background, eps_t):
+def test_backward_tile_matches_oracle(
+    seed, n, tile, dtype, recip_mode, background, eps_t, side
+):
     """One tile blended with a record: pixels stop wherever eps_t takes them.
 
     The list is every splat in depth order, so some entries miss the
-    tile entirely.
+    tile entirely.  The replay reads the block side from the group.
     """
     scene, cam = small_scene(seed, n, 48, 40)
     batch = preprocess(scene, cam)[0].astype(dtype)
@@ -109,7 +116,7 @@ def test_backward_tile_matches_oracle(seed, n, tile, dtype, recip_mode, backgrou
     x0 = int(rng.integers(0, 48 - min(tile, 48) + 1))
     y0 = int(rng.integers(0, 40 - min(tile, 40) + 1))
     rect = (x0, y0, min(x0 + tile, 48), min(y0 + tile, 40))
-    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (48, 40))
+    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (48, 40), side)
     grad_img = rng.normal(size=(40, 48, 3))
     bg = np.asarray(background)
 

@@ -183,6 +183,8 @@ def test_analyze_bounds_report(capsys):
     rc = main(["analyze", "--report", "bounds", "--n", "150"])
     out = capsys.readouterr().out
     assert rc == 0
+    # outdoor splats are large, so the render keeps 16 px blocks
+    assert out.splitlines()[0] == "bounds before after kept (64x64 tiles, 16x16 blocks)"
     rows = {
         name: (int(before), int(after), float(kept))
         for name, before, after, kept in (line.split() for line in out.splitlines()[1:])

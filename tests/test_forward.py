@@ -19,7 +19,7 @@ from tilesplat.forward import (
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
-from tile_kernel import blend_tile_span, fresh_state
+from tile_kernel import blend_tile_span, fresh_state, picking
 
 
 def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
@@ -460,43 +460,161 @@ def test_partial_edge_tiles():
     np.testing.assert_allclose(res.image.data, full.image.data, atol=2e-7)
 
 
-@pytest.mark.parametrize("tile", [(16, 16), (32, 32), (24, 40), (200, 200), (320, 320)])
-def test_tile_groups_hold_at_most_the_cap_per_pass(tile):
+@pytest.mark.parametrize("side", [16, 8])
+@pytest.mark.parametrize(
+    "tile", [(16, 16), (20, 20), (32, 32), (24, 40), (200, 200), (320, 320)]
+)
+def test_tile_groups_hold_at_most_the_cap_per_pass(tile, side):
     """Every lockstep pass holds at most GROUP_MAX_PX block pixels: a
-    group's blocks times the depth chunks it blends at once.  Only a lone
-    tile that exceeds the cap by itself, blending one chunk, holds more."""
+    group's blocks, padding included, times the depth chunks it blends at
+    once.  Only a lone tile that exceeds the cap by itself, blending one
+    chunk, holds more.  20 px tiles pad to 21 px in 8 px blocks (3 of 7
+    px) but not in 16 px ones (2 of 10 px), so groups sized for the wrong
+    side overflow the cap: the image has more 20 px tiles than fit in
+    one group."""
     from unittest import mock
 
     from tilesplat import forward
     from tilesplat.preprocess import bin_and_sort, preprocess
 
     rng = np.random.default_rng(4)
-    cam = make_camera(256, 192)
+    cam = make_camera(320, 256)
     scene = random_scene(rng, 50, cam)
-    binning = bin_and_sort(preprocess(scene, cam)[0], tile, (256, 192))
+    binning = bin_and_sort(preprocess(scene, cam)[0], tile, (320, 256))
     blend, blend_chunks = forward.BlockGroup.blend, forward.BlockGroup.blend_chunks
+    block = (forward._block_side(tile[1], side), forward._block_side(tile[0], side))
+    tile_px = -(-tile[1] // block[0]) * block[0] * -(-tile[0] // block[1]) * block[1]
     passes = []
 
     def spy_blend(self, state, *args):
-        passes.append((len(self.m), self.valid.size, 1))
+        passes.append((len(self.m), self.valid.size, 1, self.block))
         return blend(self, state, *args)
 
     def spy_blend_chunks(self, state, chunks, *args):
-        passes.append((len(self.m), self.valid.size, len(chunks)))
+        passes.append((len(self.m), self.valid.size, len(chunks), self.block))
         return blend_chunks(self, state, chunks, *args)
 
     for z_tiles in (1, 2, 4, 8):
-        groups = forward._tile_groups(binning, z_tiles)
+        groups = forward._tile_groups(binning, side, z_tiles)
         assert [t for g in groups for t in g] == list(range(binning.n_tiles))
+        for g in groups:
+            assert len(g) * tile_px * z_tiles <= forward.GROUP_MAX_PX or len(g) == 1
         passes.clear()
         with (
             mock.patch.object(forward.BlockGroup, "blend", spy_blend),
             mock.patch.object(forward.BlockGroup, "blend_chunks", spy_blend_chunks),
+            picking(side),
         ):
             render(scene, cam, RenderConfig(tile_size=tile, z_tiles=z_tiles))
         assert len(passes) >= len(groups)
-        for tiles, px, chunks in passes:
+        for tiles, px, chunks, got in passes:
+            assert got == block
             assert px * chunks <= forward.GROUP_MAX_PX or (tiles == 1 and chunks == 1)
+
+
+def workload_views(kind: str, seed: int):
+    """A scene and three orbit views shaped like one of the benchmark's workloads."""
+    from tilesplat.synth import orbit_camera, outdoor_scene
+
+    size, n, orbit = {
+        "train": (128, 300, 6.0),
+        "many_tiles": (256, 1000, 6.0),
+        "large_splats": (512, 1000, 8.0),
+        "occluded": (256, 600, 2.0),
+    }[kind]
+    rng = np.random.default_rng(seed)
+    base = make_camera(size, size)
+    if kind == "train":
+        scene = random_scene(rng, n, base, degree=3, margin=0.25)
+    elif kind == "many_tiles":
+        scene = random_scene(rng, n, base)
+    elif kind == "large_splats":
+        scene = outdoor_scene(rng, base, n)
+    else:
+        scene = opaque_foreground_scene(rng, base, n_back=n)
+    return scene, [orbit_camera(size, size, a, orbit, orbit) for a in (-9.0, 0.0, 9.0)]
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [("train", 8), ("many_tiles", 8), ("large_splats", 16), ("occluded", 16)],
+)
+def test_pick_block_follows_splat_size(kind, want):
+    """Small splats fill a corner of a 16 px block and get 8 px blocks;
+    large splats and the opaque wall keep 16 px blocks, whose block lists
+    hold fewer rows."""
+    from tilesplat import forward
+    from tilesplat.preprocess import preprocess
+
+    for seed in range(3):
+        scene, cams = workload_views(kind, seed)
+        for cam in cams:
+            assert forward._pick_block(preprocess(scene, cam)[0].aabb) == want
+
+
+@pytest.mark.parametrize("side", [16, 8])
+@pytest.mark.parametrize("tile", [(16, 16), (32, 64), (48, 48)])
+def test_block_pairs_count_the_groups_pairs(tile, side):
+    """Where the block side divides the tile side, the image-wide count of
+    (splat, block) pairs is the groups' count."""
+    from tilesplat import forward
+    from tilesplat.preprocess import preprocess
+
+    scene, cams = workload_views("train", 1)
+    for cam in cams:
+        cfg = RenderConfig(tile_size=tile)
+        with picking(side):
+            pairs = sum(grp.aabb_pairs for grp in forward.block_groups(scene, cam, cfg))
+        assert forward._block_pairs(preprocess(scene, cam)[0].aabb, side) == pairs > 0
+
+
+def test_pick_block_is_the_same_for_any_threads_and_rerun():
+    """The side depends on the splats alone, and every group of a render
+    blends blocks of it."""
+    from unittest import mock
+
+    from tilesplat import forward
+
+    pick = forward._pick_block
+    picks = []
+
+    def spy(aabb):
+        picks.append(pick(aabb))
+        return picks[-1]
+
+    for kind, want, tile in (("train", 8, (32, 64)), ("occluded", 16, (32, 32))):
+        scene, cams = workload_views(kind, 2)
+        for threads in (1, 2, 1, 2):
+            picks.clear()
+            cfg = RenderConfig(tile_size=tile, threads=threads)
+            with (
+                mock.patch.object(forward, "_pick_block", spy),
+                mock.patch.object(forward, "GROUP_MAX_PX", 4096),  # several groups
+            ):
+                groups = render(scene, cams[0], cfg, want_trace=True).trace.groups
+            assert picks == [want] and len(groups) > 1
+            assert {grp.block for _, grp, _ in groups} == {(want, want)}
+
+
+@pytest.mark.parametrize("side", [16, 8])
+def test_block_list_key_finds_the_starts_of_an_int64_key(side):
+    """The (block, list position) key is int32 where it fits, and finds
+    every block's first entry at a tile list position as an int64 key does."""
+    import copy
+
+    from tilesplat import forward
+    from tilesplat.preprocess import bin_and_sort, preprocess
+
+    scene, cams = workload_views("train", 3)
+    batch = preprocess(scene, cams[1])[0]
+    binning = bin_and_sort(batch, (32, 64), (128, 128))
+    grp = forward._group(forward.SplatTable(batch), binning, range(binning.n_tiles), side)
+    assert grp._key.dtype == np.int32
+    wide = copy.copy(grp)
+    wide._key = grp._key.astype(np.int64)
+    rng = np.random.default_rng(0)
+    for pos in [np.zeros_like(grp.m), grp.m] + [rng.integers(0, grp.m + 1) for _ in range(5)]:
+        assert np.array_equal(grp._at(pos), wide._at(pos))
 
 
 def test_block_groups_are_the_groups_render_blends():

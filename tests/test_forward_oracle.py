@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import forward_oracle as oracle
-from tile_kernel import blend_tile_span, fresh_state, render_tiles
+from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles
 from tilesplat import forward
 from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
 from tilesplat.forward import RenderConfig, clip_windows, render
@@ -42,12 +42,15 @@ def assert_states_equal(got, want, eps_t):
 
 EPS = st.sampled_from([0.0, 1e-4, 1.0])
 DTYPE = st.sampled_from([np.float32, np.float64])
-# Tile sides that are multiples of the 16 px block, that are not (so
-# blocks overhang the tile), and that are smaller than one block.
+# Tile sides that are multiples of the 8 and 16 px blocks, that are not
+# (so blocks overhang the tile), and that are smaller than one block.
 TILE = st.one_of(
-    st.sampled_from([(16, 16), (24, 40), (17, 64), (64, 32), (5, 9), (8, 8)]),
+    st.sampled_from([(16, 16), (20, 20), (24, 40), (17, 64), (64, 32), (5, 9), (8, 8)]),
     st.tuples(st.integers(3, 64), st.integers(3, 64)),
 )
+# The largest block sides a render can pick (``forward._pick_block``).
+SIDE = st.sampled_from([forward.BLOCK, forward.BLOCK // 2])
+
 
 
 @EXAMPLES
@@ -65,14 +68,15 @@ TILE = st.one_of(
     theta=st.sampled_from([0.05, 0.5, 0.9]),
     occlusion=st.booleans(),
     group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 700]),
+    side=SIDE,
 )
 def test_schedules_match_oracle(
     seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, fraction, theta, occlusion,
-    group_px,
+    group_px, side,
 ):
     """Images, stats and occlusion counts, with groups of the default size,
     of one tile and of a few tiles; then every tile's color, T, stop,
-    counters, split and occlusion counts."""
+    counters, split and occlusion counts, over blocks of either side."""
     scene, cam = small_scene(seed, n, w, h)
     cfg = RenderConfig(
         tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
@@ -80,7 +84,7 @@ def test_schedules_match_oracle(
         background=(0.2, 0.1, 0.4), dtype=dtype,
         record_occlusion=occlusion,
     )
-    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px), picking(side):
         res = render(scene, cam, cfg)
     img, stats, t_final, stop = oracle.render(scene, cam, cfg)
     assert np.array_equal(res.image.data, img)
@@ -94,7 +98,7 @@ def test_schedules_match_oracle(
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
     black = dataclasses.replace(cfg, background=(0.0, 0.0, 0.0))
-    rgb, got_t, got_stop, tiles = render_tiles(batch, binning, black)
+    rgb, got_t, got_stop, tiles = render_tiles(batch, binning, black, side)
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
     for t, (counters, split, occluded) in enumerate(tiles):
@@ -109,7 +113,8 @@ def test_schedules_match_oracle(
         assert occluded == want_occluded
 
     if z_tiles == 1 and hybrid == "off":
-        traced = render(scene, cam, cfg, want_trace=True).trace
+        with picking(side):
+            traced = render(scene, cam, cfg, want_trace=True).trace
         assert np.array_equal(traced.t_final, t_final)
         assert np.array_equal(traced.stop, stop)
 
@@ -147,9 +152,10 @@ def test_opaque_scene_matches_oracle(z_tiles, hybrid):
     mode=st.sampled_from(["centric_from", "theta"]),
     at=st.floats(0.0, 1.0),
     p_term=st.sampled_from([0.0, 0.3, 0.97, 1.0]),
+    side=SIDE,
 )
 def test_span_with_carried_state_matches_oracle(
-    seed, n, tile, dtype, eps_t, span, mode, at, p_term
+    seed, n, tile, dtype, eps_t, span, mode, at, p_term, side
 ):
     """Any carried state: dead pixels below eps_t, live ones anywhere above.
 
@@ -199,7 +205,7 @@ def test_span_with_carried_state_matches_oracle(
     got.rgb[:] = carry.planar().rgb
     got.T[:] = carry.T
     got.stop[:] = carry.stop
-    blend_tile_span(got, batch, order, rect, start, end, eps_t)
+    blend_tile_span(got, batch, order, rect, start, end, eps_t, side)
     assert_states_equal(got, want.planar(), eps_t)
 
     until = np.where(got.T < eps_t, got.stop - start, m - start)
@@ -234,8 +240,9 @@ def needle_scene(seed: int, n: int, w: int, h: int):
     h=st.integers(4, 72),
     tile=TILE,
     dtype=DTYPE,
+    side=SIDE,
 )
-def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype):
+def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype, side):
     """Brute force over every block pixel of every (entry, block) pair that
     the windows meet: a pair with a window pixel where alpha reaches
     ALPHA_MIN is in the block's list, in list order, and nothing else is."""
@@ -244,7 +251,7 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype):
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
     tiles = range(binning.n_tiles)
-    grp = forward._group(forward.SplatTable(batch), binning, tiles)
+    grp = forward._group(forward.SplatTable(batch), binning, tiles, side)
     for b in range(len(grp.valid)):
         order = binning.lists[grp.block_tile[b]]
         kept = grp.pos[grp.list_off[b] : grp.list_off[b + 1]]
@@ -285,23 +292,26 @@ def opaque_or_small_scene(seed: int, n: int, w: int, h: int, opaque: bool):
     threads=st.sampled_from([1, 2]),
     group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 2000]),
     opaque=st.booleans(),
+    side=SIDE,
 )
 def test_chunk_folds_match_oracle(
-    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, theta, threads, group_px, opaque
+    seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, theta, threads, group_px, opaque,
+    side,
 ):
     """Depth chunks folded at write-back, all K in one pass unless the
     occlusion-threshold hybrid is on, give the oracle's chunk-by-chunk
     merge bit for bit: image, stats, occlusion counts, and every tile's
     T, stop, counters and split.  Few splats make lists shorter than K;
     group caps of one tile and of a few tiles split K-row passes across
-    groups, which threads=2 blends on a pool."""
+    groups, which threads=2 blends on a pool.  Blocks of either side
+    give the same bits."""
     scene, cam = opaque_or_small_scene(seed, n, w, h, opaque)
     cfg = RenderConfig(
         tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,
         occlusion_threshold=theta, background=(0.2, 0.1, 0.4), dtype=dtype,
         threads=threads, record_occlusion=True,
     )
-    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px), picking(side):
         res = render(scene, cam, cfg)
     img, stats, t_final, stop = oracle.render(scene, cam, cfg)
     assert np.array_equal(res.image.data, img)
@@ -313,7 +323,7 @@ def test_chunk_folds_match_oracle(
     batch64, _ = preprocess(scene, cam)
     binning = bin_and_sort(batch64, tile, (w, h))
     black = dataclasses.replace(cfg, background=(0.0, 0.0, 0.0))
-    _, got_t, got_stop, tiles = render_tiles(batch64.astype(dtype), binning, black)
+    _, got_t, got_stop, tiles = render_tiles(batch64.astype(dtype), binning, black, side)
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
     for t, (counters, split, occluded) in enumerate(tiles):

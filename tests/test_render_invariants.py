@@ -6,7 +6,8 @@ image or the stats text, for every schedule and with renders spread over
 one group or several.  The hybrid schedules give the pure sweep's color,
 T and stop bit for bit, and depth chunks at eps_t = 0 give the global
 sweep's image within rounding.  The blend steps a traced render records
-can be replayed back to front, as the backward pass does.
+can be replayed back to front, as the backward pass does.  None of this
+depends on the largest block side a render picks.
 """
 
 import dataclasses
@@ -16,13 +17,15 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tile_kernel import render_tiles
+from tile_kernel import picking, render_tiles
 from tilesplat import forward
 from tilesplat.forward import RenderConfig, render
 from tilesplat.preprocess import bin_and_sort, preprocess
 from tilesplat.synth import make_camera, random_scene
 
 SMALL = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SIDE = st.sampled_from([forward.BLOCK, forward.BLOCK // 2])
+
 
 
 def scene_and_camera(seed: int, n: int, w: int, h: int):
@@ -82,18 +85,23 @@ def test_render_invariants(seed, n, w, h, tile, z_tiles, hybrid, eps_t, dtype, g
     theta=st.sampled_from([0.05, 0.5, 0.9]),
     eps_t=st.sampled_from([0.0, 1e-4, 0.5]),
     dtype=st.sampled_from([np.float32, np.float64]),
+    sides=st.tuples(SIDE, SIDE),
 )
-def test_hybrid_equals_pure(seed, n, w, h, tile, hybrid, fraction, theta, eps_t, dtype):
-    """The pixel-centric tail changes no bit of color, T or stop."""
+def test_hybrid_equals_pure(
+    seed, n, w, h, tile, hybrid, fraction, theta, eps_t, dtype, sides
+):
+    """The pixel-centric tail changes no bit of color, T or stop, whatever
+    block side either render blends."""
     scene, cam = scene_and_camera(seed, n, w, h)
     cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
-    pure = render(scene, cam, cfg, want_trace=True)
+    with picking(sides[0]):
+        pure = render(scene, cam, cfg, want_trace=True)
     batch64, _ = preprocess(scene, cam)
     binning = bin_and_sort(batch64, tile, (w, h))
     hyb = dataclasses.replace(
         cfg, hybrid=hybrid, hybrid_fraction=fraction, occlusion_threshold=theta
     )
-    rgb, T, stop, _ = render_tiles(batch64.astype(dtype), binning, hyb)
+    rgb, T, stop, _ = render_tiles(batch64.astype(dtype), binning, hyb, sides[1])
     assert np.array_equal(rgb, pure.image.data)  # black background: the color itself
     assert np.array_equal(T, pure.trace.t_final)
     assert np.array_equal(stop, pure.trace.stop)
@@ -108,14 +116,18 @@ def test_hybrid_equals_pure(seed, n, w, h, tile, hybrid, fraction, theta, eps_t,
     tile=st.tuples(st.integers(4, 40), st.integers(4, 40)),
     z_tiles=st.integers(2, 8),
     dtype=st.sampled_from([np.float32, np.float64]),
+    sides=st.tuples(SIDE, SIDE),
 )
-def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype):
-    """At eps_t = 0 the chunk merge is exact up to rounding (criterion 01's bound)."""
+def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype, sides):
+    """At eps_t = 0 the chunk merge is exact up to rounding (criterion 01's
+    bound), whatever block side either render blends."""
     scene, cam = scene_and_camera(seed, n, w, h)
     rel, floor = (1e-5, 1e-7) if dtype == np.float32 else (1e-12, 1e-15)
     cfg = RenderConfig(tile_size=tile, eps_t=0.0, background=(0.1, 0.2, 0.3), dtype=dtype)
-    a = render(scene, cam, cfg).image.data.astype(np.float64)
-    b = render(scene, cam, dataclasses.replace(cfg, z_tiles=z_tiles)).image.data
+    with picking(sides[0]):
+        a = render(scene, cam, cfg).image.data.astype(np.float64)
+    with picking(sides[1]):
+        b = render(scene, cam, dataclasses.replace(cfg, z_tiles=z_tiles)).image.data
     b = b.astype(np.float64)
     assert np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + floor)
 
@@ -130,22 +142,27 @@ def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype):
     eps_t=st.sampled_from([0.0, 1e-4, 0.5]),
     dtype=st.sampled_from([np.float32, np.float64]),
     group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 500]),
+    side=SIDE,
 )
-def test_recorded_steps_replay_back_to_front(seed, n, w, h, tile, eps_t, dtype, group_px):
+def test_recorded_steps_replay_back_to_front(
+    seed, n, w, h, tile, eps_t, dtype, group_px, side
+):
     """What the backward relies on: no recorded step repeats a pixel, and at
     every pixel the list positions of the entries it blended strictly
     increase from step to step.  The record reproduces T bit for bit and
-    does not depend on the thread count."""
+    does not depend on the thread count, over blocks of either side."""
     scene, cam = scene_and_camera(seed, n, w, h)
     cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
-    with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+    with mock.patch.object(forward, "GROUP_MAX_PX", group_px), picking(side):
         traces = [
             render(scene, cam, dataclasses.replace(cfg, threads=t), want_trace=True).trace
             for t in (1, 2)
         ]
     tr = traces[0]
+    block = tuple(forward._block_side(t, side) for t in tile[::-1])
     for (tiles, grp, steps), (tiles2, _, steps2) in zip(tr.groups, traces[1].groups):
         assert tiles == tiles2 and len(steps) == len(steps2)
+        assert grp.block == block
         for step, step2 in zip(steps, steps2):
             assert all(np.array_equal(a, b) for a, b in zip(step, step2))
         T = np.ones(grp.valid.size, dtype=dtype)

@@ -8,16 +8,26 @@ and writes the result back.  ``traced_tile`` blends a whole list over
 one tile as a group of its own and keeps the steps it records, which is
 what the backward replays.  ``render_tiles`` runs
 ``forward._render_group`` once per tile, which exposes each tile's
-counters, split and occlusion counts.
+counters, split and occlusion counts.  Each takes the largest block
+side, ``forward.BLOCK`` or ``forward.BLOCK // 2``, that a render would
+pick with ``forward._pick_block``; ``picking`` makes renders use a
+given side.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 
 from tilesplat import forward
 from tilesplat.forward import BlockGroup, PixelState, RenderConfig, SplatTable
 from tilesplat.preprocess import SplatBatch
+
+
+def picking(side: int):
+    """A context in which every render blends blocks of at most ``side`` px."""
+    return mock.patch.object(forward, "_pick_block", lambda aabb: side)
 
 
 def fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
@@ -49,10 +59,11 @@ def blend_tile_span(
     start: int,
     end: int,
     eps_t: float,
+    side: int = forward.BLOCK,
 ) -> None:
     """Blend order[start:end] into one tile's ``state`` through the block kernel."""
     x0, y0, x1, y1 = rect
-    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0))
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side)
     blocks = PixelState(
         rgb=_to_blocks(state.rgb, grp),
         T=_to_blocks(state.T, grp),
@@ -76,6 +87,7 @@ def traced_tile(
     rect: tuple[int, int, int, int],
     eps_t: float,
     image_size: tuple[int, int],
+    side: int = forward.BLOCK,
 ):
     """Blend all of ``order`` over one tile, recording: (group, steps, T, stop).
 
@@ -84,7 +96,7 @@ def traced_tile(
     """
     x0, y0, x1, y1 = rect
     m = len(order)
-    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0))
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side)
     state = grp.fresh_state(np.array([m]))
     steps: list = []
     grp.blend(state, np.array([0]), np.array([m]), eps_t, steps)
@@ -96,7 +108,7 @@ def traced_tile(
     return grp, steps, t_final, stop
 
 
-def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig):
+def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forward.BLOCK):
     """Every tile as a group of its own: (image, T, stop, per-tile results).
 
     Per-tile results are (counters, split, occluded) in tile order.
@@ -109,7 +121,7 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig):
     tiles = []
     for t in range(binning.n_tiles):
         counters, split, occluded, _ = forward._render_group(
-            table, binning, range(t, t + 1), cfg, img, t_final, stop
+            table, binning, range(t, t + 1), side, cfg, img, t_final, stop
         )
         tiles.append((counters, int(split[0]), occluded))
     return img, t_final, stop, tiles
