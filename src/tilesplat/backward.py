@@ -17,11 +17,15 @@ pixel, through the recurrence S <- (1 - alpha) S + alpha (c . dL/dpixel).
 Per-entry sums (color gradient, six moments of the alpha gradient over
 pixel offsets, hit counts) are ``np.bincount`` over the pairs' entries.
 
-Per-splat partials from all tiles are folded into one accumulator in
-tile order, then chained through projection, covariance, activation,
-and spherical harmonics to the raw parameters, batched over the splats
-with hits.  The accumulator's drain count models a fold that drains every
-``offload_batch`` (16) list positions of a tile.
+Groups come in tile order (``ForwardTrace.groups``), so folding each
+group's sums into per-splat totals as it comes folds list positions
+tile by tile in list order.  The drain count models a fold that drains every
+``offload_batch`` (16) list positions of a tile.  The totals are then
+chained to the raw parameters, batched over the splats with hits, by
+differentiating ``preprocess``'s own projection: activated scale,
+rotation and opacity from ``model.activate``, camera covariance and
+perspective Jacobian from ``preprocess.camera_projection``, and the
+conic the forward blended; then spherical harmonics.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ import numpy as np
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
 from .forward import BlockGroup, ForwardTrace, RenderConfig, render, require_int
-from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, quat_to_rotmat, stable_sigmoid
-from .preprocess import LOW_PASS_DILATION, SplatBatch
+from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, activate, covariance3, quat_to_rotmat
+from .preprocess import SplatBatch, camera_projection
 from .sh import sh_basis, sh_basis_grad
 
 
@@ -92,67 +96,26 @@ def loss_and_pixel_grads(
     raise ValueError(f"unknown loss: {kind!r}")
 
 
-@dataclass
-class TilePartial:
-    """Per-splat gradient partials from one tile, indexed by list position."""
-
-    tile_index: int
-    order: np.ndarray  # (p,) batch rows, same as the forward traversal
-    d_rgb: np.ndarray  # (p, 3)
-    d_opacity: np.ndarray  # (p,)
-    d_mean2: np.ndarray  # (p, 2)
-    d_conic: np.ndarray  # (p, 3)
-    hits: np.ndarray  # (p,) int64 contributing pixels
-
-
-@dataclass
-class GradAccumulator:
-    """Screen-space grads per splat row plus chained grads per scene row."""
-
-    # batch-aligned (one row per visible splat)
-    d_rgb: np.ndarray
-    d_opacity: np.ndarray
-    d_mean2: np.ndarray
-    d_conic: np.ndarray
-    hit_count: np.ndarray
-    # scene-aligned (culled Gaussians keep zero gradients)
-    d_means: np.ndarray
-    d_log_scales: np.ndarray
-    d_rotations: np.ndarray
-    d_opacity_logits: np.ndarray
-    d_sh: np.ndarray
-
-    def param_grads(self) -> dict[str, np.ndarray]:
-        return {
-            "position": self.d_means,
-            "scale": self.d_log_scales,
-            "rotation": self.d_rotations,
-            "opacity": self.d_opacity_logits,
-            "sh": self.d_sh,
-        }
-
-
 def backward_tile(
     batch: SplatBatch,
     order: np.ndarray,
     grp: BlockGroup,
     steps: list,
-    tile_index: int,
     t_final: np.ndarray,
     grad_img: np.ndarray,
     background: np.ndarray,
     recip_mode: str,
-) -> TilePartial:
+) -> dict[str, np.ndarray]:
     """Gradients of one tile group's entries, by replaying its blend steps.
 
     ``order`` is the group's tile lists concatenated (its entries),
     ``grp`` and ``steps`` the group and its record from the forward pass,
     ``t_final`` the image's final transmittance and ``grad_img``
-    dL/d(pixel) including any loss scaling.  Returns one partial over all
-    of ``order``, labelled ``tile_index`` (``scene_backward`` cuts it per
-    tile).  The function kept the name and leading parameters it had
-    when it swept one tile: the benchmark's probe wraps it by name and
-    counts len(order) invocations, which still sum to the view's.
+    dL/d(pixel) including any loss scaling.  Returns the sums of every
+    entry of ``order``, keyed like ``accumulate_cross_tile``'s totals.
+    The function kept the name and leading parameters it had when it
+    swept one tile: the benchmark's probe wraps it by name and counts
+    len(order) invocations, which still sum to the view's.
 
     Steps are replayed in runs of at most as many pairs as the group has
     block pixels, so GROUP_MAX_PX bounds the replay's arrays as it
@@ -217,15 +180,13 @@ def backward_tile(
     mom = sums[3:]
     dq = -0.5 * mom  # moments of dL/dq
     ca, cb, cc = batch.conic[order].astype(np.float64).T
-    return TilePartial(
-        tile_index=tile_index,
-        order=order,
-        d_rgb=sums[:3].T.copy(),
-        d_opacity=mom[0] / batch.opacity[order].astype(np.float64),
-        d_mean2=-2 * np.stack([ca * dq[1] + cb * dq[2], cb * dq[1] + cc * dq[2]], axis=1),
-        d_conic=np.stack([dq[3], 2 * dq[4], dq[5]], axis=1),
-        hits=hits,
-    )
+    return {
+        "d_rgb": sums[:3].T.copy(),
+        "d_opacity": mom[0] / batch.opacity[order].astype(np.float64),
+        "d_mean2": -2 * np.stack([ca * dq[1] + cb * dq[2], cb * dq[1] + cc * dq[2]], axis=1),
+        "d_conic": np.stack([dq[3], 2 * dq[4], dq[5]], axis=1),
+        "hit_count": hits,
+    }
 
 
 def _step_runs(sizes: list[int], cap: int) -> list[list[int]]:
@@ -241,16 +202,18 @@ def _step_runs(sizes: list[int], cap: int) -> list[list[int]]:
 
 
 def accumulate_cross_tile(
-    partials: list[TilePartial], n_splats: int, offload_batch: int
+    parts: list[tuple], lists: list[np.ndarray], n_splats: int, offload_batch: int
 ) -> tuple[dict[str, np.ndarray], int, int]:
-    """Fold per-tile partials into per-splat totals in a fixed order.
+    """Fold per-entry sums into per-splat totals in a fixed order.
 
-    Tiles fold in ascending tile index and list positions in list order,
-    as one ``np.add.at`` per field over the concatenated partials
-    (``np.add.at`` applies repeated indices in order, so the sums do not
-    depend on how the fold is batched).  The drain count models an
-    accumulator that drains every ``offload_batch`` list positions of a
-    tile.  Returns (per-splat arrays, accumulate ops, drain events).
+    ``parts`` are (order, sums) pairs in tile order: the batch rows of
+    some tiles' lists, concatenated, and ``backward_tile``'s sums over
+    them.  List positions fold in that order, as one ``np.add.at`` per
+    key over the concatenated parts (``np.add.at`` applies repeated
+    indices in order, so the sums do not depend on how the fold is
+    batched).  The drain count models an accumulator that drains every
+    ``offload_batch`` list positions of each tile list in ``lists``.
+    Returns (per-splat totals, accumulate ops, drain events).
     """
     acc = {
         "d_rgb": np.zeros((n_splats, 3)),
@@ -259,15 +222,13 @@ def accumulate_cross_tile(
         "d_conic": np.zeros((n_splats, 3)),
         "hit_count": np.zeros(n_splats, dtype=np.int64),
     }
-    parts = sorted(partials, key=lambda p: p.tile_index)
-    if not parts:
-        return acc, 0, 0
-    idx = np.concatenate([p.order for p in parts])
-    for key in acc:
-        field = "hits" if key == "hit_count" else key
-        np.add.at(acc[key], idx, np.concatenate([getattr(p, field) for p in parts]))
-    drains = sum(-(-len(p.order) // offload_batch) for p in parts)
-    return acc, len(idx), drains
+    if parts:
+        idx = np.concatenate([order for order, _ in parts])
+        for key, total in acc.items():
+            np.add.at(total, idx, np.concatenate([sums[key] for _, sums in parts]))
+    ops = sum(len(order) for order, _ in parts)
+    drains = sum(-(-len(order) // offload_batch) for order in lists)
+    return acc, ops, drains
 
 
 def _normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -298,24 +259,18 @@ def chain_to_3d(
     batch: SplatBatch,
     screen: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Chain per-splat screen-space grads to raw scene parameters.
+    """Chain per-splat screen-space grads to raw parameters, keyed like ``scene.params()``.
 
-    Recomputes the forward projection quantities in float64 for every
-    row with hits, batched over rows, and applies the analytic Jacobians:
-    conic -> 2D covariance -> camera covariance and perspective Jacobian
-    -> world covariance -> (scale, rotation); screen mean -> camera
-    point -> world mean; color -> SH coefficients and view direction;
-    opacity -> logit.  Activation clamps (opacity at 0.99, SH color at
-    zero) zero out the corresponding gradients.
+    Batched over the rows with hits, it takes the forward's projection
+    (``model.activate``, ``preprocess.camera_projection`` and the conic
+    in ``batch``) and applies the analytic Jacobians: conic -> 2D
+    covariance -> camera covariance and perspective Jacobian -> world
+    covariance -> (scale, rotation); screen mean -> camera point ->
+    world mean; color -> SH coefficients and view direction; opacity ->
+    logit.  Activation clamps (opacity at 0.99, SH color at zero) zero
+    out the corresponding gradients; rows without hits keep zeros.
     """
-    n = scene.n
-    out = {
-        "position": np.zeros((n, 3)),
-        "scale": np.zeros((n, 3)),
-        "rotation": np.zeros((n, 4)),
-        "opacity": np.zeros(n),
-        "sh": np.zeros_like(scene.sh),
-    }
+    out = {key: np.zeros_like(arr) for key, arr in scene.params().items()}
     rows = np.flatnonzero(screen["hit_count"] > 0)
     if rows.size == 0:
         return out
@@ -324,35 +279,25 @@ def chain_to_3d(
     g_conic = screen["d_conic"][rows]
     Rw = cam.rotation
 
-    # recompute forward quantities
-    mean3 = scene.means[gi]
-    s = np.exp(scene.log_scales[gi])
-    q_raw = scene.rotations[gi]
-    q = q_raw / np.linalg.norm(q_raw, axis=1, keepdims=True)
+    # the forward's projection quantities
+    s, q, opac = activate(scene.log_scales[gi], scene.rotations[gi], scene.opacity_logits[gi])
     R3 = quat_to_rotmat(q)
     M = R3 * s[:, None, :]
-    cov_c = Rw @ (M @ M.transpose(0, 2, 1)) @ Rw.T
+    mean3 = scene.means[gi]
     t = mean3 @ Rw.T + cam.translation
+    cov_c, J = camera_projection(t, covariance3(s, q), cam)
     tx, ty, tz = t.T
-    J = np.zeros((rows.size, 2, 3))
-    J[:, 0, 0] = cam.fx / tz
-    J[:, 0, 2] = -cam.fx * tx / tz**2
-    J[:, 1, 1] = cam.fy / tz
-    J[:, 1, 2] = -cam.fy * ty / tz**2
     Jt = J.transpose(0, 2, 1)
-    inv2 = np.linalg.inv(J @ cov_c @ Jt + LOW_PASS_DILATION * np.eye(2))
 
-    # conic triple -> full symmetric matrix grad
-    Gconic = np.empty((rows.size, 2, 2))
-    Gconic[:, 0, 0] = g_conic[:, 0]
-    Gconic[:, 0, 1] = Gconic[:, 1, 0] = 0.5 * g_conic[:, 1]
-    Gconic[:, 1, 1] = g_conic[:, 2]
+    # conic triples as symmetric 2x2: the blended conic (inverse 2D covariance), its grad
+    inv2 = batch.conic[rows][:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    Gconic = (g_conic * [1.0, 0.5, 1.0])[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
     Gcov2 = -inv2 @ Gconic @ inv2
     GJ = 2.0 * Gcov2 @ J @ cov_c
     GM = 2.0 * (Rw.T @ (Jt @ Gcov2 @ J) @ Rw) @ M
     out["scale"][gi] = (GM * R3).sum(axis=1) * s  # d/d(log s) = d/ds * s
     g_qunit = _quat_to_rotmat_vjp(q, GM * s[:, None, :])
-    out["rotation"][gi] = _normalize_vjp(q_raw, g_qunit)
+    out["rotation"][gi] = _normalize_vjp(scene.rotations[gi], g_qunit)
 
     # camera-space point grads: screen mean and the Jacobian's t-dependence
     g_t = np.stack(
@@ -380,9 +325,8 @@ def chain_to_3d(
     out["position"][gi] = g_mean3 + _normalize_vjp(v, g_dir)
 
     # opacity logit through the sigmoid and its 0.99 ceiling
-    sig = stable_sigmoid(scene.opacity_logits[gi])
     out["opacity"][gi] = np.where(
-        sig < OPACITY_MAX, screen["d_opacity"][rows] * sig * (1.0 - sig), 0.0
+        opac < OPACITY_MAX, screen["d_opacity"][rows] * opac * (1.0 - opac), 0.0
     )
     return out
 
@@ -393,42 +337,25 @@ def scene_backward(
     trace: ForwardTrace,
     grad_img: np.ndarray,
     tcfg: TrainConfig,
-) -> tuple[GradAccumulator, int, int]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], int, int]:
     """Full backward for one view: tiles, cross-tile fold, parameter chain.
 
-    Returns the accumulator plus (accumulate ops, drain events).
+    Returns (screen, grads, accumulate ops, drain events): ``screen``
+    the per-splat totals of ``accumulate_cross_tile``, one row per batch
+    row, and ``grads`` the raw-parameter gradients of ``chain_to_3d``,
+    keyed like ``GaussianScene.params``.
     """
     binning = trace.binning
-    batch = trace.batch
     bg = np.asarray(tcfg.background, dtype=np.float64)
-    fields = ("order", "d_rgb", "d_opacity", "d_mean2", "d_conic", "hits")
-    partials = []
+    args = (trace.t_final, grad_img, bg, tcfg.recip_mode)
+    parts = []
     for tiles, grp, steps in trace.groups:
         order = np.concatenate([binning.lists[t] for t in tiles])
-        part = backward_tile(
-            batch, order, grp, steps, tiles.start,
-            trace.t_final, grad_img, bg, tcfg.recip_mode,
-        )
-        values = [getattr(part, f) for f in fields]
-        for t, lo, hi in zip(tiles, grp.entry_off[:-1], grp.entry_off[1:]):
-            if hi > lo:
-                partials.append(TilePartial(t, *(v[lo:hi] for v in values)))
-
-    acc, ops, drains = accumulate_cross_tile(partials, batch.n, tcfg.offload_batch)
-    chained = chain_to_3d(scene, cam, trace.batch64, acc)
-    gacc = GradAccumulator(
-        d_rgb=acc["d_rgb"],
-        d_opacity=acc["d_opacity"],
-        d_mean2=acc["d_mean2"],
-        d_conic=acc["d_conic"],
-        hit_count=acc["hit_count"],
-        d_means=chained["position"],
-        d_log_scales=chained["scale"],
-        d_rotations=chained["rotation"],
-        d_opacity_logits=chained["opacity"],
-        d_sh=chained["sh"],
+        parts.append((order, backward_tile(trace.batch, order, grp, steps, *args)))
+    screen, ops, drains = accumulate_cross_tile(
+        parts, binning.lists, trace.batch.n, tcfg.offload_batch
     )
-    return gacc, ops, drains
+    return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains
 
 
 @dataclass
@@ -469,15 +396,14 @@ def train_step(
         loss_total += loss / nv
         g = g / nv
         t0 = time.perf_counter()
-        gacc, ops, drains = scene_backward(scene, cam, res.trace, g, tcfg)
+        screen, view_grads, ops, drains = scene_backward(scene, cam, res.trace, g, tcfg)
         stats.time_backward += time.perf_counter() - t0
         stats.accum_ops += ops
         stats.drain_events += drains
         stats.forward = res.stats
         if densify_stats is not None:
-            densify_stats.observe(gacc, res.trace.batch)
+            densify_stats.observe(screen, res.trace.batch)
         del res  # the next view's render must not find this record alive
-        view_grads = gacc.param_grads()
         if grads is None:
             grads = view_grads
         else:

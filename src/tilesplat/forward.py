@@ -217,8 +217,7 @@ def splat_alpha(
     entries' splat parameters.  ``xc`` and ``yc`` are pixel-centre
     coordinates per entry, in any shapes that broadcast to the result's
     (g, ...) with one splat per leading index: (1, 1, w) and (1, h, 1)
-    for a rectangle, (g, P) for P pixels per entry.  Returns (alpha, dx,
-    dy), dx/dy the offsets from each splat mean.  Each value depends only
+    for a rectangle, (g, P) for P pixels per entry.  Alpha depends only
     on its own splat and pixel, so a pixel gets the same alpha in every
     schedule and batch it is evaluated in.
     """
@@ -240,7 +239,7 @@ def splat_alpha(
     np.exp(alpha, out=alpha)
     alpha *= opacity[per]
     np.minimum(alpha, dt(ALPHA_MAX), out=alpha)
-    return alpha, dx, dy
+    return alpha
 
 
 def clip_windows(boxes: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +313,14 @@ class BlockGroup:
     A block's pixels outside its tile's rect (which may be clipped by the
     image edge) are padding; ``valid`` marks the others.  Entries are the
     tiles' lists, concatenated (``entry_off``), with their clipped
-    windows ``win`` and areas.  A block's list holds the entries whose
+    windows ``win``, areas and splat parameters ``params`` (one
+    ``SplatTable`` row each).  A block's list holds the entries whose
     window meets the block (``aabb_pairs`` such pairs in the group) and
     that can blend there (``preprocess.can_blend``).  Block lists are
     stored concatenated, block by block (``list_off``), each in list
-    order: the group entry, its splat parameters, its window in
-    block-local coordinates and its tile list position.  A group-flat
-    pixel index is block * bh * bw + pixel.
+    order: the group entry, its window in block-local coordinates and
+    its tile list position.  A group-flat pixel index is
+    block * bh * bw + pixel.
     """
 
     def __init__(
@@ -402,7 +402,7 @@ class BlockGroup:
         del rect, ox, oy
         blk, e = blk[keep], e[keep]
         self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
-        self.params = np.take(table.params, splat[e], axis=0)
+        self.params = np.take(table.params, splat, axis=0)
         self.entry = e
         self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
         # Block-list entries by (block, list position), for ``_at``; int32
@@ -583,11 +583,11 @@ class BlockGroup:
         pidx = np.empty(len(slot), dtype=np.int64)
         pidx[step_off[rank] + slot] = first[by_len][slot] + rank
         del slot, rank
-        params = np.take(self.params, pidx, axis=0)  # take: faster than [] on narrow rows
+        entry = self.entry[pidx]
+        params = np.take(self.params, entry, axis=0)  # take: faster than [] on narrow rows
         lwin = np.take(self.lwin, pidx, axis=0)
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
-            entry = self.entry[pidx]
             P = self.valid.shape[1]
             shift = (blocks - np.arange(len(blocks))) * P  # held row r -> group-flat
         del pidx
@@ -615,7 +615,7 @@ class BlockGroup:
                 rows = slice(step_off[k], step_off[k] + a)
                 p, win = params[rows], lwin[rows]
             Tk = T[:a]
-            alpha, _, _ = splat_alpha(xc[:a], yc[:a], p[:, 0:2], p[:, 2:5], p[:, 5])
+            alpha = splat_alpha(xc[:a], yc[:a], p[:, 0:2], p[:, 2:5], p[:, 5])
             hit = alpha >= ALPHA_MIN
             hit &= px >= win[:, 0, None]
             hit &= px < win[:, 2, None]

@@ -67,8 +67,8 @@ def analytic_grads(
     for cam, target in views:
         res = render(scene, cam, tcfg.render_config(), want_trace=True)
         _, g = loss_and_pixel_grads(res.image, target, tcfg.loss)
-        gacc, _, _ = scene_backward(scene, cam, res.trace, g / nv, tcfg)
-        for key, val in gacc.param_grads().items():
+        _, grads, _, _ = scene_backward(scene, cam, res.trace, g / nv, tcfg)
+        for key, val in grads.items():
             out[key] += val
     return out
 
@@ -204,7 +204,7 @@ def fd_probe(scene: GaussianScene, cam: Camera) -> bool:
         xc = np.arange(x0, x1, dtype=np.float64)[None, None, :] + 0.5
         yc = np.arange(y0, y1, dtype=np.float64)[None, :, None] + 0.5
         one = slice(i, i + 1)
-        alpha, _, _ = splat_alpha(xc, yc, batch.mean2[one], batch.conic[one], batch.opacity[one])
+        alpha = splat_alpha(xc, yc, batch.mean2[one], batch.conic[one], batch.opacity[one])
         if float(np.abs(alpha - ALPHA_MIN).min()) < ALPHA_MARGIN:
             return False
         # q near 0 means alpha near the full opacity value

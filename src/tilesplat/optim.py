@@ -103,11 +103,15 @@ class DensifyStats:
             max_radius=np.zeros(n, dtype=np.int64),
         )
 
-    def observe(self, gacc, batch) -> None:
-        """Fold one view's gradient accumulator into the running stats."""
+    def observe(self, screen, batch) -> None:
+        """Fold one view's per-splat screen-space totals into the running stats.
+
+        ``screen`` is ``scene_backward``'s first result, one row per
+        ``batch`` row; only its ``hit_count`` and ``d_mean2`` are read.
+        """
         idx = batch.gaussian_index
-        seen = gacc.hit_count > 0
-        norms = np.linalg.norm(gacc.d_mean2, axis=1)
+        seen = screen["hit_count"] > 0
+        norms = np.linalg.norm(screen["d_mean2"], axis=1)
         np.add.at(self.grad_norm_sum, idx[seen], norms[seen])
         np.add.at(self.obs_count, idx[seen], 1)
         np.maximum.at(self.max_radius, idx, batch.radius)

@@ -142,6 +142,27 @@ def can_blend(splat: np.ndarray, rect) -> np.ndarray:
     return ~(q > limit)  # NaN keeps
 
 
+def camera_projection(t: np.ndarray, cov3: np.ndarray, cam: Camera):
+    """Camera-space covariances and perspective Jacobians of m Gaussians.
+
+    ``t`` (m, 3) are the means in camera space and ``cov3`` (m, 3, 3)
+    the world-space covariances.  Returns R cov3 R^T (m, 3, 3), R the
+    camera rotation, and the Jacobian J (m, 2, 3) of (fx x/z, fy y/z)
+    at each mean, so the 2D covariance is J (R cov3 R^T) J^T.
+    ``preprocess`` and ``backward.chain_to_3d`` both call it: the
+    chain differentiates the projection the forward blended.
+    """
+    R = cam.rotation
+    cov_cam = np.einsum("ij,njk,lk->nil", R, cov3, R)
+    tx, ty, tz = t.T
+    J = np.zeros((len(t), 2, 3), dtype=np.float64)
+    J[:, 0, 0] = cam.fx / tz
+    J[:, 0, 2] = -cam.fx * tx / tz**2
+    J[:, 1, 1] = cam.fy / tz
+    J[:, 1, 2] = -cam.fy * ty / tz**2
+    return cov_cam, J
+
+
 def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, PreprocessStats]:
     """Project every Gaussian and cull the invisible ones.
 
@@ -154,8 +175,7 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
     scales, rots, opac = activate(scene.log_scales, scene.rotations, scene.opacity_logits)
     cov3 = covariance3(scales, rots)  # (n, 3, 3)
 
-    R = cam.rotation
-    t = scene.means @ R.T + cam.translation  # (n, 3) camera space
+    t = scene.means @ cam.rotation.T + cam.translation  # (n, 3) camera space
     in_front = t[:, 2] > cam.near
     stats.culled_near = int(scene.n - in_front.sum())
     idx = np.flatnonzero(in_front)
@@ -163,13 +183,8 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
         return _empty_batch(), stats
 
     t = t[idx]
-    cov_cam = np.einsum("ij,njk,lk->nil", R, cov3[idx], R)  # (m, 3, 3)
     tz = t[:, 2]
-    J = np.zeros((idx.size, 2, 3), dtype=np.float64)
-    J[:, 0, 0] = cam.fx / tz
-    J[:, 0, 2] = -cam.fx * t[:, 0] / tz**2
-    J[:, 1, 1] = cam.fy / tz
-    J[:, 1, 2] = -cam.fy * t[:, 1] / tz**2
+    cov_cam, J = camera_projection(t, cov3[idx], cam)
     cov2 = np.einsum("nij,njk,nlk->nil", J, cov_cam, J)  # (m, 2, 2)
     a = cov2[:, 0, 0] + LOW_PASS_DILATION
     b = cov2[:, 0, 1]

@@ -4,23 +4,38 @@ These are the loops the batched backward in ``tilesplat.backward``
 replaced, kept as a test oracle.  ``backward_tile`` walks a tile's list
 back to front over each splat's clipped window, recovering transmittance
 by multiplying with ``recip_one_minus`` and carrying the full RGB suffix
-color; ``accumulate_cross_tile`` folds partials in (tile, 16-splat batch)
-order; ``chain_to_3d`` chains each Gaussian's screen-space gradients
-with scalar Jacobians.  Tests require the batched pass to match the
+color, into a per-tile ``TilePartial``; ``accumulate_cross_tile`` folds
+partials in (tile, 16-splat batch) order; ``chain_to_3d`` chains each
+Gaussian's screen-space gradients with scalar Jacobians, projecting and
+inverting the 2D covariance itself.  Tests require the batched pass to match the
 counts exactly and the gradients within a tolerance relative to each
 array's largest magnitude (sums run in a different order).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from tilesplat.approxmath import recip_one_minus
-from tilesplat.backward import TilePartial
 from tilesplat.forward import ALPHA_MIN, ForwardTrace, splat_alpha
 from tilesplat.model import OPACITY_MAX, Camera, GaussianScene, quat_to_rotmat, stable_sigmoid
 from tilesplat.preprocess import LOW_PASS_DILATION, SplatBatch
 from tilesplat.sh import sh_basis, sh_basis_grad
+
+
+@dataclass
+class TilePartial:
+    """Per-splat gradient partials from one tile, indexed by list position."""
+
+    tile_index: int
+    order: np.ndarray  # (p,) batch rows, the tile's list
+    d_rgb: np.ndarray  # (p, 3)
+    d_opacity: np.ndarray  # (p,)
+    d_mean2: np.ndarray  # (p, 2)
+    d_conic: np.ndarray  # (p, 3)
+    hits: np.ndarray  # (p,) int64 contributing pixels
 
 
 def backward_tile(
@@ -66,7 +81,9 @@ def backward_tile(
         yc = (np.arange(iy0, iy1).astype(dt) + dt(0.5))[None, :, None]
         one = slice(i, i + 1)
         splat = (batch.mean2[one], batch.conic[one], batch.opacity[one])
-        alpha, dx, dy = (v[0] for v in splat_alpha(xc, yc, *splat))
+        alpha = splat_alpha(xc, yc, *splat)[0]
+        dx = xc[0] - batch.mean2[i, 0]  # (1, w) offsets from the splat mean
+        dy = yc[0] - batch.mean2[i, 1]  # (h, 1)
         contrib = (alpha >= ALPHA_MIN) & (k < stop[iy0:iy1, ix0:ix1])
         nhit = int(np.count_nonzero(contrib))
         out.hits[k] = nhit

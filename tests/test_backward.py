@@ -5,8 +5,6 @@ import pytest
 
 import backward_oracle
 from tilesplat.backward import (
-    GradAccumulator,
-    TilePartial,
     TrainConfig,
     _normalize_vjp,
     _quat_to_rotmat_vjp,
@@ -27,13 +25,13 @@ from tile_kernel import traced_tile
 def run_backward(batch, order, rect, grad_img, bg=(0, 0, 0), eps_t=1e-4):
     """Blend ``order`` over one tile with a record, then replay it.
 
-    Returns the tile's partial and the traced (T, stop) images.
+    Returns the tile's per-entry sums and the traced (T, stop) images.
     """
     order = np.asarray(order)
     h, w = np.shape(grad_img)[:2]
     grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (w, h))
     part = backward_tile(
-        batch, order, grp, steps, 0, t_final,
+        batch, order, grp, steps, t_final,
         np.asarray(grad_img, dtype=np.float64),
         np.asarray(bg, dtype=np.float64),
         "exact",
@@ -57,18 +55,18 @@ def test_single_splat_closed_forms():
     np.testing.assert_allclose(t_final, [[1 - a0, 1 - a1]], rtol=1e-15)
     assert np.all(stop == 1)
 
-    np.testing.assert_allclose(part.d_rgb[0], a0 * g[0, 0] + a1 * g[0, 1], rtol=1e-12)
+    np.testing.assert_allclose(part["d_rgb"][0], a0 * g[0, 0] + a1 * g[0, 1], rtol=1e-12)
     # d(out)/d(alpha) = (color - background) . pixel grad, transmittance 1
     dla = np.array([(c - bg) @ g[0, 0], (c - bg) @ g[0, 1]])
     # alpha = opacity * exp(-q/2)
     np.testing.assert_allclose(
-        part.d_opacity[0], (a0 * dla[0] + a1 * dla[1]) / o, rtol=1e-12
+        part["d_opacity"][0], (a0 * dla[0] + a1 * dla[1]) / o, rtol=1e-12
     )
     # q grads: only the off-center pixel has dx != 0
     dq1 = -0.5 * a1 * dla[1]
-    np.testing.assert_allclose(part.d_conic[0], [dq1, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(part.d_mean2[0], [-2.0 * dq1, 0.0], atol=1e-15)
-    assert part.hits[0] == 2
+    np.testing.assert_allclose(part["d_conic"][0], [dq1, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(part["d_mean2"][0], [-2.0 * dq1, 0.0], atol=1e-15)
+    assert part["hit_count"][0] == 2
 
 
 def test_two_splat_suffix_accumulator():
@@ -86,12 +84,12 @@ def test_two_splat_suffix_accumulator():
     assert t_final[0, 0] == pytest.approx(0.5 * 0.2, rel=1e-15)
     assert stop[0, 0] == 2
 
-    np.testing.assert_allclose(part.d_rgb[0], 0.5 * np.ones(3), rtol=1e-12)
-    np.testing.assert_allclose(part.d_rgb[1], 0.5 * 0.8 * np.ones(3), rtol=1e-12)
+    np.testing.assert_allclose(part["d_rgb"][0], 0.5 * np.ones(3), rtol=1e-12)
+    np.testing.assert_allclose(part["d_rgb"][1], 0.5 * 0.8 * np.ones(3), rtol=1e-12)
     # alpha equals opacity at the mean, so d_opacity is the alpha grad here;
     # the front splat sees the composited color behind it
-    assert part.d_opacity[0] == pytest.approx((c1 - 0.8 * c2) @ np.ones(3), rel=1e-12)
-    assert part.d_opacity[1] == pytest.approx(0.5 * (c2 @ np.ones(3)), rel=1e-12)
+    assert part["d_opacity"][0] == pytest.approx((c1 - 0.8 * c2) @ np.ones(3), rel=1e-12)
+    assert part["d_opacity"][1] == pytest.approx(0.5 * (c2 @ np.ones(3)), rel=1e-12)
 
 
 def test_stop_masks_gradient():
@@ -106,10 +104,10 @@ def test_stop_masks_gradient():
         batch, [0, 1, 2], (0, 0, 1, 1), np.ones((1, 1, 3)), eps_t=0.05
     )
     assert t_final[0, 0] == pytest.approx(0.01) and stop[0, 0] == 1
-    assert part.hits[0] == 1
-    assert part.hits[1] == part.hits[2] == 0
-    assert np.all(part.d_rgb[1:] == 0)
-    assert np.all(part.d_opacity[1:] == 0)
+    assert part["hit_count"][0] == 1
+    assert part["hit_count"][1] == part["hit_count"][2] == 0
+    assert np.all(part["d_rgb"][1:] == 0)
+    assert np.all(part["d_opacity"][1:] == 0)
 
 
 def test_entry_gets_gradient_only_inside_its_window():
@@ -126,9 +124,9 @@ def test_entry_gets_gradient_only_inside_its_window():
     want = backward_oracle.backward_tile(
         batch, order, rect, 0, t_final, stop, g, np.asarray(bg), "exact"
     )
-    assert list(part.hits) == [32, 64]
+    assert list(part["hit_count"]) == [32, 64]
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
-        np.testing.assert_allclose(getattr(part, key), getattr(want, key), rtol=1e-12)
+        np.testing.assert_allclose(part[key], getattr(want, key), rtol=1e-12)
 
 
 @pytest.mark.parametrize("eps_t", [-1.0, 1.5, float("nan")])
@@ -164,32 +162,37 @@ def test_loss_and_pixel_grads():
         loss_and_pixel_grads(rendered, target, "huber")
 
 
-def make_partial(tile_index, order, value):
+def make_part(order, value):
+    """A group's (order, sums) with every sum ``value`` and one hit per entry."""
     p = len(order)
-    return TilePartial(
-        tile_index=tile_index,
-        order=np.asarray(order, dtype=np.int64),
-        d_rgb=np.full((p, 3), value),
-        d_opacity=np.full(p, value),
-        d_mean2=np.full((p, 2), value),
-        d_conic=np.full((p, 3), value),
-        hits=np.ones(p, dtype=np.int64),
-    )
+    return np.asarray(order, dtype=np.int64), {
+        "d_rgb": np.full((p, 3), value),
+        "d_opacity": np.full(p, value),
+        "d_mean2": np.full((p, 2), value),
+        "d_conic": np.full((p, 3), value),
+        "hit_count": np.ones(p, dtype=np.int64),
+    }
 
 
 def test_accumulate_cross_tile_fold():
+    # three tiles in two groups, tile order: [0, 0, 5] | [] and range(20)
+    lists = [np.array([0, 0, 5]), np.zeros(0, dtype=np.int64), np.arange(20)]
     parts = [
-        make_partial(1, list(range(20)), 1.0),
-        make_partial(0, [0, 0, 5], 2.0),  # duplicate rows fold additively
+        make_part([0, 0, 5], 2.0),  # duplicate rows fold additively
+        make_part(list(range(20)), 1.0),
     ]
-    acc, ops, drains = accumulate_cross_tile(parts, 24, offload_batch=16)
+    acc, ops, drains = accumulate_cross_tile(parts, lists, 24, offload_batch=16)
     assert ops == 23
-    assert drains == 1 + 2  # ceil(3/16) + ceil(20/16)
+    assert drains == 1 + 0 + 2  # ceil(3/16) + ceil(0/16) + ceil(20/16)
     assert acc["d_opacity"][0] == pytest.approx(2.0 + 2.0 + 1.0)
     assert acc["d_opacity"][5] == pytest.approx(2.0 + 1.0)
     assert acc["d_opacity"][19] == pytest.approx(1.0)
     assert np.all(acc["d_opacity"][20:] == 0)
     assert acc["hit_count"][0] == 3
+    assert acc["hit_count"].dtype == np.int64
+    empty, ops, drains = accumulate_cross_tile([], [lists[1]], 2, offload_batch=16)
+    assert (ops, drains) == (0, 0)
+    assert all(not v.any() for v in empty.values())
 
 
 def test_param_grads_keys_and_culled_rows():
@@ -202,13 +205,16 @@ def test_param_grads_keys_and_culled_rows():
     tcfg = reference_config()
     res = render(scene, cam, tcfg.render_config(), want_trace=True)
     grad_img = np.ones((16, 16, 3)) / (16 * 16 * 3)
-    acc, ops, drains = scene_backward(scene, cam, res.trace, grad_img, tcfg)
-    grads = acc.param_grads()
-    assert set(grads) == {"position", "scale", "rotation", "opacity", "sh"}
+    screen, grads, ops, drains = scene_backward(scene, cam, res.trace, grad_img, tcfg)
+    params = scene.params()
+    assert list(grads) == list(params)
     for key, arr in grads.items():
+        assert arr.shape == params[key].shape, key
+        assert arr.dtype == np.float64, key
         assert np.all(np.isfinite(arr)), key
-    assert np.all(acc.d_means[2] == 0)
-    assert np.all(acc.d_sh[2] == 0)
+        assert np.all(arr[2] == 0), key
+    assert 2 not in res.trace.batch.gaussian_index
+    assert all(len(v) == res.trace.batch.n for v in screen.values())
     assert ops > 0 and drains > 0
 
 
@@ -221,12 +227,12 @@ def test_sh_dc_grad_tracks_color_grad():
 
     res = render(scene, cam, tcfg.render_config(), want_trace=True)
     grad_img = rng.normal(size=(16, 16, 3))
-    acc, _, _ = scene_backward(scene, cam, res.trace, grad_img, tcfg)
+    screen, grads, _, _ = scene_backward(scene, cam, res.trace, grad_img, tcfg)
     batch = res.trace.batch64
     unclamped = ~batch.rgb_clamped
-    want = np.zeros_like(acc.d_sh[:, 0, :])
-    want[batch.gaussian_index] = np.where(unclamped, SH_C0 * acc.d_rgb, 0.0)
-    np.testing.assert_allclose(acc.d_sh[:, 0, :], want, rtol=1e-12, atol=1e-15)
+    want = np.zeros_like(grads["sh"][:, 0, :])
+    want[batch.gaussian_index] = np.where(unclamped, SH_C0 * screen["d_rgb"], 0.0)
+    np.testing.assert_allclose(grads["sh"][:, 0, :], want, rtol=1e-12, atol=1e-15)
 
 
 def test_clamped_channel_gets_zero_sh_grad():
@@ -238,10 +244,10 @@ def test_clamped_channel_gets_zero_sh_grad():
 
     res = render(scene, views[0][0], tcfg.render_config(), want_trace=True)
     assert np.all(res.trace.batch64.rgb_clamped[:, 2])
-    acc, _, _ = scene_backward(
+    _, grads, _, _ = scene_backward(
         scene, views[0][0], res.trace, np.ones((8, 8, 3)), tcfg
     )
-    assert np.all(acc.d_sh[:, :, 2] == 0)
+    assert np.all(grads["sh"][:, :, 2] == 0)
 
 
 def test_approx_recip_backward_close_to_exact():

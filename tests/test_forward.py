@@ -48,7 +48,7 @@ def rect_alpha(batch: SplatBatch, idx, x0: int, x1: int, y0: int, y1: int):
     """``splat_alpha`` of splats ``idx`` (a slice or index array) over a pixel rectangle.
 
     Centres are (1, 1, w) and (1, h, 1) in the batch dtype, so the
-    results are (g, h, w) alpha, (g, 1, w) dx and (g, h, 1) dy.
+    result is (g, h, w) alpha.
     """
     dt = batch.mean2.dtype.type
     xc = (np.arange(x0, x1).astype(dt) + dt(0.5))[None, None, :]
@@ -60,7 +60,7 @@ def test_splat_alpha_values():
     batch = hand_batch(
         [dict(mean2=(2.5, 2.5), conic=(1.0, 0.0, 1.0), depth=1, rgb=(1, 1, 1), opacity=0.8)]
     )
-    alpha, _, _ = rect_alpha(batch, slice(0, 1), 2, 4, 2, 4)  # pixels x, y in {2, 3}
+    alpha = rect_alpha(batch, slice(0, 1), 2, 4, 2, 4)  # pixels x, y in {2, 3}
     assert alpha[0, 0, 0] == pytest.approx(0.8)  # at the mean
     assert alpha[0, 0, 1] == pytest.approx(0.8 * np.exp(-0.5))  # q = 1
     assert alpha[0, 1, 1] == pytest.approx(0.8 * np.exp(-1.0))  # q = 2
@@ -71,12 +71,10 @@ def test_splat_alpha_clamps_and_dtype():
         [dict(mean2=(1.5, 1.5), conic=(0.5, 0, 0.5), depth=1, rgb=(1, 0, 0), opacity=0.99)],
         dtype=np.float32,
     )
-    alpha, dx, dy = rect_alpha(batch, slice(0, 1), 0, 4, 0, 4)
+    alpha = rect_alpha(batch, slice(0, 1), 0, 4, 0, 4)
     assert alpha.dtype == np.float32
     assert alpha.max() <= np.float32(0.99)
     assert alpha.shape == (1, 4, 4)
-    assert dx.shape == (1, 1, 4) and dy.shape == (1, 4, 1)
-    np.testing.assert_allclose(dx[0, 0], np.arange(4) + 0.5 - 1.5)
 
 
 def test_splat_alpha_batched_matches_single_windows():
@@ -86,16 +84,16 @@ def test_splat_alpha_batched_matches_single_windows():
 
     batch = preprocess(random_scene(rng, 12, cam), cam)[0].astype(np.float32)
     idx = np.arange(batch.n)
-    alpha, _, _ = rect_alpha(batch, idx, 3, 30, 5, 27)
+    alpha = rect_alpha(batch, idx, 3, 30, 5, 27)
     assert alpha.shape == (batch.n, 22, 27)
     for i in idx:
-        sub, _, _ = rect_alpha(batch, slice(i, i + 1), 10, 17, 8, 20)  # a window in the slab
+        sub = rect_alpha(batch, slice(i, i + 1), 10, 17, 8, 20)  # a window in the slab
         assert np.array_equal(sub[0], alpha[i, 3:15, 7:14])
     # the block kernel's layout: (g, P) pixel centres, one row per splat
     xs, ys = (np.arange(lo, hi, dtype=np.float32) + np.float32(0.5) for lo, hi in ((3, 30), (5, 27)))
     xc, yc = np.meshgrid(xs, ys)
     centres = [np.tile(v.reshape(1, -1), (batch.n, 1)) for v in (xc, yc)]
-    flat, _, _ = splat_alpha(*centres, batch.mean2, batch.conic, batch.opacity)
+    flat = splat_alpha(*centres, batch.mean2, batch.conic, batch.opacity)
     assert np.array_equal(flat.reshape(alpha.shape), alpha)
 
 
@@ -250,7 +248,7 @@ def test_pixel_at_exactly_eps_t_is_still_live():
     carry = fresh_state(4, 4, np.float64, 1)
     carry.T[:] = 0.25  # not below eps_t, so not terminated
     out = blend(batch, np.arange(1), (0, 0, 4, 4), 0.25, carry=carry)
-    alpha = rect_alpha(batch, slice(0, 1), 0, 4, 0, 4)[0][0]  # above 1/255 on the whole tile
+    alpha = rect_alpha(batch, slice(0, 1), 0, 4, 0, 4)[0]  # above 1/255 on the whole tile
     np.testing.assert_allclose(out.rgb, np.broadcast_to(0.25 * alpha, (3, 4, 4)))
     np.testing.assert_allclose(out.T, 0.25 * (1 - alpha))
     assert np.all(out.T < 0.25) and np.all(out.stop == 1)

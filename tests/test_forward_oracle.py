@@ -258,7 +258,7 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype, si
         assert np.all(np.diff(kept) > 0)
         xc, yc = grp.xc[b][grp.valid[b]], grp.yc[b][grp.valid[b]]
         cols, rows = xc.astype(np.int64), yc.astype(np.int64)  # floor of the centres
-        alpha, _, _ = forward.splat_alpha(
+        alpha = forward.splat_alpha(
             xc[None], yc[None], batch.mean2[order], batch.conic[order], batch.opacity[order]
         )
         win = grp.win[grp.entry_off[grp.block_tile[b]] :][: len(order)]
