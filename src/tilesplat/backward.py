@@ -38,7 +38,7 @@ import numpy as np
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
 from .forward import BlockGroup, ForwardTrace, RenderConfig, render, require_int
-from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, activate, covariance3, quat_to_rotmat
+from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, activate, quat_to_rotmat
 from .preprocess import SplatBatch, camera_projection
 from .sh import sh_basis, sh_basis_grad
 
@@ -285,7 +285,7 @@ def chain_to_3d(
     M = R3 * s[:, None, :]
     mean3 = scene.means[gi]
     t = mean3 @ Rw.T + cam.translation
-    cov_c, J = camera_projection(t, covariance3(s, q), cam)
+    cov_c, J = camera_projection(t, M @ M.transpose(0, 2, 1), cam)
     tx, ty, tz = t.T
     Jt = J.transpose(0, 2, 1)
 

@@ -9,6 +9,7 @@ value that fails validation, caught before any output is written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -79,49 +80,43 @@ def _load_config_dict(path: str | None) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, overrides: dict) -> dict:
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    return cfg
+# Config field -> (flag, argparse keywords); a command takes the fields of its config.
+_CONFIG_FLAGS = {
+    "tile_size": ("--tile", dict(nargs=2, type=int, metavar=("W", "H"))),
+    "z_tiles": ("--z-tiles", dict(type=int)),
+    "loss": ("--loss", dict(choices=("l1", "l2"))),
+    "eps_t": ("--eps-t", dict(type=float)),
+    "hybrid": ("--hybrid", dict(choices=("off", "fixed_fraction", "occlusion_threshold"))),
+    "hybrid_fraction": ("--hybrid-fraction", dict(type=float)),
+    "occlusion_threshold": ("--occlusion-threshold", dict(type=float)),
+    "background": ("--background", dict(nargs=3, type=float, metavar=("R", "G", "B"))),
+    "recip_mode": ("--recip", dict(choices=("exact", "approx"))),
+    "offload_batch": ("--offload-batch", dict(type=int)),
+    "dtype": ("--dtype", dict(choices=("float32", "float64"))),
+    "threads": ("--threads", dict(type=int)),
+    "record_occlusion": ("--record-occlusion", dict(action=argparse.BooleanOptionalAction)),
+}
 
 
-def _add_render_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """``--config`` and one flag per field of ``cls``, in field order."""
     p.add_argument("--config", help="JSON config file (flags override its keys)")
-    p.add_argument("--tile", nargs=2, type=int, metavar=("W", "H"))
-    p.add_argument("--z-tiles", type=int)
-    p.add_argument("--eps-t", type=float)
-    p.add_argument("--hybrid", choices=("off", "fixed_fraction", "occlusion_threshold"))
-    p.add_argument("--hybrid-fraction", type=float)
-    p.add_argument("--occlusion-threshold", type=float)
-    p.add_argument("--background", nargs=3, type=float, metavar=("R", "G", "B"))
-    p.add_argument("--dtype", choices=("float32", "float64"))
-    p.add_argument("--threads", type=int)
-    p.add_argument("--record-occlusion", action=argparse.BooleanOptionalAction)
+    for f in dataclasses.fields(cls):
+        flag, kwargs = _CONFIG_FLAGS[f.name]
+        p.add_argument(flag, dest=f.name, **kwargs)
 
 
-def _merged_render_config(args) -> RenderConfig:
+def _merged_config(args, cls, from_dict):
+    """The ``--config`` file with every given flag laid over its key, validated."""
     cfg = _load_config_dict(args.config)
-    _apply_overrides(
-        cfg,
-        {
-            "tile_size": args.tile,
-            "z_tiles": args.z_tiles,
-            "eps_t": args.eps_t,
-            "hybrid": args.hybrid,
-            "hybrid_fraction": args.hybrid_fraction,
-            "occlusion_threshold": args.occlusion_threshold,
-            "background": args.background,
-            "dtype": args.dtype,
-            "threads": args.threads,
-            "record_occlusion": args.record_occlusion,
-        },
-    )
-    return _validated(render_config_from_dict(cfg))
+    for f in dataclasses.fields(cls):
+        if getattr(args, f.name) is not None:
+            cfg[f.name] = getattr(args, f.name)
+    return _validated(from_dict(cfg))
 
 
 def cmd_render(args) -> int:
-    rcfg = _merged_render_config(args)
+    rcfg = _merged_config(args, RenderConfig, render_config_from_dict)
     scene = load_ply(args.scene)
     cameras = load_cameras(args.cameras)
     outdir = Path(args.out)
@@ -134,26 +129,8 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _merged_train_config(args) -> TrainConfig:
-    cfg = _load_config_dict(args.config)
-    _apply_overrides(
-        cfg,
-        {
-            "tile_size": args.tile,
-            "loss": args.loss,
-            "background": args.background,
-            "eps_t": args.eps_t,
-            "recip_mode": args.recip,
-            "offload_batch": args.offload_batch,
-            "dtype": args.dtype,
-            "threads": args.threads,
-        },
-    )
-    return _validated(train_config_from_dict(cfg))
-
-
 def cmd_train(args) -> int:
-    tcfg = _merged_train_config(args)
+    tcfg = _merged_config(args, TrainConfig, train_config_from_dict)
     scene = load_ply(args.scene)
     cameras = load_cameras(args.cameras)
     base = Path(args.cameras).parent
@@ -334,7 +311,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_checkgrad(args) -> int:
-    bg = tuple(args.background) if args.background else (0.0, 0.0, 0.0)
     worst = 0.0
     failed = 0
     for s in range(args.scenes):
@@ -344,7 +320,7 @@ def cmd_checkgrad(args) -> int:
             degree=args.degree,
             size=args.size,
             two_views=args.two_views,
-            background=bg,
+            background=tuple(args.background),
             loss=args.loss,
         )
         rep = check_gradients(scene, views, tcfg, h=args.h)
@@ -492,6 +468,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilesplat",
@@ -504,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cameras", required=True, help="camera JSON file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("ppm", "png"), default="ppm")
-    _add_render_flags(p)
+    _add_config_flags(p, RenderConfig)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("train", help="fit a scene to target images")
@@ -512,16 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cameras", required=True, help="camera JSON with image_path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--iters", type=_positive_int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--config", help="JSON config file (flags override its keys)")
-    p.add_argument("--tile", nargs=2, type=int, metavar=("W", "H"))
-    p.add_argument("--loss", choices=("l1", "l2"))
-    p.add_argument("--background", nargs=3, type=float, metavar=("R", "G", "B"))
-    p.add_argument("--eps-t", type=float)
-    p.add_argument("--recip", choices=("exact", "approx"))
-    p.add_argument("--offload-batch", type=int)
-    p.add_argument("--dtype", choices=("float32", "float64"))
-    p.add_argument("--threads", type=int)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--densify-every", type=int, default=0, help="0 disables")
     p.add_argument("--log-every", type=int, default=10, help="0 silences progress")
@@ -549,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("checkgrad", help="finite-difference gradient check")
-    p.add_argument("--n", type=int, default=8, help="gaussians per scene")
-    p.add_argument("--size", type=int, default=16, help="image side length")
-    p.add_argument("--scenes", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=8, help="gaussians per scene")
+    p.add_argument("--size", type=_positive_int, default=16, help="image side length")
+    p.add_argument("--scenes", type=_positive_int, default=1)
     p.add_argument("--degree", type=int, default=0, choices=(0, 1, 2, 3))
     p.add_argument("--two-views", action="store_true")
-    p.add_argument("--background", nargs=3, type=float, metavar=("R", "G", "B"))
+    p.add_argument("--background", nargs=3, type=float, metavar=("R", "G", "B"), default=(0.0,) * 3)
     p.add_argument("--loss", choices=("l1", "l2"), default="l2")
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument("--h", type=_positive_float, default=1e-5, help="finite-difference step")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_checkgrad)
 

@@ -700,7 +700,9 @@ def _blend_group(
     occlusion-threshold hybrid: it blends one chunk per pass and stops
     chunking a tile once more than theta of it has terminated.
     Whatever is left of each list then blends on the merged state.
-    ``occluded`` holds the group's dead pixels after each chunk when
+    At K = 1 that hybrid's split stays the list length here;
+    ``_render_group`` sets it from the stops as it counts.  ``occluded``
+    holds the group's dead pixels after each chunk when
     cfg.record_occlusion is set.
     """
     m = grp.m
@@ -716,12 +718,6 @@ def _blend_group(
     state = grp.fresh_state(m)
     if K == 1:
         grp.blend(state, np.zeros_like(m), m, eps_t, record)
-        if cfg.hybrid == "occlusion_threshold":
-            for t in range(len(m)):
-                b = slice(grp.block_off[t], grp.block_off[t + 1])
-                until = state.stop[b][grp.valid[b]]
-                es = slice(grp.entry_off[t], grp.entry_off[t + 1])
-                split[t] = occlusion_switch(grp.area[es], until, theta)
         if occluded is not None:
             occluded.append(int(np.count_nonzero((state.T < eps_t) & grp.valid)))
         return state, split, occluded
@@ -807,10 +803,13 @@ def _render_group(
         return EvalCounters(total, total, 0), split, occluded, traced
     counters = EvalCounters()
     until = grp.tiles(state.stop)
+    switch_here = cfg.z_tiles == 1 and cfg.hybrid == "occlusion_threshold"
     for i, rect in enumerate(grp.rects.tolist()):
         x0, y0, x1, y1 = rect
         es = slice(grp.entry_off[i], grp.entry_off[i + 1])
         tile_until = until[i, : y1 - y0, : x1 - x0]
+        if switch_here:  # one sweep: the stops decide where the tile turns pixel-centric
+            split[i] = occlusion_switch(grp.area[es], tile_until, cfg.occlusion_threshold)
         counters.merge(count_evals(grp.win[es], grp.area[es], rect, int(split[i]), tile_until))
     return counters, split, occluded, traced
 

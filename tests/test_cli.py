@@ -1,19 +1,24 @@
 """Command-line entry points, run in-process through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tilesplat.cli import main
+from tilesplat.backward import TrainConfig
+from tilesplat.cli import _merged_config, build_parser, main
+from tilesplat.forward import RenderConfig
 from tilesplat.sceneio import (
     load_image,
     load_ply,
     quantize_u8,
+    render_config_from_dict,
     save_cameras,
     save_image,
     save_ply,
     save_ppm,
+    train_config_from_dict,
 )
 from tilesplat.synth import make_camera, orbit_camera, random_scene, toy_training_scene
 
@@ -86,6 +91,58 @@ def test_render_config_file_with_overrides(workdir):
     s2 = (out2 / "stats_0000.txt").read_text()
     assert "hybrid_splits" in s1  # config key took effect
     assert "hybrid_splits" not in s2  # flag overrode the config
+
+
+# Per config field: its flag's tokens, the value they give, and a different file value.
+_FLAG_CASES = {
+    "tile_size": (["--tile", "16", "8"], (16, 8), [32, 16]),
+    "z_tiles": (["--z-tiles", "3"], 3, 2),
+    "loss": (["--loss", "l2"], "l2", "l1"),
+    "eps_t": (["--eps-t", "0.01"], 0.01, 0.001),
+    "hybrid": (["--hybrid", "occlusion_threshold"], "occlusion_threshold", "fixed_fraction"),
+    "hybrid_fraction": (["--hybrid-fraction", "0.5"], 0.5, 0.75),
+    "occlusion_threshold": (["--occlusion-threshold", "0.6"], 0.6, 0.8),
+    "background": (["--background", "0.1", "0.2", "0.3"], (0.1, 0.2, 0.3), [0.4, 0.5, 0.6]),
+    "recip_mode": (["--recip", "approx"], "approx", "exact"),
+    "offload_batch": (["--offload-batch", "4"], 4, 8),
+    "dtype": (["--dtype", "float64"], np.float64, "float32"),
+    "threads": (["--threads", "2"], 2, 3),
+    "record_occlusion": (["--record-occlusion"], True, False),
+}
+
+
+@pytest.mark.parametrize("command,cls,from_dict", [
+    ("render", RenderConfig, render_config_from_dict),
+    ("train", TrainConfig, train_config_from_dict),
+])
+def test_each_config_field_has_one_flag_over_its_file_key(tmp_path, command, cls, from_dict):
+    names = [f.name for f in dataclasses.fields(cls)]
+    file_keys = {name: _FLAG_CASES[name][2] for name in names}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(file_keys))
+    parser = build_parser()
+
+    def merged(*flags):
+        args = parser.parse_args([command, "--scene", "s", "--cameras", "c", "--out", "o",
+                                  "--config", str(path), *flags])
+        return _merged_config(args, cls, from_dict)
+
+    from_file = merged()
+    assert from_file == from_dict(file_keys)  # file keys with no flag are kept
+    for name in names:
+        tokens, value, _ = _FLAG_CASES[name]
+        # the flag sets its own field over the file key and leaves every other field alone
+        assert merged(*tokens) == dataclasses.replace(from_file, **{name: value}), name
+    flag_options = {
+        opt
+        for a in parser._subparsers._group_actions[0].choices[command]._actions
+        for opt in a.option_strings
+        if a.dest in names
+    }
+    # each field has exactly one flag (a boolean one also has its --no- form)
+    assert flag_options == {_FLAG_CASES[n][0][0] for n in names} | (
+        {"--no-record-occlusion"} if "record_occlusion" in names else set()
+    )
 
 
 def test_train_smoke(tmp_path):
@@ -247,6 +304,39 @@ def test_train_rejects_iters_below_one(tmp_path, capsys, iters):
     assert rc == 2
     assert f"argument --iters: must be >= 1, got {iters}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
+def test_train_rejects_lr_not_finite_positive(tmp_path, capsys, lr):
+    cam = make_camera(8, 8, focal=8.0)
+    _, initial = toy_training_scene(np.random.default_rng(1), cam)
+    save_ply(initial, tmp_path / "init.ply")
+    save_cameras(tmp_path / "cams.json", [cam], ["target.ppm"])  # never read
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--scene", str(tmp_path / "init.ply"),
+        "--cameras", str(tmp_path / "cams.json"), "--out", str(out),
+        "--lr", lr,
+    ])
+    assert rc == 2
+    assert f"argument --lr: must be finite and > 0, got {lr}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "0"], "argument --n: must be >= 1, got 0"),
+    (["--size", "0"], "argument --size: must be >= 1, got 0"),
+    (["--scenes", "0"], "argument --scenes: must be >= 1, got 0"),
+    (["--h", "0"], "argument --h: must be finite and > 0, got 0"),
+    (["--h", "-0.5"], "argument --h: must be finite and > 0, got -0.5"),
+    (["--h", "nan"], "argument --h: must be finite and > 0, got nan"),
+])
+def test_checkgrad_rejects_out_of_range_numbers(capsys, flags, message):
+    rc = main(["checkgrad", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""  # reported before any scene is checked
+    assert message in captured.err
 
 
 def test_selftest_runs_every_check(capsys):
