@@ -20,7 +20,7 @@ pixel offsets, hit counts) are ``np.bincount`` over the pairs' entries.
 Groups come in tile order (``ForwardTrace.groups``), so folding each
 group's sums into per-splat totals as it comes folds list positions
 tile by tile in list order.  The drain count models a fold that drains every
-``offload_batch`` (16) list positions of a tile.  The totals are then
+OFFLOAD_BATCH (16) list positions of a tile.  The totals are then
 chained to the raw parameters, batched over the splats with hits, by
 differentiating ``preprocess``'s own projection: activated scale,
 rotation and opacity from ``model.activate``, camera covariance and
@@ -37,10 +37,13 @@ import numpy as np
 
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
-from .forward import BlockGroup, ForwardTrace, RenderConfig, render, require_int
+from .forward import BlockGroup, ForwardTrace, RenderConfig, render
 from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, activate, quat_to_rotmat
 from .preprocess import SplatBatch, camera_projection
 from .sh import sh_basis, sh_basis_grad
+
+# List positions of a tile per accumulator drain (``accumulate_cross_tile``)
+OFFLOAD_BATCH = 16
 
 
 @dataclass
@@ -50,7 +53,6 @@ class TrainConfig:
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     eps_t: float = 1e-4
     recip_mode: str = "exact"  # "exact" | "approx" divider model in the backward
-    offload_batch: int = 16  # splats per accumulator drain
     dtype: type = np.float64
     threads: int = 1
 
@@ -59,9 +61,6 @@ class TrainConfig:
             raise ValueError("loss must be 'l1' or 'l2'")
         if self.recip_mode not in ("exact", "approx"):
             raise ValueError("recip_mode must be 'exact' or 'approx'")
-        require_int("offload_batch", self.offload_batch)
-        if self.offload_batch < 1:
-            raise ValueError("offload_batch must be >= 1")
         self.render_config().validate()
 
     def render_config(self) -> RenderConfig:
@@ -202,7 +201,7 @@ def _step_runs(sizes: list[int], cap: int) -> list[list[int]]:
 
 
 def accumulate_cross_tile(
-    parts: list[tuple], lists: list[np.ndarray], n_splats: int, offload_batch: int
+    parts: list[tuple], lists: list[np.ndarray], n_splats: int
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Fold per-entry sums into per-splat totals in a fixed order.
 
@@ -212,7 +211,7 @@ def accumulate_cross_tile(
     key over the concatenated parts (``np.add.at`` applies repeated
     indices in order, so the sums do not depend on how the fold is
     batched).  The drain count models an accumulator that drains every
-    ``offload_batch`` list positions of each tile list in ``lists``.
+    OFFLOAD_BATCH list positions of each tile list in ``lists``.
     Returns (per-splat totals, accumulate ops, drain events).
     """
     acc = {
@@ -227,7 +226,7 @@ def accumulate_cross_tile(
         for key, total in acc.items():
             np.add.at(total, idx, np.concatenate([sums[key] for _, sums in parts]))
     ops = sum(len(order) for order, _ in parts)
-    drains = sum(-(-len(order) // offload_batch) for order in lists)
+    drains = sum(-(-len(order) // OFFLOAD_BATCH) for order in lists)
     return acc, ops, drains
 
 
@@ -352,9 +351,7 @@ def scene_backward(
     for tiles, grp, steps in trace.groups:
         order = np.concatenate([binning.lists[t] for t in tiles])
         parts.append((order, backward_tile(trace.batch, order, grp, steps, *args)))
-    screen, ops, drains = accumulate_cross_tile(
-        parts, binning.lists, trace.batch.n, tcfg.offload_batch
-    )
+    screen, ops, drains = accumulate_cross_tile(parts, binning.lists, trace.batch.n)
     return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains
 
 

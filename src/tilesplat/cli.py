@@ -31,7 +31,6 @@ from .gradcheck import check_gradients, make_fd_case
 from .model import ImageRGB
 from .optim import (
     AdamState,
-    DensifyOptions,
     DensifyStats,
     density_control,
     remap_adam_state,
@@ -91,7 +90,6 @@ _CONFIG_FLAGS = {
     "occlusion_threshold": ("--occlusion-threshold", dict(type=float)),
     "background": ("--background", dict(nargs=3, type=float, metavar=("R", "G", "B"))),
     "recip_mode": ("--recip", dict(choices=("exact", "approx"))),
-    "offload_batch": ("--offload-batch", dict(type=int)),
     "dtype": ("--dtype", dict(choices=("float32", "float64"))),
     "threads": ("--threads", dict(type=int)),
     "record_occlusion": ("--record-occlusion", dict(action=argparse.BooleanOptionalAction)),
@@ -161,7 +159,7 @@ def cmd_train(args) -> int:
             print(f"iter {it}: loss {res.loss:.6f}")
         due = args.densify_every > 0 and (it + 1) % args.densify_every == 0
         if due and it + 1 < args.iters:
-            scene, report, keep = density_control(scene, dstats, DensifyOptions(), rng)
+            scene, report, keep = density_control(scene, dstats, rng)
             remap_adam_state(adam, keep, scene.n - keep.size)
             dstats = DensifyStats.zeros(scene.n)
             print(

@@ -317,10 +317,10 @@ class BlockGroup:
     ``SplatTable`` row each).  A block's list holds the entries whose
     window meets the block (``aabb_pairs`` such pairs in the group) and
     that can blend there (``preprocess.can_blend``).  Block lists are
-    stored concatenated, block by block (``list_off``), each in list
-    order: the group entry, its window in block-local coordinates and
-    its tile list position.  A group-flat pixel index is
-    block * bh * bw + pixel.
+    stored concatenated, block by block, each in list order: the group
+    entry, its window in block-local coordinates and its tile list
+    position; ``_at`` finds a block's entry at a list position.  A
+    group-flat pixel index is block * bh * bw + pixel.
     """
 
     def __init__(
@@ -401,7 +401,6 @@ class BlockGroup:
         self.lwin = lwin
         del rect, ox, oy
         blk, e = blk[keep], e[keep]
-        self.list_off = np.concatenate(([0], np.cumsum(np.bincount(blk, minlength=nb))))
         self.params = np.take(table.params, splat, axis=0)
         self.entry = e
         self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
@@ -724,21 +723,18 @@ def _blend_group(
 
     chunks = _chunk_bounds(split.copy(), K)
     untouched = np.ones(len(grp.block_tile), dtype=bool)
-    if cfg.hybrid != "occlusion_threshold":
-        per = max(1, GROUP_MAX_PX // grp.valid.size)  # chunks per pass: K unless one tile is over
-        passes = [chunks[c : c + per] for c in range(0, K, per)]
-        died = np.concatenate([grp.blend_chunks(state, p, eps_t, untouched) for p in passes])
-    else:
-        died = np.zeros((K, len(m)), dtype=np.int64)
-        dead = np.zeros(len(m), dtype=np.int64)  # per tile; the folds are all that kill
-        chunking = np.ones(len(m), dtype=bool)
-        for k, (lo, hi) in enumerate(chunks):
-            over = chunking & (dead > theta * grp.tile_px)
+    died = np.zeros((K, len(m)), dtype=np.int64)  # per chunk and tile; only the folds kill
+    chunking = np.ones(len(m), dtype=bool)
+    # chunks per pass: _pass_rows, fewer when one tile's rows are over GROUP_MAX_PX
+    per = max(1, min(_pass_rows(cfg), GROUP_MAX_PX // grp.valid.size))
+    for k in range(0, K, per):
+        if cfg.hybrid == "occlusion_threshold":  # one chunk per pass
+            lo, hi = chunks[k]
+            over = chunking & (died[:k].sum(axis=0) > theta * grp.tile_px)
             split[over] = lo[over]
             chunking &= ~over
-            hi = np.where(chunking, hi, lo)  # a switched tile chunks no more
-            died[k] = grp.blend_chunks(state, [(lo, hi)], eps_t, untouched)[0]
-            dead += died[k]
+            chunks[k] = (lo, np.where(chunking, hi, lo))  # a switched tile chunks no more
+        died[k : k + per] = grp.blend_chunks(state, chunks[k : k + per], eps_t, untouched)
     if occluded is not None:
         # a switched tile's state is unchanged, so it keeps its frozen count
         occluded.extend(np.cumsum(died.sum(axis=1)).tolist())
@@ -777,30 +773,18 @@ def _render_group(
     tiles: range,
     side: int,
     cfg: RenderConfig,
-    img: np.ndarray,
-    t_final: np.ndarray | None,
-    stop_img: np.ndarray | None,
-    want_steps: bool = False,
-) -> tuple[EvalCounters, np.ndarray, list[int] | None, tuple | None]:
-    """Blend one group and paste its pixels: (counters, split per tile, occluded, traced).
+    record: list | None = None,
+) -> tuple[BlockGroup, PixelState, EvalCounters, np.ndarray, list[int] | None]:
+    """Blend and count one group: (group, state, counters, split per tile, occluded).
 
-    Writes the composited color into ``img`` and, when given, T into
-    ``t_final`` and stop into ``stop_img``.  ``traced`` is (tiles,
-    group, recorded steps) with ``want_steps``, else None.
+    The blend steps go to ``record`` when given (``_blend_group``); the
+    caller pastes what it needs of ``state``.
     """
     grp = _group(table, binning, tiles, side)
-    steps = [] if want_steps else None
-    state, split, occluded = _blend_group(grp, cfg, steps)
-    traced = (tiles, grp, steps) if want_steps else None
-    bg = np.asarray(cfg.background, dtype=img.dtype)
-    grp.paste(composite_background(state, bg), img)
-    if t_final is not None:
-        grp.paste(state.T, t_final)
-    if stop_img is not None:
-        grp.paste(state.stop, stop_img)
+    state, split, occluded = _blend_group(grp, cfg, record)
     if cfg.hybrid == "off":
         total = int(grp.area.sum())
-        return EvalCounters(total, total, 0), split, occluded, traced
+        return grp, state, EvalCounters(total, total, 0), split, occluded
     counters = EvalCounters()
     until = grp.tiles(state.stop)
     switch_here = cfg.z_tiles == 1 and cfg.hybrid == "occlusion_threshold"
@@ -811,7 +795,7 @@ def _render_group(
         if switch_here:  # one sweep: the stops decide where the tile turns pixel-centric
             split[i] = occlusion_switch(grp.area[es], tile_until, cfg.occlusion_threshold)
         counters.merge(count_evals(grp.win[es], grp.area[es], rect, int(split[i]), tile_until))
-    return counters, split, occluded, traced
+    return grp, state, counters, split, occluded
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
@@ -839,7 +823,6 @@ class ForwardTrace:
     batch64: SplatBatch  # float64 projection for parameter chaining
     binning: TileBinning
     t_final: np.ndarray  # (h, w) final transmittance per pixel
-    stop: np.ndarray  # (h, w) int32 list position after each pixel's last blend
     # per tile group, in tile order: (tiles, BlockGroup, its recorded blend steps)
     groups: list[tuple[range, BlockGroup, list]]
 
@@ -898,11 +881,20 @@ def render(
     h, w = cam.height, cam.width
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
     t_final = np.ones((h, w), dtype=img.dtype) if want_trace else None
-    stop_img = np.zeros((h, w), dtype=np.int32) if want_trace else None
+    bg = np.asarray(cfg.background, dtype=img.dtype)
     K = cfg.z_tiles
 
     def run_group(tiles: range):
-        return _render_group(table, binning, tiles, side, cfg, img, t_final, stop_img, want_trace)
+        """Blend, count and paste one group; its state is freed on return."""
+        steps = [] if want_trace else None
+        grp, state, counters, split, occluded = _render_group(
+            table, binning, tiles, side, cfg, steps
+        )
+        grp.paste(composite_background(state, bg), img)
+        if not want_trace:
+            return counters, split, occluded, None
+        grp.paste(state.T, t_final)
+        return counters, split, occluded, (tiles, grp, steps)
 
     groups = _tile_groups(binning, side, _pass_rows(cfg))
     if cfg.threads > 1 and len(groups) > 1:
@@ -949,7 +941,6 @@ def render(
             batch64=batch64,
             binning=binning,
             t_final=t_final,
-            stop=stop_img,
             groups=[traced for *_, traced in results],
         )
     return RenderResult(image=ImageRGB(img), stats=stats, trace=trace)

@@ -116,16 +116,13 @@ class GradCheckReport:
     def ok(self) -> bool:
         return self.n_failed == 0
 
-    def to_text(self, max_rows: int | None = None) -> str:
+    def to_text(self) -> str:
         lines = [f"{'parameter':<22} {'analytic':>14} {'numeric':>14} status"]
-        shown = self.rows if max_rows is None else self.rows[:max_rows]
-        for r in shown:
+        for r in self.rows:
             status = "ok" if r.ok else "FAIL"
             lines.append(
                 f"{r.name:<22} {r.analytic:>14.6e} {r.numeric:>14.6e} {status}"
             )
-        if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... {len(self.rows) - max_rows} more")
         lines.append(
             f"checked {len(self.rows)} parameters, {self.n_failed} failed, "
             f"max relative error {self.max_rel_err:.3e} "

@@ -15,6 +15,13 @@ import numpy as np
 
 from .model import GaussianScene, quat_normalize, stable_sigmoid
 
+# Density control (``density_control``)
+GRAD_THRESHOLD = 2e-4  # mean screen-space grad norm to densify
+SCALE_FRACTION = 0.01  # of scene extent: clone below, split above
+OPACITY_FLOOR = 0.005  # prune below this activated opacity
+SPLIT_FACTOR = 1.6  # children shrink by this factor
+SPLIT_COUNT = 2  # children per split parent
+
 _DEFAULT_GROUP_LR = {
     "position": 0.5,
     "scale": 0.5,
@@ -118,15 +125,6 @@ class DensifyStats:
 
 
 @dataclass
-class DensifyOptions:
-    grad_threshold: float = 2e-4  # mean screen-space grad norm to densify
-    scale_fraction: float = 0.01  # of scene extent: clone below, split above
-    opacity_floor: float = 0.005  # prune below this activated opacity
-    split_factor: float = 1.6  # children shrink by this factor
-    split_count: int = 2
-
-
-@dataclass
 class DensifyReport:
     n_before: int
     n_after: int
@@ -145,7 +143,6 @@ def scene_extent(scene: GaussianScene) -> float:
 def density_control(
     scene: GaussianScene,
     stats: DensifyStats,
-    opts: DensifyOptions,
     rng: np.random.Generator,
 ) -> tuple[GaussianScene, DensifyReport, np.ndarray]:
     """Clone small / split large high-gradient Gaussians, prune transparent ones.
@@ -153,17 +150,17 @@ def density_control(
     Returns (new scene, report, keep) where ``keep`` indexes the old
     rows that survive, in new-scene order, for optimizer-state remap.
     Clones and split children are appended after the survivors; a clone
-    is an exact copy, a split replaces the parent with ``split_count``
+    is an exact copy, a split replaces the parent with SPLIT_COUNT
     children sampled from the parent's own distribution with scales
-    divided by ``split_factor``.
+    divided by SPLIT_FACTOR.
     """
     n = scene.n
     opac = np.minimum(stable_sigmoid(scene.opacity_logits), 1.0)
-    prune = opac < opts.opacity_floor
+    prune = opac < OPACITY_FLOOR
     mean_grad = stats.grad_norm_sum / np.maximum(stats.obs_count, 1)
-    densify = (mean_grad > opts.grad_threshold) & ~prune
+    densify = (mean_grad > GRAD_THRESHOLD) & ~prune
     max_scale = np.exp(scene.log_scales).max(axis=1)
-    scale_cut = opts.scale_fraction * scene_extent(scene)
+    scale_cut = SCALE_FRACTION * scene_extent(scene)
     clone = densify & (max_scale < scale_cut)
     split = densify & ~clone
 
@@ -185,13 +182,11 @@ def density_control(
             scene.rotations[split_idx], axis=1, keepdims=True
         )
         R = quat_to_rotmat(q)  # (p, 3, 3)
-        for _ in range(opts.split_count):
+        for _ in range(SPLIT_COUNT):
             xi = rng.standard_normal((split_idx.size, 3))
             offset = np.einsum("nij,nj->ni", R, s * xi)
             parts_means.append(scene.means[split_idx] + offset)
-            parts_ls.append(
-                scene.log_scales[split_idx] - np.log(opts.split_factor)
-            )
+            parts_ls.append(scene.log_scales[split_idx] - np.log(SPLIT_FACTOR))
             parts_rot.append(scene.rotations[split_idx])
             parts_op.append(scene.opacity_logits[split_idx])
             parts_sh.append(scene.sh[split_idx])

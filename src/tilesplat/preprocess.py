@@ -268,7 +268,6 @@ class TileBinning:
     image_w: int
     image_h: int
     lists: list[np.ndarray]  # per tile: batch row indices, depth-sorted
-    tiles_per_splat: np.ndarray  # (m,) duplication count, for workload analysis
 
     @property
     def n_tiles(self) -> int:
@@ -309,11 +308,8 @@ def bin_and_sort(
     ny = (h + th - 1) // th
     m = batch.n
     if m == 0:
-        return TileBinning(
-            tw, th, nx, ny, w, h,
-            [np.zeros(0, dtype=np.int64) for _ in range(nx * ny)],
-            np.zeros(0, dtype=np.int64),
-        )
+        empty = [np.zeros(0, dtype=np.int64) for _ in range(nx * ny)]
+        return TileBinning(tw, th, nx, ny, w, h, empty)
 
     x0, y0, x1, y1 = (batch.aabb[:, k] for k in range(4))
     tx0 = x0 // tw
@@ -340,4 +336,4 @@ def bin_and_sort(
     bounds_lo = np.searchsorted(sorted_tiles, np.arange(nx * ny), side="left")
     bounds_hi = np.searchsorted(sorted_tiles, np.arange(nx * ny), side="right")
     lists = [sorted_splats[lo:hi] for lo, hi in zip(bounds_lo, bounds_hi)]
-    return TileBinning(tw, th, nx, ny, w, h, lists, counts)
+    return TileBinning(tw, th, nx, ny, w, h, lists)

@@ -272,20 +272,24 @@ def scene_backward(
     scene: GaussianScene,
     cam: Camera,
     trace: ForwardTrace,
+    stop: np.ndarray,
     grad_img: np.ndarray,
     background: np.ndarray,
     recip_mode: str,
-    offload_batch: int = 16,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], int, int]:
-    """One view's backward through the loops: (screen grads, param grads, ops, drains)."""
+    """One view's backward through the loops: (screen grads, param grads, ops, drains).
+
+    ``stop`` is every pixel's list position after its last blend, as
+    ``tile_kernel.render_tiles`` gives it for the traced render.
+    """
     binning = trace.binning
     partials = [
         backward_tile(
             trace.batch, binning.lists[t], binning.tile_rect(t), t,
-            trace.t_final, trace.stop, grad_img, background, recip_mode,
+            trace.t_final, stop, grad_img, background, recip_mode,
         )
         for t in range(binning.n_tiles)
         if len(binning.lists[t])
     ]
-    screen, ops, drains = accumulate_cross_tile(partials, trace.batch.n, offload_batch)
+    screen, ops, drains = accumulate_cross_tile(partials, trace.batch.n, 16)
     return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains

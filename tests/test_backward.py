@@ -5,6 +5,7 @@ import pytest
 
 import backward_oracle
 from tilesplat.backward import (
+    OFFLOAD_BATCH,
     TrainConfig,
     _normalize_vjp,
     _quat_to_rotmat_vjp,
@@ -136,15 +137,13 @@ def test_train_config_rejects_eps_t_outside_unit_interval(eps_t):
 
 
 @pytest.mark.parametrize("kw, field", [
-    (dict(offload_batch=2.5), "offload_batch"),
-    (dict(offload_batch=True), "offload_batch"),
     (dict(tile_size=(8.5, 8)), "tile_size"),
     (dict(threads=1.0), "threads"),
 ])
 def test_train_config_rejects_non_integers(kw, field):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**kw).validate()
-    TrainConfig(offload_batch=np.int64(4), tile_size=(np.int64(8), 8)).validate()
+    TrainConfig(tile_size=(np.int64(8), 8)).validate()
 
 
 def test_loss_and_pixel_grads():
@@ -181,8 +180,9 @@ def test_accumulate_cross_tile_fold():
         make_part([0, 0, 5], 2.0),  # duplicate rows fold additively
         make_part(list(range(20)), 1.0),
     ]
-    acc, ops, drains = accumulate_cross_tile(parts, lists, 24, offload_batch=16)
+    acc, ops, drains = accumulate_cross_tile(parts, lists, 24)
     assert ops == 23
+    assert OFFLOAD_BATCH == 16
     assert drains == 1 + 0 + 2  # ceil(3/16) + ceil(0/16) + ceil(20/16)
     assert acc["d_opacity"][0] == pytest.approx(2.0 + 2.0 + 1.0)
     assert acc["d_opacity"][5] == pytest.approx(2.0 + 1.0)
@@ -190,7 +190,7 @@ def test_accumulate_cross_tile_fold():
     assert np.all(acc["d_opacity"][20:] == 0)
     assert acc["hit_count"][0] == 3
     assert acc["hit_count"].dtype == np.int64
-    empty, ops, drains = accumulate_cross_tile([], [lists[1]], 2, offload_batch=16)
+    empty, ops, drains = accumulate_cross_tile([], [lists[1]], 2)
     assert (ops, drains) == (0, 0)
     assert all(not v.any() for v in empty.values())
 

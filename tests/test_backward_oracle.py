@@ -26,7 +26,7 @@ from tilesplat.model import ImageRGB
 from tilesplat.preprocess import preprocess
 from tilesplat.synth import make_camera, orbit_camera, random_scene
 
-from tile_kernel import picking, traced_tile
+from tile_kernel import picking, render_tiles, traced_tile
 
 EXAMPLES = settings(
     max_examples=30,
@@ -84,9 +84,9 @@ def test_scene_backward_matches_oracle(
     _, grad_img = loss_and_pixel_grads(res.image, target, loss)
 
     screen, grads, ops, drains = scene_backward(scene, cam, res.trace, grad_img, tcfg)
+    _, _, stop, _ = render_tiles(res.trace.batch, res.trace.binning, tcfg.render_config(), side)
     want_screen, want_grads, want_ops, want_drains = oracle.scene_backward(
-        scene, cam, res.trace, grad_img, np.asarray(background), recip_mode,
-        tcfg.offload_batch,
+        scene, cam, res.trace, stop, grad_img, np.asarray(background), recip_mode
     )
     assert ops == want_ops
     assert drains == want_drains

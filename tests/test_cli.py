@@ -104,7 +104,6 @@ _FLAG_CASES = {
     "occlusion_threshold": (["--occlusion-threshold", "0.6"], 0.6, 0.8),
     "background": (["--background", "0.1", "0.2", "0.3"], (0.1, 0.2, 0.3), [0.4, 0.5, 0.6]),
     "recip_mode": (["--recip", "approx"], "approx", "exact"),
-    "offload_batch": (["--offload-batch", "4"], 4, 8),
     "dtype": (["--dtype", "float64"], np.float64, "float32"),
     "threads": (["--threads", "2"], 2, 3),
     "record_occlusion": (["--record-occlusion"], True, False),
@@ -382,7 +381,6 @@ def test_render_rejects_bad_config_before_writing(workdir, capsys, flags, messag
     (["--tile", "0", "8"], "tile_size must be positive"),
     (["--eps-t", "-1"], "eps_t must be >= 0"),
     (["--eps-t", "1.5"], "eps_t must be <= 1"),
-    (["--offload-batch", "0"], "offload_batch must be >= 1"),
 ])
 def test_train_rejects_bad_config_before_writing(tmp_path, capsys, flags, message):
     cam = make_camera(8, 8, focal=8.0)

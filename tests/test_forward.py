@@ -19,7 +19,7 @@ from tilesplat.forward import (
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
-from tile_kernel import blend_tile_span, fresh_state, picking
+from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles
 
 
 def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
@@ -346,11 +346,11 @@ def test_trace_contents():
     tr = res.trace
     assert tr is not None
     assert tr.t_final.shape == (32, 32)
-    assert tr.stop.shape == (32, 32)
     # with eps_t = 0 nothing terminates: stop equals each tile's list length
+    _, _, stop, _ = render_tiles(tr.batch, tr.binning, cfg)
     for t in range(tr.binning.n_tiles):
         x0, y0, x1, y1 = tr.binning.tile_rect(t)
-        assert np.all(tr.stop[y0:y1, x0:x1] == len(tr.binning.lists[t]))
+        assert np.all(stop[y0:y1, x0:x1] == len(tr.binning.lists[t]))
     assert np.all(tr.t_final > 0) and np.all(tr.t_final <= 1)
 
 
@@ -632,5 +632,34 @@ def test_block_groups_are_the_groups_render_blends():
     assert len(built) == len(traced) > 1
     for a, b in zip(built, traced):
         assert a.aabb_pairs == b.aabb_pairs
-        for name in ("list_off", "entry", "pos", "lwin", "params", "win", "area", "m"):
+        assert np.array_equal(a._at(a.m), b._at(b.m))  # where each block's list ends
+        for name in ("entry", "pos", "lwin", "params", "win", "area", "m"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["opaque", "indoor"])
+def test_dead_blocks_leave_the_lockstep(kind, seed):
+    """Behind opaque layers most blocks die within a few entries, and the
+    kernel drops them from the pass: a K = 1 render evaluates alpha for at
+    most half of its block-list entries, where keeping every block to the
+    end of its list would evaluate one row per entry."""
+    from unittest import mock
+
+    from tilesplat import forward
+    from tilesplat.synth import indoor_scene
+
+    rng = np.random.default_rng(seed)
+    cam = make_camera(128, 128)
+    scene = (opaque_foreground_scene if kind == "opaque" else indoor_scene)(rng, cam)
+    cfg = RenderConfig(tile_size=(32, 32), z_tiles=1, eps_t=1e-4)
+    rows = []
+
+    def spy(xc, *args):
+        rows.append(xc.shape[0])
+        return splat_alpha(xc, *args)
+
+    with mock.patch.object(forward, "splat_alpha", spy):
+        render(scene, cam, cfg)
+    entries = sum(len(g.pos) for g in forward.block_groups(scene, cam, cfg))
+    assert sum(rows) <= entries / 2, (sum(rows), entries)

@@ -7,8 +7,10 @@ import pytest
 
 from tilesplat.model import GaussianScene, stable_sigmoid
 from tilesplat.optim import (
+    OPACITY_FLOOR,
+    SPLIT_COUNT,
+    SPLIT_FACTOR,
     AdamState,
-    DensifyOptions,
     DensifyStats,
     adam_step,
     density_control,
@@ -133,16 +135,13 @@ def test_density_control_semantics():
     stats = DensifyStats.zeros(4)
     stats.grad_norm_sum[:] = [10.0, 10.0, 10.0, 0.0]
     stats.obs_count[:] = 1
-    opts = DensifyOptions()
-    assert stable_sigmoid(scene.opacity_logits[0]) < opts.opacity_floor
+    assert stable_sigmoid(scene.opacity_logits[0]) < OPACITY_FLOOR
 
-    new_scene, report, keep = density_control(
-        scene, stats, opts, np.random.default_rng(0)
-    )
+    new_scene, report, keep = density_control(scene, stats, np.random.default_rng(0))
     # row 0 prunes, row 1 clones (small scale), row 2 splits (large), row 3 idles
     assert report.pruned == 1 and report.cloned == 1 and report.split == 1
     assert report.n_before == 4
-    assert report.n_after == 2 + 1 + opts.split_count == new_scene.n
+    assert report.n_after == 2 + 1 + SPLIT_COUNT == new_scene.n
     np.testing.assert_array_equal(keep, [1, 3])
 
     # order: survivors, then clone copies, then split children
@@ -154,7 +153,7 @@ def test_density_control_semantics():
     children = slice(3, 5)
     np.testing.assert_allclose(
         new_scene.log_scales[children],
-        np.tile(scene.log_scales[2] - np.log(opts.split_factor), (2, 1)),
+        np.tile(scene.log_scales[2] - np.log(SPLIT_FACTOR), (2, 1)),
         rtol=1e-12,
     )
     np.testing.assert_array_equal(
@@ -178,9 +177,7 @@ def test_density_control_semantics():
 def test_density_control_noop_scene():
     scene = one_splat_scene(3)
     stats = DensifyStats.zeros(3)
-    new_scene, report, keep = density_control(
-        scene, stats, DensifyOptions(), np.random.default_rng(1)
-    )
+    new_scene, report, keep = density_control(scene, stats, np.random.default_rng(1))
     assert report.n_after == 3 and report.cloned == report.split == report.pruned == 0
     np.testing.assert_array_equal(keep, [0, 1, 2])
     np.testing.assert_array_equal(new_scene.means, scene.means)

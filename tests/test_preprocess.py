@@ -216,11 +216,12 @@ def test_binning_matches_brute_force(tile_size):
     assert binning.n_tiles == len(want)
     for got, exp in zip(binning.lists, want):
         np.testing.assert_array_equal(got, exp)
+    # each splat is listed once per tile its AABB's tile span covers
+    tw, th = tile_size
+    x0, y0, x1, y1 = batch.aabb.T
+    spans = ((x1 - 1) // tw - x0 // tw + 1) * ((y1 - 1) // th - y0 // th + 1)
     np.testing.assert_array_equal(
-        binning.tiles_per_splat,
-        np.bincount(
-            np.concatenate(binning.lists).astype(int), minlength=batch.n
-        ),
+        np.bincount(np.concatenate(binning.lists), minlength=batch.n), spans
     )
     assert binning.total_invocations == sum(len(l) for l in want)
 
@@ -277,7 +278,7 @@ def test_screen_covering_splat_is_binned_without_overflow():
     row = int(np.flatnonzero(batch.gaussian_index == 0)[0])
     np.testing.assert_array_equal(batch.aabb[row], [0, 0, 64, 48])
     assert batch.radius[row] == 64  # capped at the larger image side
-    assert binning.tiles_per_splat[row] == binning.n_tiles
+    assert np.bincount(np.concatenate(binning.lists))[row] == binning.n_tiles
     assert all(row in lst for lst in binning.lists)
 
 

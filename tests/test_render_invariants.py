@@ -104,7 +104,8 @@ def test_hybrid_equals_pure(
     rgb, T, stop, _ = render_tiles(batch64.astype(dtype), binning, hyb, sides[1])
     assert np.array_equal(rgb, pure.image.data)  # black background: the color itself
     assert np.array_equal(T, pure.trace.t_final)
-    assert np.array_equal(stop, pure.trace.stop)
+    _, _, pure_stop, _ = render_tiles(batch64.astype(dtype), binning, cfg, sides[0])
+    assert np.array_equal(stop, pure_stop)
 
 
 @SMALL

@@ -380,8 +380,9 @@ def test_train_config_loader():
                                    "tile_size": [32, 64]})
     assert tcfg.loss == "l1" and tcfg.recip_mode == "approx"
     assert tcfg.tile_size == (32, 64)
-    with pytest.raises(ValueError, match=r"unknown train config keys: \['z_tiles'\]"):
-        train_config_from_dict({"z_tiles": 2})
+    for key in ("z_tiles", "offload_batch"):
+        with pytest.raises(ValueError, match=rf"unknown train config keys: \['{key}'\]"):
+            train_config_from_dict({key: 2})
 
 
 def test_config_keys_are_the_dataclass_fields():

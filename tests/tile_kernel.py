@@ -7,8 +7,9 @@ cuts such a state into that layout, blends a span of the tile's list
 and writes the result back.  ``traced_tile`` blends a whole list over
 one tile as a group of its own and keeps the steps it records, which is
 what the backward replays.  ``render_tiles`` runs
-``forward._render_group`` once per tile, which exposes each tile's
-counters, split and occlusion counts.  Each takes the largest block
+``forward._render_group`` once per tile and pastes each tile's state,
+which exposes every pixel's T and stop and each tile's counters, split
+and occlusion counts.  Each takes the largest block
 side, ``forward.BLOCK`` or ``forward.BLOCK // 2``, that a render would
 pick with ``forward._pick_block``; ``picking`` makes renders use a
 given side.
@@ -118,10 +119,14 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forw
     t_final = np.zeros((h, w), dtype=batch.mean2.dtype)
     stop = np.zeros((h, w), dtype=np.int32)
     table = SplatTable(batch)
+    bg = np.asarray(cfg.background, dtype=img.dtype)
     tiles = []
     for t in range(binning.n_tiles):
-        counters, split, occluded, _ = forward._render_group(
-            table, binning, range(t, t + 1), side, cfg, img, t_final, stop
+        grp, state, counters, split, occluded = forward._render_group(
+            table, binning, range(t, t + 1), side, cfg
         )
+        grp.paste(forward.composite_background(state, bg), img)
+        grp.paste(state.T, t_final)
+        grp.paste(state.stop, stop)
         tiles.append((counters, int(split[0]), occluded))
     return img, t_final, stop, tiles
