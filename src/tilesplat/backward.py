@@ -2,20 +2,25 @@
 
 The forward pass decides which (entry, pixel) pairs blend and with what
 alpha, and with ``want_trace`` it records that decision: per tile group,
-each lockstep step's blended pixels, their alpha and their entries
-(``forward.BlockGroup.blend``).  The backward replays the record and
-decides nothing itself.  Within a step a pixel occurs at most once, and
-each block's steps follow its list order, so walking a group's steps in
-reverse visits every pixel's blends back to front.  The transmittance
-an entry saw is recovered by multiplying the running value by
-``recip_one_minus(alpha)``, which models the divider: T starts at the
+each lockstep step's blended pixels and their alpha, and one entry and
+pair count per block row, since a row's pairs are contiguous and share
+its entry (``forward.BlockGroup.blend``).  The backward replays the
+record and decides nothing itself.  Within a step a pixel occurs at most
+once, and each block's steps follow its list order, so walking a group's
+steps in reverse visits every pixel's blends back to front.  The
+transmittance an entry saw is recovered by multiplying the running value
+by ``recip_one_minus(alpha)``, which models the divider: T starts at the
 final transmittance and each pixel sees the multiplies of a
 splat-at-a-time walk in the same order.  The suffix color
 (alpha-weighted color of everything behind the current entry) is
 carried as its dot product with the pixel gradient, one scalar per
 pixel, through the recurrence S <- (1 - alpha) S + alpha (c . dL/dpixel).
-Per-entry sums (color gradient, six moments of the alpha gradient over
-pixel offsets, hit counts) are ``np.bincount`` over the pairs' entries.
+Per-entry values (color, mean) are gathered once per row and repeated
+over its pairs only where a pair's term needs them.  Per-entry sums
+(color gradient, six moments of the alpha gradient over pixel offsets)
+are taken over each row's pairs with ``np.add.reduceat``, then over each
+entry's rows with ``np.bincount``; hit counts are the bincount of the
+row counts.
 
 Groups come in tile order (``ForwardTrace.groups``), so folding each
 group's sums into per-splat totals as it comes folds list positions
@@ -118,7 +123,8 @@ def backward_tile(
 
     Steps are replayed in runs of at most as many pairs as the group has
     block pixels, so GROUP_MAX_PX bounds the replay's arrays as it
-    bounds the forward's.
+    bounds the forward's.  A run concatenates its steps' block rows, and
+    each row's first pair is found from the run's row counts.
     """
     m = len(order)
     # Image values in the group's layout, indexed by group-flat pixel
@@ -134,18 +140,21 @@ def backward_tile(
     bg = background if np.any(background != 0.0) else None
     rgb = batch.rgb[order].astype(np.float64).T
     mean = batch.mean2[order].T
-    hits = np.zeros(m, dtype=np.int64)
+    hits = np.zeros(m)
     # d_rgb, then moments of alpha * dla over (1, dx, dy, dx^2, dx dy, dy^2)
     sums = np.zeros((9, m))
     sizes = [len(step[0]) for step in steps]
     for k0, k1 in reversed(_step_runs(sizes, live.size)):
-        flat, alpha, entry = (np.concatenate(parts) for parts in zip(*steps[k0:k1]))
-        entry = entry.astype(np.intp)
+        flat, alpha, entry, count = (np.concatenate(parts) for parts in zip(*steps[k0:k1]))
+        flat, entry = flat.astype(np.intp), entry.astype(np.intp)  # int32 indexes run slower
+        seg = np.cumsum(count) - count  # each row's first pair
         r = recip_one_minus(alpha, recip_mode)
         a = alpha.astype(np.float64, copy=False)
-        dla = rgb[0][entry] * grads[0][flat]  # c . dL/dpixel until the walk makes it dla
-        dla += rgb[1][entry] * grads[1][flat]
-        dla += rgb[2][entry] * grads[2][flat]
+        g = [gr[flat] for gr in grads]
+        c = rgb[:, entry]  # per row
+        dla = np.repeat(c[0], count) * g[0]  # c . dL/dpixel until the walk makes it dla
+        dla += np.repeat(c[1], count) * g[1]
+        dla += np.repeat(c[2], count) * g[2]
         aT = np.empty_like(a)
         ends = np.cumsum(sizes[k0:k1]).tolist()
         for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
@@ -159,22 +168,26 @@ def backward_tile(
             cg *= t
             np.multiply(ak, t, out=aT[lo:hi])
 
-        g = [gr[flat] for gr in grads]
         if bg is not None:
             dla -= (t_grp[flat] * r) * (g[0] * bg[0] + g[1] * bg[1] + g[2] * bg[2])
-        hits += np.bincount(entry, minlength=m)
+        hits += np.bincount(entry, count, minlength=m)
+
+        def add(k, w):  # over each block row's pairs, then over each entry's rows
+            sums[k] += np.bincount(entry, np.add.reduceat(w, seg), minlength=m)
+
         for ch in range(3):
-            sums[ch] += np.bincount(entry, aT * g[ch], minlength=m)
+            add(ch, aT * g[ch])
         del g, aT, r  # before the moments' temporaries: a lower peak
         # alpha = opacity * exp(-q/2): d/d(opacity) = alpha/opacity, d/dq = -alpha/2
         adla = np.multiply(a, dla, out=dla)
-        dx = (xc[flat] - mean[0][entry]).astype(np.float64, copy=False)
-        dy = (yc[flat] - mean[1][entry]).astype(np.float64, copy=False)
+        mx, my = mean[:, entry]  # per row
+        dx = (xc[flat] - np.repeat(mx, count)).astype(np.float64, copy=False)
+        dy = (yc[flat] - np.repeat(my, count)).astype(np.float64, copy=False)
         wx, wy = adla * dx, adla * dy
-        for i, w in enumerate((adla, wx, wy)):
-            sums[3 + i] += np.bincount(entry, w, minlength=m)
-        for i, (w, d) in enumerate(((wx, dx), (wx, dy), (wy, dy))):
-            sums[6 + i] += np.bincount(entry, w * d, minlength=m)
+        for k, w in enumerate((adla, wx, wy), 3):
+            add(k, w)
+        for k, (w, d) in enumerate(((wx, dx), (wx, dy), (wy, dy)), 6):
+            add(k, w * d)
 
     mom = sums[3:]
     dq = -0.5 * mom  # moments of dL/dq
@@ -184,7 +197,7 @@ def backward_tile(
         "d_opacity": mom[0] / batch.opacity[order].astype(np.float64),
         "d_mean2": -2 * np.stack([ca * dq[1] + cb * dq[2], cb * dq[1] + cc * dq[2]], axis=1),
         "d_conic": np.stack([dq[3], 2 * dq[4], dq[5]], axis=1),
-        "hit_count": hits,
+        "hit_count": hits.astype(np.int64),
     }
 
 

@@ -79,7 +79,8 @@ the end and composited into the image before the next one starts,
 which bounds the memory a render holds; with threads > 1 the groups
 run on a pool.
 With ``want_trace`` each lockstep step also records the pixels it
-blended, their alpha and their entry (``BlockGroup.blend``);
+blended and their alpha, with one entry and pair count per block row
+(``BlockGroup.blend``);
 ``ForwardTrace.groups`` keeps the records in tile order, and the
 backward pass replays them instead of deciding again what blends.
 
@@ -462,12 +463,17 @@ class BlockGroup:
     ) -> None:
         """Blend tile list positions [start[t], end[t]) of every tile t into ``state``.
 
-        ``record``, when given, receives one (pixels, alpha, entries)
-        triple of arrays per lockstep step: the group-flat index of every
-        pixel the step blended (alpha >= ALPHA_MIN, inside the window,
-        live before the entry) as int32, its alpha in the blend dtype and
-        its group entry as int32.  A pixel occurs at most once per step,
-        and each block's entries come in list order, so reading the steps
+        ``record``, when given, receives one (pixels, alpha, row_entry,
+        row_count) tuple of arrays per lockstep step: the group-flat index
+        of every pixel the step blended (alpha >= ALPHA_MIN, inside the
+        window, live before the entry) as int32 and its alpha in the blend
+        dtype.  The pixels come block row by block row, and all of a
+        row's pixels lie in its block and blend its one entry, so the
+        entry is kept once per row: ``row_entry`` holds the group entry
+        and ``row_count`` the pixel count (> 0) of every row that blended
+        a pixel, both int32; ``np.repeat(row_entry, row_count)`` is each
+        pixel's entry.  A pixel occurs at most once per step, and each
+        block's entries come in list order, so reading the steps
         backwards visits every pixel's blends back to front.
         """
         first = self._at(start)
@@ -588,7 +594,10 @@ class BlockGroup:
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
             P = self.valid.shape[1]
-            shift = (blocks - np.arange(len(blocks))) * P  # held row r -> group-flat
+            # each held row's pixels as group-flat indexes; row r's hits in a
+            # step are the nz in [row_lo[r], row_lo[r + 1])
+            flat_at = (blocks[:, None] * P + np.arange(P)).astype(np.int32)
+            row_lo = np.arange(len(blocks) + 1) * P
         del pidx
 
         if state is None:
@@ -624,9 +633,16 @@ class BlockGroup:
                 hit &= Tk >= eps_t
             if record is not None:
                 nz = np.flatnonzero(hit)
-                r = nz // P
-                flat = (nz + shift[r]).astype(np.int32)
-                record.append((flat, alpha.ravel()[nz], entry[rows][r]))
+                cnt = np.diff(np.searchsorted(nz, row_lo[: a + 1]))
+                some = cnt > 0
+                record.append(
+                    (
+                        flat_at[:a].ravel()[nz],
+                        alpha.ravel()[nz],
+                        entry[rows][some],
+                        cnt[some].astype(np.int32),
+                    )
+                )
             alpha *= hit  # alpha where the entry blends, else 0
             rgb[:, :a] += (Tk * alpha) * p[:, 6:9].T[:, :, None]
             np.subtract(1, alpha, out=alpha)
@@ -650,7 +666,7 @@ class BlockGroup:
             T, rgb, stop = T[keep], rgb[:, keep], stop[keep]
             xc, yc, held = xc[keep], yc[keep], held[keep]
             if record is not None:
-                shift = (blocks[held] - np.arange(len(held))) * P
+                flat_at = flat_at[keep]
             gather = True
             if not len(held):
                 break

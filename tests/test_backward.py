@@ -1,9 +1,12 @@
 """Backward pass: per-tile sweeps, cross-tile folds, parameter chain."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import backward_oracle
+from tilesplat import backward
 from tilesplat.backward import (
     OFFLOAD_BATCH,
     TrainConfig,
@@ -16,6 +19,7 @@ from tilesplat.backward import (
 )
 from tilesplat.gradcheck import analytic_grads, make_fd_case, reference_config
 from tilesplat.model import ImageRGB, quat_to_rotmat
+from tilesplat.preprocess import preprocess
 from tilesplat.sh import SH_C0
 from tilesplat.synth import make_camera, random_scene
 
@@ -128,6 +132,36 @@ def test_entry_gets_gradient_only_inside_its_window():
     assert list(part["hit_count"]) == [32, 64]
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         np.testing.assert_allclose(part[key], getattr(want, key), rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("bg", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.4)])
+@pytest.mark.parametrize("recip_mode", ["exact", "approx"])
+@pytest.mark.parametrize("eps_t", [0.0, 1e-4])
+def test_replay_runs_find_rows_across_steps(seed, bg, recip_mode, eps_t):
+    """A replay run concatenates several recorded steps, so each row's first
+    pair is found from the run's row counts.  Replaying one step per run
+    must give the same hits, and the same sums up to summation order."""
+    cam = make_camera(40, 36, focal=40.0)
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, 80, cam, px_sigma=(0.6, 4.0), logit_range=(-3.0, 6.0))
+    batch = preprocess(scene, cam)[0]
+    order = np.argsort(batch.depth, kind="stable")
+    grp, steps, t_final, _ = traced_tile(batch, order, (4, 2, 36, 34), eps_t, (40, 36))
+    sizes = [len(step[0]) for step in steps]
+    assert max(k1 - k0 for k0, k1 in backward._step_runs(sizes, grp.valid.size)) > 1
+    args = (batch, order, grp, steps, t_final, rng.normal(size=(36, 40, 3)),
+            np.asarray(bg), recip_mode)
+    runs = backward_tile(*args)
+    with mock.patch.object(
+        backward, "_step_runs", lambda sizes, cap: [[k, k + 1] for k in range(len(sizes))]
+    ):
+        single = backward_tile(*args)
+    assert np.array_equal(runs["hit_count"], single["hit_count"])
+    assert runs["hit_count"].sum() == sum(sizes)
+    for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
+        scale = np.abs(single[key]).max()
+        assert np.abs(runs[key] - single[key]).max() <= 1e-13 * scale, key
 
 
 @pytest.mark.parametrize("eps_t", [-1.0, 1.5, float("nan")])

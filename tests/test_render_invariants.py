@@ -148,10 +148,12 @@ def test_chunked_equals_global(seed, n, w, h, tile, z_tiles, dtype, sides):
 def test_recorded_steps_replay_back_to_front(
     seed, n, w, h, tile, eps_t, dtype, group_px, side
 ):
-    """What the backward relies on: no recorded step repeats a pixel, and at
-    every pixel the list positions of the entries it blended strictly
-    increase from step to step.  The record reproduces T bit for bit and
-    does not depend on the thread count, over blocks of either side."""
+    """What the backward relies on: each recorded step is a list of block
+    rows, one entry and a positive pair count each, whose pixels lie in one
+    block; no step repeats a pixel, and at every pixel the list positions
+    of the entries it blended strictly increase from step to step.  The
+    record reproduces T bit for bit and does not depend on the thread
+    count, over blocks of either side."""
     scene, cam = scene_and_camera(seed, n, w, h)
     cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
     with mock.patch.object(forward, "GROUP_MAX_PX", group_px), picking(side):
@@ -165,13 +167,23 @@ def test_recorded_steps_replay_back_to_front(
         assert tiles == tiles2 and len(steps) == len(steps2)
         assert grp.block == block
         for step, step2 in zip(steps, steps2):
+            assert len(step) == len(step2) == 4
             assert all(np.array_equal(a, b) for a, b in zip(step, step2))
+        P = grp.valid.shape[1]
         T = np.ones(grp.valid.size, dtype=dtype)
         T[~grp.valid.reshape(-1)] = 0
         last = np.full(grp.valid.size, -1)
-        for pixels, alpha, entries in steps:
-            assert pixels.dtype == entries.dtype == np.int32 and alpha.dtype == dtype
+        for pixels, alpha, row_entry, row_count in steps:
+            assert pixels.dtype == row_entry.dtype == row_count.dtype == np.int32
+            assert alpha.dtype == dtype
+            assert len(row_entry) == len(row_count)
+            assert np.all(row_count > 0) and row_count.sum() == len(pixels) == len(alpha)
+            row = np.repeat(np.arange(len(row_count)), row_count)
+            blk = pixels // P
+            first = np.cumsum(row_count) - row_count
+            assert np.array_equal(blk, blk[first][row])  # one block per row
             assert len(np.unique(pixels)) == len(pixels)
+            entries = np.repeat(row_entry, row_count)
             tile = np.searchsorted(grp.entry_off, entries, side="right") - 1
             pos = entries - grp.entry_off[tile]
             assert np.all(pos > last[pixels])
