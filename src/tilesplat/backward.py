@@ -1,13 +1,14 @@
 """Backward pass: pixel loss gradients to Gaussian parameter gradients.
 
 The forward pass decides which (entry, pixel) pairs blend and with what
-alpha, and with ``want_trace`` it records that decision: per tile group,
-each lockstep step's blended pixels and their alpha, and one entry and
-pair count per block row, since a row's pairs are contiguous and share
-its entry (``forward.BlockGroup.blend``).  The backward replays the
-record and decides nothing itself.  Within a step a pixel occurs at most
-once, and each block's steps follow its list order, so walking a group's
-steps in reverse visits every pixel's blends back to front.  The
+alpha, and with ``want_trace`` it records that decision: each lockstep
+step's blended image pixels and their alpha, and one view-wide entry
+and pair count per block row, since a row's pairs are contiguous and
+share its entry (``forward.BlockGroup.blend``).  The backward replays
+the record over whole-image arrays and decides nothing itself.  Within
+a step a pixel occurs at most once, each block's steps follow its list
+order, and a pixel lies in one group, so walking the view's steps in
+reverse visits every pixel's blends back to front.  The
 transmittance an entry saw is recovered by multiplying the running value
 by ``recip_one_minus(alpha)``, which models the divider: T starts at the
 final transmittance and each pixel sees the multiplies of a
@@ -22,9 +23,9 @@ are taken over each row's pairs with ``np.add.reduceat``, then over each
 entry's rows with ``np.bincount``; hit counts are the bincount of the
 row counts.
 
-Groups come in tile order (``ForwardTrace.groups``), so folding each
-group's sums into per-splat totals as it comes folds list positions
-tile by tile in list order.  The drain count models a fold that drains every
+Entries are numbered in tile order, so folding their sums into
+per-splat totals in entry order folds list positions tile by tile in
+list order.  The drain count models a fold that drains every
 OFFLOAD_BATCH (16) list positions of a tile.  The totals are then
 chained to the raw parameters, batched over the splats with hits, by
 differentiating ``preprocess``'s own projection: activated scale,
@@ -42,7 +43,7 @@ import numpy as np
 
 from .approxmath import recip_one_minus
 from .execmodel import TrainStats
-from .forward import BlockGroup, ForwardTrace, RenderConfig, render
+from .forward import GROUP_MAX_PX, ForwardTrace, RenderConfig, render
 from .model import OPACITY_MAX, Camera, GaussianScene, ImageRGB, activate, quat_to_rotmat
 from .preprocess import SplatBatch, camera_projection
 from .sh import sh_basis, sh_basis_grad
@@ -103,39 +104,36 @@ def loss_and_pixel_grads(
 def backward_tile(
     batch: SplatBatch,
     order: np.ndarray,
-    grp: BlockGroup,
     steps: list,
     t_final: np.ndarray,
     grad_img: np.ndarray,
     background: np.ndarray,
     recip_mode: str,
 ) -> dict[str, np.ndarray]:
-    """Gradients of one tile group's entries, by replaying its blend steps.
+    """Gradients of a view's entries, by replaying its blend steps.
 
-    ``order`` is the group's tile lists concatenated (its entries),
-    ``grp`` and ``steps`` the group and its record from the forward pass,
+    ``order`` is the view's tile lists concatenated (its entries),
+    ``steps`` the record of the forward pass (``ForwardTrace.steps``),
     ``t_final`` the image's final transmittance and ``grad_img``
     dL/d(pixel) including any loss scaling.  Returns the sums of every
     entry of ``order``, keyed like ``accumulate_cross_tile``'s totals.
     The function kept the name and leading parameters it had when it
     swept one tile: the benchmark's probe wraps it by name and counts
-    len(order) invocations, which still sum to the view's.
+    len(order) invocations, the view's.
 
-    Steps are replayed in runs of at most as many pairs as the group has
-    block pixels, so GROUP_MAX_PX bounds the replay's arrays as it
+    Steps are replayed in runs of at most min(GROUP_MAX_PX, image
+    pixels) pairs, so GROUP_MAX_PX bounds the replay's arrays as it
     bounds the forward's.  A run concatenates its steps' block rows, and
     each row's first pair is found from the run's row counts.
     """
     m = len(order)
-    # Image values in the group's layout, indexed by group-flat pixel
-    live = grp.valid.reshape(-1)
-    xc, yc = grp.xc.reshape(-1), grp.yc.reshape(-1)
-    pix = yc[live].astype(np.int64) * t_final.shape[1] + xc[live].astype(np.int64)
-    t_grp = np.zeros(live.size, dtype=t_final.dtype)
-    t_grp[live] = t_final.reshape(-1)[pix]
-    grads = np.zeros((3, live.size))
-    grads[:, live] = grad_img.reshape(-1, 3)[pix].T
-    T = t_grp.astype(np.float64)  # transmittance behind the walk
+    h, w = t_final.shape
+    dt = batch.mean2.dtype.type  # pixel centres as the forward evaluated them
+    xc = np.tile(np.arange(w).astype(dt) + dt(0.5), h)
+    yc = np.repeat(np.arange(h).astype(dt) + dt(0.5), w)
+    t_img = t_final.reshape(-1)
+    grads = np.ascontiguousarray(grad_img.reshape(-1, 3).T, dtype=np.float64)
+    T = t_img.astype(np.float64)  # transmittance behind the walk
     S = np.zeros_like(T)  # suffix color projected onto the pixel gradient
     bg = background if np.any(background != 0.0) else None
     rgb = batch.rgb[order].astype(np.float64).T
@@ -144,7 +142,7 @@ def backward_tile(
     # d_rgb, then moments of alpha * dla over (1, dx, dy, dx^2, dx dy, dy^2)
     sums = np.zeros((9, m))
     sizes = [len(step[0]) for step in steps]
-    for k0, k1 in reversed(_step_runs(sizes, live.size)):
+    for k0, k1 in reversed(_step_runs(sizes, min(GROUP_MAX_PX, T.size))):
         flat, alpha, entry, count = (np.concatenate(parts) for parts in zip(*steps[k0:k1]))
         flat, entry = flat.astype(np.intp), entry.astype(np.intp)  # int32 indexes run slower
         seg = np.cumsum(count) - count  # each row's first pair
@@ -169,7 +167,7 @@ def backward_tile(
             np.multiply(ak, t, out=aT[lo:hi])
 
         if bg is not None:
-            dla -= (t_grp[flat] * r) * (g[0] * bg[0] + g[1] * bg[1] + g[2] * bg[2])
+            dla -= (t_img[flat] * r) * (g[0] * bg[0] + g[1] * bg[1] + g[2] * bg[2])
         hits += np.bincount(entry, count, minlength=m)
 
         def add(k, w):  # over each block row's pairs, then over each entry's rows
@@ -214,33 +212,24 @@ def _step_runs(sizes: list[int], cap: int) -> list[list[int]]:
 
 
 def accumulate_cross_tile(
-    parts: list[tuple], lists: list[np.ndarray], n_splats: int
+    order: np.ndarray, sums: dict[str, np.ndarray], lists: list[np.ndarray], n_splats: int
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Fold per-entry sums into per-splat totals in a fixed order.
 
-    ``parts`` are (order, sums) pairs in tile order: the batch rows of
-    some tiles' lists, concatenated, and ``backward_tile``'s sums over
-    them.  List positions fold in that order, as one ``np.add.at`` per
-    key over the concatenated parts (``np.add.at`` applies repeated
-    indices in order, so the sums do not depend on how the fold is
-    batched).  The drain count models an accumulator that drains every
-    OFFLOAD_BATCH list positions of each tile list in ``lists``.
-    Returns (per-splat totals, accumulate ops, drain events).
+    ``order`` is the tile lists in ``lists`` concatenated (the batch row
+    of every entry) and ``sums`` ``backward_tile``'s sums over them.
+    List positions fold in that order, as one ``np.add.at`` per key
+    (``np.add.at`` applies repeated indices in order).  The drain count
+    models an accumulator that drains every OFFLOAD_BATCH list positions
+    of each tile list.  Returns (per-splat totals, accumulate ops, drain
+    events).
     """
-    acc = {
-        "d_rgb": np.zeros((n_splats, 3)),
-        "d_opacity": np.zeros(n_splats),
-        "d_mean2": np.zeros((n_splats, 2)),
-        "d_conic": np.zeros((n_splats, 3)),
-        "hit_count": np.zeros(n_splats, dtype=np.int64),
-    }
-    if parts:
-        idx = np.concatenate([order for order, _ in parts])
-        for key, total in acc.items():
-            np.add.at(total, idx, np.concatenate([sums[key] for _, sums in parts]))
-    ops = sum(len(order) for order, _ in parts)
-    drains = sum(-(-len(order) // OFFLOAD_BATCH) for order in lists)
-    return acc, ops, drains
+    acc = {}
+    for key, part in sums.items():
+        acc[key] = np.zeros((n_splats,) + part.shape[1:], dtype=part.dtype)
+        np.add.at(acc[key], order, part)
+    drains = sum(-(-len(tile) // OFFLOAD_BATCH) for tile in lists)
+    return acc, len(order), drains
 
 
 def _normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -357,14 +346,13 @@ def scene_backward(
     row, and ``grads`` the raw-parameter gradients of ``chain_to_3d``,
     keyed like ``GaussianScene.params``.
     """
-    binning = trace.binning
+    lists = trace.binning.lists
     bg = np.asarray(tcfg.background, dtype=np.float64)
-    args = (trace.t_final, grad_img, bg, tcfg.recip_mode)
-    parts = []
-    for tiles, grp, steps in trace.groups:
-        order = np.concatenate([binning.lists[t] for t in tiles])
-        parts.append((order, backward_tile(trace.batch, order, grp, steps, *args)))
-    screen, ops, drains = accumulate_cross_tile(parts, binning.lists, trace.batch.n)
+    order = np.concatenate(lists)
+    sums = backward_tile(
+        trace.batch, order, trace.steps, trace.t_final, grad_img, bg, tcfg.recip_mode
+    )
+    screen, ops, drains = accumulate_cross_tile(order, sums, lists, trace.batch.n)
     return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains
 
 

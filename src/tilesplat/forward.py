@@ -78,11 +78,11 @@ exceed it blends its chunks in several passes.  A group is blended to
 the end and composited into the image before the next one starts,
 which bounds the memory a render holds; with threads > 1 the groups
 run on a pool.
-With ``want_trace`` each lockstep step also records the pixels it
-blended and their alpha, with one entry and pair count per block row
-(``BlockGroup.blend``);
-``ForwardTrace.groups`` keeps the records in tile order, and the
-backward pass replays them instead of deciding again what blends.
+With ``want_trace`` each lockstep step also records the image pixels
+it blended and their alpha, with one view-wide entry and pair count per
+block row (``BlockGroup.blend``); ``ForwardTrace.steps`` keeps the
+steps in tile-group order, and the backward pass replays them instead
+of deciding again what blends, without knowing the block layout.
 
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, clipped to
@@ -321,14 +321,18 @@ class BlockGroup:
     stored concatenated, block by block, each in list order: the group
     entry, its window in block-local coordinates and its tile list
     position; ``_at`` finds a block's entry at a list position.  A
-    group-flat pixel index is block * bh * bw + pixel.
+    record names a pixel by its image index y * ``image_w`` + x and an
+    entry by ``first_entry`` + its group entry: its position in the
+    view's tile lists, concatenated.
     """
 
     def __init__(
-        self, table: SplatTable, orders, rects, tile_size: tuple[int, int], side: int
+        self, table: SplatTable, orders, rects, tile_size: tuple[int, int], side: int,
+        image_w: int, first_entry: int,
     ):
         tw, th = tile_size
         self.tile_size = tile_size
+        self.image_w, self.first_entry = image_w, first_entry
         bh, bw = self.block = (_block_side(th, side), _block_side(tw, side))
         nby, nbx = self.grid = (-(-th // bh), -(-tw // bw))
         rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
@@ -464,17 +468,17 @@ class BlockGroup:
         """Blend tile list positions [start[t], end[t]) of every tile t into ``state``.
 
         ``record``, when given, receives one (pixels, alpha, row_entry,
-        row_count) tuple of arrays per lockstep step: the group-flat index
-        of every pixel the step blended (alpha >= ALPHA_MIN, inside the
+        row_count) tuple of arrays per lockstep step: the image index of
+        every pixel the step blended (alpha >= ALPHA_MIN, inside the
         window, live before the entry) as int32 and its alpha in the blend
         dtype.  The pixels come block row by block row, and all of a
         row's pixels lie in its block and blend its one entry, so the
-        entry is kept once per row: ``row_entry`` holds the group entry
-        and ``row_count`` the pixel count (> 0) of every row that blended
-        a pixel, both int32; ``np.repeat(row_entry, row_count)`` is each
-        pixel's entry.  A pixel occurs at most once per step, and each
-        block's entries come in list order, so reading the steps
-        backwards visits every pixel's blends back to front.
+        entry is kept once per row: ``row_entry`` holds the view-wide
+        entry and ``row_count`` the pixel count (> 0) of every row that
+        blended a pixel, both int32; ``np.repeat(row_entry, row_count)``
+        is each pixel's entry.  A pixel occurs at most once per step,
+        and each block's entries come in list order, so reading the
+        steps backwards visits every pixel's blends back to front.
         """
         first = self._at(start)
         n = self._at(end) - first
@@ -593,11 +597,11 @@ class BlockGroup:
         lwin = np.take(self.lwin, pidx, axis=0)
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
-            P = self.valid.shape[1]
-            # each held row's pixels as group-flat indexes; row r's hits in a
-            # step are the nz in [row_lo[r], row_lo[r + 1])
-            flat_at = (blocks[:, None] * P + np.arange(P)).astype(np.int32)
-            row_lo = np.arange(len(blocks) + 1) * P
+            # each held row's pixels as image indexes (x + 0.5 truncates to
+            # x); row r's hits in a step are the nz in [row_lo[r], row_lo[r + 1])
+            flat_at = self.yc[blocks].astype(np.int32) * np.int32(self.image_w)
+            flat_at += self.xc[blocks].astype(np.int32)
+            row_lo = np.arange(len(blocks) + 1) * self.valid.shape[1]
         del pidx
 
         if state is None:
@@ -639,7 +643,7 @@ class BlockGroup:
                     (
                         flat_at[:a].ravel()[nz],
                         alpha.ravel()[nz],
-                        entry[rows][some],
+                        entry[rows][some] + self.first_entry,
                         cnt[some].astype(np.int32),
                     )
                 )
@@ -780,7 +784,9 @@ def _pass_rows(cfg: RenderConfig) -> int:
 def _group(table: SplatTable, binning: TileBinning, tiles: range, side: int) -> BlockGroup:
     rects = [binning.tile_rect(t) for t in tiles]
     lists = [binning.lists[t] for t in tiles]
-    return BlockGroup(table, lists, rects, (binning.tile_w, binning.tile_h), side)
+    first = sum(len(l) for l in binning.lists[: tiles.start])
+    size = (binning.tile_w, binning.tile_h)
+    return BlockGroup(table, lists, rects, size, side, binning.image_w, first)
 
 
 def _render_group(
@@ -839,8 +845,7 @@ class ForwardTrace:
     batch64: SplatBatch  # float64 projection for parameter chaining
     binning: TileBinning
     t_final: np.ndarray  # (h, w) final transmittance per pixel
-    # per tile group, in tile order: (tiles, BlockGroup, its recorded blend steps)
-    groups: list[tuple[range, BlockGroup, list]]
+    steps: list  # every group's recorded blend steps, in tile-group order
 
 
 @dataclass
@@ -910,7 +915,7 @@ def render(
         if not want_trace:
             return counters, split, occluded, None
         grp.paste(state.T, t_final)
-        return counters, split, occluded, (tiles, grp, steps)
+        return counters, split, occluded, steps
 
     groups = _tile_groups(binning, side, _pass_rows(cfg))
     if cfg.threads > 1 and len(groups) > 1:
@@ -957,6 +962,6 @@ def render(
             batch64=batch64,
             binning=binning,
             t_final=t_final,
-            groups=[traced for *_, traced in results],
+            steps=[step for *_, steps in results for step in steps],
         )
     return RenderResult(image=ImageRGB(img), stats=stats, trace=trace)

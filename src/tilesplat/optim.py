@@ -22,7 +22,12 @@ OPACITY_FLOOR = 0.005  # prune below this activated opacity
 SPLIT_FACTOR = 1.6  # children shrink by this factor
 SPLIT_COUNT = 2  # children per split parent
 
-_DEFAULT_GROUP_LR = {
+# Adam (``adam_step``): moment decays, denominator guard, and each
+# group's multiplier on the base rate (1.0 for a name not listed)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+GROUP_LR = {
     "position": 0.5,
     "scale": 0.5,
     "rotation": 0.25,
@@ -34,12 +39,6 @@ _DEFAULT_GROUP_LR = {
 @dataclass
 class AdamState:
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    group_lr: dict[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_GROUP_LR)
-    )
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -53,9 +52,8 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {name!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**state.t
-    bias2 = 1.0 - b2**state.t
+    bias1 = 1.0 - BETA1**state.t
+    bias2 = 1.0 - BETA2**state.t
     for name, p in params.items():
         g = grads[name]
         if name not in state.m:
@@ -63,14 +61,14 @@ def adam_step(
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        lr = state.lr * state.group_lr.get(name, 1.0)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        lr = state.lr * GROUP_LR.get(name, 1.0)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def scene_adam_step(

@@ -172,8 +172,9 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
     """
     scene.validate()  # arrays may have been changed in place since construction
     stats = PreprocessStats(n_input=scene.n)
-    scales, rots, opac = activate(scene.log_scales, scene.rotations, scene.opacity_logits)
-    cov3 = covariance3(scales, rots)  # (n, 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge scales: raised below
+        scales, rots, opac = activate(scene.log_scales, scene.rotations, scene.opacity_logits)
+        cov3 = covariance3(scales, rots)  # (n, 3, 3)
 
     t = scene.means @ cam.rotation.T + cam.translation  # (n, 3) camera space
     in_front = t[:, 2] > cam.near
@@ -184,13 +185,18 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
 
     t = t[idx]
     tz = t[:, 2]
-    cov_cam, J = camera_projection(t, cov3[idx], cam)
-    cov2 = np.einsum("nij,njk,nlk->nil", J, cov_cam, J)  # (m, 2, 2)
-    a = cov2[:, 0, 0] + LOW_PASS_DILATION
-    b = cov2[:, 0, 1]
-    c = cov2[:, 1, 1] + LOW_PASS_DILATION
-
-    det = a * c - b * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_cam, J = camera_projection(t, cov3[idx], cam)
+        cov2 = np.einsum("nij,njk,nlk->nil", J, cov_cam, J)  # (m, 2, 2)
+        a = cov2[:, 0, 0] + LOW_PASS_DILATION
+        b = cov2[:, 0, 1]
+        c = cov2[:, 1, 1] + LOW_PASS_DILATION
+        det = a * c - b * b  # finite only if a, b and c are
+    overflow = np.flatnonzero(~np.isfinite(det))
+    if overflow.size:
+        raise ValueError(
+            f"log_scales of Gaussian {idx[overflow[0]]} overflow its 2D covariance"
+        )
     ok = det > DET_EPS
     stats.culled_degenerate = int(idx.size - ok.sum())
     if not ok.all():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import backward_oracle
-from tilesplat import backward
+from tilesplat import backward, forward
 from tilesplat.backward import (
     OFFLOAD_BATCH,
     TrainConfig,
@@ -23,7 +23,7 @@ from tilesplat.preprocess import preprocess
 from tilesplat.sh import SH_C0
 from tilesplat.synth import make_camera, random_scene
 
-from test_forward import hand_batch
+from test_forward import hand_batch, workload_views
 from tile_kernel import traced_tile
 
 
@@ -34,9 +34,9 @@ def run_backward(batch, order, rect, grad_img, bg=(0, 0, 0), eps_t=1e-4):
     """
     order = np.asarray(order)
     h, w = np.shape(grad_img)[:2]
-    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (w, h))
+    steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (w, h))
     part = backward_tile(
-        batch, order, grp, steps, t_final,
+        batch, order, steps, t_final,
         np.asarray(grad_img, dtype=np.float64),
         np.asarray(bg, dtype=np.float64),
         "exact",
@@ -147,10 +147,11 @@ def test_replay_runs_find_rows_across_steps(seed, bg, recip_mode, eps_t):
     scene = random_scene(rng, 80, cam, px_sigma=(0.6, 4.0), logit_range=(-3.0, 6.0))
     batch = preprocess(scene, cam)[0]
     order = np.argsort(batch.depth, kind="stable")
-    grp, steps, t_final, _ = traced_tile(batch, order, (4, 2, 36, 34), eps_t, (40, 36))
+    steps, t_final, _ = traced_tile(batch, order, (4, 2, 36, 34), eps_t, (40, 36))
     sizes = [len(step[0]) for step in steps]
-    assert max(k1 - k0 for k0, k1 in backward._step_runs(sizes, grp.valid.size)) > 1
-    args = (batch, order, grp, steps, t_final, rng.normal(size=(36, 40, 3)),
+    cap = min(backward.GROUP_MAX_PX, t_final.size)  # the replay's run cap
+    assert max(k1 - k0 for k0, k1 in backward._step_runs(sizes, cap)) > 1
+    args = (batch, order, steps, t_final, rng.normal(size=(36, 40, 3)),
             np.asarray(bg), recip_mode)
     runs = backward_tile(*args)
     with mock.patch.object(
@@ -162,6 +163,38 @@ def test_replay_runs_find_rows_across_steps(seed, bg, recip_mode, eps_t):
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         scale = np.abs(single[key]).max()
         assert np.abs(runs[key] - single[key]).max() <= 1e-13 * scale, key
+
+
+def test_entries_are_numbered_view_wide_across_groups():
+    """Each tile group records its entries by their place in the view's
+    lists.  A train-shaped view cut into several groups replays to the hits
+    of one group, and to its sums and gradients up to summation order, and
+    the thread count changes no bit."""
+    scene, cams = workload_views("train", 5)
+    cam = cams[1]
+    grad_img = np.random.default_rng(5).normal(scale=1e-4, size=(cam.height, cam.width, 3))
+
+    def run(group_px, threads):
+        tcfg = TrainConfig(threads=threads)
+        with (
+            mock.patch.object(forward, "GROUP_MAX_PX", group_px),
+            mock.patch.object(forward, "_group", wraps=forward._group) as spy,
+        ):
+            trace = forward.render(scene, cam, tcfg.render_config(), want_trace=True).trace
+        screen, grads, ops, drains = scene_backward(scene, cam, trace, grad_img, tcfg)
+        return spy.call_count, {**screen, **grads}, (ops, drains)
+
+    groups, want, counts = run(forward.GROUP_MAX_PX, 1)
+    assert groups == 1
+    # two 32x64 px tiles per group
+    (groups, got, got_counts), (_, got2, counts2) = run(4096, 1), run(4096, 2)
+    assert groups >= 3 and got_counts == counts2 == counts
+    for key, value in want.items():
+        assert np.array_equal(got[key], got2[key]), key
+        if key == "hit_count":
+            assert np.array_equal(got[key], value)
+        else:
+            assert np.abs(got[key] - value).max() <= 1e-13 * np.abs(value).max(), key
 
 
 @pytest.mark.parametrize("eps_t", [-1.0, 1.5, float("nan")])
@@ -196,7 +229,7 @@ def test_loss_and_pixel_grads():
 
 
 def make_part(order, value):
-    """A group's (order, sums) with every sum ``value`` and one hit per entry."""
+    """Entries ``order`` and sums over them: every sum ``value``, one hit per entry."""
     p = len(order)
     return np.asarray(order, dtype=np.int64), {
         "d_rgb": np.full((p, 3), value),
@@ -208,13 +241,12 @@ def make_part(order, value):
 
 
 def test_accumulate_cross_tile_fold():
-    # three tiles in two groups, tile order: [0, 0, 5] | [] and range(20)
+    # three tiles, tile order: [0, 0, 5], [] and range(20)
     lists = [np.array([0, 0, 5]), np.zeros(0, dtype=np.int64), np.arange(20)]
-    parts = [
-        make_part([0, 0, 5], 2.0),  # duplicate rows fold additively
-        make_part(list(range(20)), 1.0),
-    ]
-    acc, ops, drains = accumulate_cross_tile(parts, lists, 24)
+    order, sums = make_part(np.concatenate(lists), 1.0)
+    for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
+        sums[key][:3] = 2.0  # the first tile's; duplicate rows fold additively
+    acc, ops, drains = accumulate_cross_tile(order, sums, lists, 24)
     assert ops == 23
     assert OFFLOAD_BATCH == 16
     assert drains == 1 + 0 + 2  # ceil(3/16) + ceil(0/16) + ceil(20/16)
@@ -224,7 +256,7 @@ def test_accumulate_cross_tile_fold():
     assert np.all(acc["d_opacity"][20:] == 0)
     assert acc["hit_count"][0] == 3
     assert acc["hit_count"].dtype == np.int64
-    empty, ops, drains = accumulate_cross_tile([], [lists[1]], 2)
+    empty, ops, drains = accumulate_cross_tile(*make_part([], 0.0), [lists[1]], 2)
     assert (ops, drains) == (0, 0)
     assert all(not v.any() for v in empty.values())
 

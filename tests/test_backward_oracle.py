@@ -116,7 +116,7 @@ def test_backward_tile_matches_oracle(
     """One tile blended with a record: pixels stop wherever eps_t takes them.
 
     The list is every splat in depth order, so some entries miss the
-    tile entirely.  The replay reads the block side from the group.
+    tile entirely.
     """
     scene, cam = small_scene(seed, n, 48, 40)
     batch = preprocess(scene, cam)[0].astype(dtype)
@@ -125,11 +125,11 @@ def test_backward_tile_matches_oracle(
     x0 = int(rng.integers(0, 48 - min(tile, 48) + 1))
     y0 = int(rng.integers(0, 40 - min(tile, 40) + 1))
     rect = (x0, y0, min(x0 + tile, 48), min(y0 + tile, 40))
-    grp, steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (48, 40), side)
+    steps, t_final, stop = traced_tile(batch, order, rect, eps_t, (48, 40), side)
     grad_img = rng.normal(size=(40, 48, 3))
     bg = np.asarray(background)
 
-    got = backward_tile(batch, order, grp, steps, t_final, grad_img, bg, recip_mode)
+    got = backward_tile(batch, order, steps, t_final, grad_img, bg, recip_mode)
     want = oracle.backward_tile(batch, order, rect, 3, t_final, stop, grad_img, bg, recip_mode)
     assert np.array_equal(got["hit_count"], want.hits)
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):

@@ -19,7 +19,7 @@ from tilesplat.forward import (
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
-from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles
+from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles, spying_groups
 
 
 def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
@@ -574,7 +574,7 @@ def test_pick_block_is_the_same_for_any_threads_and_rerun():
     from tilesplat import forward
 
     pick = forward._pick_block
-    picks = []
+    picks, groups = [], []
 
     def spy(aabb):
         picks.append(pick(aabb))
@@ -584,14 +584,16 @@ def test_pick_block_is_the_same_for_any_threads_and_rerun():
         scene, cams = workload_views(kind, 2)
         for threads in (1, 2, 1, 2):
             picks.clear()
+            groups.clear()
             cfg = RenderConfig(tile_size=tile, threads=threads)
             with (
                 mock.patch.object(forward, "_pick_block", spy),
+                spying_groups(groups),
                 mock.patch.object(forward, "GROUP_MAX_PX", 4096),  # several groups
             ):
-                groups = render(scene, cams[0], cfg, want_trace=True).trace.groups
+                render(scene, cams[0], cfg, want_trace=True)
             assert picks == [want] and len(groups) > 1
-            assert {grp.block for _, grp, _ in groups} == {(want, want)}
+            assert {grp.block for grp in groups} == {(want, want)}
 
 
 @pytest.mark.parametrize("side", [16, 8])
@@ -626,14 +628,16 @@ def test_block_groups_are_the_groups_render_blends():
     cam = make_camera(160, 96)
     scene = random_scene(rng, 90, cam)
     cfg = RenderConfig(tile_size=(32, 16))
+    traced = []
     with mock.patch.object(forward, "GROUP_MAX_PX", 4 * 32 * 16):
-        traced = [grp for _, grp, _ in render(scene, cam, cfg, want_trace=True).trace.groups]
+        with spying_groups(traced):
+            render(scene, cam, cfg, want_trace=True)
         built = list(forward.block_groups(scene, cam, cfg))
     assert len(built) == len(traced) > 1
     for a, b in zip(built, traced):
         assert a.aabb_pairs == b.aabb_pairs
         assert np.array_equal(a._at(a.m), b._at(b.m))  # where each block's list ends
-        for name in ("entry", "pos", "lwin", "params", "win", "area", "m"):
+        for name in ("entry", "pos", "lwin", "params", "win", "area", "m", "first_entry"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

@@ -33,7 +33,7 @@ def test_adam_first_step_closed_form():
 
 def test_adam_two_steps_scalar():
     p = np.array([0.0])
-    state = AdamState(lr=0.1, group_lr={"w": 1.0})
+    state = AdamState(lr=0.1)
     g1, g2 = 1.0, -0.5
     adam_step({"w": p}, {"w": np.array([g1])}, state)
     adam_step({"w": p}, {"w": np.array([g2])}, state)

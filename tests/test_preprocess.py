@@ -282,6 +282,21 @@ def test_screen_covering_splat_is_binned_without_overflow():
     assert all(row in lst for lst in binning.lists)
 
 
+@pytest.mark.parametrize("log_scale", [200.0, 400.0, 800.0])
+def test_overflowing_scale_is_rejected_not_culled(log_scale):
+    """A finite log scale whose 2D covariance overflows names the field and
+    the Gaussian; it is not counted as degenerate."""
+    import warnings
+
+    cam = make_camera(64, 64)
+    scene = random_scene(np.random.default_rng(1), 4, cam)
+    scene.log_scales[0] = log_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^log_scales of Gaussian 0 "):
+            preprocess(scene, cam)
+
+
 def test_non_finite_scene_is_rejected_not_culled():
     cam = make_camera(32, 32)
     scene = random_scene(np.random.default_rng(9), 4, cam)

@@ -149,11 +149,12 @@ def test_recorded_steps_replay_back_to_front(
     seed, n, w, h, tile, eps_t, dtype, group_px, side
 ):
     """What the backward relies on: each recorded step is a list of block
-    rows, one entry and a positive pair count each, whose pixels lie in one
-    block; no step repeats a pixel, and at every pixel the list positions
-    of the entries it blended strictly increase from step to step.  The
-    record reproduces T bit for bit and does not depend on the thread
-    count, over blocks of either side."""
+    rows, one view-wide entry and a positive pair count each, whose image
+    pixels lie in one block of the entry's tile; no step repeats a pixel,
+    and at every pixel the list positions of the entries it blended
+    strictly increase from step to step.  The record reproduces T bit for
+    bit and does not depend on the thread count, over blocks of either
+    side and renders of one group or several."""
     scene, cam = scene_and_camera(seed, n, w, h)
     cfg = RenderConfig(tile_size=tile, eps_t=eps_t, dtype=dtype)
     with mock.patch.object(forward, "GROUP_MAX_PX", group_px), picking(side):
@@ -162,35 +163,35 @@ def test_recorded_steps_replay_back_to_front(
             for t in (1, 2)
         ]
     tr = traces[0]
-    block = tuple(forward._block_side(t, side) for t in tile[::-1])
-    for (tiles, grp, steps), (tiles2, _, steps2) in zip(tr.groups, traces[1].groups):
-        assert tiles == tiles2 and len(steps) == len(steps2)
-        assert grp.block == block
-        for step, step2 in zip(steps, steps2):
-            assert len(step) == len(step2) == 4
-            assert all(np.array_equal(a, b) for a, b in zip(step, step2))
-        P = grp.valid.shape[1]
-        T = np.ones(grp.valid.size, dtype=dtype)
-        T[~grp.valid.reshape(-1)] = 0
-        last = np.full(grp.valid.size, -1)
-        for pixels, alpha, row_entry, row_count in steps:
-            assert pixels.dtype == row_entry.dtype == row_count.dtype == np.int32
-            assert alpha.dtype == dtype
-            assert len(row_entry) == len(row_count)
-            assert np.all(row_count > 0) and row_count.sum() == len(pixels) == len(alpha)
-            row = np.repeat(np.arange(len(row_count)), row_count)
-            blk = pixels // P
-            first = np.cumsum(row_count) - row_count
-            assert np.array_equal(blk, blk[first][row])  # one block per row
-            assert len(np.unique(pixels)) == len(pixels)
-            entries = np.repeat(row_entry, row_count)
-            tile = np.searchsorted(grp.entry_off, entries, side="right") - 1
-            pos = entries - grp.entry_off[tile]
-            assert np.all(pos > last[pixels])
-            last[pixels] = pos
-            T[pixels] *= 1 - alpha
-        got = tr.t_final.copy()
-        got[:] = np.nan  # every pixel of the group's tiles is written
-        grp.paste(T.reshape(grp.valid.shape), got)
-        for x0, y0, x1, y1 in grp.rects:
-            assert np.array_equal(got[y0:y1, x0:x1], tr.t_final[y0:y1, x0:x1])
+    assert len(tr.steps) == len(traces[1].steps)
+    for step, step2 in zip(tr.steps, traces[1].steps):
+        assert len(step) == len(step2) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(step, step2))
+    tw, th = tile
+    bw, bh = (forward._block_side(t, side) for t in tile)
+    list_off = np.cumsum([0] + [len(l) for l in tr.binning.lists])
+    T = np.ones(w * h, dtype=dtype)
+    last = np.full(w * h, -1)
+    for pixels, alpha, row_entry, row_count in tr.steps:
+        assert pixels.dtype == row_entry.dtype == row_count.dtype == np.int32
+        assert alpha.dtype == dtype
+        assert len(row_entry) == len(row_count)
+        assert np.all(row_count > 0) and row_count.sum() == len(pixels) == len(alpha)
+        assert np.all((pixels >= 0) & (pixels < w * h))
+        assert len(np.unique(pixels)) == len(pixels)
+        entries = np.repeat(row_entry, row_count)
+        assert np.all((entries >= 0) & (entries < list_off[-1]))
+        tile_of = np.searchsorted(list_off, entries, side="right") - 1
+        ty, tx = np.divmod(tile_of, tr.binning.nx)
+        y, x = np.divmod(pixels, w)
+        lx, ly = x - tx * tw, y - ty * th  # in the entry's tile
+        assert np.all((lx >= 0) & (lx < tw) & (ly >= 0) & (ly < th))
+        blk = ly // bh * tw + lx // bw
+        first = np.cumsum(row_count) - row_count
+        row = np.repeat(np.arange(len(row_count)), row_count)
+        assert np.array_equal(blk, blk[first][row])  # one block per row
+        pos = entries - list_off[tile_of]
+        assert np.all(pos > last[pixels])
+        last[pixels] = pos
+        T[pixels] *= 1 - alpha
+    assert np.array_equal(T.reshape(h, w), tr.t_final)

@@ -6,13 +6,14 @@ with ``BlockGroup.blend``.  ``fresh_state`` makes one tile's state
 cuts such a state into that layout, blends a span of the tile's list
 and writes the result back.  ``traced_tile`` blends a whole list over
 one tile as a group of its own and keeps the steps it records, which is
-what the backward replays.  ``render_tiles`` runs
+what the backward replays: the list is the view's only one, so its
+entries are the view's.  ``render_tiles`` runs
 ``forward._render_group`` once per tile and pastes each tile's state,
 which exposes every pixel's T and stop and each tile's counters, split
 and occlusion counts.  Each takes the largest block
 side, ``forward.BLOCK`` or ``forward.BLOCK // 2``, that a render would
 pick with ``forward._pick_block``; ``picking`` makes renders use a
-given side.
+given side, and ``spying_groups`` collects the groups renders build.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ from tilesplat.preprocess import SplatBatch
 def picking(side: int):
     """A context in which every render blends blocks of at most ``side`` px."""
     return mock.patch.object(forward, "_pick_block", lambda aabb: side)
+
+
+def spying_groups(groups: list):
+    """A context in which every tile group a render builds is appended to ``groups``."""
+    make = forward._group
+
+    def spy(*args):
+        groups.append(make(*args))
+        return groups[-1]
+
+    return mock.patch.object(forward, "_group", spy)
 
 
 def fresh_state(h: int, w: int, dtype, end_pos: int) -> PixelState:
@@ -64,7 +76,7 @@ def blend_tile_span(
 ) -> None:
     """Blend order[start:end] into one tile's ``state`` through the block kernel."""
     x0, y0, x1, y1 = rect
-    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side)
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side, x1, 0)
     blocks = PixelState(
         rgb=_to_blocks(state.rgb, grp),
         T=_to_blocks(state.T, grp),
@@ -90,23 +102,23 @@ def traced_tile(
     image_size: tuple[int, int],
     side: int = forward.BLOCK,
 ):
-    """Blend all of ``order`` over one tile, recording: (group, steps, T, stop).
+    """Blend all of ``order`` over one tile, recording: (steps, T, stop).
 
     T and stop are image arrays of ``image_size`` (w, h); outside the
     tile T is 1 and stop is the list length.
     """
     x0, y0, x1, y1 = rect
+    w, h = image_size
     m = len(order)
-    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side)
+    grp = BlockGroup(SplatTable(batch), [order], [rect], (x1 - x0, y1 - y0), side, w, 0)
     state = grp.fresh_state(np.array([m]))
     steps: list = []
     grp.blend(state, np.array([0]), np.array([m]), eps_t, steps)
-    w, h = image_size
     t_final = np.ones((h, w), dtype=batch.mean2.dtype)
     stop = np.full((h, w), m, dtype=np.int32)
     grp.paste(state.T, t_final)
     grp.paste(state.stop, stop)
-    return grp, steps, t_final, stop
+    return steps, t_final, stop
 
 
 def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forward.BLOCK):
