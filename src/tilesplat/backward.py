@@ -112,7 +112,7 @@ def backward_tile(
 ) -> dict[str, np.ndarray]:
     """Gradients of a view's entries, by replaying its blend steps.
 
-    ``order`` is the view's tile lists concatenated (its entries),
+    ``order`` is the view's entries (``TileBinning.order``),
     ``steps`` the record of the forward pass (``ForwardTrace.steps``),
     ``t_final`` the image's final transmittance and ``grad_img``
     dL/d(pixel) including any loss scaling.  Returns the sums of every
@@ -212,23 +212,23 @@ def _step_runs(sizes: list[int], cap: int) -> list[list[int]]:
 
 
 def accumulate_cross_tile(
-    order: np.ndarray, sums: dict[str, np.ndarray], lists: list[np.ndarray], n_splats: int
+    order: np.ndarray, sums: dict[str, np.ndarray], offsets: np.ndarray, n_splats: int
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Fold per-entry sums into per-splat totals in a fixed order.
 
-    ``order`` is the tile lists in ``lists`` concatenated (the batch row
-    of every entry) and ``sums`` ``backward_tile``'s sums over them.
-    List positions fold in that order, as one ``np.add.at`` per key
-    (``np.add.at`` applies repeated indices in order).  The drain count
-    models an accumulator that drains every OFFLOAD_BATCH list positions
-    of each tile list.  Returns (per-splat totals, accumulate ops, drain
-    events).
+    ``order`` is the batch row of every entry, tile t's list being
+    ``order[offsets[t]:offsets[t + 1]]`` (``TileBinning``), and ``sums``
+    ``backward_tile``'s sums over them.  List positions fold in that
+    order, as one ``np.add.at`` per key (``np.add.at`` applies repeated
+    indices in order).  The drain count models an accumulator that
+    drains every OFFLOAD_BATCH list positions of each tile list.
+    Returns (per-splat totals, accumulate ops, drain events).
     """
     acc = {}
     for key, part in sums.items():
         acc[key] = np.zeros((n_splats,) + part.shape[1:], dtype=part.dtype)
         np.add.at(acc[key], order, part)
-    drains = sum(-(-len(tile) // OFFLOAD_BATCH) for tile in lists)
+    drains = int((-(-np.diff(offsets) // OFFLOAD_BATCH)).sum())
     return acc, len(order), drains
 
 
@@ -346,13 +346,12 @@ def scene_backward(
     row, and ``grads`` the raw-parameter gradients of ``chain_to_3d``,
     keyed like ``GaussianScene.params``.
     """
-    lists = trace.binning.lists
+    order, offsets = trace.binning.order, trace.binning.offsets
     bg = np.asarray(tcfg.background, dtype=np.float64)
-    order = np.concatenate(lists)
     sums = backward_tile(
         trace.batch, order, trace.steps, trace.t_final, grad_img, bg, tcfg.recip_mode
     )
-    screen, ops, drains = accumulate_cross_tile(order, sums, lists, trace.batch.n)
+    screen, ops, drains = accumulate_cross_tile(order, sums, offsets, trace.batch.n)
     return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains
 
 

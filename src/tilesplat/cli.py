@@ -58,7 +58,7 @@ from .synth import (
 
 
 class _UsageError(ValueError):
-    """A flag or config value that fails validation (exit code 2)."""
+    """A flag, config file or config value that fails validation (exit code 2)."""
 
 
 def _validated(cfg):
@@ -75,7 +75,7 @@ def _load_config_dict(path: str | None) -> dict:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise _UsageError("config file must hold a JSON object")
     return cfg
 
 
@@ -110,7 +110,11 @@ def _merged_config(args, cls, from_dict):
     for f in dataclasses.fields(cls):
         if getattr(args, f.name) is not None:
             cfg[f.name] = getattr(args, f.name)
-    return _validated(from_dict(cfg))
+    try:
+        cfg = from_dict(cfg)
+    except ValueError as exc:  # an unknown key or dtype
+        raise _UsageError(str(exc)) from None
+    return _validated(cfg)
 
 
 def cmd_render(args) -> int:

@@ -1,7 +1,7 @@
 """Workload counters and hardware-oriented what-if models.
 
 Nothing here changes rendered pixels.  The renderer fills in counters
-(candidate/performed/skipped alpha evaluations, per-tile list lengths,
+(invocations, candidate/performed/skipped alpha evaluations,
 chunk-level occlusion counts); the alpha-evaluation counts come from
 each tile's windows and its pixels' stop positions after blending
 (``count_evals``).  The functions below turn them into the analyses a
@@ -119,7 +119,6 @@ class RenderStats:
     culled_degenerate: int = 0
     culled_offscreen: int = 0
     n_splats: int = 0
-    per_tile_lengths: list[int] = field(default_factory=list)
     invocations: int = 0  # sum of per-tile list lengths
     counters: EvalCounters = field(default_factory=EvalCounters)
     hybrid_splits: list[int] | None = None  # per-tile first pixel-centric position

@@ -1,6 +1,7 @@
 """Tile-based forward rasterizer with depth-chunked blending.
 
-Each tile owns a depth-sorted splat list.  Three traversal schedules
+Each tile owns a depth-sorted splat list, a slice of the view's one
+array of entries (``TileBinning.order``).  Three traversal schedules
 produce bit-identical pixels:
 
 * Gaussian-centric: walk the list front to back, updating every pixel a
@@ -67,17 +68,19 @@ The pixel state is color, T and stop: a pixel is dead (terminated)
 exactly when T < eps_t, and stop is the list position after the splat
 (or the end of the depth chunk) that took it there.  Schedules differ
 only in the spans they blend, the state a span starts from and its
-eps_t.  The kernel computes pixel state only; each tile's counters
-follow afterwards from its clipped windows and each pixel's stop
-position (``execmodel.count_evals``), so they count window pixels,
-never a block's padding.
+eps_t.  The kernel computes pixel state only.  The counters are taken
+once per view after every group has blended (``_count``), from every
+entry's clipped window and, under the hybrids, from an image of each
+pixel's stop position (``execmodel.count_evals``), so they count window
+pixels, never a block's padding.
 
+A render clips every entry's window to its tile once (``SplatTable``).
 Tiles are blended in groups of whole tiles, in tile order, whose pass
 rows hold at most GROUP_MAX_PX block pixels; a tile whose K rows alone
-exceed it blends its chunks in several passes.  A group is blended to
-the end and composited into the image before the next one starts,
-which bounds the memory a render holds; with threads > 1 the groups
-run on a pool.
+exceed it blends its chunks in several passes.  A group takes its slice
+of the view's entries and windows, is blended to the end and is
+composited into the image before the next one starts, which bounds the
+memory a render holds; with threads > 1 the groups run on a pool.
 With ``want_trace`` each lockstep step also records the image pixels
 it blended and their alpha, with one view-wide entry and pair count per
 block row (``BlockGroup.blend``); ``ForwardTrace.steps`` keeps the
@@ -289,56 +292,58 @@ def _pick_block(aabb: np.ndarray) -> int:
 
 
 class SplatTable:
-    """A render's splats, packed once for the block lists of all its groups.
+    """A render's splats and tile entries, packed once for all its groups.
 
     ``params`` (n, 9) holds each splat's blend-dtype mean, conic, opacity
     and rgb: the row a block-list entry carries into the kernel.
     ``splat64`` (6, n) holds the same mean, conic and opacity as float64
-    rows, the columns ``preprocess.can_blend`` reads.  ``aabb`` are the
-    binning boxes.
+    rows, the columns ``preprocess.can_blend`` reads.  Tile t's list is
+    ``order[offsets[t]:offsets[t + 1]]`` and its pixels ``rects[t]``
+    (x0, y0, x1, y1), a rect of ``tile_size`` (w, h) clipped by the
+    image, as in ``TileBinning``; ``win`` and ``area`` are every entry's
+    box clipped to its tile (``clip_windows``).  Records number image
+    pixels in rows of ``image_w``.
     """
 
-    def __init__(self, batch: SplatBatch):
+    def __init__(self, batch: SplatBatch, order, offsets, rects, tile_size, image_w: int):
         self.dtype = batch.mean2.dtype
-        self.aabb = batch.aabb
         self.params = np.column_stack((batch.mean2, batch.conic, batch.opacity, batch.rgb))
         self.splat64 = np.ascontiguousarray(self.params[:, :6].T, dtype=np.float64)
+        self.order, self.offsets, self.rects = order, offsets, rects
+        self.tile_size, self.image_w = tile_size, image_w
+        tile = np.repeat(np.arange(len(rects)), np.diff(offsets))
+        self.win, self.area = clip_windows(batch.aabb[order], rects[tile])
 
 
 class BlockGroup:
-    """Whole tiles cut into blend blocks, with every block's list.
+    """A run of whole tiles ``tiles`` of a ``SplatTable``, cut into blend blocks.
 
-    Every tile of ``tile_size`` (w, h) is cut into the same grid of
+    Every tile of ``table.tile_size`` (w, h) is cut into the same grid of
     bh x bw blocks of at most ``side`` px (``_block_side``), numbered
-    tile by tile and row-major within a tile.  Pixel arrays are flat per block, (n_blocks, bh * bw).
-    A block's pixels outside its tile's rect (which may be clipped by the
-    image edge) are padding; ``valid`` marks the others.  Entries are the
-    tiles' lists, concatenated (``entry_off``), with their clipped
-    windows ``win``, areas and splat parameters ``params`` (one
-    ``SplatTable`` row each).  A block's list holds the entries whose
-    window meets the block (``aabb_pairs`` such pairs in the group) and
-    that can blend there (``preprocess.can_blend``).  Block lists are
-    stored concatenated, block by block, each in list order: the group
-    entry, its window in block-local coordinates and its tile list
-    position; ``_at`` finds a block's entry at a list position.  A
-    record names a pixel by its image index y * ``image_w`` + x and an
-    entry by ``first_entry`` + its group entry: its position in the
-    view's tile lists, concatenated.
+    tile by tile and row-major within a tile.  Pixel arrays are flat per
+    block, (n_blocks, bh * bw).  A block's pixels outside its tile's rect
+    (which may be clipped by the image edge) are padding; ``valid`` marks
+    the others.  The group's entries are its slice of the table's: their
+    clipped windows ``win``, areas and splat parameters ``params``, with
+    ``m`` entries per tile from ``entry_off``.  A block's list holds the
+    entries whose window meets the block (``aabb_pairs`` such pairs in
+    the group) and that can blend there (``preprocess.can_blend``).
+    Block lists are stored concatenated, block by block, each in list
+    order: the group entry, its window in block-local coordinates and
+    its tile list position; ``_at`` finds a block's entry at a list
+    position.  A record names a pixel by its image index
+    y * ``image_w`` + x and an entry by ``first_entry`` + its group
+    entry: its position in the view's ``order``.
     """
 
-    def __init__(
-        self, table: SplatTable, orders, rects, tile_size: tuple[int, int], side: int,
-        image_w: int, first_entry: int,
-    ):
-        tw, th = tile_size
-        self.tile_size = tile_size
-        self.image_w, self.first_entry = image_w, first_entry
+    def __init__(self, table: SplatTable, tiles: range, side: int):
+        tw, th = self.tile_size = table.tile_size
+        self.image_w = table.image_w
         bh, bw = self.block = (_block_side(th, side), _block_side(tw, side))
         nby, nbx = self.grid = (-(-th // bh), -(-tw // bw))
-        rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+        rects = self.rects = table.rects[tiles.start : tiles.stop]
         nt = len(rects)
         x0, y0, x1, y1 = rects.T
-        self.rects = rects
         self.tile_px = (x1 - x0) * (y1 - y0)
         # runs of tiles side by side in one tile row, for pasting
         cut = np.flatnonzero((y0[1:] != y0[:-1]) | (x0[1:] != x1[:-1])) + 1
@@ -362,11 +367,14 @@ class BlockGroup:
         self.py = np.repeat(np.arange(bh, dtype=np.int8), bw)
         del cols, rows
 
-        self.m = np.array([len(o) for o in orders], dtype=np.int64)
-        self.entry_off = np.concatenate(([0], np.cumsum(self.m)))
+        offsets = table.offsets[tiles.start : tiles.stop + 1]
+        es = slice(offsets[0], offsets[-1])
+        self.first_entry = int(offsets[0])  # a Python int keeps the record's entries int32
+        self.entry_off = offsets - offsets[0]
+        self.m = np.diff(offsets)
         etile = np.repeat(np.arange(nt), self.m)
-        splat = np.concatenate([np.asarray(o, dtype=np.int64) for o in orders])
-        self.win, self.area = clip_windows(np.take(table.aabb, splat, axis=0), rects[etile])
+        splat = table.order[es]
+        self.win, self.area = table.win[es], table.area[es]
 
         # Expand each entry into the blocks its window meets, span_c by
         # span_r of them from block (r0, c0) of its tile; pair order is
@@ -439,16 +447,6 @@ class BlockGroup:
             v = v.reshape((t1 - t0, nby, nbx, bh, bw) + rest).transpose(axes)
             v = v.reshape((nby * bh, t1 - t0, nbx * bw) + rest)[: y1 - y0, :, :tw]
             out[y0:y1, x0:x1] = v.reshape((y1 - y0, (t1 - t0) * tw) + rest)[:, : x1 - x0]
-
-    def tiles(self, block_values: np.ndarray) -> np.ndarray:
-        """Whole tiles' (n, P) block values as (n / blocks per tile, nby * bh, nbx * bw) images.
-
-        Padding is included, at the right and bottom of each image.
-        """
-        bh, bw = self.block
-        nby, nbx = self.grid
-        v = block_values.reshape(-1, nby, nbx, bh, bw).transpose(0, 1, 3, 2, 4)
-        return v.reshape(-1, nby * bh, nbx * bw)
 
     def _at(self, tile_pos: np.ndarray) -> np.ndarray:
         """Per block, its first block-list entry at tile list position tile_pos[tile] or later."""
@@ -719,10 +717,9 @@ def _blend_group(
     occlusion-threshold hybrid: it blends one chunk per pass and stops
     chunking a tile once more than theta of it has terminated.
     Whatever is left of each list then blends on the merged state.
-    At K = 1 that hybrid's split stays the list length here;
-    ``_render_group`` sets it from the stops as it counts.  ``occluded``
-    holds the group's dead pixels after each chunk when
-    cfg.record_occlusion is set.
+    At K = 1 that hybrid's split stays the list length here; ``_count``
+    sets it from the stops.  ``occluded`` holds the group's dead pixels
+    after each chunk when cfg.record_occlusion is set.
     """
     m = grp.m
     K = cfg.z_tiles
@@ -781,43 +778,30 @@ def _pass_rows(cfg: RenderConfig) -> int:
     return 1 if cfg.hybrid == "occlusion_threshold" else cfg.z_tiles
 
 
-def _group(table: SplatTable, binning: TileBinning, tiles: range, side: int) -> BlockGroup:
-    rects = [binning.tile_rect(t) for t in tiles]
-    lists = [binning.lists[t] for t in tiles]
-    first = sum(len(l) for l in binning.lists[: tiles.start])
-    size = (binning.tile_w, binning.tile_h)
-    return BlockGroup(table, lists, rects, size, side, binning.image_w, first)
+def _count(
+    table: SplatTable, cfg: RenderConfig, split: np.ndarray, stop: np.ndarray | None
+) -> EvalCounters:
+    """Counters of the table's tiles from their windows and the pixels' stops.
 
-
-def _render_group(
-    table: SplatTable,
-    binning: TileBinning,
-    tiles: range,
-    side: int,
-    cfg: RenderConfig,
-    record: list | None = None,
-) -> tuple[BlockGroup, PixelState, EvalCounters, np.ndarray, list[int] | None]:
-    """Blend and count one group: (group, state, counters, split per tile, occluded).
-
-    The blend steps go to ``record`` when given (``_blend_group``); the
-    caller pastes what it needs of ``state``.
+    ``stop`` is the image of every pixel's stop after blending, which
+    only the hybrids read (``execmodel.count_evals``); under
+    ``hybrid="off"`` every entry performs its whole window.  At K = 1
+    the occlusion-threshold hybrid's ``split`` holds the list lengths,
+    and each tile's switch is set here from its stops.
     """
-    grp = _group(table, binning, tiles, side)
-    state, split, occluded = _blend_group(grp, cfg, record)
     if cfg.hybrid == "off":
-        total = int(grp.area.sum())
-        return grp, state, EvalCounters(total, total, 0), split, occluded
+        total = int(table.area.sum())
+        return EvalCounters(total, total, 0)
     counters = EvalCounters()
-    until = grp.tiles(state.stop)
     switch_here = cfg.z_tiles == 1 and cfg.hybrid == "occlusion_threshold"
-    for i, rect in enumerate(grp.rects.tolist()):
+    for t, rect in enumerate(table.rects.tolist()):
         x0, y0, x1, y1 = rect
-        es = slice(grp.entry_off[i], grp.entry_off[i + 1])
-        tile_until = until[i, : y1 - y0, : x1 - x0]
+        es = slice(table.offsets[t], table.offsets[t + 1])
+        until = stop[y0:y1, x0:x1]
         if switch_here:  # one sweep: the stops decide where the tile turns pixel-centric
-            split[i] = occlusion_switch(grp.area[es], tile_until, cfg.occlusion_threshold)
-        counters.merge(count_evals(grp.win[es], grp.area[es], rect, int(split[i]), tile_until))
-    return grp, state, counters, split, occluded
+            split[t] = occlusion_switch(table.area[es], until, cfg.occlusion_threshold)
+        counters.merge(count_evals(table.win[es], table.area[es], rect, int(split[t]), until))
+    return counters
 
 
 def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
@@ -864,7 +848,11 @@ def _prepare(scene: GaussianScene, cam: Camera, cfg: RenderConfig):
     binning = bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height))
     dtype = np.dtype(cfg.dtype).type
     batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
-    return batch64, pstats, binning, batch, SplatTable(batch), _pick_block(batch64.aabb)
+    table = SplatTable(
+        batch, binning.order, binning.offsets, binning.rects(),
+        (binning.tile_w, binning.tile_h), binning.image_w,
+    )
+    return batch64, pstats, binning, batch, table, _pick_block(batch64.aabb)
 
 
 def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterator[BlockGroup]:
@@ -876,7 +864,7 @@ def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterat
     cfg.validate()
     _, _, binning, _, table, side = _prepare(scene, cam, cfg)
     for tiles in _tile_groups(binning, side, _pass_rows(cfg)):
-        yield _group(table, binning, tiles, side)
+        yield BlockGroup(table, tiles, side)
 
 
 def render(
@@ -902,20 +890,20 @@ def render(
     h, w = cam.height, cam.width
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
     t_final = np.ones((h, w), dtype=img.dtype) if want_trace else None
+    stop = np.empty((h, w), dtype=np.int32) if cfg.hybrid != "off" else None
     bg = np.asarray(cfg.background, dtype=img.dtype)
-    K = cfg.z_tiles
 
     def run_group(tiles: range):
-        """Blend, count and paste one group; its state is freed on return."""
+        """Blend and paste one group; its state is freed on return."""
         steps = [] if want_trace else None
-        grp, state, counters, split, occluded = _render_group(
-            table, binning, tiles, side, cfg, steps
-        )
+        grp = BlockGroup(table, tiles, side)
+        state, split, occluded = _blend_group(grp, cfg, steps)
         grp.paste(composite_background(state, bg), img)
-        if not want_trace:
-            return counters, split, occluded, None
-        grp.paste(state.T, t_final)
-        return counters, split, occluded, steps
+        if stop is not None:
+            grp.paste(state.stop, stop)
+        if want_trace:
+            grp.paste(state.T, t_final)
+        return split, occluded, steps
 
     groups = _tile_groups(binning, side, _pass_rows(cfg))
     if cfg.threads > 1 and len(groups) > 1:
@@ -923,6 +911,7 @@ def render(
             results = list(ex.map(run_group, groups))
     else:
         results = [run_group(g) for g in groups]
+    split = np.concatenate([split for split, *_ in results])
 
     stats = RenderStats(
         image_w=w,
@@ -935,22 +924,15 @@ def render(
         culled_degenerate=pstats.culled_degenerate,
         culled_offscreen=pstats.culled_offscreen,
         n_splats=batch.n,
-        per_tile_lengths=[len(l) for l in binning.lists],
         invocations=binning.total_invocations,
+        counters=_count(table, cfg, split, stop),
     )
-    occl_total = np.zeros(K, dtype=np.int64) if cfg.record_occlusion else None
-    splits: list[int] = []
-    for counters, split, occluded, _ in results:
-        stats.counters.merge(counters)
-        splits.extend(split.tolist())
-        if occl_total is not None:
-            occl_total += np.asarray(occluded, dtype=np.int64)
     if cfg.hybrid != "off":
-        stats.hybrid_splits = splits
-    if occl_total is not None:
+        stats.hybrid_splits = split.tolist()
+    if cfg.record_occlusion:
         stats.occlusion = OcclusionTrace(
-            n_chunks=K,
-            occluded_after_chunk=occl_total,
+            n_chunks=cfg.z_tiles,
+            occluded_after_chunk=np.sum([occ for _, occ, _ in results], axis=0, dtype=np.int64),
             total_pixels=w * h,
             eps_t=cfg.eps_t,
         )

@@ -8,7 +8,8 @@ blend kernels.  Splats behind the near plane, with numerically singular
 2D covariance, or with no on-screen footprint are culled.
 
 Binning assigns each surviving splat to every tile its 3-sigma AABB
-overlaps and sorts each tile's list by (depth, gaussian index).
+overlaps and sorts the (tile, splat) pairs by (tile, depth, gaussian
+index), so every tile's list is one slice of a single array.
 ``can_blend`` tells whether a splat can blend at all (alpha =
 opacity * exp(-q/2) at least ALPHA_MIN) somewhere in a pixel rectangle;
 the forward pass uses it to prune its block lists.
@@ -265,7 +266,12 @@ def _empty_batch() -> SplatBatch:
 
 @dataclass
 class TileBinning:
-    """Per-tile splat lists, each sorted front to back."""
+    """Every tile's splat list, each sorted front to back, in one array.
+
+    ``order`` holds the batch rows of tile 0's list, then tile 1's, and
+    so on; tile t's list is ``order[offsets[t]:offsets[t + 1]]``.  An
+    entry is a position in ``order``.
+    """
 
     tile_w: int
     tile_h: int
@@ -273,7 +279,8 @@ class TileBinning:
     ny: int
     image_w: int
     image_h: int
-    lists: list[np.ndarray]  # per tile: batch row indices, depth-sorted
+    order: np.ndarray  # (invocations,) int64 batch rows, tile by tile, depth-sorted
+    offsets: np.ndarray  # (n_tiles + 1,) int64 start of each tile's list in order
 
     @property
     def n_tiles(self) -> int:
@@ -282,25 +289,21 @@ class TileBinning:
     @property
     def total_invocations(self) -> int:
         """Total (splat, tile) pairings, the unit of rasterizer work."""
-        return int(sum(len(l) for l in self.lists))
+        return len(self.order)
 
-    def tile_rect(self, t: int) -> tuple[int, int, int, int]:
-        """Pixel bounds (x0, y0, x1, y1) of tile t, clipped to the image."""
-        ty, tx = divmod(t, self.nx)
-        x0 = tx * self.tile_w
-        y0 = ty * self.tile_h
-        return (
-            x0,
-            y0,
-            min(x0 + self.tile_w, self.image_w),
-            min(y0 + self.tile_h, self.image_h),
-        )
+    def rects(self) -> np.ndarray:
+        """Pixel bounds (x0, y0, x1, y1) of every tile, clipped to the image: (n_tiles, 4)."""
+        ty, tx = np.divmod(np.arange(self.n_tiles, dtype=np.int64), self.nx)
+        x0, y0 = tx * self.tile_w, ty * self.tile_h
+        x1 = np.minimum(x0 + self.tile_w, self.image_w)
+        y1 = np.minimum(y0 + self.tile_h, self.image_h)
+        return np.stack([x0, y0, x1, y1], axis=1)
 
 
 def bin_and_sort(
     batch: SplatBatch, tile_size: tuple[int, int], image_size: tuple[int, int]
 ) -> TileBinning:
-    """Assign splats to every tile their AABB overlaps; sort by (depth, index).
+    """Assign splats to every tile their AABB overlaps; sort by (tile, depth, index).
 
     The tile grid covers the image with partial tiles at the right/bottom
     edges.  Sorting uses the float64 depths so the traversal order is the
@@ -312,34 +315,23 @@ def bin_and_sort(
         raise ValueError("tile dimensions must be positive")
     nx = (w + tw - 1) // tw
     ny = (h + th - 1) // th
-    m = batch.n
-    if m == 0:
-        empty = [np.zeros(0, dtype=np.int64) for _ in range(nx * ny)]
-        return TileBinning(tw, th, nx, ny, w, h, empty)
-
     x0, y0, x1, y1 = (batch.aabb[:, k] for k in range(4))
     tx0 = x0 // tw
     tx1 = (x1 - 1) // tw + 1  # exclusive
     ty0 = y0 // th
     ty1 = (y1 - 1) // th + 1
     spans_x = tx1 - tx0
-    spans_y = ty1 - ty0
-    counts = spans_x * spans_y  # tiles per splat
+    counts = spans_x * (ty1 - ty0)  # tiles per splat
 
-    splat_ids = np.repeat(np.arange(m, dtype=np.int64), counts)
-    total = int(counts.sum())
+    splat_ids = np.repeat(np.arange(batch.n, dtype=np.int64), counts)
     # Local pair index within each splat's tile block, decoded to (dx, dy).
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    starts = np.cumsum(counts) - counts
+    local = np.arange(len(splat_ids), dtype=np.int64) - np.repeat(starts, counts)
     sx = np.repeat(spans_x, counts)
     dx = local % sx
     dy = local // sx
     tile_ids = (np.repeat(ty0, counts) + dy) * nx + np.repeat(tx0, counts) + dx
 
-    order = np.lexsort((splat_ids, batch.depth[splat_ids], tile_ids))
-    sorted_tiles = tile_ids[order]
-    sorted_splats = splat_ids[order]
-    bounds_lo = np.searchsorted(sorted_tiles, np.arange(nx * ny), side="left")
-    bounds_hi = np.searchsorted(sorted_tiles, np.arange(nx * ny), side="right")
-    lists = [sorted_splats[lo:hi] for lo, hi in zip(bounds_lo, bounds_hi)]
-    return TileBinning(tw, th, nx, ny, w, h, lists)
+    by_tile = np.lexsort((splat_ids, batch.depth[splat_ids], tile_ids))
+    offsets = np.searchsorted(tile_ids[by_tile], np.arange(nx * ny + 1))
+    return TileBinning(tw, th, nx, ny, w, h, splat_ids[by_tile], offsets)

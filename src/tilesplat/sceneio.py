@@ -187,6 +187,11 @@ def save_cameras(
 _CAMERA_KEYS = ("width", "height", "fx", "fy", "cx", "cy", "world_to_cam")
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, never a bool or a string."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
     """Camera list plus optional per-view target image path."""
     entries = json.loads(Path(path).read_text())
@@ -201,25 +206,19 @@ def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
                 raise ValueError(f"camera {i}: missing field {key!r}")
         for key in ("width", "height"):
             v = entry[key]
-            if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+            if not _is_number(v) or isinstance(v, float) and not v.is_integer():
                 raise ValueError(f"camera {i}: {key} must be an integer, got {v!r}")
-        try:
-            mat = np.asarray(entry["world_to_cam"], dtype=np.float64).reshape(4, 4)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"camera {i}: world_to_cam must hold 16 numbers (row-major 4x4)"
-            ) from None
+        mat = np.asarray(entry["world_to_cam"], dtype=object).reshape(-1)
+        if len(mat) != 16 or not all(map(_is_number, mat)):
+            raise ValueError(f"camera {i}: world_to_cam must hold 16 numbers (row-major 4x4)")
         num = {}
         for key in ("fx", "fy", "cx", "cy", "near"):
             v = entry.get(key, 0.2)  # only near may be missing
-            try:
-                num[key] = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"camera {i}: {key} must be a number, got {v!r}"
-                ) from None
+            if not _is_number(v):
+                raise ValueError(f"camera {i}: {key} must be a number, got {v!r}")
+            num[key] = float(v)
         cam = Camera(
-            world_to_cam=mat,
+            world_to_cam=mat.astype(np.float64).reshape(4, 4),
             width=int(entry["width"]),
             height=int(entry["height"]),
             **num,
@@ -237,8 +236,8 @@ def _config_from_dict(cls, kind: str, d: dict):
     if unknown:
         raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
     d = dict(d)
-    if "tile_size" in d:
-        d["tile_size"] = tuple(d["tile_size"])  # validation rejects non-integers
+    if isinstance(d.get("tile_size"), list):
+        d["tile_size"] = tuple(d["tile_size"])  # validation rejects any other value
     if "background" in d:
         d["background"] = tuple(float(v) for v in d["background"])
     if "dtype" in d:

@@ -24,6 +24,8 @@ from tilesplat.model import OPACITY_MAX, Camera, GaussianScene, quat_to_rotmat, 
 from tilesplat.preprocess import LOW_PASS_DILATION, SplatBatch
 from tilesplat.sh import sh_basis, sh_basis_grad
 
+from tile_kernel import tile_lists
+
 
 @dataclass
 class TilePartial:
@@ -285,11 +287,11 @@ def scene_backward(
     binning = trace.binning
     partials = [
         backward_tile(
-            trace.batch, binning.lists[t], binning.tile_rect(t), t,
+            trace.batch, order, tuple(rect), t,
             trace.t_final, stop, grad_img, background, recip_mode,
         )
-        for t in range(binning.n_tiles)
-        if len(binning.lists[t])
+        for t, (order, rect) in enumerate(zip(tile_lists(binning), binning.rects().tolist()))
+        if len(order)
     ]
     screen, ops, drains = accumulate_cross_tile(partials, trace.batch.n, 16)
     return screen, chain_to_3d(scene, cam, trace.batch64, screen), ops, drains

@@ -23,6 +23,8 @@ from tilesplat.execmodel import EvalCounters, OcclusionTrace, RenderStats
 from tilesplat.forward import ALPHA_MAX, ALPHA_MIN, RenderConfig, _chunk_bounds
 from tilesplat.preprocess import SplatBatch, bin_and_sort, preprocess
 
+from tile_kernel import tile_lists
+
 
 @dataclass
 class State:
@@ -219,17 +221,13 @@ def render(scene, cam, cfg: RenderConfig):
         n_tiles=binning.n_tiles, n_input=pstats.n_input,
         culled_near=pstats.culled_near, culled_degenerate=pstats.culled_degenerate,
         culled_offscreen=pstats.culled_offscreen, n_splats=batch.n,
-        per_tile_lengths=[len(l) for l in binning.lists],
         invocations=binning.total_invocations,
     )
     occl_total = np.zeros(cfg.z_tiles, dtype=np.int64) if cfg.record_occlusion else None
     splits = []
-    for t in range(binning.n_tiles):
-        rect = binning.tile_rect(t)
+    for order, rect in zip(tile_lists(binning), binning.rects().tolist()):
         x0, y0, x1, y1 = rect
-        state, counters, split, occluded = blend_tile(
-            batch, binning.lists[t], rect, cfg
-        )
+        state, counters, split, occluded = blend_tile(batch, order, rect, cfg)
         img[y0:y1, x0:x1] = state.rgb + state.T[..., None] * bg
         t_final[y0:y1, x0:x1] = state.T
         stop[y0:y1, x0:x1] = state.stop

@@ -178,7 +178,7 @@ def test_entries_are_numbered_view_wide_across_groups():
         tcfg = TrainConfig(threads=threads)
         with (
             mock.patch.object(forward, "GROUP_MAX_PX", group_px),
-            mock.patch.object(forward, "_group", wraps=forward._group) as spy,
+            mock.patch.object(forward, "BlockGroup", wraps=forward.BlockGroup) as spy,
         ):
             trace = forward.render(scene, cam, tcfg.render_config(), want_trace=True).trace
         screen, grads, ops, drains = scene_backward(scene, cam, trace, grad_img, tcfg)
@@ -242,11 +242,11 @@ def make_part(order, value):
 
 def test_accumulate_cross_tile_fold():
     # three tiles, tile order: [0, 0, 5], [] and range(20)
-    lists = [np.array([0, 0, 5]), np.zeros(0, dtype=np.int64), np.arange(20)]
-    order, sums = make_part(np.concatenate(lists), 1.0)
+    order, sums = make_part([0, 0, 5] + list(range(20)), 1.0)
+    offsets = np.array([0, 3, 3, 23])
     for key in ("d_rgb", "d_opacity", "d_mean2", "d_conic"):
         sums[key][:3] = 2.0  # the first tile's; duplicate rows fold additively
-    acc, ops, drains = accumulate_cross_tile(order, sums, lists, 24)
+    acc, ops, drains = accumulate_cross_tile(order, sums, offsets, 24)
     assert ops == 23
     assert OFFLOAD_BATCH == 16
     assert drains == 1 + 0 + 2  # ceil(3/16) + ceil(0/16) + ceil(20/16)
@@ -256,7 +256,7 @@ def test_accumulate_cross_tile_fold():
     assert np.all(acc["d_opacity"][20:] == 0)
     assert acc["hit_count"][0] == 3
     assert acc["hit_count"].dtype == np.int64
-    empty, ops, drains = accumulate_cross_tile(*make_part([], 0.0), [lists[1]], 2)
+    empty, ops, drains = accumulate_cross_tile(*make_part([], 0.0), np.array([0, 0]), 2)
     assert (ops, drains) == (0, 0)
     assert all(not v.any() for v in empty.values())
 

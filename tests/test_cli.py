@@ -397,6 +397,30 @@ def test_train_rejects_bad_config_before_writing(tmp_path, capsys, flags, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["render", "train"])
+@pytest.mark.parametrize("content,message", [
+    ({"bogus": 1}, "unknown {} config keys: ['bogus']"),
+    ({"dtype": "float16"}, "dtype must be one of ['float32', 'float64'], got 'float16'"),
+    ({"tile_size": 5}, "tile_size must be two integers, got 5"),
+    ([1, 2], "config file must hold a JSON object"),
+], ids=["unknown-key", "dtype", "tile-size", "not-an-object"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, command, content, message):
+    """A config file's fault exits 2, as the same fault given as a flag does."""
+    cam = make_camera(8, 8, focal=8.0)
+    _, scene = toy_training_scene(np.random.default_rng(1), cam)
+    save_ply(scene, tmp_path / "scene.ply")
+    save_cameras(tmp_path / "cams.json", [cam], ["target.ppm"])  # never read
+    (tmp_path / "cfg.json").write_text(json.dumps(content))
+    out = tmp_path / "out"
+    rc = main([
+        command, "--scene", str(tmp_path / "scene.ply"), "--cameras", str(tmp_path / "cams.json"),
+        "--out", str(out), "--config", str(tmp_path / "cfg.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(command)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--threads", "0"], "threads must be >= 1"),
     (["--threads", "-2"], "threads must be >= 1"),

@@ -19,7 +19,9 @@ from tilesplat.forward import (
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
-from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles, spying_groups
+from tile_kernel import (
+    blend_tile_span, fresh_state, picking, render_tiles, spying_groups, tile_lists, view_table,
+)
 
 
 def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
@@ -263,7 +265,7 @@ def test_single_chunk_merge_is_bitwise_global():
     batch64, _ = preprocess(scene, cam)
     batch = batch64.astype(np.float32)
     binning = bin_and_sort(batch64, (32, 32), (32, 32))
-    order = binning.lists[0]
+    order = binning.order  # the only tile's list
     rect = (0, 0, 32, 32)
     ref = blend(batch, order, rect, eps_t=1e-4)
     part = blend(batch, order, rect, eps_t=0.0)
@@ -315,7 +317,7 @@ def test_hybrid_split_position_fixed_fraction():
         scene, cam,
         RenderConfig(tile_size=(32, 32), hybrid="fixed_fraction", hybrid_fraction=0.25),
     )
-    m = res.stats.per_tile_lengths[0]
+    m = res.stats.invocations  # the only tile's list length
     assert res.stats.hybrid_splits[0] == int(np.ceil(0.75 * m))
 
 
@@ -348,9 +350,8 @@ def test_trace_contents():
     assert tr.t_final.shape == (32, 32)
     # with eps_t = 0 nothing terminates: stop equals each tile's list length
     _, _, stop, _ = render_tiles(tr.batch, tr.binning, cfg)
-    for t in range(tr.binning.n_tiles):
-        x0, y0, x1, y1 = tr.binning.tile_rect(t)
-        assert np.all(stop[y0:y1, x0:x1] == len(tr.binning.lists[t]))
+    for order, (x0, y0, x1, y1) in zip(tile_lists(tr.binning), tr.binning.rects()):
+        assert np.all(stop[y0:y1, x0:x1] == len(order))
     assert np.all(tr.t_final > 0) and np.all(tr.t_final <= 1)
 
 
@@ -608,7 +609,7 @@ def test_block_list_key_finds_the_starts_of_an_int64_key(side):
     scene, cams = workload_views("train", 3)
     batch = preprocess(scene, cams[1])[0]
     binning = bin_and_sort(batch, (32, 64), (128, 128))
-    grp = forward._group(forward.SplatTable(batch), binning, range(binning.n_tiles), side)
+    grp = forward.BlockGroup(view_table(batch, binning), range(binning.n_tiles), side)
     assert grp._key.dtype == np.int32
     wide = copy.copy(grp)
     wide._key = grp._key.astype(np.int64)

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import forward_oracle as oracle
-from tile_kernel import blend_tile_span, fresh_state, picking, render_tiles
+from tile_kernel import (
+    blend_tile_span, fresh_state, picking, render_tiles, tile_lists, view_table,
+)
 from tilesplat import forward
 from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
 from tilesplat.forward import RenderConfig, clip_windows, render
@@ -101,10 +103,12 @@ def test_schedules_match_oracle(
     rgb, got_t, got_stop, tiles = render_tiles(batch, binning, black, side)
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
-    for t, (counters, split, occluded) in enumerate(tiles):
-        x0, y0, x1, y1 = rect = binning.tile_rect(t)
+    for order, rect, (counters, split, occluded) in zip(
+        tile_lists(binning), binning.rects().tolist(), tiles
+    ):
+        x0, y0, x1, y1 = rect
         state, want_counters, want_split, want_occluded = oracle.blend_tile(
-            batch, binning.lists[t], rect, cfg
+            batch, order, rect, cfg
         )
         assert np.array_equal(rgb[y0:y1, x0:x1], state.rgb)
         assert np.array_equal(got_t[y0:y1, x0:x1] < eps_t, state.terminated)
@@ -254,10 +258,11 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype, si
     batch = batch64.astype(dtype)
     binning = bin_and_sort(batch64, tile, (w, h))
     tiles = range(binning.n_tiles)
-    grp = forward._group(forward.SplatTable(batch), binning, tiles, side)
+    grp = forward.BlockGroup(view_table(batch, binning), tiles, side)
     first, end = grp._at(np.zeros_like(grp.m)), grp._at(grp.m)
+    lists = tile_lists(binning)
     for b in range(len(grp.valid)):
-        order = binning.lists[grp.block_tile[b]]
+        order = lists[grp.block_tile[b]]
         kept = grp.pos[first[b] : end[b]]
         assert np.all(np.diff(kept) > 0)
         xc, yc = grp.xc[b][grp.valid[b]], grp.yc[b][grp.valid[b]]
@@ -330,11 +335,11 @@ def test_chunk_folds_match_oracle(
     _, got_t, got_stop, tiles = render_tiles(batch64.astype(dtype), binning, black, side)
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
-    for t, (counters, split, occluded) in enumerate(tiles):
+    for order, rect, got in zip(tile_lists(binning), binning.rects().tolist(), tiles):
         _, want_counters, want_split, want_occluded = oracle.blend_tile(
-            batch64.astype(dtype), binning.lists[t], binning.tile_rect(t), cfg
+            batch64.astype(dtype), order, rect, cfg
         )
-        assert (counters, split, occluded) == (want_counters, want_split, want_occluded)
+        assert got == (want_counters, want_split, want_occluded)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -355,7 +360,8 @@ def test_switch_after_first_chunk_matches_oracle(threads):
     img, stats, _, _ = oracle.render(scene, cam, cfg)
     assert np.array_equal(res.image.data, img)
     assert res.stats.to_text() == stats.to_text()
-    lengths = np.array(res.stats.per_tile_lengths)
+    batch64, _ = preprocess(scene, cam)
+    lengths = np.diff(bin_and_sort(batch64, cfg.tile_size, (cam.width, cam.height)).offsets)
     splits = np.array(res.stats.hybrid_splits)
     after_first = (splits == lengths // 4) & (lengths >= 4)
     assert after_first.sum() >= 4 and not after_first.all()

@@ -12,6 +12,8 @@ from tilesplat.preprocess import (
 )
 from tilesplat.synth import make_camera, random_scene
 
+from tile_kernel import brute_force_lists, tile_lists
+
 
 def _single_scene(mean, log_scale=None, rotation=None, opacity=0.8, rgb_dc=None):
     return GaussianScene(
@@ -183,28 +185,6 @@ def test_batch_astype_shares_metadata():
     assert b32.gaussian_index is batch.gaussian_index
 
 
-def _brute_force_lists(batch, tile_size, image_size):
-    tw, th = tile_size
-    w, h = image_size
-    nx, ny = (w + tw - 1) // tw, (h + th - 1) // th
-    lists = []
-    for t in range(nx * ny):
-        ty, tx = divmod(t, nx)
-        rx0, ry0 = tx * tw, ty * th
-        rx1, ry1 = min(rx0 + tw, w), min(ry0 + th, h)
-        members = [
-            i
-            for i in range(batch.n)
-            if batch.aabb[i, 0] < rx1
-            and batch.aabb[i, 2] > rx0
-            and batch.aabb[i, 1] < ry1
-            and batch.aabb[i, 3] > ry0
-        ]
-        members.sort(key=lambda i: (batch.depth[i], i))
-        lists.append(np.array(members, dtype=np.int64))
-    return lists
-
-
 @pytest.mark.parametrize("tile_size", [(16, 16), (32, 32), (16, 32), (64, 64)])
 def test_binning_matches_brute_force(tile_size):
     rng = np.random.default_rng(3)
@@ -212,16 +192,17 @@ def test_binning_matches_brute_force(tile_size):
     scene = random_scene(rng, 40, cam, px_sigma=(1.0, 8.0))
     batch, _ = preprocess(scene, cam)
     binning = bin_and_sort(batch, tile_size, (48, 48))
-    want = _brute_force_lists(batch, tile_size, (48, 48))
+    want = brute_force_lists(batch, tile_size, (48, 48))
     assert binning.n_tiles == len(want)
-    for got, exp in zip(binning.lists, want):
+    assert binning.offsets[0] == 0 and binning.offsets[-1] == len(binning.order)
+    for got, exp in zip(tile_lists(binning), want):
         np.testing.assert_array_equal(got, exp)
     # each splat is listed once per tile its AABB's tile span covers
     tw, th = tile_size
     x0, y0, x1, y1 = batch.aabb.T
     spans = ((x1 - 1) // tw - x0 // tw + 1) * ((y1 - 1) // th - y0 // th + 1)
     np.testing.assert_array_equal(
-        np.bincount(np.concatenate(binning.lists), minlength=batch.n), spans
+        np.bincount(binning.order, minlength=batch.n), spans
     )
     assert binning.total_invocations == sum(len(l) for l in want)
 
@@ -239,7 +220,7 @@ def test_binning_depth_ties_by_index():
     batch, _ = preprocess(scene, cam)
     assert batch.depth[0] == batch.depth[1]
     binning = bin_and_sort(batch, (32, 32), (32, 32))
-    np.testing.assert_array_equal(binning.lists[0], [0, 1])
+    np.testing.assert_array_equal(binning.order, [0, 1])  # the only tile's list
 
 
 def test_tile_rect_partial_edges():
@@ -249,8 +230,11 @@ def test_tile_rect_partial_edges():
     batch, _ = preprocess(scene, cam)
     binning = bin_and_sort(batch, (16, 16), (50, 30))
     assert (binning.nx, binning.ny) == (4, 2)
-    assert binning.tile_rect(3) == (48, 0, 50, 16)
-    assert binning.tile_rect(7) == (48, 16, 50, 30)
+    rects = binning.rects()
+    assert rects.shape == (8, 4)
+    assert rects[3].tolist() == [48, 0, 50, 16]
+    assert rects[7].tolist() == [48, 16, 50, 30]
+    assert rects[4].tolist() == [0, 16, 16, 30]
 
 
 def test_empty_batch_binning():
@@ -259,7 +243,8 @@ def test_empty_batch_binning():
     batch, _ = preprocess(scene, cam)
     binning = bin_and_sort(batch, (16, 16), (32, 32))
     assert binning.total_invocations == 0
-    assert all(len(l) == 0 for l in binning.lists)
+    assert len(binning.order) == 0
+    assert binning.offsets.tolist() == [0] * (binning.n_tiles + 1)
 
 
 def test_screen_covering_splat_is_binned_without_overflow():
@@ -278,8 +263,8 @@ def test_screen_covering_splat_is_binned_without_overflow():
     row = int(np.flatnonzero(batch.gaussian_index == 0)[0])
     np.testing.assert_array_equal(batch.aabb[row], [0, 0, 64, 48])
     assert batch.radius[row] == 64  # capped at the larger image side
-    assert np.bincount(np.concatenate(binning.lists))[row] == binning.n_tiles
-    assert all(row in lst for lst in binning.lists)
+    assert np.bincount(binning.order)[row] == binning.n_tiles
+    assert all(row in lst for lst in tile_lists(binning))
 
 
 @pytest.mark.parametrize("log_scale", [200.0, 400.0, 800.0])

@@ -3,7 +3,7 @@
 Counters balance, culling accounts for every input Gaussian, pixels are
 finite and non-negative, and the thread count changes no byte of the
 image or the stats text, for every schedule and with renders spread over
-one group or several.  The hybrid schedules give the pure sweep's color,
+one group or several, nor does the group size.  The hybrid schedules give the pure sweep's color,
 T and stop bit for bit, and depth chunks at eps_t = 0 give the global
 sweep's image within rounding.  The blend steps a traced render records
 can be replayed back to front, as the backward pass does.  None of this
@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tile_kernel import picking, render_tiles
+from tile_kernel import brute_force_lists, picking, render_tiles
 from tilesplat import forward
 from tilesplat.forward import RenderConfig, render
 from tilesplat.preprocess import bin_and_sort, preprocess
@@ -71,6 +71,46 @@ def test_render_invariants(seed, n, w, h, tile, z_tiles, hybrid, eps_t, dtype, g
     for res in runs[1:]:
         assert res.image.data.tobytes() == img.tobytes()
         assert res.stats.to_text() == stats.to_text()
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 40),
+    w=st.integers(8, 64),
+    h=st.integers(8, 64),
+    tile=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+    z_tiles=st.integers(1, 3),
+    hybrid=st.sampled_from(["off", "fixed_fraction", "occlusion_threshold"]),
+    theta=st.sampled_from([0.05, 0.5]),
+    eps_t=st.sampled_from([1e-4, 0.3]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_grouping_changes_no_output(seed, n, w, h, tile, z_tiles, hybrid, theta, eps_t, dtype):
+    """A view's tile lists are one array, of which each tile group blends
+    a slice while the counters are taken over the whole view.  The lists
+    are the brute-force ones, and the image and the full stats text
+    (counters, hybrid splits, occlusion) are the same whether the groups
+    are as large as GROUP_MAX_PX allows or hold 1024 block pixels, on one
+    thread or two."""
+    scene, cam = scene_and_camera(seed, n, w, h)
+    batch64, _ = preprocess(scene, cam)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    want = brute_force_lists(batch64, tile, (w, h))
+    assert np.array_equal(binning.offsets, np.cumsum([0] + [len(lst) for lst in want]))
+    assert np.array_equal(binning.order, np.concatenate(want))
+    assert binning.order.dtype == binning.offsets.dtype == np.int64
+    cfg = RenderConfig(
+        tile_size=tile, z_tiles=z_tiles, hybrid=hybrid, occlusion_threshold=theta,
+        eps_t=eps_t, background=(0.3, 0.0, 0.6), dtype=dtype, record_occlusion=True,
+    )
+    runs = []
+    for group_px in (forward.GROUP_MAX_PX, 1024):
+        for threads in (1, 2):
+            with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+                res = render(scene, cam, dataclasses.replace(cfg, threads=threads))
+            runs.append((res.image.data.tobytes(), res.stats.to_text()))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 @SMALL
@@ -169,7 +209,7 @@ def test_recorded_steps_replay_back_to_front(
         assert all(np.array_equal(a, b) for a, b in zip(step, step2))
     tw, th = tile
     bw, bh = (forward._block_side(t, side) for t in tile)
-    list_off = np.cumsum([0] + [len(l) for l in tr.binning.lists])
+    list_off = tr.binning.offsets
     T = np.ones(w * h, dtype=dtype)
     last = np.full(w * h, -1)
     for pixels, alpha, row_entry, row_count in tr.steps:

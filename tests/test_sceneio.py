@@ -291,7 +291,8 @@ def test_cameras_missing_field_names_camera_and_field(tmp_path, key):
 
 
 @pytest.mark.parametrize("key,value", [("width", 16.9), ("height", "16"),
-                                       ("height", None)])
+                                       ("height", None), ("width", True),
+                                       ("height", False)])
 def test_cameras_reject_non_integral_size(tmp_path, key, value):
     path = tmp_path / "cams.json"
     save_cameras(path, [make_camera(16, 16)])
@@ -313,7 +314,8 @@ def test_cameras_wrong_matrix_size_names_camera(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("fx", "abc"), ("fy", None), ("cx", [1.0]),
-                                       ("cy", {"v": 1}), ("near", "near")])
+                                       ("cy", {"v": 1}), ("near", "near"), ("fx", True),
+                                       ("cx", "8"), ("near", False)])
 def test_cameras_non_numeric_field_names_camera_and_field(tmp_path, key, value):
     path = tmp_path / "cams.json"
     save_cameras(path, [make_camera(16, 16)] * 2)
@@ -329,6 +331,18 @@ def test_cameras_non_numeric_matrix_names_camera(tmp_path):
     save_cameras(path, [make_camera(16, 16)])
     entries = json.loads(path.read_text())
     entries[0]["world_to_cam"][3] = "abc"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="^camera 0: world_to_cam must hold 16 numbers"):
+        load_cameras(path)
+
+
+@pytest.mark.parametrize("value", ["1", True, [1.0], None])
+def test_cameras_matrix_rejects_strings_and_bools(tmp_path, value):
+    """A numeric string or a bool is not a number, though NumPy would convert it."""
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)])
+    entries = json.loads(path.read_text())
+    entries[0]["world_to_cam"][0] = value
     path.write_text(json.dumps(entries))
     with pytest.raises(ValueError, match="^camera 0: world_to_cam must hold 16 numbers"):
         load_cameras(path)
