@@ -26,7 +26,8 @@ from .execmodel import (
     sweep_reduction,
     tile_sweep,
 )
-from .forward import RenderConfig, block_groups, render
+from . import forward
+from .forward import RenderConfig, block_groups, clip_windows, render, splat_alpha
 from .gradcheck import check_gradients, make_fd_case
 from .model import ImageRGB
 from .optim import (
@@ -35,7 +36,7 @@ from .optim import (
     density_control,
     remap_adam_state,
 )
-from .preprocess import preprocess
+from .preprocess import ALPHA_MIN, preprocess
 from .sceneio import (
     image_to_ppm_bytes,
     load_cameras,
@@ -73,7 +74,10 @@ def _validated(cfg):
 def _load_config_dict(path: str | None) -> dict:
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise _UsageError("config file must hold a JSON object")
     return cfg
@@ -393,6 +397,47 @@ def _st_hybrid_identity() -> None:
             raise AssertionError(f"{mode} saved no work on an opaque scene")
 
 
+def _one_splat_at_a_time(batch, binning, eps_t: float):
+    """(rgb (h, w, 3), T (h, w)) of a global sweep that blends each tile's
+    list one splat at a time over the splat's window, with ``splat_alpha``."""
+    dt = batch.mean2.dtype.type
+    rgb = np.zeros((binning.image_h, binning.image_w, 3), dtype=dt)
+    T = np.ones((binning.image_h, binning.image_w), dtype=dt)
+    off = binning.offsets
+    for t, rect in enumerate(binning.rects()):
+        order = binning.order[off[t] : off[t + 1]]
+        win, area = clip_windows(batch.aabb[order], rect)
+        for i, (x0, y0, x1, y1) in zip(order[area > 0], win[area > 0].tolist()):
+            xc = np.arange(x0, x1).astype(dt)[None, None, :] + dt(0.5)
+            yc = np.arange(y0, y1).astype(dt)[None, :, None] + dt(0.5)
+            one = slice(i, i + 1)
+            alpha = splat_alpha(xc, yc, batch.mean2[one], batch.conic[one], batch.opacity[one])[0]
+            Tw = T[y0:y1, x0:x1]
+            alpha *= (alpha >= ALPHA_MIN) & (Tw >= eps_t)
+            rgb[y0:y1, x0:x1] += (Tw * alpha)[..., None] * batch.rgb[i]
+            Tw *= 1 - alpha
+    return rgb, T
+
+
+def _st_kernel_exact() -> None:
+    cam = make_camera(48, 40)  # a third of the pixels terminate
+    scene = random_scene(
+        np.random.default_rng(17), 80, cam, px_sigma=(1.0, 8.0), logit_range=(0.0, 6.0)
+    )
+    cfg = RenderConfig(tile_size=(24, 20), eps_t=1e-4)
+    _, _, binning, batch, table, _ = forward._prepare(scene, cam, cfg)
+    want_rgb, want_T = _one_splat_at_a_time(batch, binning, cfg.eps_t)
+    for side in (forward.BLOCK // 2, forward.BLOCK):
+        rgb, T = np.zeros_like(want_rgb), np.zeros_like(want_T)
+        for tiles in forward._tile_groups(binning, side):
+            grp = forward.BlockGroup(table, tiles, side)
+            state, _, _ = forward._blend_group(grp, cfg)
+            grp.paste(np.moveaxis(state.rgb, 0, -1), rgb)
+            grp.paste(state.T, T)
+        if not (np.array_equal(rgb, want_rgb) and np.array_equal(T, want_T)):
+            raise AssertionError(f"{side} px blocks differ from the one-splat sweep")
+
+
 def _st_thread_determinism() -> None:
     rng = np.random.default_rng(11)
     cam = make_camera(128, 128)
@@ -445,6 +490,7 @@ def cmd_selftest(args) -> int:
         ("thread-determinism", _st_thread_determinism),
         ("ply-roundtrip", _st_ply_roundtrip),
         ("ppm-golden", _st_ppm_golden),
+        ("kernel-exact", _st_kernel_exact),
         ("gradcheck", _st_gradcheck),
     ]
     failures = 0

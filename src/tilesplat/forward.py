@@ -34,11 +34,17 @@ keeps its tile list position, so a pixel's stop means the same as in
 the tile's list.  A pass sorts the blocks by the length of the span it
 blends, so the blocks still active at step k are a prefix, and step k
 evaluates alpha and blends list position k of every active block in
-one set of NumPy calls over (active blocks, block pixels).  A block
-whose pixels are all dead leaves the active set.  Each pixel sees the
-same floating-point operations in the same order as when splats are
-blended one at a time, so neither the lockstep order nor the grouping
-changes a bit.
+one set of NumPy calls over (active blocks, block pixels).  Alpha is
+built pixel-major, (block pixels, active blocks) with the blocks
+innermost, from separable terms: dx and a dx^2 over (block columns,
+blocks), dy, 2b dy and c dy^2 over (block rows, blocks), so that only
+q's three sums, its clip, exp, opacity and clamp run over every pixel;
+the window test is one AND of each entry's in-window columns and rows.
+The step then transposes alpha once and updates the state row by row.
+A block whose pixels are all dead leaves the active set.  Each pixel
+sees the same floating-point operations in the same order as in
+``splat_alpha`` with splats blended one at a time, so neither the
+lockstep order, the layout nor the grouping changes a bit.
 
 A render picks its largest block side, BLOCK (16) or BLOCK // 2 (8),
 once from its splats' boxes (``_pick_block``).  Small splats fill only
@@ -167,6 +173,12 @@ class RenderConfig:
         require_int("z_tiles", self.z_tiles)
         if self.z_tiles < 1:
             raise ValueError("z_tiles must be >= 1")
+        for name in ("eps_t", "hybrid_fraction", "occlusion_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.eps_t < 0:
             raise ValueError("eps_t must be >= 0")
         if not self.eps_t <= 1.0:  # T starts at 1; also rejects NaN
@@ -179,13 +191,20 @@ class RenderConfig:
             raise ValueError("occlusion_threshold must be in (0, 1)")
         if np.dtype(self.dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError("dtype must be float32 or float64")
-        if len(self.background) != 3 or any(
-            not np.isfinite(v) or v < 0 for v in self.background
-        ):
+        try:
+            bad = len(self.background) != 3 or any(
+                isinstance(v, (bool, np.bool_)) or not np.isfinite(v) or v < 0
+                for v in self.background
+            )
+        except TypeError:  # not a sequence, or holds a value that is not a number
+            bad = True
+        if bad:
             raise ValueError("background must be 3 finite non-negative values")
         require_int("threads", self.threads)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not isinstance(self.record_occlusion, (bool, np.bool_)):
+            raise ValueError(f"record_occlusion must be a bool, got {self.record_occlusion!r}")
 
 
 def require_int(name: str, value) -> None:
@@ -321,9 +340,11 @@ class BlockGroup:
     Every tile of ``table.tile_size`` (w, h) is cut into the same grid of
     bh x bw blocks of at most ``side`` px (``_block_side``), numbered
     tile by tile and row-major within a tile.  Pixel arrays are flat per
-    block, (n_blocks, bh * bw).  A block's pixels outside its tile's rect
-    (which may be clipped by the image edge) are padding; ``valid`` marks
-    the others.  The group's entries are its slice of the table's: their
+    block, (n_blocks, bh * bw).  ``xcol`` (n_blocks, bw) and ``yrow``
+    (n_blocks, bh) are the pixel-centre coordinates of each block's
+    columns and rows.  A block's pixels outside its tile's rect (which
+    may be clipped by the image edge) are padding; ``valid`` marks the
+    others.  The group's entries are its slice of the table's: their
     clipped windows ``win``, areas and splat parameters ``params``, with
     ``m`` entries per tile from ``entry_off``.  A block's list holds the
     entries whose window meets the block (``aabb_pairs`` such pairs in
@@ -356,15 +377,12 @@ class BlockGroup:
         cols = (x0[self.block_tile] + local % nbx * bw)[:, None] + np.arange(bw)  # (nb, bw)
         rows = (y0[self.block_tile] + local // nbx * bh)[:, None] + np.arange(bh)  # (nb, bh)
         dt = self.dtype = table.dtype
-        px = (nb, bh, bw)
-        self.xc = np.broadcast_to((cols.astype(dt) + dt.type(0.5))[:, None, :], px).reshape(nb, -1)
-        self.yc = np.broadcast_to((rows.astype(dt) + dt.type(0.5))[:, :, None], px).reshape(nb, -1)
+        self.xcol = cols.astype(dt) + dt.type(0.5)
+        self.yrow = rows.astype(dt) + dt.type(0.5)
         self.valid = (
             (cols < x1[self.block_tile, None])[:, None, :]
             & (rows < y1[self.block_tile, None])[:, :, None]
         ).reshape(nb, -1)
-        self.px = np.tile(np.arange(bw, dtype=np.int8), bh)
-        self.py = np.repeat(np.arange(bh, dtype=np.int8), bw)
         del cols, rows
 
         offsets = table.offsets[tiles.start : tiles.stop + 1]
@@ -573,12 +591,15 @@ class BlockGroup:
         Step k blends the k-th entry of every row whose span is longer
         than k.  Rows are sorted by span length, longest first, so those
         are the first n_at[k], and the entries are laid out step by step
-        (``pidx``) so each step reads one slice.  The rows blended are
-        held in copies of their state.  Once at least an eighth of the
-        held rows have no live pixel, those are written back and
-        dropped, and each step's slice becomes a gather over the held
-        rows (``held``).  Pixels are checked for liveness only once one
-        of them has died.
+        (``pidx``) so each step reads one slice of their parameters and
+        in-window masks: an entry's block columns (bw, entries) and
+        rows (bh, entries) that lie in its window, built once per call.
+        Alpha is built from per-column and per-row terms
+        (``_block_alpha``).  The rows blended are held in copies of
+        their state.  Once at least an eighth of the held rows have no
+        live pixel, those are written back and dropped, and each step's
+        slice becomes a gather over the held rows (``held``).  Pixels
+        are checked for liveness only once one of them has died.
         """
         by_len = np.argsort(-n, kind="stable")
         blocks, lens = blocks[by_len], n[by_len]
@@ -591,15 +612,24 @@ class BlockGroup:
         pidx[step_off[rank] + slot] = first[by_len][slot] + rank
         del slot, rank
         entry = self.entry[pidx]
-        params = np.take(self.params, entry, axis=0)  # take: faster than [] on narrow rows
+        # one column per entry, so a step's parameters and windows are slices
+        params = np.take(self.params, entry, axis=0).T.copy()  # take: faster than [] on narrow rows
         lwin = np.take(self.lwin, pidx, axis=0)
+        bh, bw = self.block
+        in_x = np.arange(bw, dtype=np.int8)[:, None]
+        in_x = (in_x >= lwin[:, 0]) & (in_x < lwin[:, 2])  # (bw, entries)
+        in_y = np.arange(bh, dtype=np.int8)[:, None]
+        in_y = (in_y >= lwin[:, 1]) & (in_y < lwin[:, 3])  # (bh, entries)
+        del lwin
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
             # each held row's pixels as image indexes (x + 0.5 truncates to
             # x); row r's hits in a step are the nz in [row_lo[r], row_lo[r + 1])
-            flat_at = self.yc[blocks].astype(np.int32) * np.int32(self.image_w)
-            flat_at += self.xc[blocks].astype(np.int32)
-            row_lo = np.arange(len(blocks) + 1) * self.valid.shape[1]
+            flat_at = self.yrow[blocks].astype(np.int32)[:, :, None] * np.int32(self.image_w)
+            flat_at = (flat_at + self.xcol[blocks].astype(np.int32)[:, None, :]).reshape(
+                len(blocks), -1
+            )
+            row_lo = np.arange(len(blocks) + 1) * (bh * bw)
         del pidx
 
         if state is None:
@@ -610,27 +640,23 @@ class BlockGroup:
             T = state.T[blocks]
             rgb = state.rgb[:, blocks]
             stop = state.stop[blocks]
-        xc, yc = self.xc[blocks], self.yc[blocks]
-        px, py = self.px, self.py
         any_dead = eps_t > 0.0 and bool(((T < eps_t) & self.valid[blocks]).any())
+        xc, yc = self.xcol[blocks].T.copy(), self.yrow[blocks].T.copy()
         held = np.arange(len(blocks))
         gather = False
         for k in range(steps):
             if gather:
                 a = int(np.searchsorted(held, n_at[k]))
                 rows = step_off[k] + held[:a]
-                p, win = np.take(params, rows, axis=0), np.take(lwin, rows, axis=0)
+                p = np.take(params, rows, axis=1)
+                wx, wy = np.take(in_x, rows, axis=1), np.take(in_y, rows, axis=1)
             else:
                 a = int(n_at[k])
                 rows = slice(step_off[k], step_off[k] + a)
-                p, win = params[rows], lwin[rows]
+                p, wx, wy = params[:, rows], in_x[:, rows], in_y[:, rows]
             Tk = T[:a]
-            alpha = splat_alpha(xc[:a], yc[:a], p[:, 0:2], p[:, 2:5], p[:, 5])
+            alpha = _block_alpha(xc[:, :a], yc[:, :a], p, wx, wy)
             hit = alpha >= ALPHA_MIN
-            hit &= px >= win[:, 0, None]
-            hit &= px < win[:, 2, None]
-            hit &= py >= win[:, 1, None]
-            hit &= py < win[:, 3, None]
             if any_dead:
                 hit &= Tk >= eps_t
             if record is not None:
@@ -646,7 +672,7 @@ class BlockGroup:
                     )
                 )
             alpha *= hit  # alpha where the entry blends, else 0
-            rgb[:, :a] += (Tk * alpha) * p[:, 6:9].T[:, :, None]
+            rgb[:, :a] += (Tk * alpha) * p[6:9, :, None]
             np.subtract(1, alpha, out=alpha)
             Tk *= alpha  # factor 1 where the entry does not blend
             if eps_t <= 0.0:
@@ -666,7 +692,7 @@ class BlockGroup:
             state.rgb[:, out] = rgb[:, ~keep]
             state.stop[out] = stop[~keep]
             T, rgb, stop = T[keep], rgb[:, keep], stop[keep]
-            xc, yc, held = xc[keep], yc[keep], held[keep]
+            xc, yc, held = xc[:, keep], yc[:, keep], held[keep]
             if record is not None:
                 flat_at = flat_at[keep]
             gather = True
@@ -678,6 +704,39 @@ class BlockGroup:
         state.T[out] = T
         state.rgb[:, out] = rgb
         state.stop[out] = stop
+
+
+def _block_alpha(
+    xc: np.ndarray, yc: np.ndarray, p: np.ndarray, in_x: np.ndarray, in_y: np.ndarray
+) -> np.ndarray:
+    """``splat_alpha`` of a step's rows at their block pixels, 0 outside each row's window.
+
+    ``xc`` (bw, rows) and ``yc`` (bh, rows) are each row's pixel-centre
+    columns and rows, ``in_x`` and ``in_y`` (bool, same shapes) whether
+    they lie in the row's window, and ``p`` holds each row's mean, conic
+    and opacity in its first six rows, one column per row.  The work is
+    pixel-major, rows innermost, so each per-column or per-row term is
+    one operation over (bw or bh, rows) that broadcasts along the rows,
+    and q is built in ``splat_alpha``'s order per pixel,
+    ((2b dy) dx + a dx^2) + c dy^2: every pixel gets the same alpha as
+    there, bit for bit.  Returns (rows, bh * bw), the kernel's row-major
+    layout, transposed once here, since the kernel's in-place updates of
+    T, colour and stop run several times faster on whole rows than on
+    column prefixes of a pixel-major state.
+    """
+    dt = xc.dtype.type
+    dx = xc - p[0]
+    dy = yc - p[1]
+    q = ((2 * p[3]) * dy)[:, None] * dx  # (bh, bw, rows)
+    q += p[2] * dx**2
+    q += (p[4] * dy**2)[:, None]
+    np.clip(q, dt(0), dt(Q_MAX), out=q)
+    q *= -dt(0.5)
+    np.exp(q, out=q)
+    q *= p[5]
+    np.minimum(q, dt(ALPHA_MAX), out=q)
+    q *= in_y[:, None] & in_x
+    return q.reshape(len(yc) * len(xc), -1).T.copy()
 
 
 def _merge_partial(

@@ -238,11 +238,11 @@ def _config_from_dict(cls, kind: str, d: dict):
     d = dict(d)
     if isinstance(d.get("tile_size"), list):
         d["tile_size"] = tuple(d["tile_size"])  # validation rejects any other value
-    if "background" in d:
-        d["background"] = tuple(float(v) for v in d["background"])
+    if isinstance(d.get("background"), list):  # validation rejects any other value
+        d["background"] = tuple(float(v) if _is_number(v) else v for v in d["background"])
     if "dtype" in d:
         name = d["dtype"]
-        if name not in _DTYPES:
+        if not isinstance(name, str) or name not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {name!r}")
         d["dtype"] = _DTYPES[name]
     return cls(**d)

@@ -348,6 +348,7 @@ def test_selftest_runs_every_check(capsys):
         "ok thread-determinism",
         "ok ply-roundtrip",
         "ok ppm-golden",
+        "ok kernel-exact",
         "ok gradcheck",
         "all self-tests passed",
     ]
@@ -403,14 +404,23 @@ def test_train_rejects_bad_config_before_writing(tmp_path, capsys, flags, messag
     ({"dtype": "float16"}, "dtype must be one of ['float32', 'float64'], got 'float16'"),
     ({"tile_size": 5}, "tile_size must be two integers, got 5"),
     ([1, 2], "config file must hold a JSON object"),
-], ids=["unknown-key", "dtype", "tile-size", "not-an-object"])
+    ("{not json", "config file is not valid JSON: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    ({"background": 5}, "background must be 3 finite non-negative values"),
+    ({"background": [1, None, 2]}, "background must be 3 finite non-negative values"),
+    ({"eps_t": "x"}, "eps_t must be a number, got 'x'"),
+    ({"dtype": ["float32"]}, "dtype must be one of ['float32', 'float64'], got ['float32']"),
+], ids=["unknown-key", "dtype", "tile-size", "not-an-object", "not-json", "background-int",
+        "background-null", "eps-t-string", "dtype-list"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, command, content, message):
-    """A config file's fault exits 2, as the same fault given as a flag does."""
+    """A config file's fault exits 2, as the same fault given as a flag does.
+    A string is the file's text as it stands."""
     cam = make_camera(8, 8, focal=8.0)
     _, scene = toy_training_scene(np.random.default_rng(1), cam)
     save_ply(scene, tmp_path / "scene.ply")
     save_cameras(tmp_path / "cams.json", [cam], ["target.ppm"])  # never read
-    (tmp_path / "cfg.json").write_text(json.dumps(content))
+    text = content if isinstance(content, str) else json.dumps(content)
+    (tmp_path / "cfg.json").write_text(text)
     out = tmp_path / "out"
     rc = main([
         command, "--scene", str(tmp_path / "scene.ply"), "--cameras", str(tmp_path / "cams.json"),

@@ -265,7 +265,8 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype, si
         order = lists[grp.block_tile[b]]
         kept = grp.pos[first[b] : end[b]]
         assert np.all(np.diff(kept) > 0)
-        xc, yc = grp.xc[b][grp.valid[b]], grp.yc[b][grp.valid[b]]
+        xc = np.broadcast_to(grp.xcol[b], grp.block).ravel()[grp.valid[b]]
+        yc = np.broadcast_to(grp.yrow[b][:, None], grp.block).ravel()[grp.valid[b]]
         cols, rows = xc.astype(np.int64), yc.astype(np.int64)  # floor of the centres
         alpha = forward.splat_alpha(
             xc[None], yc[None], batch.mean2[order], batch.conic[order], batch.opacity[order]
@@ -365,3 +366,68 @@ def test_switch_after_first_chunk_matches_oracle(threads):
     splits = np.array(res.stats.hybrid_splits)
     after_first = (splits == lengths // 4) & (lengths >= 4)
     assert after_first.sum() >= 4 and not after_first.all()
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(8, 40),
+    w=st.integers(40, 64),
+    h=st.integers(40, 64),
+    tile=st.sampled_from([(16, 16), (20, 20), (32, 32), (24, 40)]),
+    z_tiles=st.sampled_from([1, 2, 3]),
+    dtype=DTYPE,
+    side=SIDE,
+)
+def test_dead_block_drop_matches_oracle(seed, n, w, h, tile, z_tiles, dtype, side):
+    """Three stacked opaque quilts over n background splats kill whole
+    blocks part-way through their lists, so the kernel drops them from
+    the pass: it evaluates fewer block-list rows than its spans hold.
+    K > 1 blends the first tenth of each list in chunks and the rest on
+    the merged state (fixed_fraction 0.9), where blocks die and drop.
+    Image, stats text, T and stop stay the oracle's."""
+    # The quilts are sized by the width, so they cover the height; pixels
+    # in the image corners may outlive them, but at 40 px and more some
+    # blocks hold no corner.
+    h = min(h, w)
+    cam = make_camera(w, h, focal=float(w))
+    scene = opaque_foreground_scene(np.random.default_rng(seed), cam, n_back=n)
+    cfg = RenderConfig(
+        tile_size=tile, z_tiles=z_tiles, eps_t=1e-4,
+        hybrid="off" if z_tiles == 1 else "fixed_fraction", hybrid_fraction=0.9,
+        background=(0.2, 0.1, 0.4), dtype=dtype,
+    )
+    spans, rows = [], []
+    got_t, got_stop = np.zeros((h, w), dtype=dtype), np.zeros((h, w), dtype=np.int32)
+    lockstep, block_alpha, blend_group = (
+        forward.BlockGroup._lockstep, forward._block_alpha, forward._blend_group
+    )
+
+    def spy_lockstep(self, blocks, first, n, *args):
+        spans.append(int(n.sum()))
+        return lockstep(self, blocks, first, n, *args)
+
+    def spy_alpha(*args):
+        alpha = block_alpha(*args)
+        rows.append(len(alpha))
+        return alpha
+
+    def spy_group(grp, cfg, record=None):
+        state, split, occluded = blend_group(grp, cfg, record)
+        grp.paste(state.T, got_t)
+        grp.paste(state.stop, got_stop)
+        return state, split, occluded
+
+    with (
+        mock.patch.object(forward.BlockGroup, "_lockstep", spy_lockstep),
+        mock.patch.object(forward, "_block_alpha", spy_alpha),
+        mock.patch.object(forward, "_blend_group", spy_group),
+        picking(side),
+    ):
+        res = render(scene, cam, cfg)
+    assert sum(rows) < sum(spans)
+    img, stats, t_final, stop = oracle.render(scene, cam, cfg)
+    assert np.array_equal(res.image.data, img)
+    assert res.stats.to_text() == stats.to_text()
+    assert np.array_equal(got_t, t_final)
+    assert np.array_equal(got_stop, stop)
