@@ -397,7 +397,6 @@ def train_step(
         stats.time_backward += time.perf_counter() - t0
         stats.accum_ops += ops
         stats.drain_events += drains
-        stats.forward = res.stats
         if densify_stats is not None:
             densify_stats.observe(screen, res.trace.batch)
         del res  # the next view's render must not find this record alive

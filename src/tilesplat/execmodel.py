@@ -3,7 +3,8 @@
 Nothing here changes rendered pixels.  The renderer fills in counters
 (invocations, candidate/performed/skipped alpha evaluations,
 chunk-level occlusion counts); the alpha-evaluation counts come from
-each tile's windows and its pixels' stop positions after blending
+each tile's windows, its pixels' stop positions after blending and the
+list position where the renderer switched it to pixel-centric
 (``count_evals``).  The functions below turn them into the analyses a
 hardware study needs: tile-size sweeps, occlusion growth curves,
 shared-memory bank conflict counts, and the evaluation savings of the
@@ -82,21 +83,6 @@ def count_evals(
     return EvalCounters(candidates, candidates - skipped, skipped)
 
 
-def occlusion_switch(area: np.ndarray, until: np.ndarray, theta: float) -> int:
-    """Where the occlusion-threshold hybrid turns pixel-centric on one tile.
-
-    That is the position after the first entry with a non-empty window
-    after which more than ``theta`` of the tile's pixels have terminated
-    (pixels with ``until`` at or before the next position), or the list
-    length if there is none.  Switching after the last entry changes
-    nothing, so the last entry is not tested.
-    """
-    n = len(area)
-    ended = np.cumsum(np.bincount(until.ravel(), minlength=n + 1))
-    over = (ended[1:n] > theta * until.size) & (area[: n - 1] > 0)
-    return int(over.argmax()) + 1 if over.any() else n
-
-
 @dataclass
 class OcclusionTrace:
     """Pixels occluded (T_in below eps_t) after each merged depth chunk."""
@@ -104,7 +90,6 @@ class OcclusionTrace:
     n_chunks: int
     occluded_after_chunk: np.ndarray  # (n_chunks,) int64, summed over tiles
     total_pixels: int
-    eps_t: float
 
 
 @dataclass
@@ -156,7 +141,6 @@ class RenderStats:
 @dataclass
 class TrainStats:
     loss: float = 0.0
-    forward: RenderStats | None = None
     accum_ops: int = 0  # per-splat partial folds into the main accumulator
     drain_events: int = 0  # 16-splat offload batches
     time_forward: float = 0.0

@@ -74,11 +74,12 @@ The pixel state is color, T and stop: a pixel is dead (terminated)
 exactly when T < eps_t, and stop is the list position after the splat
 (or the end of the depth chunk) that took it there.  Schedules differ
 only in the spans they blend, the state a span starts from and its
-eps_t.  The kernel computes pixel state only.  The counters are taken
-once per view after every group has blended (``_count``), from every
-entry's clipped window and, under the hybrids, from an image of each
-pixel's stop position (``execmodel.count_evals``), so they count window
-pixels, never a block's padding.
+eps_t.  The kernel computes pixel state only; ``_blend_group`` reads
+each tile's hybrid split and occlusion counts from it.  The counters
+are taken once per view after every group has blended (``_count``),
+from every entry's clipped window and, under the hybrids, from the
+splits and an image of each pixel's stop (``execmodel.count_evals``),
+so they count window pixels, never a block's padding.
 
 A render clips every entry's window to its tile once (``SplatTable``).
 Tiles are blended in groups of whole tiles, in tile order, whose pass
@@ -107,13 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .execmodel import (
-    EvalCounters,
-    OcclusionTrace,
-    RenderStats,
-    count_evals,
-    occlusion_switch,
-)
+from .execmodel import EvalCounters, OcclusionTrace, RenderStats, count_evals
 from .model import Camera, GaussianScene, ImageRGB
 from .preprocess import (
     ALPHA_MIN,
@@ -507,7 +502,7 @@ class BlockGroup:
 
     def blend_chunks(
         self, state: PixelState, chunks: list[tuple], eps_t: float, untouched: np.ndarray
-    ) -> np.ndarray:
+    ) -> None:
         """Blend depth chunks of every tile's list and fold them into ``state`` in order.
 
         ``chunks`` are (lo, hi) arrays of tile list positions, in depth
@@ -525,11 +520,8 @@ class BlockGroup:
         hi where the row's T fell below eps_t, and that is what is
         written; it skips gathering, merging and scattering the first
         chunk of most blocks, and measured 1.07x on the render_occluded
-        benchmark against merging every row.  Returns the pixels each
-        chunk's fold killed, (len(chunks), n_tiles).
+        benchmark against merging every row.
         """
-        nt = len(self.m)
-        died = np.zeros((len(chunks), nt), dtype=np.int64)
         live = state.T.max(axis=1) >= eps_t if eps_t > 0.0 else True
         rows, first, n, chunk = [], [], [], []
         for k, (lo, hi) in enumerate(chunks):
@@ -542,7 +534,7 @@ class BlockGroup:
             chunk.append(np.full(len(b), k))
         rows, first, n, chunk = map(np.concatenate, (rows, first, n, chunk))
         if not len(rows):
-            return died
+            return
         perm, T, rgb = self._lockstep(rows, first, n, 0.0)
         rows, chunk = rows[perm], chunk[perm]  # in the pass's order, as T and rgb
         for k, (_, hi) in enumerate(chunks):
@@ -557,19 +549,15 @@ class BlockGroup:
                 if copy:
                     state.T[b] = part_T
                     state.rgb[:, b] = part_rgb
-                    ended = None
                     if eps_t > 0.0:
                         ended = (part_T < eps_t) & self.valid[b]
                         state.stop[b] = np.where(ended, hi[tile, None], self.m[tile, None])
                 else:
                     sub = PixelState(rgb=state.rgb[:, b], T=state.T[b], stop=state.stop[b])
                     part = PixelState(rgb=part_rgb, T=part_T, stop=None)
-                    ended = _merge_partial(sub, part, eps_t, hi[tile, None])
+                    _merge_partial(sub, part, eps_t, hi[tile, None])
                     state.rgb[:, b], state.T[b], state.stop[b] = sub.rgb, sub.T, sub.stop
-                if ended is not None:
-                    np.add.at(died[k], tile, np.count_nonzero(ended, axis=1))
             untouched[rows[in_k]] = False
-        return died
 
     def _lockstep(
         self,
@@ -739,27 +727,22 @@ def _block_alpha(
     return q.reshape(len(yc) * len(xc), -1).T.copy()
 
 
-def _merge_partial(
-    state: PixelState, part: PixelState, eps_t: float, chunk_end
-) -> np.ndarray | None:
+def _merge_partial(state: PixelState, part: PixelState, eps_t: float, chunk_end) -> None:
     """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state.
 
-    ``chunk_end`` is an int or an array that broadcasts against the state.
-    Selections are products with the live mask (x * 1 and x + 0 are
-    exact), which NumPy runs far faster than ``np.where`` on mixed masks.
-    Returns the mask of the pixels the fold killed, or None when
-    eps_t = 0 (no pixel dies).  ``part.stop`` is not read.
+    ``chunk_end`` is an int or an array that broadcasts against the state;
+    a pixel the fold kills stops there.  Selections are products with the
+    live mask (x * 1 and x + 0 are exact), which NumPy runs far faster
+    than ``np.where`` on mixed masks.  ``part.stop`` is not read.
     """
     live = state.T >= eps_t
     state.rgb += (state.T * live) * part.rgb
     factor = part.T * live
     factor += ~live  # part.T where live, else 1
     state.T *= factor
-    if eps_t <= 0.0:
-        return None
-    ended = live & (state.T < eps_t)
-    state.stop += ended * (chunk_end - state.stop)
-    return ended
+    if eps_t > 0.0:
+        ended = live & (state.T < eps_t)
+        state.stop += ended * (chunk_end - state.stop)
 
 
 def _blend_group(
@@ -767,55 +750,83 @@ def _blend_group(
 ) -> tuple[PixelState, np.ndarray, list[int] | None]:
     """Blend a group's tiles under cfg's schedule: (state, split per tile, occluded).
 
-    K = cfg.z_tiles = 1 is one global sweep, whose steps go to ``record``
-    when given (``BlockGroup.blend``).  K > 1 cuts each list prefix into
-    K chunks that blend from T = 1 with eps_t = 0 and fold into the
-    merged state in depth order (``BlockGroup.blend_chunks``).  The
-    chunks are independent, so they blend in one pass (several when a
-    lone tile's K rows exceed GROUP_MAX_PX), except under the
-    occlusion-threshold hybrid: it blends one chunk per pass and stops
-    chunking a tile once more than theta of it has terminated.
-    Whatever is left of each list then blends on the merged state.
-    At K = 1 that hybrid's split stays the list length here; ``_count``
-    sets it from the stops.  ``occluded`` holds the group's dead pixels
+    K = cfg.z_tiles > 1 cuts each list prefix [0, split) into K chunks
+    that blend from T = 1 with eps_t = 0 and fold into the merged state
+    in depth order (``BlockGroup.blend_chunks``).  The chunks are
+    independent, so they blend in one pass (several when a lone tile's K
+    rows exceed GROUP_MAX_PX), except under the occlusion-threshold
+    hybrid: it blends one chunk per pass and stops chunking a tile once
+    more than theta of it has terminated.  The rest of each list (all of
+    it at K = 1) then blends on the merged state, its steps going to
+    ``record`` when given (``BlockGroup.blend``).
+
+    Splits and occlusion counts are settled here, from the state: only
+    folds kill before the tail, a fold at its chunk's hi and the tail
+    past split.  At K = 1 that hybrid's split comes from the final stops
+    (``_occlusion_splits``).  ``occluded`` holds the group's dead pixels
     after each chunk when cfg.record_occlusion is set.
     """
     m = grp.m
-    K = cfg.z_tiles
     eps_t = cfg.eps_t
     theta = cfg.occlusion_threshold
-    occluded: list[int] | None = [] if cfg.record_occlusion else None
+    switching = cfg.hybrid == "occlusion_threshold"
     if cfg.hybrid == "fixed_fraction":
         split = np.ceil((1.0 - cfg.hybrid_fraction) * m).astype(np.int64)
     else:
         split = m.copy()
 
     state = grp.fresh_state(m)
-    if K == 1:
-        grp.blend(state, np.zeros_like(m), m, eps_t, record)
-        if occluded is not None:
-            occluded.append(int(np.count_nonzero((state.T < eps_t) & grp.valid)))
-        return state, split, occluded
-
-    chunks = _chunk_bounds(split.copy(), K)
+    chunks = _chunk_bounds(split.copy(), cfg.z_tiles) if cfg.z_tiles > 1 else []
     untouched = np.ones(len(grp.block_tile), dtype=bool)
-    died = np.zeros((K, len(m)), dtype=np.int64)  # per chunk and tile; only the folds kill
     chunking = np.ones(len(m), dtype=bool)
     # chunks per pass: _pass_rows, fewer when one tile's rows are over GROUP_MAX_PX
     per = max(1, min(_pass_rows(cfg), GROUP_MAX_PX // grp.valid.size))
-    for k in range(0, K, per):
-        if cfg.hybrid == "occlusion_threshold":  # one chunk per pass
+    for k in range(0, len(chunks), per):
+        if switching:  # one chunk per pass
             lo, hi = chunks[k]
-            over = chunking & (died[:k].sum(axis=0) > theta * grp.tile_px)
+            dead = ((state.T < eps_t) & grp.valid).reshape(len(m), -1)
+            over = chunking & (np.count_nonzero(dead, axis=1) > theta * grp.tile_px)
             split[over] = lo[over]
             chunking &= ~over
             chunks[k] = (lo, np.where(chunking, hi, lo))  # a switched tile chunks no more
-        died[k : k + per] = grp.blend_chunks(state, chunks[k : k + per], eps_t, untouched)
-    if occluded is not None:
-        # a switched tile's state is unchanged, so it keeps its frozen count
-        occluded.extend(np.cumsum(died.sum(axis=1)).tolist())
-    grp.blend(state, split, m, eps_t)
-    return state, split, occluded
+        grp.blend_chunks(state, chunks[k : k + per], eps_t, untouched)
+    grp.blend(state, split if chunks else np.zeros_like(m), m, eps_t, record)
+
+    if switching and not chunks:
+        tile = np.broadcast_to(grp.block_tile[:, None], grp.valid.shape)[grp.valid]
+        split = _occlusion_splits(grp.area, m, tile, state.stop[grp.valid], theta)
+    if not cfg.record_occlusion:
+        return state, split, None
+    dead = (state.T < eps_t) & grp.valid
+    lims = [np.minimum(hi, split) for _, hi in chunks] or [m]
+    return state, split, [
+        int(np.count_nonzero(dead & (state.stop <= lim[grp.block_tile, None]))) for lim in lims
+    ]
+
+
+def _occlusion_splits(
+    area: np.ndarray, m: np.ndarray, tile: np.ndarray, stop: np.ndarray, theta: float
+) -> np.ndarray:
+    """Per tile, the occlusion-threshold hybrid's split after one sweep, from the stops.
+
+    Tile t's list is the next m[t] entries of ``area`` (window areas) and
+    its pixels those with ``tile`` t, each with a ``stop`` in 0 ... m[t].
+    The split follows the first entry with a non-empty window after
+    which more than ``theta`` of the pixels have stopped, else it is
+    m[t].  Tile t's stops are the slots from entry_off[t] + t on, so one
+    histogram and one running sum count every entry's stopped pixels.
+    """
+    off = np.cumsum(m) - m  # entry_off
+    tile_px = np.bincount(tile, minlength=len(m))
+    ended = np.cumsum(np.bincount(off[tile] + tile + stop, minlength=len(area) + len(m)))
+    etile = np.repeat(np.arange(len(m)), m)
+    # entry e = entry_off[t] + p: its tile's stops up to p + 1 fill the slots up to e + t + 1
+    stopped = ended[np.arange(len(area)) + etile + 1] - (np.cumsum(tile_px) - tile_px)[etile]
+    hit = np.flatnonzero((stopped > theta * tile_px[etile]) & (area > 0))
+    t, first = np.unique(etile[hit], return_index=True)
+    split = m.copy()
+    split[t] = hit[first] - off[t] + 1
+    return split
 
 
 def _tile_groups(binning: TileBinning, side: int, rows: int = 1) -> list[range]:
@@ -840,25 +851,22 @@ def _pass_rows(cfg: RenderConfig) -> int:
 def _count(
     table: SplatTable, cfg: RenderConfig, split: np.ndarray, stop: np.ndarray | None
 ) -> EvalCounters:
-    """Counters of the table's tiles from their windows and the pixels' stops.
+    """Counters of the table's tiles from their windows, splits and the pixels' stops.
 
-    ``stop`` is the image of every pixel's stop after blending, which
-    only the hybrids read (``execmodel.count_evals``); under
-    ``hybrid="off"`` every entry performs its whole window.  At K = 1
-    the occlusion-threshold hybrid's ``split`` holds the list lengths,
-    and each tile's switch is set here from its stops.
+    ``split`` holds each tile's first pixel-centric list position, as
+    ``_blend_group`` settled it, and ``stop`` the image of every pixel's
+    stop after blending; only the hybrids read them
+    (``execmodel.count_evals``).  Under ``hybrid="off"`` every entry
+    performs its whole window.  Nothing passed in is written.
     """
     if cfg.hybrid == "off":
         total = int(table.area.sum())
         return EvalCounters(total, total, 0)
     counters = EvalCounters()
-    switch_here = cfg.z_tiles == 1 and cfg.hybrid == "occlusion_threshold"
     for t, rect in enumerate(table.rects.tolist()):
         x0, y0, x1, y1 = rect
         es = slice(table.offsets[t], table.offsets[t + 1])
         until = stop[y0:y1, x0:x1]
-        if switch_here:  # one sweep: the stops decide where the tile turns pixel-centric
-            split[t] = occlusion_switch(table.area[es], until, cfg.occlusion_threshold)
         counters.merge(count_evals(table.win[es], table.area[es], rect, int(split[t]), until))
     return counters
 
@@ -993,7 +1001,6 @@ def render(
             n_chunks=cfg.z_tiles,
             occluded_after_chunk=np.sum([occ for _, occ, _ in results], axis=0, dtype=np.int64),
             total_pixels=w * h,
-            eps_t=cfg.eps_t,
         )
 
     trace = None

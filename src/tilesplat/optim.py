@@ -98,14 +98,12 @@ class DensifyStats:
 
     grad_norm_sum: np.ndarray  # (n,) accumulated screen-space position grad norms
     obs_count: np.ndarray  # (n,) views in which the Gaussian hit pixels
-    max_radius: np.ndarray  # (n,) largest screen radius seen
 
     @classmethod
     def zeros(cls, n: int) -> "DensifyStats":
         return cls(
             grad_norm_sum=np.zeros(n),
             obs_count=np.zeros(n, dtype=np.int64),
-            max_radius=np.zeros(n, dtype=np.int64),
         )
 
     def observe(self, screen, batch) -> None:
@@ -119,7 +117,6 @@ class DensifyStats:
         norms = np.linalg.norm(screen["d_mean2"], axis=1)
         np.add.at(self.grad_norm_sum, idx[seen], norms[seen])
         np.add.at(self.obs_count, idx[seen], 1)
-        np.maximum.at(self.max_radius, idx, batch.radius)
 
 
 @dataclass

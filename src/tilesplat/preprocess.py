@@ -44,7 +44,6 @@ class SplatBatch:
     rgb: np.ndarray  # (m, 3)
     rgb_clamped: np.ndarray  # (m, 3) bool, channels pinned at zero by the SH clamp
     opacity: np.ndarray  # (m,)
-    radius: np.ndarray  # (m,) int64 3-sigma radius in pixels, at most the larger image side
     aabb: np.ndarray  # (m, 4) int64, half-open [x0, y0, x1, y1]
     gaussian_index: np.ndarray  # (m,) int64 row in the source scene
 
@@ -62,7 +61,6 @@ class SplatBatch:
             rgb=self.rgb.astype(dtype),
             rgb_clamped=self.rgb_clamped,
             opacity=self.opacity.astype(dtype),
-            radius=self.radius,
             aabb=self.aabb,
             gaussian_index=self.gaussian_index,
         )
@@ -211,20 +209,18 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
     )
     # Bounds stay in float64 (integer-valued, so exact) until clipped to the
     # image: a splat far larger than the screen must not overflow the cast.
-    radius_f = np.ceil(bounding_radius(a, b, c))
+    radius = np.ceil(bounding_radius(a, b, c))
     center = np.floor(mean2)
-    x0 = np.clip(center[:, 0] - radius_f, 0, cam.width).astype(np.int64)
-    x1 = np.clip(center[:, 0] + radius_f + 1, 0, cam.width).astype(np.int64)
-    y0 = np.clip(center[:, 1] - radius_f, 0, cam.height).astype(np.int64)
-    y1 = np.clip(center[:, 1] + radius_f + 1, 0, cam.height).astype(np.int64)
-    radius = np.minimum(radius_f, max(cam.width, cam.height)).astype(np.int64)
+    x0 = np.clip(center[:, 0] - radius, 0, cam.width).astype(np.int64)
+    x1 = np.clip(center[:, 0] + radius + 1, 0, cam.width).astype(np.int64)
+    y0 = np.clip(center[:, 1] - radius, 0, cam.height).astype(np.int64)
+    y1 = np.clip(center[:, 1] + radius + 1, 0, cam.height).astype(np.int64)
     on_screen = (x0 < x1) & (y0 < y1)
     stats.culled_offscreen = int(idx.size - on_screen.sum())
     if not on_screen.all():
         keep = on_screen
         idx, t, tz = idx[keep], t[keep], tz[keep]
         a, b, c, det, mean2 = a[keep], b[keep], c[keep], det[keep], mean2[keep]
-        radius = radius[keep]
         x0, x1, y0, y1 = x0[keep], x1[keep], y0[keep], y1[keep]
     if idx.size == 0:
         return _empty_batch(), stats
@@ -242,7 +238,6 @@ def preprocess(scene: GaussianScene, cam: Camera) -> tuple[SplatBatch, Preproces
         rgb=rgb,
         rgb_clamped=clamped,
         opacity=opac[idx],
-        radius=radius,
         aabb=np.stack([x0, y0, x1, y1], axis=1),
         gaussian_index=idx.astype(np.int64),
     )
@@ -258,7 +253,6 @@ def _empty_batch() -> SplatBatch:
         rgb=np.zeros((0, 3)),
         rgb_clamped=np.zeros((0, 3), dtype=bool),
         opacity=np.zeros(0),
-        radius=np.zeros(0, dtype=np.int64),
         aabb=np.zeros((0, 4), dtype=np.int64),
         gaussian_index=np.zeros(0, dtype=np.int64),
     )

@@ -119,6 +119,21 @@ def sweep(
     return end
 
 
+def occlusion_switch(area: np.ndarray, until: np.ndarray, theta: float) -> int:
+    """Where the occlusion-threshold hybrid turns pixel-centric on one tile.
+
+    That is the position after the first entry with a non-empty window
+    after which more than ``theta`` of the tile's pixels have terminated
+    (pixels with ``until`` at or before the next position), or the list
+    length if there is none.  Switching after the last entry changes
+    nothing, so the last entry is not tested.
+    """
+    n = len(area)
+    ended = np.cumsum(np.bincount(until.ravel(), minlength=n + 1))
+    over = (ended[1:n] > theta * until.size) & (area[: n - 1] > 0)
+    return int(over.argmax()) + 1 if over.any() else n
+
+
 def merge_partial(state: State, part: State, eps_t: float, chunk_end: int) -> None:
     live = ~state.terminated
     w = np.where(live, state.T, state.T.dtype.type(0))
@@ -240,6 +255,6 @@ def render(scene, cam, cfg: RenderConfig):
     if occl_total is not None:
         stats.occlusion = OcclusionTrace(
             n_chunks=cfg.z_tiles, occluded_after_chunk=occl_total,
-            total_pixels=w * h, eps_t=cfg.eps_t,
+            total_pixels=w * h,
         )
     return img, stats, t_final, stop

@@ -11,11 +11,10 @@ from tilesplat.execmodel import (
     count_evals,
     hybrid_savings,
     occlusion_curve,
-    occlusion_switch,
     sweep_reduction,
     tile_sweep,
 )
-from tilesplat.forward import RenderConfig, render
+from tilesplat.forward import RenderConfig, _occlusion_splits, render
 from tilesplat.synth import make_camera, random_scene
 
 from test_forward import hand_batch
@@ -94,14 +93,13 @@ def test_occlusion_curve_hand_trace():
         n_chunks=4,
         total_pixels=100,
         occluded_after_chunk=np.array([10, 40, 90, 95], dtype=np.int64),
-        eps_t=1e-4,
     )
     curve = occlusion_curve(trace)
     assert curve == [(0.25, 0.10), (0.5, 0.40), (0.75, 0.90), (1.0, 0.95)]
     fracs = [f for _, f in curve]
     assert all(a <= b for a, b in zip(fracs, fracs[1:]))
     with pytest.raises(ValueError, match="chunks"):
-        occlusion_curve(OcclusionTrace(0, 0, np.zeros(0, dtype=np.int64), 1e-4))
+        occlusion_curve(OcclusionTrace(0, 0, np.zeros(0, dtype=np.int64)))
 
 
 def test_eval_counters_merge():
@@ -173,11 +171,22 @@ def test_count_evals_matches_per_entry_count():
             assert count_evals(win, area, rect, switch, until) == want
 
 
-def test_occlusion_switch_from_stop_histogram():
-    until = np.array([[0, 1], [3, 5]])  # dead on arrival, ends at entries 0 and 2, never
+def test_occlusion_splits_from_stop_histogram():
+    until = np.array([0, 1, 3, 5])  # dead on arrival, ends at entries 0 and 2, never
     area = np.array([4, 4, 4, 4, 4])
-    assert occlusion_switch(area, until, 0.3) == 1  # 2 of 4 ended after entry 0
-    assert occlusion_switch(area, until, 0.5) == 3  # 3 of 4 after entry 2
-    assert occlusion_switch(area, until, 0.8) == 5  # never before the last entry
-    area[:2] = 0  # entries 0 and 1 miss the tile
-    assert occlusion_switch(area, until, 0.3) == 3
+
+    def splits(area, m, tile, stop, theta):
+        return _occlusion_splits(area, np.array(m), np.array(tile), stop, theta).tolist()
+
+    one = [0, 0, 0, 0]
+    assert splits(area, [5], one, until, 0.3) == [1]  # 2 of 4 ended after entry 0
+    assert splits(area, [5], one, until, 0.5) == [3]  # 3 of 4 after entry 2
+    assert splits(area, [5], one, until, 0.8) == [5]  # never before the last entry
+    missed = area.copy()
+    missed[:2] = 0  # entries 0 and 1 miss the tile
+    assert splits(missed, [5], one, until, 0.3) == [3]
+    # one call over several tiles: each reads only its own entries and pixels
+    both = np.concatenate([missed, area])
+    tiles = [0] * 4 + [1] * 4 + [2] * 4
+    stops = np.concatenate([until, [0, 0, 0, 0], until])
+    assert splits(both, [5, 0, 5], tiles, stops, 0.3) == [3, 0, 1]

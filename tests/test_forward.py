@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tilesplat.execmodel import count_evals, occlusion_switch
+from tilesplat.execmodel import count_evals
 from tilesplat.forward import (
     ALPHA_MIN,
     RenderConfig,
@@ -19,6 +19,7 @@ from tilesplat.forward import (
 from tilesplat.preprocess import SplatBatch
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
+from forward_oracle import occlusion_switch
 from tile_kernel import (
     blend_tile_span, fresh_state, picking, render_tiles, spying_groups, tile_lists, view_table,
 )
@@ -40,7 +41,6 @@ def hand_batch(splats, dtype=np.float64, image=(8, 8)) -> SplatBatch:
         rgb=np.array([s["rgb"] for s in splats], dtype=dtype),
         rgb_clamped=np.zeros((m, 3), dtype=bool),
         opacity=np.array([s["opacity"] for s in splats], dtype=dtype),
-        radius=np.full(m, max(w, h), dtype=np.int64),
         aabb=np.tile([0, 0, w, h], (m, 1)).astype(np.int64),
         gaussian_index=np.arange(m, dtype=np.int64),
     )
@@ -309,6 +309,29 @@ def test_hybrid_modes_bit_identical():
         assert hyb.stats.counters.candidates == pure.stats.counters.candidates
 
 
+def test_count_writes_neither_splits_nor_stops():
+    """At K = 1 the occlusion-threshold hybrid's splits come from
+    ``_blend_group``; ``_count`` reads them and the stops, and writes
+    neither."""
+    from tilesplat import forward
+    from tilesplat.preprocess import bin_and_sort, preprocess
+
+    rng = np.random.default_rng(5)
+    cam = make_camera(96, 64)
+    scene = opaque_foreground_scene(rng, cam)
+    cfg = RenderConfig(tile_size=(32, 32), hybrid="occlusion_threshold", occlusion_threshold=0.5)
+    res = render(scene, cam, cfg)
+    batch = preprocess(scene, cam)[0].astype(np.float32)
+    binning = bin_and_sort(batch, cfg.tile_size, (96, 64))
+    _, _, stop, tiles = render_tiles(batch, binning, cfg)
+    split = np.array([s for _, s, _ in tiles])
+    assert split.tolist() == res.stats.hybrid_splits
+    assert np.any(split < np.diff(binning.offsets))  # some tile turned before its end
+    split.setflags(write=False)
+    stop.setflags(write=False)
+    assert forward._count(view_table(batch, binning), cfg, split, stop) == res.stats.counters
+
+
 def test_hybrid_split_position_fixed_fraction():
     rng = np.random.default_rng(6)
     cam = make_camera(32, 32)
@@ -465,7 +488,6 @@ def test_occlusion_trace_recording():
     assert occ is not None
     assert occ.n_chunks == 4
     assert occ.total_pixels == 64 * 64
-    assert occ.eps_t == 1e-2
     counts = occ.occluded_after_chunk
     assert np.all(np.diff(counts) >= 0)  # occlusion only grows
     assert counts[-1] > 0

@@ -14,7 +14,7 @@ from tile_kernel import (
     blend_tile_span, fresh_state, picking, render_tiles, tile_lists, view_table,
 )
 from tilesplat import forward
-from tilesplat.execmodel import EvalCounters, count_evals, occlusion_switch
+from tilesplat.execmodel import EvalCounters, count_evals
 from tilesplat.forward import RenderConfig, clip_windows, render
 from tilesplat.preprocess import bin_and_sort, preprocess
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
@@ -220,7 +220,7 @@ def test_span_with_carried_state_matches_oracle(
     win, area = clip_windows(batch.aabb[order], rect)
     win, area = win[start:end], area[start:end]
     if mode == "theta":
-        assert start + occlusion_switch(area, until, theta) == switch
+        assert start + oracle.occlusion_switch(area, until, theta) == switch
     assert count_evals(win, area, rect, switch - start, until) == want_counters
 
 
@@ -237,6 +237,50 @@ def needle_scene(seed: int, n: int, w: int, h: int):
     edge = rng.uniform(size=n) < 0.3  # opacity 1/255, give or take a little
     scene.opacity_logits[edge] = -np.log(254.0) + rng.normal(scale=1e-4, size=edge.sum())
     return scene, cam
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    tile=st.tuples(*[st.integers(0, 7).map(lambda v: 2 * v + 1)] * 2),  # odd sides
+    nudge=st.sampled_from([-1, 0, 1]),
+)
+def test_occlusion_splits_match_the_per_tile_switch(data, seed, size, tile, nudge):
+    """``forward._occlusion_splits`` over a whole image of tiles equals
+    the per-tile oracle on every tile: odd tile sides clipped at the
+    image edge, lists of length 0, 1 and longer, entries whose window
+    misses the tile, stops anywhere in 0 ... m, and theta within an ulp
+    of one tile's stopped fraction after one of its entries."""
+    (w, h), (tw, th) = size, tile
+    rng = np.random.default_rng(seed)
+    nx, ny = -(-w // tw), -(-h // th)
+    m = rng.choice([0, 1, 2, 5, 9], size=nx * ny)
+    area = rng.integers(1, 5, size=m.sum()) * (rng.uniform(size=m.sum()) < 0.7)
+    rects, tile_img, stop = [], np.empty((h, w), dtype=np.int64), np.empty((h, w), dtype=np.int32)
+    for t in range(nx * ny):
+        ty, tx = divmod(t, nx)
+        x0, y0 = tx * tw, ty * th
+        rects.append((x0, y0, min(x0 + tw, w), min(y0 + th, h)))
+        tile_img[y0 : y0 + th, x0 : x0 + tw] = t
+        stop[y0 : y0 + th, x0 : x0 + tw] = rng.integers(0, m[t] + 1, size=(th, tw))[
+            : h - y0, : w - x0
+        ]
+    t = data.draw(st.integers(0, nx * ny - 1))
+    x0, y0, x1, y1 = rects[t]
+    at = np.count_nonzero(stop[y0:y1, x0:x1] <= data.draw(st.integers(1, max(m[t], 1))))
+    theta = at / ((x1 - x0) * (y1 - y0))
+    if nudge:
+        theta = float(np.nextafter(theta, np.inf * nudge))
+
+    got = forward._occlusion_splits(area, m, tile_img.ravel(), stop.ravel(), theta)
+    off = np.cumsum(m) - m
+    want = [
+        oracle.occlusion_switch(area[o : o + n], stop[y0:y1, x0:x1], theta)
+        for o, n, (x0, y0, x1, y1) in zip(off, m, rects)
+    ]
+    assert got.tolist() == want
 
 
 @EXAMPLES

@@ -102,16 +102,12 @@ def test_densify_stats_observe():
         "hit_count": np.array([2, 0]),
         "d_mean2": np.array([[3.0, 4.0], [1.0, 0.0]]),
     }
-    batch = SimpleNamespace(
-        gaussian_index=np.array([2, 0]),
-        radius=np.array([7, 5], dtype=np.int64),
-    )
+    batch = SimpleNamespace(gaussian_index=np.array([2, 0]))
     stats.observe(screen, batch)
     stats.observe(screen, batch)
     assert stats.grad_norm_sum[2] == pytest.approx(10.0)  # |(3,4)| twice
     assert stats.grad_norm_sum[0] == 0.0  # no hits: not observed
     assert stats.obs_count[2] == 2 and stats.obs_count[0] == 0
-    assert stats.max_radius[2] == 7 and stats.max_radius[0] == 5
 
 
 def test_scene_extent():

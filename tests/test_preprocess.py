@@ -148,7 +148,6 @@ def test_aabb_matches_scalar_oracle_across_image_edges(seed):
         i = rows[int(g)]
         checked += 1
         np.testing.assert_array_equal(small.aabb[i], box)
-        assert small.radius[i] == min(r, max(w, h))
         cx, cy = np.floor(wide.mean2[j])
         straddles |= [cx - r < 0, cy - r < 0, cx + r + 1 > w, cy + r + 1 > h]
     assert checked == small.n
@@ -164,14 +163,19 @@ def test_offscreen_cull_in_preprocess():
     assert stats.culled_offscreen == 1
 
 
-def test_radius_covers_three_sigma():
+def test_unclipped_boxes_reach_three_sigma():
     rng = np.random.default_rng(1)
     cam = make_camera(128, 128)
     scene = random_scene(rng, 30, cam)
     batch, _ = preprocess(scene, cam)
     a, b, c = batch.cov2[:, 0], batch.cov2[:, 1], batch.cov2[:, 2]
     lam = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    assert np.all(batch.radius >= BOUNDING_SIGMAS * np.sqrt(lam) - 1e-9)
+    reach = BOUNDING_SIGMAS * np.sqrt(lam)[:, None] - 1e-9
+    x0, y0, x1, y1 = batch.aabb.T
+    inside = (x0 > 0) & (y0 > 0) & (x1 < 128) & (y1 < 128)
+    assert inside.sum() >= 10
+    assert np.all(batch.mean2[inside] - batch.aabb[inside, :2] >= reach[inside])
+    assert np.all(batch.aabb[inside, 2:] - batch.mean2[inside] >= reach[inside])
 
 
 def test_batch_astype_shares_metadata():
@@ -262,7 +266,6 @@ def test_screen_covering_splat_is_binned_without_overflow():
     assert stats.culled_offscreen == 0 and stats.culled_degenerate == 0
     row = int(np.flatnonzero(batch.gaussian_index == 0)[0])
     np.testing.assert_array_equal(batch.aabb[row], [0, 0, 64, 48])
-    assert batch.radius[row] == 64  # capped at the larger image side
     assert np.bincount(binning.order)[row] == binning.n_tiles
     assert all(row in lst for lst in tile_lists(binning))
 

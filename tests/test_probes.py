@@ -78,7 +78,7 @@ def test_traced_train_step_reports_every_layer(tmp_path):
         return sum(s["counts"][key] for s in tracer.spans if s["name"] == name)
 
     stats = result.stats
-    assert total("backward.tiles", "invocations") == stats.forward.invocations
+    assert total("backward.tiles", "invocations") == total("train.forward", "invocations")
     assert total("backward.fold", "accum_ops") == stats.accum_ops
     assert total("backward.fold", "drain_events") == stats.drain_events
     assert 0 < total("backward.chain", "gaussians") <= scene.n

@@ -9,10 +9,11 @@ of the tile's list and writes the result back.  ``traced_tile`` blends
 a whole list over one tile as a group of its own and keeps the steps it
 records, which is what the backward replays: the list is the view's
 only one, so its entries are the view's.  ``render_tiles`` blends each
-tile as a group of its own (``forward._blend_group``), pastes its state
-and counts it as ``render`` counts a view (``forward._count``), which
-exposes every pixel's T and stop and each tile's counters, split and
-occlusion counts.  Each takes the largest block side, ``forward.BLOCK``
+tile as a group of its own (``forward._blend_group``, which settles the
+tile's split and occlusion counts), pastes its state and counts it as
+``render`` counts a view (``forward._count``), which exposes every
+pixel's T and stop and each tile's counters, split and occlusion
+counts.  Each takes the largest block side, ``forward.BLOCK``
 or ``forward.BLOCK // 2``, that a render would pick with
 ``forward._pick_block``; ``picking`` makes renders use a given side,
 and ``spying_groups`` collects the groups renders build.
@@ -186,6 +187,7 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forw
         grp.paste(forward.composite_background(state, bg), img)
         grp.paste(state.T, t_final)
         grp.paste(state.stop, stop)
+        split.setflags(write=False)  # settled by _blend_group; _count only reads it
         counters = forward._count(table, cfg, split, stop)
         tiles.append((counters, int(split[0]), occluded))
     return img, t_final, stop, tiles
