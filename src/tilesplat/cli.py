@@ -28,7 +28,7 @@ from .execmodel import (
 )
 from . import forward
 from .forward import RenderConfig, block_groups, clip_windows, render, splat_alpha
-from .gradcheck import check_gradients, make_fd_case
+from .gradcheck import check_gradients, make_fd_case, reference_config
 from .model import ImageRGB
 from .optim import (
     AdamState,
@@ -191,10 +191,12 @@ def cmd_train(args) -> int:
 def _analysis_scene(args, rng: np.random.Generator, default_kind: str):
     if args.scene is not None:
         if args.cameras is None:
-            raise ValueError("--scene needs --cameras for the viewpoint")
+            raise _UsageError("--scene needs --cameras for the viewpoint")
         scene = load_ply(args.scene)
-        cam = load_cameras(args.cameras)[0][0]
-        return cam, scene
+        cameras = load_cameras(args.cameras)
+        if not cameras:
+            raise ValueError(f"camera file {args.cameras} holds no cameras")
+        return cameras[0][0], scene
     kind = args.synthetic if args.synthetic is not None else default_kind
     if kind == "outdoor":
         cam = make_camera(512, 512)
@@ -317,6 +319,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_checkgrad(args) -> int:
+    _validated(reference_config(loss=args.loss, background=tuple(args.background)))
     worst = 0.0
     failed = 0
     for s in range(args.scenes):

@@ -57,18 +57,16 @@ evaluations: 8 px wins when it evaluates under 0.75 of the 16 px
 pixels.  The side decides which blocks an entry is listed in, never
 what a pixel sees, so pixels, T, stop and counters do not depend on it.
 
-A pass blends rows of block pixels.  A plain span blends each block's
-row in place.  Depth chunks blend (block, chunk) rows, each from the
-fresh state with eps_t = 0 (``BlockGroup.blend_chunks``), and each row
-is folded into its block's running state as it is written back, in
-depth order, with the merge's arithmetic (``_merge_partial``).  Rows
-with no entry in their chunk, and with eps_t > 0 the blocks with no
-live pixel, are left out, since the fold is the identity there.  The K
-chunks of a list are independent, so all (block, chunk) rows blend in
-one pass, and a group then holds K rows per block.  The
-occlusion-threshold hybrid needs the merged state after chunk k to
-decide whether a tile blends chunk k + 1, so it blends one chunk per
-pass, over the tiles still chunking.
+A pass blends one row of pixels per block.  A plain span blends each
+block's row in place.  A depth chunk blends each block's row from the
+fresh state with eps_t = 0 (``BlockGroup.blend_chunk``) and folds it
+into the block's running state as it is written back, with the merge's
+arithmetic (``_merge_partial``).  Chunks blend one per pass, in depth
+order, and a pass leaves out the blocks with no entry in its chunk and,
+with eps_t > 0, those with no live pixel, since the fold is the
+identity there: a block that an earlier chunk killed blends no later
+chunk.  Between passes the occlusion-threshold hybrid reads the merged
+state to decide which tiles go on chunking.
 
 The pixel state is color, T and stop: a pixel is dead (terminated)
 exactly when T < eps_t, and stop is the list position after the splat
@@ -82,9 +80,9 @@ splits and an image of each pixel's stop (``execmodel.count_evals``),
 so they count window pixels, never a block's padding.
 
 A render clips every entry's window to its tile once (``SplatTable``).
-Tiles are blended in groups of whole tiles, in tile order, whose pass
-rows hold at most GROUP_MAX_PX block pixels; a tile whose K rows alone
-exceed it blends its chunks in several passes.  A group takes its slice
+Tiles are blended in groups of whole tiles, in tile order, whose
+blocks hold at most GROUP_MAX_PX pixels, padding included; only a tile
+larger than the cap on its own holds more.  A group takes its slice
 of the view's entries and windows, is blended to the end and is
 composited into the image before the next one starts, which bounds the
 memory a render holds; with threads > 1 the groups run on a pool.
@@ -491,28 +489,21 @@ class BlockGroup:
         and each block's entries come in list order, so reading the
         steps backwards visits every pixel's blends back to front.
         """
-        first = self._at(start)
-        n = self._at(end) - first
-        act = n > 0
-        if eps_t > 0.0:
-            act &= state.T.max(axis=1) >= eps_t  # no live pixel: nothing blends
-        blocks = np.flatnonzero(act)
+        blocks, first, n = self._spans(state, start, end, eps_t)
         if blocks.size:
-            self._lockstep(blocks, first[blocks], n[blocks], eps_t, state, record)
+            self._lockstep(blocks, first, n, eps_t, state, record)
 
-    def blend_chunks(
-        self, state: PixelState, chunks: list[tuple], eps_t: float, untouched: np.ndarray
+    def blend_chunk(
+        self, state: PixelState, lo: np.ndarray, hi: np.ndarray, eps_t: float, untouched: np.ndarray
     ) -> None:
-        """Blend depth chunks of every tile's list and fold them into ``state`` in order.
+        """Blend the depth chunk [lo[t], hi[t]) of every tile t and fold it into ``state``.
 
-        ``chunks`` are (lo, hi) arrays of tile list positions, in depth
-        order.  Each (block, chunk) row starts from the fresh state (T = 1,
-        0 on padding, no color) and blends [lo, hi) with eps_t = 0; all
-        rows blend in one lockstep pass.  Each row is then folded into
-        the block's running state with ``_merge_partial``, chunk by chunk,
-        and a pixel the fold kills stops at hi.  Rows with no entry in
-        their chunk are left out, and with eps_t > 0 so are the blocks
-        with no live pixel: the fold is the identity on them.
+        Each block's row starts from the fresh state (T = 1, 0 on padding,
+        no color) and blends the chunk with eps_t = 0.  It is then folded
+        into the block's running state with ``_merge_partial``, and a
+        pixel the fold kills stops at hi.  Blocks with no entry in the
+        chunk are left out, and with eps_t > 0 so are the blocks with no
+        live pixel: the fold is the identity on them.
 
         ``untouched`` marks the blocks whose state is still
         ``fresh_state(m)``; folded blocks are cleared from it.  On such a
@@ -522,42 +513,45 @@ class BlockGroup:
         chunk of most blocks, and measured 1.07x on the render_occluded
         benchmark against merging every row.
         """
-        live = state.T.max(axis=1) >= eps_t if eps_t > 0.0 else True
-        rows, first, n, chunk = [], [], [], []
-        for k, (lo, hi) in enumerate(chunks):
-            f = self._at(lo)
-            c = self._at(hi) - f
-            b = np.flatnonzero((c > 0) & live)
-            rows.append(b)
-            first.append(f[b])
-            n.append(c[b])
-            chunk.append(np.full(len(b), k))
-        rows, first, n, chunk = map(np.concatenate, (rows, first, n, chunk))
-        if not len(rows):
+        blocks, first, n = self._spans(state, lo, hi, eps_t)
+        if not blocks.size:
             return
-        perm, T, rgb = self._lockstep(rows, first, n, 0.0)
-        rows, chunk = rows[perm], chunk[perm]  # in the pass's order, as T and rgb
-        for k, (_, hi) in enumerate(chunks):
-            in_k = chunk == k
-            for copy in True, False:
-                sel = np.flatnonzero(in_k & (untouched[rows] == copy))
-                if not len(sel):
-                    continue
-                b = rows[sel]
-                tile = self.block_tile[b]
-                part_T, part_rgb = (T, rgb) if len(sel) == len(rows) else (T[sel], rgb[:, sel])
-                if copy:
-                    state.T[b] = part_T
-                    state.rgb[:, b] = part_rgb
-                    if eps_t > 0.0:
-                        ended = (part_T < eps_t) & self.valid[b]
-                        state.stop[b] = np.where(ended, hi[tile, None], self.m[tile, None])
-                else:
-                    sub = PixelState(rgb=state.rgb[:, b], T=state.T[b], stop=state.stop[b])
-                    part = PixelState(rgb=part_rgb, T=part_T, stop=None)
-                    _merge_partial(sub, part, eps_t, hi[tile, None])
-                    state.rgb[:, b], state.T[b], state.stop[b] = sub.rgb, sub.T, sub.stop
-            untouched[rows[in_k]] = False
+        perm, T, rgb = self._lockstep(blocks, first, n, 0.0)
+        blocks = blocks[perm]  # in the pass's order, as T and rgb
+        for copy in True, False:
+            sel = np.flatnonzero(untouched[blocks] == copy)
+            if not len(sel):
+                continue
+            b = blocks[sel]
+            tile = self.block_tile[b]
+            part_T, part_rgb = (T, rgb) if len(sel) == len(blocks) else (T[sel], rgb[:, sel])
+            if copy:
+                state.T[b] = part_T
+                state.rgb[:, b] = part_rgb
+                if eps_t > 0.0:
+                    ended = (part_T < eps_t) & self.valid[b]
+                    state.stop[b] = np.where(ended, hi[tile, None], self.m[tile, None])
+            else:
+                sub = PixelState(rgb=state.rgb[:, b], T=state.T[b], stop=state.stop[b])
+                part = PixelState(rgb=part_rgb, T=part_T, stop=None)
+                _merge_partial(sub, part, eps_t, hi[tile, None])
+                state.rgb[:, b], state.T[b], state.stop[b] = sub.rgb, sub.T, sub.stop
+        untouched[blocks] = False
+
+    def _spans(self, state: PixelState, lo: np.ndarray, hi: np.ndarray, eps_t: float):
+        """The blocks a pass over tile list positions [lo[t], hi[t]) blends: (blocks, first, n).
+
+        A block blends when its list holds an entry there and, with
+        eps_t > 0, it has a live pixel; first and n are its block-list
+        entries' start and count.
+        """
+        first = self._at(lo)
+        n = self._at(hi) - first
+        act = n > 0
+        if eps_t > 0.0:
+            act &= state.T.max(axis=1) >= eps_t  # no live pixel: nothing blends
+        blocks = np.flatnonzero(act)
+        return blocks, first[blocks], n[blocks]
 
     def _lockstep(
         self,
@@ -751,14 +745,12 @@ def _blend_group(
     """Blend a group's tiles under cfg's schedule: (state, split per tile, occluded).
 
     K = cfg.z_tiles > 1 cuts each list prefix [0, split) into K chunks
-    that blend from T = 1 with eps_t = 0 and fold into the merged state
-    in depth order (``BlockGroup.blend_chunks``).  The chunks are
-    independent, so they blend in one pass (several when a lone tile's K
-    rows exceed GROUP_MAX_PX), except under the occlusion-threshold
-    hybrid: it blends one chunk per pass and stops chunking a tile once
-    more than theta of it has terminated.  The rest of each list (all of
-    it at K = 1) then blends on the merged state, its steps going to
-    ``record`` when given (``BlockGroup.blend``).
+    that blend from T = 1 with eps_t = 0 and fold into the merged state,
+    one chunk per pass in depth order (``BlockGroup.blend_chunk``).
+    Before each pass the occlusion-threshold hybrid stops chunking the
+    tiles of which more than theta has terminated.  The rest of each
+    list (all of it at K = 1) then blends on the merged state, its steps
+    going to ``record`` when given (``BlockGroup.blend``).
 
     Splits and occlusion counts are settled here, from the state: only
     folds kill before the tail, a fold at its chunk's hi and the tail
@@ -779,17 +771,14 @@ def _blend_group(
     chunks = _chunk_bounds(split.copy(), cfg.z_tiles) if cfg.z_tiles > 1 else []
     untouched = np.ones(len(grp.block_tile), dtype=bool)
     chunking = np.ones(len(m), dtype=bool)
-    # chunks per pass: _pass_rows, fewer when one tile's rows are over GROUP_MAX_PX
-    per = max(1, min(_pass_rows(cfg), GROUP_MAX_PX // grp.valid.size))
-    for k in range(0, len(chunks), per):
-        if switching:  # one chunk per pass
-            lo, hi = chunks[k]
+    for lo, hi in chunks:
+        if switching:
             dead = ((state.T < eps_t) & grp.valid).reshape(len(m), -1)
             over = chunking & (np.count_nonzero(dead, axis=1) > theta * grp.tile_px)
             split[over] = lo[over]
             chunking &= ~over
-            chunks[k] = (lo, np.where(chunking, hi, lo))  # a switched tile chunks no more
-        grp.blend_chunks(state, chunks[k : k + per], eps_t, untouched)
+            hi = np.where(chunking, hi, lo)  # a switched tile chunks no more
+        grp.blend_chunk(state, lo, hi, eps_t, untouched)
     grp.blend(state, split if chunks else np.zeros_like(m), m, eps_t, record)
 
     if switching and not chunks:
@@ -829,23 +818,18 @@ def _occlusion_splits(
     return split
 
 
-def _tile_groups(binning: TileBinning, side: int, rows: int = 1) -> list[range]:
+def _tile_groups(binning: TileBinning, side: int) -> list[range]:
     """Runs of consecutive tiles whose blocks hold at most GROUP_MAX_PX pixels.
 
-    Every tile has the same grid of blocks of at most ``side`` px, padding
-    included.  ``rows`` counts how many pixel rows a pass holds per block
-    (one per depth chunk when the chunks blend in one pass).  A tile
-    larger than the cap is a group of its own.
+    Every tile has the same grid of blocks of at most ``side`` px, and
+    a pass blends one row per block, so a group's blocks, padding
+    included, bound every pass.  A tile larger than the cap is a group
+    of its own.
     """
     bh, bw = _block_side(binning.tile_h, side), _block_side(binning.tile_w, side)
     tile_px = -(-binning.tile_h // bh) * bh * -(-binning.tile_w // bw) * bw
-    per = max(1, GROUP_MAX_PX // (tile_px * rows))
+    per = max(1, GROUP_MAX_PX // tile_px)
     return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
-
-
-def _pass_rows(cfg: RenderConfig) -> int:
-    """Rows per block in a lockstep pass: K when the depth chunks blend in one pass."""
-    return 1 if cfg.hybrid == "occlusion_threshold" else cfg.z_tiles
 
 
 def _count(
@@ -930,7 +914,7 @@ def block_groups(scene: GaussianScene, cam: Camera, cfg: RenderConfig) -> Iterat
     """
     cfg.validate()
     _, _, binning, _, table, side = _prepare(scene, cam, cfg)
-    for tiles in _tile_groups(binning, side, _pass_rows(cfg)):
+    for tiles in _tile_groups(binning, side):
         yield BlockGroup(table, tiles, side)
 
 
@@ -972,7 +956,7 @@ def render(
             grp.paste(state.T, t_final)
         return split, occluded, steps
 
-    groups = _tile_groups(binning, side, _pass_rows(cfg))
+    groups = _tile_groups(binning, side)
     if cfg.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(run_group, groups))

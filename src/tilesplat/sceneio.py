@@ -223,7 +223,10 @@ def load_cameras(path: str | Path) -> list[tuple[Camera, str | None]]:
             height=int(entry["height"]),
             **num,
         )
-        out.append((cam, entry.get("image_path")))
+        image_path = entry.get("image_path")
+        if image_path is not None and not isinstance(image_path, str):
+            raise ValueError(f"camera {i}: image_path must be a string")
+        out.append((cam, image_path))
     return out
 
 

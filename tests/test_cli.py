@@ -475,6 +475,53 @@ def test_analyze_rejects_n_below_one(tmp_path, capsys, report, n):
     assert not out.exists()
 
 
+def test_analyze_scene_without_cameras_is_a_usage_error(workdir, capsys):
+    rc = main(["analyze", "--report", "tile-sweep", "--scene", str(workdir / "scene.ply")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --scene needs --cameras for the viewpoint\n"
+
+
+def test_analyze_empty_camera_file_names_it(workdir, capsys):
+    cams = workdir / "none.json"
+    save_cameras(cams, [])
+    rc = main([
+        "analyze", "--report", "tile-sweep",
+        "--scene", str(workdir / "scene.ply"), "--cameras", str(cams),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: camera file {cams} holds no cameras\n"
+
+
+def test_train_rejects_non_string_image_path(workdir, capsys):
+    cams = json.loads((workdir / "cams.json").read_text())
+    cams[0]["image_path"] = 5
+    (workdir / "cams.json").write_text(json.dumps(cams))
+    out = workdir / "run"
+    rc = main([
+        "train", "--scene", str(workdir / "scene.ply"),
+        "--cameras", str(workdir / "cams.json"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: camera 0: image_path must be a string\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--background", "-1", "0", "0"], "background must be 3 finite non-negative values"),
+    (["--background", "nan", "0", "0"], "background must be 3 finite non-negative values"),
+])
+def test_checkgrad_rejects_bad_config_before_any_scene(capsys, flags, message):
+    rc = main(["checkgrad", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_analyze_n_sets_the_group_count(capsys):
     assert main(["analyze", "--report", "bank", "--n", "5"]) == 0
     assert "random_groups 5\n" in capsys.readouterr().out

@@ -508,13 +508,13 @@ def test_partial_edge_tiles():
     "tile", [(16, 16), (20, 20), (32, 32), (24, 40), (200, 200), (320, 320)]
 )
 def test_tile_groups_hold_at_most_the_cap_per_pass(tile, side):
-    """Every lockstep pass holds at most GROUP_MAX_PX block pixels: a
-    group's blocks, padding included, times the depth chunks it blends at
-    once.  Only a lone tile that exceeds the cap by itself, blending one
-    chunk, holds more.  20 px tiles pad to 21 px in 8 px blocks (3 of 7
-    px) but not in 16 px ones (2 of 10 px), so groups sized for the wrong
-    side overflow the cap: the image has more 20 px tiles than fit in
-    one group."""
+    """Every lockstep pass blends one row per block of its group, so it
+    holds at most GROUP_MAX_PX block pixels, padding included, under
+    every schedule.  Only a lone tile that exceeds the cap by itself
+    holds more.  20 px tiles pad to 21 px in 8 px blocks (3 of 7 px) but
+    not in 16 px ones (2 of 10 px), so groups sized for the wrong side
+    overflow the cap: the image has more 20 px tiles than fit in one
+    group."""
     from unittest import mock
 
     from tilesplat import forward
@@ -524,35 +524,31 @@ def test_tile_groups_hold_at_most_the_cap_per_pass(tile, side):
     cam = make_camera(320, 256)
     scene = random_scene(rng, 50, cam)
     binning = bin_and_sort(preprocess(scene, cam)[0], tile, (320, 256))
-    blend, blend_chunks = forward.BlockGroup.blend, forward.BlockGroup.blend_chunks
     block = (forward._block_side(tile[1], side), forward._block_side(tile[0], side))
     tile_px = -(-tile[1] // block[0]) * block[0] * -(-tile[0] // block[1]) * block[1]
+    groups = forward._tile_groups(binning, side)
+    assert [t for g in groups for t in g] == list(range(binning.n_tiles))
+    for g in groups:
+        assert len(g) * tile_px <= forward.GROUP_MAX_PX or len(g) == 1
+
+    lockstep = forward.BlockGroup._lockstep
     passes = []
 
-    def spy_blend(self, state, *args):
-        passes.append((len(self.m), self.valid.size, 1, self.block))
-        return blend(self, state, *args)
-
-    def spy_blend_chunks(self, state, chunks, *args):
-        passes.append((len(self.m), self.valid.size, len(chunks), self.block))
-        return blend_chunks(self, state, chunks, *args)
+    def spy(self, blocks, *args):
+        one_row_each = len(np.unique(blocks)) == len(blocks)
+        passes.append((len(self.m), self.valid.size, one_row_each, self.block))
+        return lockstep(self, blocks, *args)
 
     for z_tiles in (1, 2, 4, 8):
-        groups = forward._tile_groups(binning, side, z_tiles)
-        assert [t for g in groups for t in g] == list(range(binning.n_tiles))
-        for g in groups:
-            assert len(g) * tile_px * z_tiles <= forward.GROUP_MAX_PX or len(g) == 1
-        passes.clear()
-        with (
-            mock.patch.object(forward.BlockGroup, "blend", spy_blend),
-            mock.patch.object(forward.BlockGroup, "blend_chunks", spy_blend_chunks),
-            picking(side),
-        ):
-            render(scene, cam, RenderConfig(tile_size=tile, z_tiles=z_tiles))
-        assert len(passes) >= len(groups)
-        for tiles, px, chunks, got in passes:
-            assert got == block
-            assert px * chunks <= forward.GROUP_MAX_PX or (tiles == 1 and chunks == 1)
+        for hybrid in ("off", "fixed_fraction", "occlusion_threshold"):
+            passes.clear()
+            cfg = RenderConfig(tile_size=tile, z_tiles=z_tiles, hybrid=hybrid)
+            with mock.patch.object(forward.BlockGroup, "_lockstep", spy), picking(side):
+                render(scene, cam, cfg)
+            assert passes
+            for tiles, px, one_row_each, got in passes:
+                assert got == block and one_row_each
+                assert px <= forward.GROUP_MAX_PX or tiles == 1
 
 
 def workload_views(kind: str, seed: int):
@@ -715,3 +711,40 @@ def test_dead_blocks_leave_the_lockstep(kind, seed):
         render(scene, cam, cfg)
     entries = sum(len(g.pos) for g in forward.block_groups(scene, cam, cfg))
     assert 0 < sum(rows) <= entries / 2, (sum(rows), entries)
+
+
+@pytest.mark.parametrize("hybrid", ["off", "fixed_fraction"])
+@pytest.mark.parametrize("kind", ["opaque", "indoor"])
+def test_blocks_an_earlier_chunk_kills_blend_no_later_chunk(kind, hybrid):
+    """Depth chunks blend one per pass and a pass leaves out the blocks
+    with no live pixel, so behind opaque layers the chunk passes hand
+    ``_lockstep`` fewer block rows than there are (block, chunk) pairs
+    with an entry, which is what blending every chunk would cost."""
+    from unittest import mock
+
+    from tilesplat import forward
+    from tilesplat.synth import indoor_scene
+
+    cam = make_camera(128, 128)
+    scene = (opaque_foreground_scene if kind == "opaque" else indoor_scene)(
+        np.random.default_rng(0), cam
+    )
+    cfg = RenderConfig(tile_size=(32, 32), z_tiles=4, eps_t=1e-4, hybrid=hybrid)
+    lockstep = forward.BlockGroup._lockstep
+    rows = []
+
+    def spy(self, blocks, first, n, eps_t, state=None, record=None):
+        if state is None:  # a chunk pass: its rows start from the fresh state
+            rows.append(len(blocks))
+        return lockstep(self, blocks, first, n, eps_t, state, record)
+
+    with mock.patch.object(forward.BlockGroup, "_lockstep", spy):
+        render(scene, cam, cfg)
+    pairs = 0
+    for grp in forward.block_groups(scene, cam, cfg):
+        split = grp.m
+        if hybrid == "fixed_fraction":
+            split = np.ceil((1.0 - cfg.hybrid_fraction) * grp.m).astype(np.int64)
+        for lo, hi in _chunk_bounds(split, cfg.z_tiles):
+            pairs += np.count_nonzero(grp._at(hi) > grp._at(lo))
+    assert 0 < sum(rows) < pairs, (sum(rows), pairs)

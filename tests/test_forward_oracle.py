@@ -352,13 +352,12 @@ def test_chunk_folds_match_oracle(
     seed, n, w, h, tile, dtype, eps_t, z_tiles, hybrid, theta, threads, group_px, opaque,
     side,
 ):
-    """Depth chunks folded at write-back, all K in one pass unless the
-    occlusion-threshold hybrid is on, give the oracle's chunk-by-chunk
-    merge bit for bit: image, stats, occlusion counts, and every tile's
-    T, stop, counters and split.  Few splats make lists shorter than K;
-    group caps of one tile and of a few tiles split K-row passes across
-    groups, which threads=2 blends on a pool.  Blocks of either side
-    give the same bits."""
+    """Depth chunks folded at write-back, one chunk per pass, give the
+    oracle's chunk-by-chunk merge bit for bit: image, stats, occlusion
+    counts, and every tile's T, stop, counters and split.  Few splats
+    make lists shorter than K; group caps of one tile and of a few tiles
+    split the view into many groups, which threads=2 blends on a pool.
+    Blocks of either side give the same bits."""
     scene, cam = opaque_or_small_scene(seed, n, w, h, opaque)
     cfg = RenderConfig(
         tile_size=tile, z_tiles=z_tiles, eps_t=eps_t, hybrid=hybrid,

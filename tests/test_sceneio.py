@@ -348,6 +348,26 @@ def test_cameras_matrix_rejects_strings_and_bools(tmp_path, value):
         load_cameras(path)
 
 
+@pytest.mark.parametrize("value", [5, True, ["img.ppm"], {"path": "img.ppm"}])
+def test_cameras_reject_non_string_image_path(tmp_path, value):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)] * 2, ["a.ppm", "b.ppm"])
+    entries = json.loads(path.read_text())
+    entries[1]["image_path"] = value
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="^camera 1: image_path must be a string$"):
+        load_cameras(path)
+
+
+def test_cameras_allow_absent_and_null_image_path(tmp_path):
+    path = tmp_path / "cams.json"
+    save_cameras(path, [make_camera(16, 16)] * 2)
+    entries = json.loads(path.read_text())
+    entries[1]["image_path"] = None
+    path.write_text(json.dumps(entries))
+    assert [p for _, p in load_cameras(path)] == [None, None]
+
+
 def test_cameras_accept_integral_float_size(tmp_path):
     path = tmp_path / "cams.json"
     save_cameras(path, [make_camera(64, 48)])
