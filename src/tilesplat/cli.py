@@ -211,10 +211,26 @@ def _analysis_scene(args, rng: np.random.Generator, default_kind: str):
     return cam, random_scene(rng, 256 if args.n is None else args.n, cam)
 
 
+def _check_scene_flags(args) -> None:
+    """Reject the scene flags that ``args.report`` would ignore, naming the flag."""
+    given = [
+        flag for flag, value in
+        (("--scene", args.scene), ("--cameras", args.cameras), ("--synthetic", args.synthetic))
+        if value is not None
+    ]
+    if args.report == "bank" and given:
+        raise _UsageError(f"{given[0]} does not apply to --report bank, which reads no scene")
+    if args.scene is not None and args.synthetic is not None:
+        raise _UsageError("--synthetic does not apply with --scene")
+    if args.cameras is not None and args.scene is None:
+        raise _UsageError("--cameras needs --scene")
+
+
 def cmd_analyze(args) -> int:
     rng = np.random.default_rng(args.seed)
     threads = 1 if args.threads is None else args.threads
     _validated(RenderConfig(threads=threads, hybrid_fraction=args.fraction))
+    _check_scene_flags(args)
     lines: list[str] = []
 
     if args.report == "tile-sweep":

@@ -79,13 +79,20 @@ from every entry's clipped window and, under the hybrids, from the
 splits and an image of each pixel's stop (``execmodel.count_evals``),
 so they count window pixels, never a block's padding.
 
-A render clips every entry's window to its tile once (``SplatTable``).
-Tiles are blended in groups of whole tiles, in tile order, whose
-blocks hold at most GROUP_MAX_PX pixels, padding included; only a tile
-larger than the cap on its own holds more.  A group takes its slice
-of the view's entries and windows, is blended to the end and is
-composited into the image before the next one starts, which bounds the
-memory a render holds; with threads > 1 the groups run on a pool.
+A render clips every entry's window to its tile once (``SplatTable``),
+and computes once per splat the float64 terms that ``can_blend`` reads
+(``preprocess.blend_terms``).  Tiles are blended in groups of whole
+tiles, in tile order, whose blocks hold at most GROUP_MAX_PX pixels,
+padding included; only a tile larger than the cap on its own holds
+more.  A group takes its slice of the view's entries and windows and
+builds its block lists in runs of whole tiles of about PAIR_SLICE
+(entry, block) pairs: each run's pairs are expanded, pruned with
+``can_blend`` and stable-sorted by block before the next run starts,
+so the set-up's temporaries are a few arrays of a run's length that
+stay in cache, not some 30 passes over the group's whole pair arrays.
+A group is then blended to the end and composited into the image
+before the next one starts, which bounds the memory a render holds;
+with threads > 1 the groups run on a pool.
 With ``want_trace`` each lockstep step also records the image pixels
 it blended and their alpha, with one view-wide entry and pair count per
 block row (``BlockGroup.blend``); ``ForwardTrace.steps`` keeps the
@@ -113,6 +120,7 @@ from .preprocess import (
     SplatBatch,
     TileBinning,
     bin_and_sort,
+    blend_terms,
     can_blend,
     preprocess,
 )
@@ -137,6 +145,14 @@ ROW_PX = 32
 # Block pixels per tile group.  It bounds the (blocks, pixels) arrays of
 # one lockstep step, and with them the process's peak memory.
 GROUP_MAX_PX = 1 << 16
+# (entry, block) pairs a group expands and prunes at a time (``BlockGroup``).
+# A run's temporaries, some 20 arrays of one float64 or int32 per pair, then
+# stay in a core's L2 cache.  On a render_many_tiles-shaped view (23 k pairs
+# in one group, 2-core Xeon sandbox) 2048 pairs built the lists 1.15x slower
+# (tracemalloc peak 3.0x what the group keeps), 4096 pairs peaked at 3.7x,
+# 8192 pairs ran 1.02-1.07x slower (5.4x) and the whole group at once
+# 1.26-1.37x slower (10.7x).
+PAIR_SLICE = GROUP_MAX_PX // 16
 
 _HYBRID_MODES = ("off", "fixed_fraction", "occlusion_threshold")
 
@@ -263,16 +279,17 @@ def clip_windows(boxes: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
 
     ``rect`` is one (x0, y0, x1, y1) or one per box, shape (n, 4).  An
     empty window becomes the inverted box (x1, y1, x0, y0) of its rect,
-    which never widens a bounding box, and has area 0.
+    which never widens a bounding box, and has area 0.  The windows are
+    stored coordinate by coordinate, so ``win.T`` is four contiguous rows.
     """
-    rect = np.broadcast_to(np.asarray(rect, dtype=np.int64), (len(boxes), 4))
-    win = boxes.astype(np.int64)  # a copy
-    np.maximum(win[:, :2], rect[:, :2], out=win[:, :2])
-    np.minimum(win[:, 2:], rect[:, 2:], out=win[:, 2:])
-    empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
-    win[empty] = rect[empty][:, [2, 3, 0, 1]]
-    area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
-    return win, area
+    rect = np.broadcast_to(np.asarray(rect, dtype=np.int64), (len(boxes), 4)).T
+    win = np.array(boxes.T, dtype=np.int64, order="C")  # a copy, (4, n)
+    np.maximum(win[:2], rect[:2], out=win[:2])
+    np.minimum(win[2:], rect[2:], out=win[2:])
+    empty = (win[0] >= win[2]) | (win[1] >= win[3])
+    win[:, empty] = rect[:, empty][[2, 3, 0, 1]]
+    area = np.where(empty, 0, (win[2] - win[0]) * (win[3] - win[1]))
+    return win.T, area
 
 
 def _block_side(tile_side: int, side: int) -> int:
@@ -308,19 +325,21 @@ class SplatTable:
 
     ``params`` (n, 9) holds each splat's blend-dtype mean, conic, opacity
     and rgb: the row a block-list entry carries into the kernel.
-    ``splat64`` (6, n) holds the same mean, conic and opacity as float64
-    rows, the columns ``preprocess.can_blend`` reads.  Tile t's list is
-    ``order[offsets[t]:offsets[t + 1]]`` and its pixels ``rects[t]``
+    ``terms`` (9, n) holds what ``preprocess.can_blend`` reads of each
+    splat, from the same mean, conic and opacity in float64
+    (``preprocess.blend_terms``), so the divisions and the logarithm
+    run once per splat, not once per (entry, block) pair.  Tile t's list
+    is ``order[offsets[t]:offsets[t + 1]]`` and its pixels ``rects[t]``
     (x0, y0, x1, y1), a rect of ``tile_size`` (w, h) clipped by the
     image, as in ``TileBinning``; ``win`` and ``area`` are every entry's
-    box clipped to its tile (``clip_windows``).  Records number image
-    pixels in rows of ``image_w``.
+    box clipped to its tile (``clip_windows``, coordinate by coordinate
+    in memory).  Records number image pixels in rows of ``image_w``.
     """
 
     def __init__(self, batch: SplatBatch, order, offsets, rects, tile_size, image_w: int):
         self.dtype = batch.mean2.dtype
         self.params = np.column_stack((batch.mean2, batch.conic, batch.opacity, batch.rgb))
-        self.splat64 = np.ascontiguousarray(self.params[:, :6].T, dtype=np.float64)
+        self.terms = blend_terms(self.params[:, :6].T.astype(np.float64))
         self.order, self.offsets, self.rects = order, offsets, rects
         self.tile_size, self.image_w = tile_size, image_w
         tile = np.repeat(np.arange(len(rects)), np.diff(offsets))
@@ -338,16 +357,24 @@ class BlockGroup:
     columns and rows.  A block's pixels outside its tile's rect (which
     may be clipped by the image edge) are padding; ``valid`` marks the
     others.  The group's entries are its slice of the table's: their
-    clipped windows ``win``, areas and splat parameters ``params``, with
-    ``m`` entries per tile from ``entry_off``.  A block's list holds the
-    entries whose window meets the block (``aabb_pairs`` such pairs in
-    the group) and that can blend there (``preprocess.can_blend``).
-    Block lists are stored concatenated, block by block, each in list
-    order: the group entry, its window in block-local coordinates and
-    its tile list position; ``_at`` finds a block's entry at a list
-    position.  A record names a pixel by its image index
+    clipped windows ``win``, areas and splat rows ``splat`` of the
+    table's ``params``, with ``m`` entries per tile from ``entry_off``.
+    A block's list holds the entries whose window meets the block
+    (``aabb_pairs`` such pairs in the group) and that can blend there
+    (``preprocess.can_blend``).  Block lists are stored concatenated,
+    block by block, each in list order: the group entry, its window in
+    block-local coordinates ``lwin`` (entries, 4), stored column by
+    column, and its tile list position; ``_at`` finds a block's entry at
+    a list position.  A record names a pixel by its image index
     y * ``image_w`` + x and an entry by ``first_entry`` + its group
     entry: its position in the view's ``order``.
+
+    The lists are built in runs of whole tiles of about PAIR_SLICE
+    (entry, block) pairs, one run at a time: the run's entries are
+    expanded into their pairs in entry order, each pair's window cut
+    to its block is tested with ``can_blend``, and the kept pairs are
+    stable-sorted by block, which keeps list order.  A tile's blocks
+    lie in one run, so the runs' lists concatenate in block order.
     """
 
     def __init__(self, table: SplatTable, tiles: range, side: int):
@@ -383,50 +410,65 @@ class BlockGroup:
         self.first_entry = int(offsets[0])  # a Python int keeps the record's entries int32
         self.entry_off = offsets - offsets[0]
         self.m = np.diff(offsets)
-        etile = np.repeat(np.arange(nt), self.m)
+        etile = np.repeat(np.arange(nt, dtype=np.int32), self.m)
         splat = table.order[es]
         self.win, self.area = table.win[es], table.area[es]
 
-        # Expand each entry into the blocks its window meets, span_c by
-        # span_r of them from block (r0, c0) of its tile; pair order is
-        # entry order.
-        ex0, ey0 = x0[etile], y0[etile]
-        c0 = (self.win[:, 0] - ex0) // bw
-        r0 = (self.win[:, 1] - ey0) // bh
-        span_c = -(-(self.win[:, 2] - ex0) // bw) - c0
-        span_r = -(-(self.win[:, 3] - ey0) // bh) - r0
-        count = np.where(self.area > 0, span_c * span_r, 0)
-        e = np.repeat(np.arange(len(splat), dtype=np.int32), count)
-        k = np.arange(len(e), dtype=np.int32) - np.repeat(
-            (np.cumsum(count) - count).astype(np.int32), count
-        )
-        dr, dc = np.divmod(k, span_c.astype(np.int32)[e])
-        del k
-        blk = (self.block_off[etile] + r0 * nbx + c0).astype(np.int32)[e] + dr * nbx + dc
-        # each pair's block origin, and the window cut to the block
-        ox = (ex0 + c0 * bw).astype(np.int32)[e] + dc * bw
-        oy = (ey0 + r0 * bh).astype(np.int32)[e] + dr * bh
-        del dr, dc
-        wx0, wy0, wx1, wy1 = self.win.astype(np.int32).T
-        rect = (
-            np.maximum(wx0[e], ox),
-            np.maximum(wy0[e], oy),
-            np.minimum(wx1[e], ox + bw),
-            np.minimum(wy1[e], oy + bh),
-        )
-        # Keep a pair only where the entry can blend in block and window,
-        # then order the pairs by block; the stable sort keeps list order.
-        keep = np.flatnonzero(can_blend(np.take(table.splat64, splat[e], axis=1), rect))
-        self.aabb_pairs = len(e)
-        keep = keep[np.argsort(blk[keep], kind="stable")]
-        lwin = np.empty((len(keep), 4), dtype=np.int8)
-        for j, (r, o) in enumerate(zip(rect, (ox, oy, ox, oy))):
-            lwin[:, j] = r[keep] - o[keep]
-        self.lwin = lwin
-        del rect, ox, oy
-        blk, e = blk[keep], e[keep]
-        self.params = np.take(table.params, splat, axis=0)
+        # Expand each entry into the blocks its window meets, span[0] by
+        # span[1] of them from block (c0, r0) of its tile, the first at
+        # pixel org; pair order is entry order.  Runs of whole tiles of
+        # about PAIR_SLICE pairs are expanded, pruned and ordered by block
+        # one at a time, so every per-pair temporary stays small.
+        step = np.array([[bw], [bh]], dtype=np.int32)
+        win = self.win.T.astype(np.int32)  # (4, entries): x0, y0, x1, y1
+        org = np.repeat(rects[:, :2].T.astype(np.int32), self.m, axis=1)  # tile origins
+        c0r0 = (win[:2] - org) // step
+        span = -(-(win[2:] - org) // step) - c0r0
+        count = span[0] * span[1]
+        count[self.area == 0] = 0
+        end = np.cumsum(count, dtype=np.int32)
+        org += c0r0 * step
+        # per entry, one column each: its window, org, first pair, span[0],
+        # first block and index
+        ent = np.column_stack((
+            *win, *org, end - count, span[0], etile * (nby * nbx) + c0r0[1] * nbx + c0r0[0],
+            np.arange(len(splat), dtype=np.int32),
+        ))
+        del win, org, c0r0, span
+        self.aabb_pairs = int(end[-1]) if len(end) else 0
+        cut = [0, len(splat)]
+        if self.aabb_pairs > PAIR_SLICE:  # cut before the tiles that start a run
+            pairs_before = np.concatenate(([0], end))[self.entry_off]
+            at = np.searchsorted(pairs_before, range(PAIR_SLICE, self.aabb_pairs, PAIR_SLICE))
+            cut[1:1] = self.entry_off[at].tolist()
+        blk_dt = np.uint16 if nb <= 1 << 16 else np.int32  # uint16 sorts by radix
+        parts = []
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            if lo == hi:
+                continue
+            pairs = np.repeat(ent[lo:hi], count[lo:hi], axis=0).T
+            k = np.arange(end[lo] - count[lo], end[hi - 1], dtype=np.int32) - pairs[6]
+            dr, dc = np.divmod(k, pairs[7])
+            org = pairs[4:6] + np.stack((dc, dr)) * step  # each pair's block origin
+            rect = np.concatenate((np.maximum(pairs[:2], org), np.minimum(pairs[2:4], org + step)))
+            dr *= nbx
+            dr += dc
+            dr += pairs[8]  # each pair's block
+            e = pairs[9].copy()
+            del pairs, k, dc  # the expansion is freed here
+            keep = np.flatnonzero(can_blend(table.terms, splat[e], rect))
+            blk = dr[keep].astype(blk_dt)
+            by_blk = np.argsort(blk, kind="stable")  # keeps list order
+            keep = keep[by_blk]
+            lwin = np.take(rect, keep, axis=1).reshape(2, 2, -1) - np.take(org, keep, axis=1)
+            parts.append((blk[by_blk], e[keep], lwin.reshape(4, -1).astype(np.int8)))
+        if parts:
+            blk, e, lwin = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        else:
+            blk, e, lwin = np.zeros(0, blk_dt), np.zeros(0, np.int32), np.zeros((4, 0), np.int8)
         self.entry = e
+        self.lwin = lwin.T  # column by column, for ``_lockstep``
+        self.params, self.splat = table.params, splat
         self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
         # Block-list entries by (block, list position), for ``_at``; int32
         # when every key fits.
@@ -573,9 +615,11 @@ class BlockGroup:
         Step k blends the k-th entry of every row whose span is longer
         than k.  Rows are sorted by span length, longest first, so those
         are the first n_at[k], and the entries are laid out step by step
-        (``pidx``) so each step reads one slice of their parameters and
-        in-window masks: an entry's block columns (bw, entries) and
-        rows (bh, entries) that lie in its window, built once per call.
+        (``pidx``, one slice of the sorted starts per step) so each step
+        reads one slice of their parameter rows and in-window masks: an
+        entry's block columns (bw, entries) and rows (bh, entries) that
+        lie in its window, built once per call.  A step reads its
+        parameters through a transposed view, (9, rows), with no copy.
         Alpha is built from per-column and per-row terms
         (``_block_alpha``).  The rows blended are held in copies of
         their state.  Once at least an eighth of the held rows have no
@@ -584,24 +628,21 @@ class BlockGroup:
         are checked for liveness only once one of them has died.
         """
         by_len = np.argsort(-n, kind="stable")
-        blocks, lens = blocks[by_len], n[by_len]
+        blocks, lens, first = blocks[by_len], n[by_len], first[by_len]
         steps = int(lens[0])
         n_at = np.searchsorted(-lens, -np.arange(steps + 1), side="left")
         step_off = np.concatenate(([0], np.cumsum(n_at[:-1])))
-        slot = np.repeat(np.arange(len(blocks)), lens)
-        rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
-        pidx = np.empty(len(slot), dtype=np.int64)
-        pidx[step_off[rank] + slot] = first[by_len][slot] + rank
-        del slot, rank
+        pidx = np.concatenate([first[: n_at[k]] + k for k in range(steps)])
         entry = self.entry[pidx]
-        # one column per entry, so a step's parameters and windows are slices
-        params = np.take(self.params, entry, axis=0).T.copy()  # take: faster than [] on narrow rows
-        lwin = np.take(self.lwin, pidx, axis=0)
+        # the entries' parameter rows; take: faster than [] on narrow rows
+        params = np.take(self.params, self.splat[entry], axis=0)
+        # one column per entry, so a step's windows are slices
+        lwin = np.take(self.lwin.T, pidx, axis=1)
         bh, bw = self.block
         in_x = np.arange(bw, dtype=np.int8)[:, None]
-        in_x = (in_x >= lwin[:, 0]) & (in_x < lwin[:, 2])  # (bw, entries)
+        in_x = (in_x >= lwin[0]) & (in_x < lwin[2])  # (bw, entries)
         in_y = np.arange(bh, dtype=np.int8)[:, None]
-        in_y = (in_y >= lwin[:, 1]) & (in_y < lwin[:, 3])  # (bh, entries)
+        in_y = (in_y >= lwin[1]) & (in_y < lwin[3])  # (bh, entries)
         del lwin
         stop_at = self.pos[pidx] + 1 if eps_t > 0.0 else None
         if record is not None:
@@ -630,12 +671,12 @@ class BlockGroup:
             if gather:
                 a = int(np.searchsorted(held, n_at[k]))
                 rows = step_off[k] + held[:a]
-                p = np.take(params, rows, axis=1)
                 wx, wy = np.take(in_x, rows, axis=1), np.take(in_y, rows, axis=1)
             else:
                 a = int(n_at[k])
                 rows = slice(step_off[k], step_off[k] + a)
-                p, wx, wy = params[:, rows], in_x[:, rows], in_y[:, rows]
+                wx, wy = in_x[:, rows], in_y[:, rows]
+            p = params[rows].T
             Tk = T[:a]
             alpha = _block_alpha(xc[:, :a], yc[:, :a], p, wx, wy)
             hit = alpha >= ALPHA_MIN

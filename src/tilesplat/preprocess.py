@@ -11,8 +11,9 @@ Binning assigns each surviving splat to every tile its 3-sigma AABB
 overlaps and sorts the (tile, splat) pairs by (tile, depth, gaussian
 index), so every tile's list is one slice of a single array.
 ``can_blend`` tells whether a splat can blend at all (alpha =
-opacity * exp(-q/2) at least ALPHA_MIN) somewhere in a pixel rectangle;
-the forward pass uses it to prune its block lists.
+opacity * exp(-q/2) at least ALPHA_MIN) somewhere in a pixel rectangle,
+from terms computed once per splat (``blend_terms``); the forward pass
+uses it to prune its block lists.
 """
 
 from __future__ import annotations
@@ -92,53 +93,94 @@ def bounding_radius(a, b, c) -> np.ndarray:
     return BOUNDING_SIGMAS * np.sqrt(lam_max)
 
 
-def can_blend(splat: np.ndarray, rect) -> np.ndarray:
-    """Mask of the splats whose alpha can reach ALPHA_MIN in ``rect``.
+def blend_terms(splat: np.ndarray) -> np.ndarray:
+    """The float64 rows ``can_blend`` reads, per splat.
 
     ``splat`` (6, n) holds blend-dtype splat parameters as float64 rows:
-    mean x and y, conic a, b and c, and opacity.  ``rect`` is (x0, y0,
-    x1, y1), four integer arrays of n: one non-empty half-open pixel
-    rectangle per splat.  Over the rectangle of pixel centres, the
-    convex q has its minimum 0 when the mean lies inside, and otherwise
-    on an edge, where q is a parabola in the free offset.  False only
-    where no pixel can blend.
+    mean x and y, conic a, b and c, and opacity.  Returns (9, n): mean
+    x and y, a, 2b, c, the slopes -b/c and -b/a of q's least value along
+    a row and a column, 2 ln(opacity / ALPHA_MIN), and the margin's
+    factor 1e-5 (|a| + 2|b| + |c|).  They depend on the splat alone, so
+    a render computes them once per splat, not once per pixel rectangle.
     """
     mx, my, a, b, c, opacity = splat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack((
+            mx, my, a, 2 * b, c, -b / c, -b / a,
+            2.0 * np.log(opacity / ALPHA_MIN),
+            1e-5 * (np.abs(a) + 2 * np.abs(b) + np.abs(c)),
+        ))
+
+
+def can_blend(terms: np.ndarray, splat: np.ndarray, rect) -> np.ndarray:
+    """Mask of the rectangles in which their splat's alpha can reach ALPHA_MIN.
+
+    ``terms`` (9, m) are the ``blend_terms`` of m splats, ``splat`` (n,)
+    the splat of each rectangle and ``rect`` (x0, y0, x1, y1) four
+    integer arrays of n: non-empty half-open pixel rectangles.  Over a
+    rectangle of pixel centres, the convex q has its minimum 0 when the
+    mean lies inside, and otherwise on an edge, where q is a parabola
+    in the free offset.  False only where no pixel can blend.
+
+    The work is about 70 passes over arrays of one float64 per
+    rectangle, so it runs at the speed of memory: the temporaries are a
+    few buffers written in place, and a splat's terms are gathered per
+    rectangle only while they are used.  A caller with many rectangles
+    passes them in slices of a few thousand, which stay in cache.
+    """
     x0, y0, x1, y1 = rect
-    lx, ly = x0 + 0.5 - mx, y0 + 0.5 - my  # offsets of the first and last pixel centres
-    hx, hy = x1 - 0.5 - mx, y1 - 0.5 - my
-    q = np.where((lx <= 0) & (hx >= 0) & (ly <= 0) & (hy >= 0), 0.0, np.inf)
-    b2 = 2 * b
+    n = len(splat)
+    # lx ... hy: the offsets of the first and last pixel centres; d, t, u: scratch
+    lx, hx, ly, hy, d, t, u = np.empty((7, n))
+    mx, my = np.take(terms[:2], splat, axis=1)
+    np.add(x0, 0.5, out=lx)
+    lx -= mx
+    np.subtract(x1, 0.5, out=hx)
+    hx -= mx
+    np.add(y0, 0.5, out=ly)
+    ly -= my
+    np.subtract(y1, 0.5, out=hy)
+    hy -= my
+    del mx, my
+    inside = lx <= 0
+    inside &= hx >= 0
+    inside &= ly <= 0
+    inside &= hy >= 0
+    q = np.where(inside, 0.0, np.inf)
+    a, b2, c, slope_y, slope_x = np.take(terms[2:7], splat, axis=1)
 
     def edge_min(dx, dy):  # q = (a dx + 2b dy) dx + c dy dy into q's running minimum
-        t = a * dx
-        t += b2 * dy
-        t *= dx
-        u = c * dy
-        u *= dy
-        t += u
-        np.minimum(q, t, out=q)
+        np.add(np.multiply(a, dx, out=t), np.multiply(b2, dy, out=u), out=t)
+        np.multiply(t, dx, out=t)
+        np.multiply(np.multiply(c, dy, out=u), dy, out=u)
+        np.minimum(q, np.add(t, u, out=t), out=q)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = -b / c
+    with np.errstate(invalid="ignore"):
         for dx in lx, hx:  # left and right edges, dy free
-            dy = slope * dx
-            np.maximum(dy, ly, out=dy)
-            np.minimum(dy, hy, out=dy)
-            edge_min(dx, dy)
-        slope = -b / a
+            np.multiply(slope_y, dx, out=d)
+            np.maximum(d, ly, out=d)
+            np.minimum(d, hy, out=d)
+            edge_min(dx, d)
         for dy in ly, hy:  # top and bottom edges, dx free
-            dx = slope * dy
-            np.maximum(dx, lx, out=dx)
-            np.minimum(dx, hx, out=dx)
-            edge_min(dx, dy)
+            np.multiply(slope_x, dy, out=d)
+            np.maximum(d, lx, out=d)
+            np.minimum(d, hx, out=d)
+            edge_min(d, dy)
+    del a, b2, c, slope_y, slope_x
     # alpha reaches ALPHA_MIN exactly where q <= 2 ln(255 opacity); the margin
     # covers the blend dtype's rounding of q at offsets up to the farthest centre
-    reach2 = np.maximum(-lx, hx) ** 2 + np.maximum(-ly, hy) ** 2
-    margin = 1e-3 + 1e-5 * (np.abs(a) + 2 * np.abs(b) + np.abs(c)) * reach2
-    with np.errstate(divide="ignore"):
-        limit = 2.0 * np.log(opacity / ALPHA_MIN) + margin
-    return ~(q > limit)  # NaN keeps
+    log_reach, spread = np.take(terms[7:], splat, axis=1)
+    np.negative(lx, out=t)
+    np.maximum(t, hx, out=t)
+    t *= t
+    np.negative(ly, out=u)
+    np.maximum(u, hy, out=u)
+    u *= u
+    t += u  # the farthest centre's squared offset
+    t *= spread
+    t += 1e-3
+    t += log_reach
+    return np.logical_not(np.greater(q, t, out=inside), out=inside)  # NaN keeps
 
 
 def camera_projection(t: np.ndarray, cov3: np.ndarray, cam: Camera):
@@ -301,7 +343,9 @@ def bin_and_sort(
 
     The tile grid covers the image with partial tiles at the right/bottom
     edges.  Sorting uses the float64 depths so the traversal order is the
-    same no matter what dtype the blend itself runs in.
+    same no matter what dtype the blend itself runs in.  The splats are
+    sorted by (depth, index) once, and their (tile, splat) pairs, made in
+    that order, by tile with a stable sort.
     """
     tw, th = tile_size
     w, h = image_size
@@ -309,7 +353,8 @@ def bin_and_sort(
         raise ValueError("tile dimensions must be positive")
     nx = (w + tw - 1) // tw
     ny = (h + th - 1) // th
-    x0, y0, x1, y1 = (batch.aabb[:, k] for k in range(4))
+    by_depth = np.argsort(batch.depth, kind="stable")  # ties keep the index order
+    x0, y0, x1, y1 = batch.aabb[by_depth].T
     tx0 = x0 // tw
     tx1 = (x1 - 1) // tw + 1  # exclusive
     ty0 = y0 // th
@@ -317,7 +362,7 @@ def bin_and_sort(
     spans_x = tx1 - tx0
     counts = spans_x * (ty1 - ty0)  # tiles per splat
 
-    splat_ids = np.repeat(np.arange(batch.n, dtype=np.int64), counts)
+    splat_ids = np.repeat(by_depth, counts)
     # Local pair index within each splat's tile block, decoded to (dx, dy).
     starts = np.cumsum(counts) - counts
     local = np.arange(len(splat_ids), dtype=np.int64) - np.repeat(starts, counts)
@@ -326,6 +371,7 @@ def bin_and_sort(
     dy = local // sx
     tile_ids = (np.repeat(ty0, counts) + dy) * nx + np.repeat(tx0, counts) + dx
 
-    by_tile = np.lexsort((splat_ids, batch.depth[splat_ids], tile_ids))
+    key = np.uint16 if nx * ny <= 1 << 16 else np.int64  # uint16 sorts by radix
+    by_tile = np.argsort(tile_ids.astype(key), kind="stable")
     offsets = np.searchsorted(tile_ids[by_tile], np.arange(nx * ny + 1))
     return TileBinning(tw, th, nx, ny, w, h, splat_ids[by_tile], offsets)

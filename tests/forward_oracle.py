@@ -11,16 +11,22 @@ exactly (``np.array_equal``, not a tolerance).
 
 Color is held interleaved, (h, w, 3); ``planar`` converts it to the
 kernel's (3, h, w) layout for comparison.
+
+``block_lists`` is the per-pair expansion that ``BlockGroup`` once ran
+over whole groups: every (entry, block) pair expanded at once, its
+float64 splat parameters gathered per pair, the pruning bound
+evaluated over all of them and the kept pairs stable-sorted by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from tilesplat.execmodel import EvalCounters, OcclusionTrace, RenderStats
-from tilesplat.forward import ALPHA_MAX, ALPHA_MIN, RenderConfig, _chunk_bounds
+from tilesplat.forward import ALPHA_MAX, ALPHA_MIN, RenderConfig, _block_side, _chunk_bounds
 from tilesplat.preprocess import SplatBatch, bin_and_sort, preprocess
 
 from tile_kernel import tile_lists
@@ -258,3 +264,72 @@ def render(scene, cam, cfg: RenderConfig):
             total_pixels=w * h,
         )
     return img, stats, t_final, stop
+
+
+def can_blend(splat: np.ndarray, rect) -> np.ndarray:
+    """Mask of the (6, n) float64 splats (mean, conic, opacity) whose alpha
+    can reach ALPHA_MIN at a pixel centre of their rect (x0, y0, x1, y1):
+    q's least value over the rect, at the mean or on one of its four
+    edges, against 2 ln(255 opacity) plus a rounding margin."""
+    mx, my, a, b, c, opacity = splat
+    x0, y0, x1, y1 = rect
+    lx, ly = x0 + 0.5 - mx, y0 + 0.5 - my
+    hx, hy = x1 - 0.5 - mx, y1 - 0.5 - my
+    q = np.where((lx <= 0) & (hx >= 0) & (ly <= 0) & (hy >= 0), 0.0, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for dx in lx, hx:  # left and right edges, dy free
+            dy = np.clip(-b / c * dx, ly, hy)
+            q = np.minimum(q, (a * dx + 2 * b * dy) * dx + c * dy * dy)
+        for dy in ly, hy:  # top and bottom edges, dx free
+            dx = np.clip(-b / a * dy, lx, hx)
+            q = np.minimum(q, (a * dx + 2 * b * dy) * dx + c * dy * dy)
+    reach2 = np.maximum(-lx, hx) ** 2 + np.maximum(-ly, hy) ** 2
+    margin = 1e-3 + 1e-5 * (np.abs(a) + 2 * np.abs(b) + np.abs(c)) * reach2
+    with np.errstate(divide="ignore"):
+        limit = 2.0 * np.log(opacity / ALPHA_MIN) + margin
+    return ~(q > limit)  # NaN keeps
+
+
+def block_lists(table, tiles: range, side: int) -> SimpleNamespace:
+    """The block lists of tiles ``tiles`` of a ``SplatTable`` cut into blocks of
+    at most ``side`` px: ``entry``, ``lwin``, ``pos``, ``_key`` and ``aabb_pairs``
+    as ``BlockGroup`` holds them.
+
+    Every entry is expanded into the blocks its window meets, pair by pair
+    in entry order; a pair is kept where ``can_blend`` holds over the window
+    cut to the block, and the kept pairs are ordered by block, then entry.
+    """
+    tw, th = table.tile_size
+    bh, bw = _block_side(th, side), _block_side(tw, side)
+    nby, nbx = -(-th // bh), -(-tw // bw)
+    x0, y0 = table.rects[tiles.start : tiles.stop, :2].T.astype(np.int64)
+    offsets = table.offsets[tiles.start : tiles.stop + 1]
+    es = slice(offsets[0], offsets[-1])
+    m = np.diff(offsets)
+    etile = np.repeat(np.arange(len(m)), m)
+    win, area = table.win[es].astype(np.int64), table.area[es]
+    splat = table.order[es]
+
+    ex0, ey0 = x0[etile], y0[etile]
+    c0, r0 = (win[:, 0] - ex0) // bw, (win[:, 1] - ey0) // bh
+    span_c = -(-(win[:, 2] - ex0) // bw) - c0
+    span_r = -(-(win[:, 3] - ey0) // bh) - r0
+    count = np.where(area > 0, span_c * span_r, 0)
+    e = np.repeat(np.arange(len(splat)), count)
+    k = np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)
+    dr, dc = np.divmod(k, span_c[e])
+    blk = (etile * (nby * nbx) + r0 * nbx + c0)[e] + dr * nbx + dc
+    ox, oy = (ex0 + c0 * bw)[e] + dc * bw, (ey0 + r0 * bh)[e] + dr * bh
+    rect = (
+        np.maximum(win[e, 0], ox), np.maximum(win[e, 1], oy),
+        np.minimum(win[e, 2], ox + bw), np.minimum(win[e, 3], oy + bh),
+    )
+    splat64 = table.params[:, :6].T.astype(np.float64)
+    keep = np.flatnonzero(can_blend(splat64[:, splat[e]], rect))
+    keep = keep[np.argsort(blk[keep], kind="stable")]
+    lwin = np.stack([r[keep] - o[keep] for r, o in zip(rect, (ox, oy, ox, oy))], axis=1)
+    pos = (np.arange(len(splat)) - (offsets - offsets[0])[etile])[e[keep]]
+    stride = int(m.max(initial=0)) + 1
+    return SimpleNamespace(
+        entry=e[keep], lwin=lwin, pos=pos, _key=blk[keep] * stride + pos, aabb_pairs=len(e),
+    )

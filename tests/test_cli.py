@@ -223,8 +223,9 @@ def test_train_rejects_missing_targets(workdir):
     ("hybrid", "savings_fraction"),
 ])
 def test_analyze_reports(report, needle, capsys, tmp_path):
-    args = ["analyze", "--report", report, "--synthetic", "indoor",
-            "--out", str(tmp_path / "report.txt")]
+    args = ["analyze", "--report", report, "--out", str(tmp_path / "report.txt")]
+    if report != "bank":  # the bank report reads no scene
+        args += ["--synthetic", "indoor"]
     if report == "tile-sweep":
         args += ["--n", "200"]
     rc = main(args)
@@ -525,3 +526,33 @@ def test_checkgrad_rejects_bad_config_before_any_scene(capsys, flags, message):
 def test_analyze_n_sets_the_group_count(capsys):
     assert main(["analyze", "--report", "bank", "--n", "5"]) == 0
     assert "random_groups 5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--report", "bank", "--scene", "/nonexistent.ply", "--n", "3"],
+     "--scene does not apply to --report bank, which reads no scene"),
+    (["--report", "bank", "--synthetic", "indoor"],
+     "--synthetic does not apply to --report bank, which reads no scene"),
+    (["--report", "tile-sweep", "--cameras", "/nonexistent.json"], "--cameras needs --scene"),
+    (["--report", "occlusion", "--cameras", "/nonexistent.json", "--synthetic", "indoor"],
+     "--cameras needs --scene"),
+])
+def test_analyze_rejects_scene_flags_it_would_ignore(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.txt"
+    rc = main(["analyze", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_analyze_rejects_synthetic_with_a_file_scene(workdir, capsys):
+    rc = main([
+        "analyze", "--report", "tile-sweep", "--synthetic", "outdoor",
+        "--scene", str(workdir / "scene.ply"), "--cameras", str(workdir / "cams.json"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --synthetic does not apply with --scene\n"

@@ -658,6 +658,36 @@ def test_block_list_key_finds_the_starts_of_an_int64_key(side):
         assert np.array_equal(grp._at(pos), wide._at(pos))
 
 
+def test_block_list_setup_peaks_near_what_the_group_keeps():
+    """Building the block lists of a render_many_tiles-shaped view (about
+    23 k (entry, block) pairs in one group) peaks at most 4x the memory the
+    group keeps, because pairs are expanded and pruned a run at a time;
+    expanding the whole group at once peaked at 7.3x.  The lists are the
+    whole-group expansion's all the same."""
+    import gc
+    import tracemalloc
+
+    import forward_oracle as oracle
+    from tilesplat import forward
+
+    scene, cams = workload_views("many_tiles", 901)
+    cfg = RenderConfig(tile_size=(16, 16))
+    _, _, binning, _, table, side = forward._prepare(scene, cams[1], cfg)
+    (tiles,) = forward._tile_groups(binning, side)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grp = forward.BlockGroup(table, tiles, side)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grp.aabb_pairs > 20_000
+    assert peak <= 4 * kept, f"peak {peak / 1024:.0f} KiB, kept {kept / 1024:.0f} KiB"
+    want = oracle.block_lists(table, tiles, side)
+    for name in ("entry", "lwin", "pos", "_key"):
+        assert np.array_equal(getattr(grp, name), getattr(want, name)), name
+
+
 def test_block_groups_are_the_groups_render_blends():
     """``block_groups`` builds, without blending, the block lists that a
     traced render records its steps over."""

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import forward_oracle as oracle
 from tile_kernel import (
-    blend_tile_span, fresh_state, picking, render_tiles, tile_lists, view_table,
+    blend_tile_span, fresh_state, one_tile, picking, render_tiles, tile_lists, view_table,
 )
 from tilesplat import forward
 from tilesplat.execmodel import EvalCounters, count_evals
@@ -321,6 +322,58 @@ def test_block_lists_keep_every_entry_that_blends(seed, n, w, h, tile, dtype, si
         blends = np.flatnonzero(((alpha >= forward.ALPHA_MIN) & inside).any(axis=1))
         assert np.isin(blends, kept).all()
         assert inside[kept].any(axis=1).all()
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 25),
+    w=st.integers(4, 72),
+    h=st.integers(4, 72),
+    tile=TILE,
+    dtype=DTYPE,
+    side=SIDE,
+    one_list=st.booleans(),
+    group_px=st.sampled_from([forward.GROUP_MAX_PX, 1, 700]),
+    pair_slice=st.sampled_from([forward.PAIR_SLICE, 1, 5, 40]),
+    wide_keys=st.booleans(),
+)
+def test_block_lists_match_the_oracle(
+    seed, n, w, h, tile, dtype, side, one_list, group_px, pair_slice, wide_keys
+):
+    """Every group's block lists equal the whole-group per-pair expansion
+    of ``forward_oracle.block_lists``: entries, block-local windows, list
+    positions, (block, position) keys and (entry, block) pair counts.
+    Odd tile sides clip at the image edge and sparse scenes leave tiles
+    with empty lists; one tile listing every splat holds entries with
+    empty windows; a group cap of one pixel makes every tile a lone group
+    over the cap; small slices cut a group's pairs into many runs; and a
+    key bound of 0 takes the int64 keys."""
+    scene, cam = needle_scene(seed, n, w, h)
+    batch64, _ = preprocess(scene, cam)
+    batch = batch64.astype(dtype)
+    binning = bin_and_sort(batch64, tile, (w, h))
+    if one_list:
+        rect = binning.rects()[binning.n_tiles // 2]
+        table = one_tile(batch, np.argsort(batch64.depth, kind="stable"), rect, w, tile)
+        groups = [range(1)]
+    else:
+        table = view_table(batch, binning)
+        with mock.patch.object(forward, "GROUP_MAX_PX", group_px):
+            groups = forward._tile_groups(binning, side)
+    iinfo = np.iinfo
+    bound = SimpleNamespace(max=0)
+    with (
+        mock.patch.object(forward, "PAIR_SLICE", pair_slice),
+        mock.patch.object(forward.np, "iinfo", lambda t: bound if wide_keys else iinfo(t)),
+    ):
+        grps = [forward.BlockGroup(table, tiles, side) for tiles in groups]
+    for tiles, grp in zip(groups, grps):
+        want = oracle.block_lists(table, tiles, side)
+        for name in ("entry", "lwin", "pos", "_key"):
+            assert np.array_equal(getattr(grp, name), getattr(want, name)), name
+        assert grp.aabb_pairs == want.aabb_pairs
+        assert grp._key.dtype == (np.int64 if wide_keys else np.int32)
 
 
 def opaque_or_small_scene(seed: int, n: int, w: int, h: int, opaque: bool):
