@@ -99,6 +99,18 @@ block row (``BlockGroup.blend``); ``ForwardTrace.steps`` keeps the
 steps in tile-group order, and the backward pass replays them instead
 of deciding again what blends, without knowing the block layout.
 
+A lockstep pass writes every per-pixel array it makes into the
+contiguous prefix of a flat buffer of a workspace (``_Workspace``): each
+step's q, window mask, alpha, hit and comparisons, T times alpha, the
+colour product and the stop update, and the held rows' T, colour and
+stop.  So do a chunk's fold (its gathers and ``_merge_partial``) and a
+group's composite.  Each thread keeps one workspace of GROUP_MAX_PX
+block pixels per blend dtype for the life of the process, 46 B a pixel
+in float32 and 82 B in float64 (2.9 and 5.1 MiB), so a warm pass takes
+no per-pixel memory from the allocator, which would otherwise hand such
+buffers back to the system and fault them in again on every pass; only
+a lone tile over the cap gets buffers of its own, freed with its pass.
+
 Pixel centers sit at half-integer coordinates; alpha is
 opacity * exp(-q/2) with q the conic quadratic form, clipped to
 [0, Q_MAX], and the product clamped to 0.99.  Splats with alpha below
@@ -107,6 +119,8 @@ opacity * exp(-q/2) with q the conic quadratic form, clipped to
 
 from __future__ import annotations
 
+import math
+import threading
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -198,8 +212,12 @@ class RenderConfig:
             raise ValueError("hybrid_fraction must be in (0, 1)")
         if not 0.0 < self.occlusion_threshold < 1.0:
             raise ValueError("occlusion_threshold must be in (0, 1)")
-        if np.dtype(self.dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("dtype must be float32 or float64")
+        try:  # np.dtype reads None as float64; a dtype also compares equal to None
+            blend = None if self.dtype is None else np.dtype(self.dtype).type
+        except (TypeError, ValueError):
+            blend = None
+        if blend not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         try:
             bad = len(self.background) != 3 or any(
                 isinstance(v, (bool, np.bool_)) or not np.isfinite(v) or v < 0
@@ -234,6 +252,53 @@ class PixelState:
     rgb: np.ndarray  # (3, ...) accumulated color, planar, background excluded
     T: np.ndarray  # (...) transmittance
     stop: np.ndarray  # (...) int32 list position where the pixel died, else list end
+
+
+class _Workspace:
+    """Flat buffers of ``px`` block pixels each for a lockstep pass's per-pixel arrays.
+
+    A pass writes every per-step (rows, P) and (3, rows, P) array, and
+    the held rows' T, colour and stop, into the contiguous prefix of one
+    of these buffers (``_view``), so a pass on a warm workspace takes no
+    memory from the allocator.  Per block pixel that is nine values of
+    the blend dtype (T, colour, alpha, q, the colour product), two
+    bools and two int32s: 46 B in float32, 82 B in float64.
+    """
+
+    def __init__(self, dtype, px: int):
+        self.px = px
+        self.T, self.alpha, self.q = (np.empty(px, dtype) for _ in range(3))
+        self.rgb, self.color = np.empty(3 * px, dtype), np.empty(3 * px, dtype)
+        self.mask, self.test = np.empty(px, bool), np.empty(px, bool)
+        self.stop, self.dstop = np.empty(px, np.int32), np.empty(px, np.int32)
+
+
+_workspaces = threading.local()
+
+
+def _workspace(dtype, px: int) -> _Workspace:
+    """A workspace for a pass over ``px`` block pixels of ``dtype``.
+
+    Each thread keeps one workspace of GROUP_MAX_PX block pixels per
+    dtype for the life of the process, so passes on one thread reuse the
+    same memory across calls and renders, and threads never share it.  A
+    pass over more pixels, which only a lone tile over the cap makes,
+    gets buffers of its own that are freed with it.
+    """
+    if px > GROUP_MAX_PX:
+        return _Workspace(dtype, px)
+    kept = getattr(_workspaces, "by_dtype", None)
+    if kept is None:
+        kept = _workspaces.by_dtype = {}
+    ws = kept.get(dtype)
+    if ws is None or ws.px < px:
+        ws = kept[dtype] = _Workspace(dtype, GROUP_MAX_PX)
+    return ws
+
+
+def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The contiguous prefix of the flat ``buf`` as an array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def splat_alpha(
@@ -498,6 +563,10 @@ class BlockGroup:
             x1, y1 = self.rects[t1 - 1, 2:]
             v = values[self.block_off[t0] : self.block_off[t1]]
             v = v.reshape((t1 - t0, nby, nbx, bh, bw) + rest).transpose(axes)
+            if y1 - y0 == nby * bh and x1 - x0 == (t1 - t0) * nbx * bw:
+                # no padding: copy straight in (splitting axes always gives a view)
+                out[y0:y1, x0:x1].reshape(v.shape)[...] = v
+                continue
             v = v.reshape((nby * bh, t1 - t0, nbx * bw) + rest)[: y1 - y0, :, :tw]
             out[y0:y1, x0:x1] = v.reshape((y1 - y0, (t1 - t0) * tw) + rest)[:, : x1 - x0]
 
@@ -560,23 +629,45 @@ class BlockGroup:
             return
         perm, T, rgb = self._lockstep(blocks, first, n, 0.0)
         blocks = blocks[perm]  # in the pass's order, as T and rgb
+        # T and rgb sit in the workspace's T and rgb buffers, and the fold
+        # gathers into its other ones, so a warm pass allocates no pixels
+        ws = _workspace(self.dtype, T.size)
+        P = T.shape[1]
         for copy in True, False:
             sel = np.flatnonzero(untouched[blocks] == copy)
             if not len(sel):
                 continue
             b = blocks[sel]
             tile = self.block_tile[b]
-            part_T, part_rgb = (T, rgb) if len(sel) == len(blocks) else (T[sel], rgb[:, sel])
+            shape = (len(sel), P)
+            if len(sel) == len(blocks):
+                part_T, part_rgb = T, rgb
+                spare_T, spare_rgb = ws.alpha, ws.color
+            else:
+                part_T = np.take(T, sel, axis=0, out=_view(ws.alpha, shape), mode="clip")
+                part_rgb = np.take(rgb, sel, axis=1, out=_view(ws.color, (3,) + shape), mode="clip")
+                spare_T, spare_rgb = ws.T, ws.rgb  # free once the rows are gathered
+            live = _view(ws.mask, shape)
             if copy:
                 state.T[b] = part_T
                 state.rgb[:, b] = part_rgb
                 if eps_t > 0.0:
-                    ended = (part_T < eps_t) & self.valid[b]
-                    state.stop[b] = np.where(ended, hi[tile, None], self.m[tile, None])
+                    ended = np.less(part_T, eps_t, out=_view(ws.test, shape))
+                    ended &= np.take(self.valid, b, axis=0, out=live, mode="clip")
+                    stop = _view(ws.stop, shape)
+                    stop[:] = self.m[tile, None]
+                    np.copyto(stop, hi[tile, None], where=ended)
+                    state.stop[b] = stop
             else:
-                sub = PixelState(rgb=state.rgb[:, b], T=state.T[b], stop=state.stop[b])
+                rgb_b = _view(spare_rgb, (3,) + shape)
+                sub = PixelState(
+                    rgb=np.take(state.rgb, b, axis=1, out=rgb_b, mode="clip"),
+                    T=np.take(state.T, b, axis=0, out=_view(spare_T, shape), mode="clip"),
+                    stop=np.take(state.stop, b, axis=0, out=_view(ws.stop, shape), mode="clip"),
+                )
                 part = PixelState(rgb=part_rgb, T=part_T, stop=None)
-                _merge_partial(sub, part, eps_t, hi[tile, None])
+                scratch = (_view(ws.q, shape), live, _view(ws.test, shape), _view(ws.dstop, shape))
+                _merge_partial(sub, part, eps_t, hi[tile, None], scratch)
                 state.rgb[:, b], state.T[b], state.stop[b] = sub.rgb, sub.T, sub.stop
         untouched[blocks] = False
 
@@ -626,6 +717,14 @@ class BlockGroup:
         live pixel, those are written back and dropped, and each step's
         slice becomes a gather over the held rows (``held``).  Pixels
         are checked for liveness only once one of them has died.
+
+        The held rows and every per-step (rows, P) or (3, rows, P) array
+        live in the prefix of this thread's workspace (``_workspace``),
+        each step using less of it than the one before, so a warm call
+        allocates only per-entry arrays.  In fresh-row mode the returned
+        T and rgb are views of that workspace: they hold only until the
+        next ``_lockstep`` call on the same thread, and ``blend_chunk``
+        folds them into the state before it returns.
         """
         by_len = np.argsort(-n, kind="stable")
         blocks, lens, first = blocks[by_len], n[by_len], first[by_len]
@@ -655,15 +754,24 @@ class BlockGroup:
             row_lo = np.arange(len(blocks) + 1) * (bh * bw)
         del pidx
 
+        P = bh * bw
+        ws = _workspace(self.dtype, len(blocks) * P)
+        rows_px = (len(blocks), P)
+        T, rgb = _view(ws.T, rows_px), _view(ws.rgb, (3,) + rows_px)
         if state is None:
-            T = self.valid[blocks].astype(self.dtype)
-            rgb = np.zeros((3,) + T.shape, dtype=self.dtype)
+            valid = np.take(self.valid, blocks, axis=0, out=_view(ws.mask, rows_px), mode="clip")
+            np.copyto(T, valid)
+            rgb.fill(0)
             stop = None
         else:
-            T = state.T[blocks]
-            rgb = state.rgb[:, blocks]
-            stop = state.stop[blocks]
-        any_dead = eps_t > 0.0 and bool(((T < eps_t) & self.valid[blocks]).any())
+            np.take(state.T, blocks, axis=0, out=T, mode="clip")
+            np.take(state.rgb, blocks, axis=1, out=rgb, mode="clip")
+            stop = np.take(state.stop, blocks, axis=0, out=_view(ws.stop, rows_px), mode="clip")
+        any_dead = False
+        if eps_t > 0.0:
+            valid = np.take(self.valid, blocks, axis=0, out=_view(ws.mask, rows_px), mode="clip")
+            valid &= np.less(T, eps_t, out=_view(ws.test, rows_px))
+            any_dead = bool(valid.any())
         xc, yc = self.xcol[blocks].T.copy(), self.yrow[blocks].T.copy()
         held = np.arange(len(blocks))
         gather = False
@@ -678,10 +786,18 @@ class BlockGroup:
                 wx, wy = in_x[:, rows], in_y[:, rows]
             p = params[rows].T
             Tk = T[:a]
-            alpha = _block_alpha(xc[:, :a], yc[:, :a], p, wx, wy)
-            hit = alpha >= ALPHA_MIN
+            # this step's prefix of every buffer: (bh, bw, a) pixel-major
+            # for _block_alpha's q and window mask, else (a, P)
+            px = a * P
+            q, mask = ws.q[:px], ws.mask[:px]
+            alpha = _block_alpha(
+                xc[:, :a], yc[:, :a], p, wx, wy,
+                q.reshape(bh, bw, a), mask.reshape(bh, bw, a), ws.alpha[:px].reshape(a, P),
+            )
+            hit = np.greater_equal(alpha, ALPHA_MIN, out=mask.reshape(a, P))
+            test = ws.test[:px].reshape(a, P)
             if any_dead:
-                hit &= Tk >= eps_t
+                hit &= np.greater_equal(Tk, eps_t, out=test)
             if record is not None:
                 nz = np.flatnonzero(hit)
                 cnt = np.diff(np.searchsorted(nz, row_lo[: a + 1]))
@@ -695,16 +811,20 @@ class BlockGroup:
                     )
                 )
             alpha *= hit  # alpha where the entry blends, else 0
-            rgb[:, :a] += (Tk * alpha) * p[6:9, :, None]
+            weight = np.multiply(Tk, alpha, out=q.reshape(a, P))
+            color = ws.color[: 3 * px].reshape(3, a, P)
+            rgb[:, :a] += np.multiply(weight, p[6:9, :, None], out=color)
             np.subtract(1, alpha, out=alpha)
             Tk *= alpha  # factor 1 where the entry does not blend
             if eps_t <= 0.0:
                 continue
-            hit &= Tk < eps_t  # live before the entry, dead after
+            hit &= np.less(Tk, eps_t, out=test)  # live before the entry, dead after
             if not hit.any():
                 continue
             any_dead = True
-            stop[:a] += hit * (stop_at[rows][:, None] - stop[:a])
+            dstop = np.subtract(stop_at[rows][:, None], stop[:a], out=ws.dstop[:px].reshape(a, P))
+            dstop *= hit
+            stop[:a] += dstop
             dead = Tk.max(axis=1) < eps_t
             if 8 * np.count_nonzero(dead) < a:
                 continue
@@ -730,7 +850,14 @@ class BlockGroup:
 
 
 def _block_alpha(
-    xc: np.ndarray, yc: np.ndarray, p: np.ndarray, in_x: np.ndarray, in_y: np.ndarray
+    xc: np.ndarray,
+    yc: np.ndarray,
+    p: np.ndarray,
+    in_x: np.ndarray,
+    in_y: np.ndarray,
+    q: np.ndarray,
+    mask: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """``splat_alpha`` of a step's rows at their block pixels, 0 outside each row's window.
 
@@ -742,15 +869,19 @@ def _block_alpha(
     one operation over (bw or bh, rows) that broadcasts along the rows,
     and q is built in ``splat_alpha``'s order per pixel,
     ((2b dy) dx + a dx^2) + c dy^2: every pixel gets the same alpha as
-    there, bit for bit.  Returns (rows, bh * bw), the kernel's row-major
-    layout, transposed once here, since the kernel's in-place updates of
-    T, colour and stop run several times faster on whole rows than on
-    column prefixes of a pixel-major state.
+    there, bit for bit.  Returns ``out`` (rows, bh * bw), the kernel's
+    row-major layout, transposed once here, since the kernel's in-place
+    updates of T, colour and stop run several times faster on whole rows
+    than on column prefixes of a pixel-major state.  ``q`` (bh, bw, rows)
+    of the blend dtype and ``mask`` (bh, bw, rows) of bool are scratch.
+    ``_lockstep`` passes views of its workspace for all three, so the
+    returned alpha is overwritten by the next step; a call allocates
+    only the (bw or bh, rows) terms.
     """
     dt = xc.dtype.type
     dx = xc - p[0]
     dy = yc - p[1]
-    q = ((2 * p[3]) * dy)[:, None] * dx  # (bh, bw, rows)
+    np.multiply(((2 * p[3]) * dy)[:, None], dx, out=q)
     q += p[2] * dx**2
     q += (p[4] * dy**2)[:, None]
     np.clip(q, dt(0), dt(Q_MAX), out=q)
@@ -758,26 +889,41 @@ def _block_alpha(
     np.exp(q, out=q)
     q *= p[5]
     np.minimum(q, dt(ALPHA_MAX), out=q)
-    q *= in_y[:, None] & in_x
-    return q.reshape(len(yc) * len(xc), -1).T.copy()
+    q *= np.logical_and(in_y[:, None], in_x, out=mask)
+    np.copyto(out, q.reshape(len(yc) * len(xc), -1).T)
+    return out
 
 
-def _merge_partial(state: PixelState, part: PixelState, eps_t: float, chunk_end) -> None:
+def _merge_partial(
+    state: PixelState, part: PixelState, eps_t: float, chunk_end, scratch: tuple | None = None
+) -> None:
     """Fold one chunk's blend (from T = 1, eps_t = 0) into the running merge state.
 
     ``chunk_end`` is an int or an array that broadcasts against the state;
     a pixel the fold kills stops there.  Selections are products with the
     live mask (x * 1 and x + 0 are exact), which NumPy runs far faster
-    than ``np.where`` on mixed masks.  ``part.stop`` is not read.
+    than ``np.where`` on mixed masks.  ``part.stop`` is not read, and
+    ``part.T`` and ``part.rgb`` are overwritten.  ``scratch``, when given,
+    holds four arrays of the state's T shape to compute in: one of the
+    blend dtype, two bools and one int32 (``blend_chunk`` passes views
+    of its workspace).
     """
-    live = state.T >= eps_t
-    state.rgb += (state.T * live) * part.rgb
-    factor = part.T * live
-    factor += ~live  # part.T where live, else 1
+    if scratch is None:
+        shape = state.T.shape
+        scratch = (np.empty_like(state.T), *(np.empty(shape, t) for t in (bool, bool, np.int32)))
+    weight, live, ended, dstop = scratch
+    np.greater_equal(state.T, eps_t, out=live)
+    part.rgb *= np.multiply(state.T, live, out=weight)  # products commute: all exact
+    state.rgb += part.rgb
+    factor = np.multiply(part.T, live, out=part.T)
+    factor += np.logical_not(live, out=ended)  # part.T where live, else 1
     state.T *= factor
     if eps_t > 0.0:
-        ended = live & (state.T < eps_t)
-        state.stop += ended * (chunk_end - state.stop)
+        np.less(state.T, eps_t, out=ended)
+        ended &= live
+        dstop = np.subtract(chunk_end, state.stop, out=dstop)
+        dstop *= ended
+        state.stop += dstop
 
 
 def _blend_group(
@@ -896,10 +1042,18 @@ def _count(
     return counters
 
 
-def composite_background(state: PixelState, background: np.ndarray) -> np.ndarray:
-    """Final color, channels last: accumulated rgb plus remaining T times bg."""
+def composite_background(
+    state: PixelState, background: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Final color, channels last: accumulated rgb plus remaining T times bg.
+
+    ``out``, when given, is a planar array of ``state.rgb``'s shape and
+    dtype to compute in; the result is then a view of it.
+    """
     bg = background.reshape((3,) + (1,) * state.T.ndim)
-    return np.moveaxis(state.rgb + state.T * bg, 0, -1)
+    out = np.multiply(state.T, bg, out=out)
+    out += state.rgb  # rgb + T bg: addition commutes, so this is exact
+    return np.moveaxis(out, 0, -1)
 
 
 def _chunk_bounds(prefix_end, k: int) -> list[tuple]:
@@ -990,7 +1144,8 @@ def render(
         steps = [] if want_trace else None
         grp = BlockGroup(table, tiles, side)
         state, split, occluded = _blend_group(grp, cfg, steps)
-        grp.paste(composite_background(state, bg), img)
+        ws = _workspace(grp.dtype, state.T.size)
+        grp.paste(composite_background(state, bg, _view(ws.color, state.rgb.shape)), img)
         if stop is not None:
             grp.paste(state.stop, stop)
         if want_trace:

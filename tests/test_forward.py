@@ -1,6 +1,7 @@
 """Forward blending: alpha kernel, compositing, z-chunks, hybrid schedules."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +453,36 @@ def test_config_rejects_non_numbers(kw, field):
         RenderConfig(**kw).validate()
 
 
+@pytest.mark.parametrize("dtype", [None, "foo", "float16", np.int32, object(), [np.float32]])
+def test_config_rejects_other_dtypes(dtype):
+    """dtype takes float32 or float64 only; anything else, None and names
+    NumPy does not know included, is a ValueError that names the value,
+    from RenderConfig and from TrainConfig alike."""
+    from tilesplat.backward import TrainConfig
+
+    for cfg in RenderConfig(dtype=dtype), TrainConfig(dtype=dtype):
+        want = "dtype must be float32 or float64, got " + re.escape(repr(dtype))
+        with pytest.raises(ValueError, match=want):
+            cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "dtype, want",
+    [
+        (np.float32, np.float32), ("float32", np.float32), ("f4", np.float32),
+        (np.dtype(np.float32), np.float32), (np.float64, np.float64), ("float64", np.float64),
+        (np.dtype("f8"), np.float64), (float, np.float64),
+    ],
+)
+def test_config_accepts_float_dtypes(dtype, want):
+    """Every spelling of the two blend dtypes that NumPy reads is taken, and renders in it."""
+    cam = make_camera(16, 16)
+    scene = random_scene(np.random.default_rng(2), 6, cam)
+    cfg = RenderConfig(tile_size=(16, 16), dtype=dtype)
+    cfg.validate()
+    assert render(scene, cam, cfg).image.data.dtype == want
+
+
 def test_config_accepts_numpy_integers():
     rng = np.random.default_rng(3)
     cam = make_camera(40, 24)
@@ -710,6 +741,123 @@ def test_block_groups_are_the_groups_render_blends():
         assert np.array_equal(a._at(a.m), b._at(b.m))  # where each block's list ends
         for name in ("entry", "pos", "lwin", "params", "win", "area", "m", "first_entry"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _copied_outputs(res) -> list:
+    """Copies of everything a render hands back: image, stats text and any trace."""
+    out = [res.image.data.copy(), res.stats.to_text()]
+    if res.trace is not None:
+        out += [res.trace.t_final.copy(), len(res.trace.steps)]
+        out += [a.copy() for step in res.trace.steps for a in step]
+    return out
+
+
+def _same_outputs(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        x == y if isinstance(x, (str, int)) else np.array_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+def test_workspace_reuse_cannot_be_seen():
+    """Lockstep passes keep their buffers in a per-thread workspace that
+    outlives every call and render, sized for a group of GROUP_MAX_PX block
+    pixels per dtype.  Renders of every shape that share it, interleaved in
+    one process, give what they gave the first time, and what a render
+    returned does not change as later renders reuse the workspace: 8 px
+    float32 renders shaped like render_many_tiles, 16 px renders whose
+    K = 4 chunk passes (fresh rows) are followed by a tail, a float64
+    traced train view, lone tiles over the cap (buffers of their own) and
+    a 2-thread pool (a workspace per pool thread)."""
+    from unittest import mock
+
+    from tilesplat import forward
+    from tilesplat.backward import TrainConfig
+    from tilesplat.synth import indoor_scene
+
+    cam = make_camera(128, 96)
+    rng = np.random.default_rng(24)
+    small = random_scene(rng, 250, cam)
+    wall, room = opaque_foreground_scene(rng, cam), indoor_scene(rng, cam)
+
+    def lone_tile():
+        with mock.patch.object(forward, "GROUP_MAX_PX", 32 * 32):
+            return render(wall, cam, RenderConfig(tile_size=(64, 48), z_tiles=2, eps_t=1e-4))
+
+    def two_threads():
+        with mock.patch.object(forward, "GROUP_MAX_PX", 16 * 16 * 8):
+            return render(room, cam, RenderConfig(tile_size=(16, 16), threads=2))
+
+    def with_side(side, *args, **kw):
+        with picking(side):
+            return render(*args, **kw)
+
+    renders = {
+        "many_tiles": lambda: with_side(8, small, cam, RenderConfig(tile_size=(16, 16))),
+        "chunks_then_tail": lambda: with_side(16, wall, cam, RenderConfig(
+            tile_size=(32, 32), z_tiles=4, hybrid="fixed_fraction", hybrid_fraction=0.5,
+            record_occlusion=True,
+        )),
+        "occluded": lambda: with_side(16, wall, cam, RenderConfig(
+            tile_size=(32, 32), z_tiles=4, hybrid="occlusion_threshold", eps_t=0.3,
+        )),
+        "train_view": lambda: render(room, cam, TrainConfig().render_config(), want_trace=True),
+        "lone_tile": lone_tile,
+        "two_threads": two_threads,
+    }
+    first = {name: _copied_outputs(make()) for name, make in renders.items()}
+    kept = []
+    order = list(renders) + list(reversed(renders)) + list(renders)[::2] + list(renders)[1::2]
+    for name in order:
+        res = renders[name]()
+        assert _same_outputs(_copied_outputs(res), first[name]), name
+        kept.append((name, res))
+    for name, res in kept:  # nothing returned aliases what later renders wrote
+        assert _same_outputs(_copied_outputs(res), first[name]), name
+
+
+@pytest.mark.parametrize("kind", ["many_tiles", "occluded"])
+def test_warm_lockstep_allocates_no_pixel_arrays(kind):
+    """A warm lockstep pass writes its per-step arrays (q, window mask,
+    alpha, hit, the comparisons, T times alpha, the colour product, the
+    stop update) and its held rows' T, colour and stop into the thread's
+    workspace.  What it still takes from the allocator is per block-list
+    entry (parameter rows, in-window columns and rows, the step layout)
+    plus a few small fixed-size arrays, so its tracemalloc peak over its
+    entry stays under 16 B per block pixel plus 128 B per entry plus
+    64 KiB.  Before the workspace, the float32 passes of these views peaked
+    at 43-60 B per block pixel over 0.03-0.24 entries per pixel: each
+    per-step temporary takes 4 B per pixel, colour 12 B."""
+    import tracemalloc
+    from unittest import mock
+
+    from tilesplat import forward
+
+    scene, cams = workload_views(kind, 901)
+    cfg = RenderConfig(tile_size=(16, 16)) if kind == "many_tiles" else RenderConfig(
+        tile_size=(32, 32), z_tiles=4, hybrid="occlusion_threshold"
+    )
+    lockstep = forward.BlockGroup._lockstep
+    calls = []
+
+    def spy(self, blocks, first, n, *args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = lockstep(self, blocks, first, n, *args)
+        bh, bw = self.block
+        peak = tracemalloc.get_traced_memory()[1] - base
+        calls.append((peak, len(blocks) * bh * bw, int(n.sum())))
+        return out
+
+    render(scene, cams[0], cfg)  # warms this thread's workspace
+    tracemalloc.start()
+    try:
+        with mock.patch.object(forward.BlockGroup, "_lockstep", spy):
+            render(scene, cams[1], cfg)
+    finally:
+        tracemalloc.stop()
+    assert max(px for _, px, _ in calls) > 16_000
+    for peak, px, entries in calls:
+        assert peak <= 16 * px + 128 * entries + 65_536, (peak, px, entries)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
