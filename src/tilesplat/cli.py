@@ -443,18 +443,20 @@ def _st_kernel_exact() -> None:
     scene = random_scene(
         np.random.default_rng(17), 80, cam, px_sigma=(1.0, 8.0), logit_range=(0.0, 6.0)
     )
-    cfg = RenderConfig(tile_size=(24, 20), eps_t=1e-4)
-    _, _, binning, batch, table, _ = forward._prepare(scene, cam, cfg)
-    want_rgb, want_T = _one_splat_at_a_time(batch, binning, cfg.eps_t)
-    for side in (forward.BLOCK // 2, forward.BLOCK):
-        rgb, T = np.zeros_like(want_rgb), np.zeros_like(want_T)
-        for tiles in forward._tile_groups(binning, side):
-            grp = forward.BlockGroup(table, tiles, side)
-            state, _, _ = forward._blend_group(grp, cfg)
-            grp.paste(np.moveaxis(state.rgb, 0, -1), rgb)
-            grp.paste(state.T, T)
-        if not (np.array_equal(rgb, want_rgb) and np.array_equal(T, want_T)):
-            raise AssertionError(f"{side} px blocks differ from the one-splat sweep")
+    for dtype in (np.float32, np.float64):  # render's and train's blend dtypes
+        cfg = RenderConfig(tile_size=(24, 20), eps_t=1e-4, dtype=dtype)
+        _, _, binning, batch, table, _ = forward._prepare(scene, cam, cfg)
+        want_rgb, want_T = _one_splat_at_a_time(batch, binning, cfg.eps_t)
+        for side in (forward.BLOCK // 2, forward.BLOCK):
+            rgb, T = np.zeros_like(want_rgb), np.zeros_like(want_T)
+            for tiles in forward._tile_groups(binning, side):
+                grp = forward.BlockGroup(table, tiles, side)
+                state, _, _ = forward._blend_group(grp, cfg)
+                grp.paste(np.moveaxis(state.rgb, 0, -1), rgb)
+                grp.paste(state.T, T)
+            if not (np.array_equal(rgb, want_rgb) and np.array_equal(T, want_T)):
+                name = np.dtype(dtype).name
+                raise AssertionError(f"{side} px blocks in {name} differ from the one-splat sweep")
 
 
 def _st_thread_determinism() -> None:

@@ -36,15 +36,33 @@ blends, so the blocks still active at step k are a prefix, and step k
 evaluates alpha and blends list position k of every active block in
 one set of NumPy calls over (active blocks, block pixels).  Alpha is
 built pixel-major, (block pixels, active blocks) with the blocks
-innermost, from separable terms: dx and a dx^2 over (block columns,
-blocks), dy, 2b dy and c dy^2 over (block rows, blocks), so that only
-q's three sums, its clip, exp, opacity and clamp run over every pixel;
-the window test is one AND of each entry's in-window columns and rows.
-The step then transposes alpha once and updates the state row by row.
-A block whose pixels are all dead leaves the active set.  Each pixel
-sees the same floating-point operations in the same order as in
-``splat_alpha`` with splats blended one at a time, so neither the
-lockstep order, the layout nor the grouping changes a bit.
+innermost, from separable terms of the folded conic: the kernel reads
+each splat's conic (a, b, c) as (-a/2, -b, -c/2) (``SplatTable.folded``)
+and sums -q/2 = ((-b dy) dx + (-a/2) dx^2) + (-c/2) dy^2 from dx and
+-a/2 dx^2 over (block columns, blocks) and dy, -b dy and -c/2 dy^2 over
+(block rows, blocks), so that only the three sums, the clip to
+[-Q_MAX/2, 0], exp, opacity and clamp run over every pixel.  One mask,
+the window (an AND of each entry's in-window columns and rows) and
+alpha >= ALPHA_MIN, then zeroes alpha where the entry does not blend.
+The step transposes alpha once and updates the state row by row; alpha
+is 0 or at least ALPHA_MIN there, so alpha > 0 marks where it blends,
+and only once a pixel of the pass has died does liveness zero it
+further.  A block whose pixels are all dead leaves the active set.
+
+Every pixel gets the alpha bits of ``splat_alpha`` and the blend of
+splats taken one at a time, so neither the lockstep order, the layout
+nor the grouping changes a bit.  The fold is exact: scaling by -1 or
+-1/2 is exact in binary floating point unless a partial result is
+subnormal, a difference that starts there is absorbed into any q large
+enough to matter, and where q is that small exp(-q/2) rounds to 1 in
+both forms.  -1/2 clip(q, 0, Q_MAX) equals clip(-q/2, -Q_MAX/2, 0) up
+to the sign of zero, and exp(+-0) = 1.  The cross term (-b dy) dx and
+the colour product (T alpha) rgb are written with ``np.einsum``, whose
+product loops run 1.2-1.6x faster than a broadcasting multiply on
+steps of 50 rows and more (a microsecond slower on a step of 10).  It
+writes 0 + product, which differs from the product only in turning -0
+into +0: that changes q only where q is zero, and no colour sum, since
+a sum that starts at +0 never becomes -0.
 
 A render picks its largest block side, BLOCK (16) or BLOCK // 2 (8),
 once from its splats' boxes (``_pick_block``).  Small splats fill only
@@ -81,7 +99,9 @@ so they count window pixels, never a block's padding.
 
 A render clips every entry's window to its tile once (``SplatTable``),
 and computes once per splat the float64 terms that ``can_blend`` reads
-(``preprocess.blend_terms``).  Tiles are blended in groups of whole
+(``preprocess.blend_terms``).  Tiles are laid out on the tile size
+clipped to the image, so a tile larger than the image costs only the
+image's pixels.  Tiles are blended in groups of whole
 tiles, in tile order, whose blocks hold at most GROUP_MAX_PX pixels,
 padding included; only a tile larger than the cap on its own holds
 more.  A group takes its slice of the view's entries and windows and
@@ -101,7 +121,7 @@ of deciding again what blends, without knowing the block layout.
 
 A lockstep pass writes every per-pixel array it makes into the
 contiguous prefix of a flat buffer of a workspace (``_Workspace``): each
-step's q, window mask, alpha, hit and comparisons, T times alpha, the
+step's q, blend mask, alpha, hit and comparisons, T times alpha, the
 colour product and the stop update, and the held rows' T, colour and
 stop.  So do a chunk's fold (its gathers and ``_merge_partial``) and a
 group's composite.  Each thread keeps one workspace of GROUP_MAX_PX
@@ -167,6 +187,10 @@ GROUP_MAX_PX = 1 << 16
 # 8192 pairs ran 1.02-1.07x slower (5.4x) and the whole group at once
 # 1.26-1.37x slower (10.7x).
 PAIR_SLICE = GROUP_MAX_PX // 16
+
+# Factors that turn a ``SplatTable.params`` row into a ``folded`` column:
+# the conic (a, b, c) becomes (-a/2, -b, -c/2), the rest is kept.
+_FOLD = (1.0, 1.0, -0.5, -1.0, -0.5, 1.0, 1.0, 1.0, 1.0)
 
 _HYBRID_MODES = ("off", "fixed_fraction", "occlusion_threshold")
 
@@ -389,21 +413,26 @@ class SplatTable:
     """A render's splats and tile entries, packed once for all its groups.
 
     ``params`` (n, 9) holds each splat's blend-dtype mean, conic, opacity
-    and rgb: the row a block-list entry carries into the kernel.
+    and rgb, and ``folded`` (9, n) the same with the conic (a, b, c) as
+    (-a/2, -b, -c/2), one column per splat: the column a block-list
+    entry carries into the kernel.
     ``terms`` (9, n) holds what ``preprocess.can_blend`` reads of each
     splat, from the same mean, conic and opacity in float64
     (``preprocess.blend_terms``), so the divisions and the logarithm
     run once per splat, not once per (entry, block) pair.  Tile t's list
     is ``order[offsets[t]:offsets[t + 1]]`` and its pixels ``rects[t]``
     (x0, y0, x1, y1), a rect of ``tile_size`` (w, h) clipped by the
-    image, as in ``TileBinning``; ``win`` and ``area`` are every entry's
-    box clipped to its tile (``clip_windows``, coordinate by coordinate
-    in memory).  Records number image pixels in rows of ``image_w``.
+    image, as in ``TileBinning``; ``render`` passes the tile size clipped
+    to the image (``_tile_extent``).  ``win`` and ``area`` are every
+    entry's box clipped to its tile (``clip_windows``, coordinate by
+    coordinate in memory).  Records number image pixels in rows of
+    ``image_w``.
     """
 
     def __init__(self, batch: SplatBatch, order, offsets, rects, tile_size, image_w: int):
         self.dtype = batch.mean2.dtype
         self.params = np.column_stack((batch.mean2, batch.conic, batch.opacity, batch.rgb))
+        self.folded = self.params.T * np.array(_FOLD, self.dtype)[:, None]
         self.terms = blend_terms(self.params[:, :6].T.astype(np.float64))
         self.order, self.offsets, self.rects = order, offsets, rects
         self.tile_size, self.image_w = tile_size, image_w
@@ -422,8 +451,8 @@ class BlockGroup:
     columns and rows.  A block's pixels outside its tile's rect (which
     may be clipped by the image edge) are padding; ``valid`` marks the
     others.  The group's entries are its slice of the table's: their
-    clipped windows ``win``, areas and splat rows ``splat`` of the
-    table's ``params``, with ``m`` entries per tile from ``entry_off``.
+    clipped windows ``win``, areas and splats ``splat``, columns of the
+    table's ``folded``, with ``m`` entries per tile from ``entry_off``.
     A block's list holds the entries whose window meets the block
     (``aabb_pairs`` such pairs in the group) and that can blend there
     (``preprocess.can_blend``).  Block lists are stored concatenated,
@@ -533,7 +562,7 @@ class BlockGroup:
             blk, e, lwin = np.zeros(0, blk_dt), np.zeros(0, np.int32), np.zeros((4, 0), np.int8)
         self.entry = e
         self.lwin = lwin.T  # column by column, for ``_lockstep``
-        self.params, self.splat = table.params, splat
+        self.folded, self.splat = table.folded, splat
         self.pos = (np.arange(len(splat)) - self.entry_off[etile]).astype(np.int32)[e]
         # Block-list entries by (block, list position), for ``_at``; int32
         # when every key fits.
@@ -707,16 +736,22 @@ class BlockGroup:
         than k.  Rows are sorted by span length, longest first, so those
         are the first n_at[k], and the entries are laid out step by step
         (``pidx``, one slice of the sorted starts per step) so each step
-        reads one slice of their parameter rows and in-window masks: an
-        entry's block columns (bw, entries) and rows (bh, entries) that
-        lie in its window, built once per call.  A step reads its
-        parameters through a transposed view, (9, rows), with no copy.
-        Alpha is built from per-column and per-row terms
-        (``_block_alpha``).  The rows blended are held in copies of
-        their state.  Once at least an eighth of the held rows have no
-        live pixel, those are written back and dropped, and each step's
-        slice becomes a gather over the held rows (``held``).  Pixels
-        are checked for liveness only once one of them has died.
+        reads one slice of their parameters and in-window masks.  Both
+        are gathered once per call, one column per entry: the folded
+        parameters (9, entries) of ``SplatTable.folded``, with the conic
+        as (-a/2, -b, -c/2), and the entry's block columns (bw, entries)
+        and rows (bh, entries) that lie in its window.  A step reads
+        them as views, (9, rows), with no copy.  Alpha is built from
+        per-column and per-row terms and comes back 0 wherever the entry
+        does not blend, outside its window or below ALPHA_MIN
+        (``_block_alpha``), so alpha > 0 is the step's hit mask, needed
+        only for ``record`` or with eps_t > 0.  The rows blended are
+        held in copies of their state.  Once at least an eighth of the
+        held rows have no live pixel, those are written back and
+        dropped, and each step's slice becomes a gather over the held
+        rows (``held``).  Pixels are checked for liveness only once one
+        of them has died; from then on the hit mask also holds liveness
+        and zeroes alpha where a dead pixel would blend.
 
         The held rows and every per-step (rows, P) or (3, rows, P) array
         live in the prefix of this thread's workspace (``_workspace``),
@@ -733,9 +768,8 @@ class BlockGroup:
         step_off = np.concatenate(([0], np.cumsum(n_at[:-1])))
         pidx = np.concatenate([first[: n_at[k]] + k for k in range(steps)])
         entry = self.entry[pidx]
-        # the entries' parameter rows; take: faster than [] on narrow rows
-        params = np.take(self.params, self.splat[entry], axis=0)
-        # one column per entry, so a step's windows are slices
+        # one column per entry, so a step's parameters and windows are slices
+        params = np.take(self.folded, self.splat[entry], axis=1)
         lwin = np.take(self.lwin.T, pidx, axis=1)
         bh, bw = self.block
         in_x = np.arange(bw, dtype=np.int8)[:, None]
@@ -779,25 +813,29 @@ class BlockGroup:
             if gather:
                 a = int(np.searchsorted(held, n_at[k]))
                 rows = step_off[k] + held[:a]
+                p = np.take(params, rows, axis=1)
                 wx, wy = np.take(in_x, rows, axis=1), np.take(in_y, rows, axis=1)
             else:
                 a = int(n_at[k])
                 rows = slice(step_off[k], step_off[k] + a)
-                wx, wy = in_x[:, rows], in_y[:, rows]
-            p = params[rows].T
+                p, wx, wy = params[:, rows], in_x[:, rows], in_y[:, rows]
             Tk = T[:a]
             # this step's prefix of every buffer: (bh, bw, a) pixel-major
-            # for _block_alpha's q and window mask, else (a, P)
+            # for _block_alpha's q and mask, else (a, P)
             px = a * P
             q, mask = ws.q[:px], ws.mask[:px]
             alpha = _block_alpha(
                 xc[:, :a], yc[:, :a], p, wx, wy,
                 q.reshape(bh, bw, a), mask.reshape(bh, bw, a), ws.alpha[:px].reshape(a, P),
             )
-            hit = np.greater_equal(alpha, ALPHA_MIN, out=mask.reshape(a, P))
+            if eps_t <= 0.0 and record is None:
+                hit = None  # nothing reads where the entry blends
+            else:  # alpha is 0 or at least ALPHA_MIN
+                hit = np.greater(alpha, 0, out=mask.reshape(a, P))
             test = ws.test[:px].reshape(a, P)
             if any_dead:
                 hit &= np.greater_equal(Tk, eps_t, out=test)
+                alpha *= hit  # 0 on the pixels dead before the entry
             if record is not None:
                 nz = np.flatnonzero(hit)
                 cnt = np.diff(np.searchsorted(nz, row_lo[: a + 1]))
@@ -810,10 +848,10 @@ class BlockGroup:
                         cnt[some].astype(np.int32),
                     )
                 )
-            alpha *= hit  # alpha where the entry blends, else 0
             weight = np.multiply(Tk, alpha, out=q.reshape(a, P))
             color = ws.color[: 3 * px].reshape(3, a, P)
-            rgb[:, :a] += np.multiply(weight, p[6:9, :, None], out=color)
+            # einsum: 0 + product, exact here (see the module docstring)
+            rgb[:, :a] += np.einsum("rp,cr->crp", weight, p[6:9], out=color)
             np.subtract(1, alpha, out=alpha)
             Tk *= alpha  # factor 1 where the entry does not blend
             if eps_t <= 0.0:
@@ -859,37 +897,45 @@ def _block_alpha(
     mask: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """``splat_alpha`` of a step's rows at their block pixels, 0 outside each row's window.
+    """``splat_alpha`` of a step's rows at their block pixels where the row blends, else 0.
 
     ``xc`` (bw, rows) and ``yc`` (bh, rows) are each row's pixel-centre
     columns and rows, ``in_x`` and ``in_y`` (bool, same shapes) whether
-    they lie in the row's window, and ``p`` holds each row's mean, conic
-    and opacity in its first six rows, one column per row.  The work is
-    pixel-major, rows innermost, so each per-column or per-row term is
-    one operation over (bw or bh, rows) that broadcasts along the rows,
-    and q is built in ``splat_alpha``'s order per pixel,
-    ((2b dy) dx + a dx^2) + c dy^2: every pixel gets the same alpha as
-    there, bit for bit.  Returns ``out`` (rows, bh * bw), the kernel's
-    row-major layout, transposed once here, since the kernel's in-place
-    updates of T, colour and stop run several times faster on whole rows
-    than on column prefixes of a pixel-major state.  ``q`` (bh, bw, rows)
-    of the blend dtype and ``mask`` (bh, bw, rows) of bool are scratch.
-    ``_lockstep`` passes views of its workspace for all three, so the
-    returned alpha is overwritten by the next step; a call allocates
-    only the (bw or bh, rows) terms.
+    they lie in the row's window, and ``p`` holds each row's folded
+    parameters in its first six rows, one column per row: the mean, the
+    conic as (-a/2, -b, -c/2) (``SplatTable.folded``) and opacity.  The
+    work is pixel-major, rows innermost, so each per-column or per-row
+    term is one operation over (bw or bh, rows) that broadcasts along
+    the rows.  It builds -q/2 = ((-b dy) dx + (-a/2) dx^2) + (-c/2) dy^2
+    and clips it to [-Q_MAX/2, 0], which is ``splat_alpha``'s q scaled
+    by -1/2 term by term and sum by sum, so exp sees the same value (see
+    the module docstring for the subnormal case).  One mask, the window
+    and alpha >= ALPHA_MIN, zeroes alpha where the row does not blend,
+    so the result is 0 or at least ALPHA_MIN.  Returns ``out``
+    (rows, bh * bw), the kernel's row-major layout, transposed once
+    here, since the kernel's in-place updates of T, colour and stop run
+    several times faster on whole rows than on column prefixes of a
+    pixel-major state.  ``q`` (bh, bw, rows) of the blend dtype and
+    ``mask`` (bh, bw, rows) of bool are scratch.  ``_lockstep`` passes
+    views of its workspace for all three, so the returned alpha is
+    overwritten by the next step; a call allocates only the (bw or bh,
+    rows) terms.
     """
     dt = xc.dtype.type
     dx = xc - p[0]
     dy = yc - p[1]
-    np.multiply(((2 * p[3]) * dy)[:, None], dx, out=q)
+    # (-b dy) dx; einsum's 0 + product changes only the sign of a zero term
+    np.einsum("ya,xa->yxa", p[3] * dy, dx, out=q)
     q += p[2] * dx**2
     q += (p[4] * dy**2)[:, None]
-    np.clip(q, dt(0), dt(Q_MAX), out=q)
-    q *= -dt(0.5)
+    np.clip(q, dt(-Q_MAX / 2), dt(0), out=q)
     np.exp(q, out=q)
     q *= p[5]
     np.minimum(q, dt(ALPHA_MAX), out=q)
-    q *= np.logical_and(in_y[:, None], in_x, out=mask)
+    np.greater_equal(q, ALPHA_MIN, out=mask)
+    mask &= in_y[:, None]
+    mask &= in_x
+    q *= mask
     np.copyto(out, q.reshape(len(yc) * len(xc), -1).T)
     return out
 
@@ -1005,6 +1051,15 @@ def _occlusion_splits(
     return split
 
 
+def _tile_extent(binning: TileBinning) -> tuple[int, int]:
+    """The (w, h) that tiles are laid out on: the tile size clipped to the image.
+
+    A tile larger than the image holds only the image's pixels, so its
+    blocks, its state and its group are sized from those.
+    """
+    return min(binning.tile_w, binning.image_w), min(binning.tile_h, binning.image_h)
+
+
 def _tile_groups(binning: TileBinning, side: int) -> list[range]:
     """Runs of consecutive tiles whose blocks hold at most GROUP_MAX_PX pixels.
 
@@ -1013,8 +1068,9 @@ def _tile_groups(binning: TileBinning, side: int) -> list[range]:
     included, bound every pass.  A tile larger than the cap is a group
     of its own.
     """
-    bh, bw = _block_side(binning.tile_h, side), _block_side(binning.tile_w, side)
-    tile_px = -(-binning.tile_h // bh) * bh * -(-binning.tile_w // bw) * bw
+    tw, th = _tile_extent(binning)
+    bh, bw = _block_side(th, side), _block_side(tw, side)
+    tile_px = -(-th // bh) * bh * -(-tw // bw) * bw
     per = max(1, GROUP_MAX_PX // tile_px)
     return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
 
@@ -1095,8 +1151,8 @@ def _prepare(scene: GaussianScene, cam: Camera, cfg: RenderConfig):
     dtype = np.dtype(cfg.dtype).type
     batch = batch64 if dtype == np.float64 else batch64.astype(dtype)
     table = SplatTable(
-        batch, binning.order, binning.offsets, binning.rects(),
-        (binning.tile_w, binning.tile_h), binning.image_w,
+        batch, binning.order, binning.offsets, binning.rects(), _tile_extent(binning),
+        binning.image_w,
     )
     return batch64, pstats, binning, batch, table, _pick_block(batch64.aabb)
 

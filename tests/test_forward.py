@@ -582,6 +582,45 @@ def test_tile_groups_hold_at_most_the_cap_per_pass(tile, side):
                 assert px <= forward.GROUP_MAX_PX or tiles == 1
 
 
+@pytest.mark.parametrize("z_tiles, hybrid", [(1, "off"), (2, "occlusion_threshold")])
+def test_tiles_larger_than_the_image_cost_only_the_image(z_tiles, hybrid):
+    """A tile larger than the image holds only the image's pixels, so its
+    blocks, state and group are laid out on the tile clipped to the
+    image.  A 32 px image renders the same pixels, counters and recorded
+    steps at 1024 px tiles as at 32 px ones, stats text naming the
+    configured tile, and its tracemalloc peak stays within 2x.  Laid out
+    on the nominal tile, the 1024 px render peaked at some 80 MB, 750x
+    the 32 px one."""
+    import gc
+    import tracemalloc
+
+    cam = make_camera(32, 32)
+    scene = random_scene(np.random.default_rng(5), 40, cam)
+    traced = hybrid == "off"
+    got = {}
+    for t in (32, 1024):
+        cfg = RenderConfig(tile_size=(t, t), z_tiles=z_tiles, hybrid=hybrid)
+        render(scene, cam, cfg, want_trace=traced)  # warms this thread's workspace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = render(scene, cam, cfg, want_trace=traced)
+            got[t] = res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (small, small_peak), (big, big_peak) = got[32], got[1024]
+    assert np.array_equal(big.image.data, small.image.data)
+    text = small.stats.to_text()
+    assert "tile_size 32x32" in text
+    assert big.stats.to_text() == text.replace("tile_size 32x32", "tile_size 1024x1024")
+    if traced:
+        assert np.array_equal(big.trace.t_final, small.trace.t_final)
+        assert len(big.trace.steps) == len(small.trace.steps)
+        for a, b in zip(big.trace.steps, small.trace.steps):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert big_peak <= 2 * small_peak, (big_peak, small_peak)
+
+
 def workload_views(kind: str, seed: int):
     """A scene and three orbit views shaped like one of the benchmark's workloads."""
     from tilesplat.synth import orbit_camera, outdoor_scene
@@ -739,7 +778,7 @@ def test_block_groups_are_the_groups_render_blends():
     for a, b in zip(built, traced):
         assert a.aabb_pairs == b.aabb_pairs
         assert np.array_equal(a._at(a.m), b._at(b.m))  # where each block's list ends
-        for name in ("entry", "pos", "lwin", "params", "win", "area", "m", "first_entry"):
+        for name in ("entry", "pos", "lwin", "folded", "win", "area", "m", "first_entry"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -817,7 +856,7 @@ def test_workspace_reuse_cannot_be_seen():
 
 @pytest.mark.parametrize("kind", ["many_tiles", "occluded"])
 def test_warm_lockstep_allocates_no_pixel_arrays(kind):
-    """A warm lockstep pass writes its per-step arrays (q, window mask,
+    """A warm lockstep pass writes its per-step arrays (q, blend mask,
     alpha, hit, the comparisons, T times alpha, the colour product, the
     stop update) and its held rows' T, colour and stop into the thread's
     workspace.  What it still takes from the allocator is per block-list

@@ -527,3 +527,62 @@ def test_dead_block_drop_matches_oracle(seed, n, w, h, tile, z_tiles, dtype, sid
     assert res.stats.to_text() == stats.to_text()
     assert np.array_equal(got_t, t_final)
     assert np.array_equal(got_stop, stop)
+
+
+# Conic coefficients from 1e-30 to 1e3, and offsets of a mean from a pixel
+# centre from exactly 0 through subnormal-scale products to whole pixels.
+COEF = st.floats(-30.0, 3.0).map(lambda e: 10.0**e)
+NUDGE = st.one_of(
+    st.just(0.0), st.floats(-12.0, 0.5).map(lambda e: 10.0**e), st.floats(-40.0, 40.0)
+)
+OPACITY = st.one_of(
+    st.sampled_from([forward.ALPHA_MIN, 0.3, forward.ALPHA_MAX, 0.995, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=DTYPE, bw=SIDE, bh=SIDE, rows=st.integers(1, 6))
+def test_block_alpha_is_splat_alpha_in_window(data, dtype, bw, bh, rows):
+    """``_block_alpha`` reads the folded conic (-a/2, -b, -c/2) of
+    ``SplatTable.folded`` and masks window and threshold at once; every
+    pixel still gets ``splat_alpha``'s bits where the row's window holds
+    it and alpha reaches ALPHA_MIN, and 0 elsewhere.  Means sit on pixel
+    centres (dx = 0 exactly) or off them by as little as 1e-12 px, so
+    with coefficients down to 1e-30 partial products go subnormal in
+    float32; large ones push q past Q_MAX."""
+    dt = np.dtype(dtype).type
+
+    def per_row(strategy):
+        return data.draw(st.lists(strategy, min_size=rows, max_size=rows))
+
+    x0, y0 = np.array(per_row(st.integers(0, 96))), np.array(per_row(st.integers(0, 96)))
+    at = per_row(st.tuples(st.integers(0, bw - 1), st.integers(0, bh - 1), NUDGE, NUDGE))
+    mean = np.array(
+        [(x + i + 0.5 + nx, y + j + 0.5 + ny) for x, y, (i, j, nx, ny) in zip(x0, y0, at)], dt
+    )
+    b = st.one_of(st.just(0.0), COEF, COEF.map(lambda v: -v))
+    conic = np.array(per_row(st.tuples(COEF, b, COEF)), dt)
+    opacity = np.array(per_row(OPACITY), dt)
+    win = np.array(per_row(st.tuples(
+        st.integers(0, bw - 1), st.integers(1, bw), st.integers(0, bh - 1), st.integers(1, bh)
+    )))
+    lo_x, hi_x = win[:, 0], np.maximum(win[:, 0] + 1, win[:, 1])
+    lo_y, hi_y = win[:, 2], np.maximum(win[:, 2] + 1, win[:, 3])
+    in_x = (np.arange(bw)[:, None] >= lo_x) & (np.arange(bw)[:, None] < hi_x)  # (bw, rows)
+    in_y = (np.arange(bh)[:, None] >= lo_y) & (np.arange(bh)[:, None] < hi_y)  # (bh, rows)
+    xc = (x0[:, None] + np.arange(bw)).astype(dt) + dt(0.5)  # (rows, bw), as BlockGroup.xcol
+    yc = (y0[:, None] + np.arange(bh)).astype(dt) + dt(0.5)
+
+    alpha = forward.splat_alpha(xc[:, None, :], yc[:, :, None], mean, conic, opacity)
+    window = in_y.T[:, :, None] & in_x.T[:, None, :]
+    want = np.where((alpha >= forward.ALPHA_MIN) & window, alpha, dt(0)).reshape(rows, bh * bw)
+
+    params = np.column_stack((mean, conic, opacity))
+    folded = params.T * np.array(forward._FOLD[:6], dt)[:, None]
+    got = forward._block_alpha(
+        xc.T.copy(), yc.T.copy(), folded, in_x, in_y,
+        np.empty((bh, bw, rows), dt), np.empty((bh, bw, rows), bool),
+        np.empty((rows, bh * bw), dt),
+    )
+    assert got.dtype == dt
+    assert np.array_equal(got, want)

@@ -208,7 +208,8 @@ def test_recorded_steps_replay_back_to_front(
         assert len(step) == len(step2) == 4
         assert all(np.array_equal(a, b) for a, b in zip(step, step2))
     tw, th = tile
-    bw, bh = (forward._block_side(t, side) for t in tile)
+    # blocks are laid out on the tile clipped to the image
+    bw, bh = (forward._block_side(t, side) for t in forward._tile_extent(tr.binning))
     list_off = tr.binning.offsets
     T = np.ones(w * h, dtype=dtype)
     last = np.full(w * h, -1)

@@ -81,7 +81,7 @@ def brute_force_lists(batch: SplatBatch, tile_size, image_size) -> list[np.ndarr
 
 def view_table(batch: SplatBatch, binning: TileBinning) -> SplatTable:
     """The table of all of ``binning``'s tiles, as ``render`` packs it."""
-    size = (binning.tile_w, binning.tile_h)
+    size = forward._tile_extent(binning)
     return SplatTable(batch, binning.order, binning.offsets, binning.rects(), size, binning.image_w)
 
 
