@@ -26,7 +26,7 @@ from .execmodel import (
     sweep_reduction,
     tile_sweep,
 )
-from . import forward
+from . import forward, sceneio
 from .forward import RenderConfig, block_groups, clip_windows, render, splat_alpha
 from .gradcheck import check_gradients, make_fd_case, reference_config
 from .model import ImageRGB
@@ -38,10 +38,12 @@ from .optim import (
 )
 from .preprocess import ALPHA_MIN, preprocess
 from .sceneio import (
+    image_from_png_bytes,
     image_to_ppm_bytes,
     load_cameras,
     load_image,
     load_ply,
+    quantize_u8,
     render_config_from_dict,
     save_image,
     save_ply,
@@ -494,6 +496,30 @@ def _st_ppm_golden() -> None:
         raise AssertionError("0.5 must quantize to 128")
 
 
+def _st_png_filters() -> None:
+    # 3x5 RGB, rows filtered None, Sub, Up, Average (odd sums) and Paeth.
+    # Paeth's pixel 1 breaks ties for a over c (red) and b over c (green);
+    # its pixel 2 picks c (red), a (green) and b (blue) outright.
+    scanlines = bytes([
+        0, 0, 255, 128, 255, 0, 128, 128, 128, 128,
+        1, 10, 20, 30, 30, 30, 30, 30, 30, 30,
+        2, 3, 2, 2, 4, 5, 4, 6, 6, 7,
+        3, 14, 89, 240, 254, 13, 234, 223, 3, 147,
+        4, 236, 5, 5, 40, 216, 1, 220, 20, 86,
+    ])
+    want = np.array([
+        [[0, 255, 128], [255, 0, 128], [128, 128, 128]],
+        [[10, 20, 30], [40, 50, 60], [70, 80, 90]],
+        [[13, 22, 32], [44, 55, 64], [76, 86, 97]],
+        [[20, 100, 0], [30, 90, 10], [20, 91, 200]],
+        [[0, 105, 5], [40, 50, 11], [250, 70, 30]],
+    ], dtype=np.uint8)
+    got = quantize_u8(image_from_png_bytes(sceneio._png_from_scanlines(3, 5, scanlines)).data)
+    if not np.array_equal(got, want):
+        y, x = np.argwhere((got != want).any(axis=2))[0]
+        raise AssertionError(f"pixel ({y}, {x}) is {got[y, x].tolist()}, want {want[y, x].tolist()}")
+
+
 def _st_gradcheck() -> None:
     scene, views, tcfg = make_fd_case(0, n=6, size=16)
     rep = check_gradients(scene, views, tcfg)
@@ -511,6 +537,7 @@ def cmd_selftest(args) -> int:
         ("thread-determinism", _st_thread_determinism),
         ("ply-roundtrip", _st_ply_roundtrip),
         ("ppm-golden", _st_ppm_golden),
+        ("png-filters", _st_png_filters),
         ("kernel-exact", _st_kernel_exact),
         ("gradcheck", _st_gradcheck),
     ]

@@ -53,17 +53,32 @@ class SplatBatch:
         return self.mean2.shape[0]
 
     def astype(self, dtype) -> "SplatBatch":
-        """Cast the float fields to the blending dtype; metadata is shared."""
+        """Cast the float fields to the blending dtype; metadata is shared.
+
+        Raises ValueError naming the scene row and the field of the first
+        splat whose blended parameters (mean2, conic, opacity, rgb) are not
+        finite in ``dtype``, as when a float64 value overflows float32.
+        """
+        fields = ("mean2", "conic", "opacity", "rgb")
+        with np.errstate(over="ignore"):  # overflow to inf is raised below
+            blend = {f: getattr(self, f).astype(dtype) for f in fields}
+        finite = np.stack(
+            [np.isfinite(v).all(axis=tuple(range(1, v.ndim))) for v in blend.values()], axis=1
+        )  # (n, 4), in the order of fields
+        bad = np.flatnonzero(~finite.all(axis=1))
+        if bad.size:
+            row = bad[0]
+            raise ValueError(
+                f"Gaussian {self.gaussian_index[row]}: {fields[np.argmin(finite[row])]} "
+                f"is not finite in {np.dtype(dtype).name}"
+            )
         return SplatBatch(
-            mean2=self.mean2.astype(dtype),
             cov2=self.cov2.astype(dtype),
-            conic=self.conic.astype(dtype),
             depth=self.depth.astype(dtype),
-            rgb=self.rgb.astype(dtype),
             rgb_clamped=self.rgb_clamped,
-            opacity=self.opacity.astype(dtype),
             aabb=self.aabb,
             gaussian_index=self.gaussian_index,
+            **blend,
         )
 
 

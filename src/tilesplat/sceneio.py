@@ -5,7 +5,10 @@ fixed order: position, DC color coefficients, higher-order coefficients
 (channel-major), opacity logit, log scales, quaternion. Cameras travel
 as JSON. Rendered images write as binary PPM (P6) by default, or as
 PNG (8-bit RGB, non-interlaced). The PNG reader also takes 8-bit RGBA,
-dropping alpha, and undoes all five row filters.
+dropping alpha, and undoes all five row filters, mixed freely between
+rows, in one NumPy pass over the image's anti-diagonals: a pixel's
+prediction reads only its left, upper and upper-left neighbours, which
+lie on the two diagonals before its own.
 """
 
 from __future__ import annotations
@@ -307,6 +310,8 @@ def load_ppm(path: str | Path) -> ImageRGB:
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_ZLIB_LEVEL = 6  # fixed so that output bytes are deterministic
 _PNG_CHANNELS = {2: 3, 6: 4}  # colour type (RGB, RGBA) -> bytes per pixel
+# the neighbours (a, b, c) that filter types None, Sub, Up, Average and Paeth read
+_PNG_READS = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)], dtype=np.int16)
 
 
 def _png_chunk(tag: bytes, body: bytes) -> bytes:
@@ -322,8 +327,13 @@ def image_to_png_bytes(img: ImageRGB) -> bytes:
         raise ValueError(f"PNG needs a non-empty image, got {w}x{h}")
     rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)
     rows[:, 1:] = pixels.reshape(h, 3 * w)
+    return _png_from_scanlines(w, h, rows.tobytes())
+
+
+def _png_from_scanlines(w: int, h: int, scanlines: bytes) -> bytes:
+    """An 8-bit RGB PNG of already filtered scanlines, in one IDAT chunk."""
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    idat = zlib.compress(rows.tobytes(), _PNG_ZLIB_LEVEL)
+    idat = zlib.compress(scanlines, _PNG_ZLIB_LEVEL)
     return (
         _PNG_SIGNATURE
         + _png_chunk(b"IHDR", ihdr)
@@ -332,48 +342,44 @@ def image_to_png_bytes(img: ImageRGB) -> bytes:
     )
 
 
-def _unfilter_row(kind: int, line: bytes, prev: bytes, bpp: int) -> bytearray:
-    """Undo an Average (3) or Paeth (4) row filter.
-
-    Each byte depends on the reconstructed byte bpp to its left, so the
-    row is rebuilt byte by byte with Python ints.  bpp leading zero
-    bytes stand for the pixel left of the row.
-    """
-    cur = bytearray(bpp) + line
-    up = bytes(bpp) + prev
-    for i in range(bpp, len(cur)):
-        a, b, c = cur[i - bpp], up[i], up[i - bpp]
-        if kind == 3:
-            pred = (a + b) >> 1
-        else:
-            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-            pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
-        cur[i] = (cur[i] + pred) & 0xFF
-    return cur[bpp:]
-
-
 def _png_unfilter(rows: np.ndarray, w: int, bpp: int) -> np.ndarray:
-    """Undo the per-row filters of an (h, 1 + w * bpp) uint8 scanline array."""
+    """The (h, w, bpp) int16 pixels of an (h, 1 + w * bpp) uint8 scanline array.
+
+    Pixel (y, x) is predicted from its left (a), upper (b) and upper-left
+    (c) neighbours only, so each anti-diagonal y + x = d is rebuilt at once
+    from diagonals d - 1 and d - 2: in a buffer of rows of w + 1 pixels,
+    with a zero row above and a zero column to the left, a diagonal and its
+    neighbour sets are views with a stride of w pixels.  None (0, 0, 0),
+    Sub (a, 0, 0) and Up (0, b, 0) are Paeth of the neighbours with those
+    the filter ignores zeroed; Average rows take (a + b) >> 1 instead.
+    """
     h = rows.shape[0]
-    out = np.empty((h, w * bpp), dtype=np.uint8)
-    prev = np.zeros(w * bpp, dtype=np.uint8)
-    for y in range(h):
-        kind = int(rows[y, 0])
-        line = rows[y, 1:]
-        if kind == 0:
-            cur = line
-        elif kind == 1:  # Sub
-            cur = np.cumsum(line.reshape(w, bpp), axis=0, dtype=np.uint8).ravel()
-        elif kind == 2:  # Up
-            cur = line + prev
-        elif kind in (3, 4):  # Average, Paeth
-            cur = np.frombuffer(
-                _unfilter_row(kind, line.tobytes(), prev.tobytes(), bpp), dtype=np.uint8
-            )
-        else:
-            raise ValueError(f"row {y}: unknown filter type {kind}")
-        out[y] = prev = cur
-    return out.reshape(h, w, bpp)
+    kind = rows[:, 0]
+    bad = np.flatnonzero(kind > 4)
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: unknown filter type {kind[bad[0]]}")
+    buf = np.zeros((h + 1, w + 1, bpp), dtype=np.int16)
+    buf[1:, 1:] = rows[:, 1:].reshape(h, w, bpp)
+    px = buf.reshape(-1, bpp)
+    # 0xFF where the row's filter reads a, b or c, else 0; reads wrap sums mod 256
+    ma, mb, mc = 0xFF * _PNG_READS[kind].T[:, :, None]
+    average = (kind == 3)[:, None]
+    for d in range(h + w - 1):
+        y0 = max(0, d - w + 1)
+        rs = slice(y0, min(d, h - 1) + 1)
+        s = (y0 + 1) * w + d + 2  # pixel (y0, d - y0) in the padded buffer
+        e = s + (rs.stop - y0) * w
+        a = px[s - 1 : e - 1 : w] & ma[rs]
+        b = px[s - w - 1 : e - w - 1 : w] & mb[rs]
+        c = px[s - w - 2 : e - w - 2 : w] & mc[rs]
+        da, db = a - c, b - c
+        pa, pb, pc = np.abs(db), np.abs(da), np.abs(da + db)
+        pred = np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
+        pred = np.where(average[rs], (a + b) >> 1, pred)
+        cur = px[s:e:w]
+        cur += pred
+    buf &= 0xFF
+    return buf[1:, 1:]
 
 
 def image_from_png_bytes(data: bytes) -> ImageRGB:

@@ -49,6 +49,20 @@ def test_render_writes_images_and_stats(workdir):
     assert (out / "render_0000.ppm").read_bytes().startswith(b"P6")
 
 
+def test_render_rejects_colours_past_float32_and_writes_nothing(workdir, capsys):
+    scene = random_scene(np.random.default_rng(4), 6, make_camera(32, 32), degree=3)
+    scene.sh[:] = 3e38  # finite in float32, but the colours are not
+    save_ply(scene, workdir / "hot.ply")
+    out = workdir / "out"
+    rc = main([
+        "render", "--scene", str(workdir / "hot.ply"),
+        "--cameras", str(workdir / "cams.json"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert "rgb is not finite in float32" in capsys.readouterr().err
+    assert not list(out.glob("render_0000.*")) and not (out / "stats_0000.txt").exists()
+
+
 def test_render_has_no_seed_flag(workdir, capsys):
     rc = main([
         "render", "--scene", str(workdir / "scene.ply"),
@@ -349,6 +363,7 @@ def test_selftest_runs_every_check(capsys):
         "ok thread-determinism",
         "ok ply-roundtrip",
         "ok ppm-golden",
+        "ok png-filters",
         "ok kernel-exact",
         "ok gradcheck",
         "all self-tests passed",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tilesplat.forward import RenderConfig, render
 from tilesplat.model import Camera, GaussianScene, opacity_to_logit
 from tilesplat.preprocess import (
     BOUNDING_SIGMAS,
@@ -291,3 +292,25 @@ def test_non_finite_scene_is_rejected_not_culled():
     scene.means[1, 2] = np.nan  # changed after construction
     with pytest.raises(ValueError, match="^means contains non-finite"):
         preprocess(scene, cam)
+
+
+def test_colour_overflowing_the_blend_dtype_is_rejected():
+    cam = make_camera(32, 32)
+    scene = random_scene(np.random.default_rng(4), 6, cam, degree=3)
+    scene.sh[:] = 3e38  # finite in float32, but the colours are not
+    first = preprocess(scene, cam)[0].gaussian_index[0]
+    with pytest.raises(ValueError, match=f"^Gaussian {first}: rgb is not finite in float32$"):
+        render(scene, cam)
+    img = render(scene, cam, RenderConfig(dtype=np.float64)).image.data
+    assert np.isfinite(img).all()
+
+
+@pytest.mark.parametrize("field", ["mean2", "conic", "opacity", "rgb"])
+def test_cast_names_the_first_non_finite_row_and_field(field):
+    cam = make_camera(64, 64)
+    batch, _ = preprocess(random_scene(np.random.default_rng(2), 10, cam), cam)
+    getattr(batch, field)[3] = 1e39  # finite in float64 only
+    batch.rgb[5] = np.inf  # a later row is not the one named
+    want = f"^Gaussian {batch.gaussian_index[3]}: {field} is not finite in float32$"
+    with pytest.raises(ValueError, match=want):
+        batch.astype(np.float32)

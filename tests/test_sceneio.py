@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -551,6 +551,31 @@ def test_png_decodes_all_filters(ctype, bpp):
     np.testing.assert_array_equal(quantize_u8(img.data), pixels[:, :, :3])
 
 
+# few distinct values, mostly adjacent, so Paeth's distances tie often (for
+# (a, b, c) = (0, 3, 2) a wins over c); 254 and 255 carry Average past 255
+PNG_SAMPLES = st.sampled_from([0, 1, 2, 3, 4, 5, 254, 255])
+
+
+@st.composite
+def filtered_images(draw):
+    h, w = draw(st.integers(1, 33)), draw(st.integers(1, 33))
+    bpp = draw(st.sampled_from([3, 4]))
+    kinds = draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+    return draw(arrays(np.uint8, (h, w, bpp), elements=PNG_SAMPLES, fill=st.nothing())), kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtered_images())
+@example((np.full((1, 1, 3), 255, dtype=np.uint8), [4]))
+@example((np.arange(60, dtype=np.uint8).reshape(1, 15, 4), [1]))
+@example((np.arange(45, dtype=np.uint8).reshape(15, 1, 3), [0, 1, 2, 3, 4] * 3))
+def test_png_decodes_generated_filter_mixes(case):
+    pixels, kinds = case
+    h, w, bpp = pixels.shape
+    blob = build_png(w, h, filter_scanlines(pixels, kinds), ctype={3: 2, 4: 6}[bpp])
+    np.testing.assert_array_equal(quantize_u8(image_from_png_bytes(blob).data), pixels[:, :, :3])
+
+
 def test_png_writer_structure():
     rng = np.random.default_rng(3)
     img = ImageRGB(rng.random((3, 5, 3)))
@@ -591,6 +616,8 @@ def _flip_idat_byte(blob):
     (build_png(2, 2, _valid_scanlines(), extra=png_chunk(b"ABCD", b"")),
      "critical chunk ABCD"),
     (build_png(2, 2, b"\x05" + _valid_scanlines()[1:]), "filter type 5"),
+    (build_png(2, 5, b"".join(bytes([k]) + bytes(6) for k in (0, 1, 2, 7, 4))),
+     "^row 3: unknown filter type 7$"),
     (build_png(2, 2, _valid_scanlines()[:-1]), "truncated IDAT"),
     (build_png(2, 2, _valid_scanlines() + b"\x00"), "more than the expected"),
     (PNG_SIGNATURE + png_chunk(b"IDAT", b""), "IHDR must be the first"),
