@@ -127,10 +127,10 @@ def cmd_render(args) -> int:
     rcfg = _merged_config(args, RenderConfig, render_config_from_dict)
     scene = load_ply(args.scene)
     cameras = load_cameras(args.cameras)
+    results = [render(scene, cam, rcfg) for cam, _ in cameras]  # a failing view writes nothing
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, (cam, _) in enumerate(cameras):
-        res = render(scene, cam, rcfg)
+    for i, res in enumerate(results):
         save_image(res.image, outdir / f"render_{i:04d}.{args.format}")
         (outdir / f"stats_{i:04d}.txt").write_text(res.stats.to_text() + "\n")
     print(f"rendered {len(cameras)} view(s) to {outdir}")

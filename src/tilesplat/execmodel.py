@@ -1,14 +1,12 @@
 """Workload counters and hardware-oriented what-if models.
 
-Nothing here changes rendered pixels.  The renderer fills in counters
-(invocations, candidate/performed/skipped alpha evaluations,
-chunk-level occlusion counts); the alpha-evaluation counts come from
-each tile's windows, its pixels' stop positions after blending and the
-list position where the renderer switched it to pixel-centric
-(``count_evals``).  The functions below turn them into the analyses a
-hardware study needs: tile-size sweeps, occlusion growth curves,
-shared-memory bank conflict counts, and the evaluation savings of the
-hybrid dataflow.
+Nothing here changes rendered pixels.  The renderer fills in the
+stats types below (invocations, candidate/performed/skipped alpha
+evaluations, chunk-level occlusion counts), counting a whole view at
+once after blending (``forward._count``).  The functions below turn
+them into the analyses a hardware study needs: tile-size sweeps,
+occlusion growth curves, shared-memory bank conflict counts, and the
+evaluation savings of the hybrid dataflow.
 """
 
 from __future__ import annotations
@@ -27,60 +25,13 @@ class EvalCounters:
     candidates counts every (splat, pixel in AABB-and-tile) pairing.
     Gaussian-centric traversal performs all of them, terminated pixels
     included; pixel-centric traversal performs only live pixels and
-    counts the remainder as skipped.  ``count_evals`` applies this rule
-    to a blended tile.
+    counts the remainder as skipped.  ``forward._count`` applies this
+    rule to every tile of a view from its pixels' stops.
     """
 
     candidates: int = 0
     performed: int = 0
     skipped: int = 0
-
-    def merge(self, other: "EvalCounters") -> None:
-        self.candidates += other.candidates
-        self.performed += other.performed
-        self.skipped += other.skipped
-
-
-def count_evals(
-    win: np.ndarray,
-    area: np.ndarray,
-    rect: tuple[int, int, int, int],
-    switch: int,
-    until: np.ndarray,
-) -> EvalCounters:
-    """Counters of a tile list blended front to back, pixel-centric from ``switch``.
-
-    ``win`` and ``area`` are the list's clipped windows and their areas
-    (``forward.clip_windows``), indexed by list position.  A pixel is
-    live before list position p exactly when p < ``until[pixel]``:
-    ``until`` is the pixel's stop if it terminated in the list, the list
-    length if it never did, and 0 if it was dead before the list began.
-    Entries before ``switch`` perform their whole window; later ones
-    skip the window pixels that are dead before them.  That takes one
-    summed-area table per distinct death position past ``switch``, never
-    an (entries, pixels) mask.
-    """
-    n = len(area)
-    candidates = int(area.sum())
-    first = max(switch, int(until.min()))  # no pixel is dead before until.min()
-    if first >= n:
-        return EvalCounters(candidates, candidates, 0)
-    skipped = 0
-    x0, y0, _, _ = rect
-    h, w = until.shape
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)  # summed-area table
-    # between consecutive death positions the set of dead pixels stays the same
-    cuts = np.unique(until[(until > first) & (until < n)]).tolist()
-    for lo, hi in zip([first] + cuts, cuts + [n]):
-        dead = until <= lo
-        if dead.all():
-            skipped += int(area[lo:hi].sum())
-            continue
-        np.cumsum(np.cumsum(dead, axis=0), axis=1, out=sat[1:, 1:])
-        wx0, wy0, wx1, wy1 = (win[lo:hi] - (x0, y0, x0, y0)).T
-        sums = sat[wy1, wx1] - sat[wy0, wx1] - sat[wy1, wx0] + sat[wy0, wx0]
-        skipped += int(sums[area[lo:hi] > 0].sum())
-    return EvalCounters(candidates, candidates - skipped, skipped)
 
 
 @dataclass

@@ -94,8 +94,8 @@ eps_t.  The kernel computes pixel state only; ``_blend_group`` reads
 each tile's hybrid split and occlusion counts from it.  The counters
 are taken once per view after every group has blended (``_count``),
 from every entry's clipped window and, under the hybrids, from the
-splits and an image of each pixel's stop (``execmodel.count_evals``),
-so they count window pixels, never a block's padding.
+splits and an image of each pixel's stop padded to whole tiles
+(``_stop_image``), so they count window pixels, never padding.
 
 A render clips every entry's window to its tile once (``SplatTable``),
 and computes once per splat the float64 terms that ``can_blend`` reads
@@ -147,7 +147,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .execmodel import EvalCounters, OcclusionTrace, RenderStats, count_evals
+from .execmodel import EvalCounters, OcclusionTrace, RenderStats
 from .model import Camera, GaussianScene, ImageRGB
 from .preprocess import (
     ALPHA_MIN,
@@ -1075,27 +1075,72 @@ def _tile_groups(binning: TileBinning, side: int) -> list[range]:
     return [range(t, min(t + per, binning.n_tiles)) for t in range(0, binning.n_tiles, per)]
 
 
+def _stop_image(binning: TileBinning) -> np.ndarray:
+    """Pixel stops on whole tiles of ``_tile_extent``; padding, at every list end, never dies."""
+    tw, th = _tile_extent(binning)
+    return np.full((binning.ny * th, binning.nx * tw), len(binning.order), np.int32)
+
+
 def _count(
     table: SplatTable, cfg: RenderConfig, split: np.ndarray, stop: np.ndarray | None
 ) -> EvalCounters:
     """Counters of the table's tiles from their windows, splits and the pixels' stops.
 
-    ``split`` holds each tile's first pixel-centric list position, as
-    ``_blend_group`` settled it, and ``stop`` the image of every pixel's
-    stop after blending; only the hybrids read them
-    (``execmodel.count_evals``).  Under ``hybrid="off"`` every entry
-    performs its whole window.  Nothing passed in is written.
+    Every entry performs its whole window, except that under the hybrids
+    an entry at position p at or past its tile's ``split`` (as
+    ``_blend_group`` settled it) skips the window pixels whose stop is at
+    most p.  ``stop`` is a ``_stop_image``; each tile is the cell at its
+    rect's origin.  Nothing passed in is written.
+
+    A tile's dead pixels change only at its ranks: its split, then the
+    distinct stops after it and before the list end.  An entry skips the
+    pixels dead at its last rank, so the loop runs over ranks, with one
+    summed-area table per tile that has rank k; at rank 0 a tile whose
+    pixels are all live or all dead needs none.
     """
+    candidates = int(table.area.sum())
     if cfg.hybrid == "off":
-        total = int(table.area.sum())
-        return EvalCounters(total, total, 0)
-    counters = EvalCounters()
-    for t, rect in enumerate(table.rects.tolist()):
-        x0, y0, x1, y1 = rect
-        es = slice(table.offsets[t], table.offsets[t + 1])
-        until = stop[y0:y1, x0:x1]
-        counters.merge(count_evals(table.win[es], table.area[es], rect, int(split[t]), until))
-    return counters
+        return EvalCounters(candidates, candidates, 0)
+    off, m = table.offsets[:-1], np.diff(table.offsets)
+    first = off + split
+    etile = np.repeat(np.arange(len(m)), m)
+    past = np.flatnonzero((np.arange(len(etile)) >= first[etile]) & (table.area > 0))
+    if not past.size:
+        return EvalCounters(candidates, candidates, 0)
+    t = etile[past]
+    rx0, ry0, rx1, ry1 = table.rects.T
+    win = table.win[past] - np.column_stack((rx0, ry0, rx0, ry0))[t]  # local to the tile
+    tw, th = table.tile_size
+    grid = stop.reshape(stop.shape[0] // th, th, stop.shape[1] // tw, tw)
+    cy, cx = ry0 // th, rx0 // tw
+    lo, hi, base = (np.zeros(grid.shape[::2], np.int32) for _ in range(3))
+    lo[cy, cx], hi[cy, cx], base[cy, cx] = split, m, off
+    dead = grid <= lo[:, None, :, None]
+    later = ~dead & (grid < hi[:, None, :, None])
+    slots = np.concatenate((first[split < m], (grid + base[:, None, :, None])[later]))
+    ranked = np.bincount(slots, minlength=len(etile)).astype(bool)  # (tile, position) slots
+    slot = np.flatnonzero(ranked)  # every tile's ranks, tile by tile
+    seen = np.cumsum(ranked)
+    rank = np.arange(len(slot)) - seen[first[etile[slot]]] + 1
+    entry_rank = rank[seen[past] - 1]
+    n = np.count_nonzero(dead, axis=(1, 3))[cy, cx]  # pixels dead at the split
+    px = (rx1 - rx0) * (ry1 - ry0)
+    skipped = int(table.area[past[(entry_rank == 0) & (n[t] == px[t])]].sum())  # all dead
+    for k in range(int(rank.max()) + 1):
+        ks = slot[rank == k]
+        e = np.flatnonzero(entry_rank == k)
+        if k == 0:
+            some = (n > 0) & (n < px)  # a tile all live or all dead needs no table
+            ks, e = ks[some[etile[ks]]], e[some[t[e]]]
+        kt = etile[ks]
+        sat = np.zeros((len(ks), th + 1, tw + 1), np.int32)  # summed-area tables
+        np.cumsum(grid[cy[kt], :, cx[kt], :] <= (ks - off[kt])[:, None, None], axis=1,
+                  dtype=np.int32, out=sat[:, 1:, 1:])
+        np.cumsum(sat[:, 1:, 1:], axis=2, out=sat[:, 1:, 1:])
+        i = np.searchsorted(kt, t[e])
+        x0, y0, x1, y1 = win[e].T
+        skipped += int((sat[i, y1, x1] - sat[i, y0, x1] - sat[i, y1, x0] + sat[i, y0, x0]).sum())
+    return EvalCounters(candidates, candidates - skipped, skipped)
 
 
 def composite_background(
@@ -1192,7 +1237,7 @@ def render(
     h, w = cam.height, cam.width
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
     t_final = np.ones((h, w), dtype=img.dtype) if want_trace else None
-    stop = np.empty((h, w), dtype=np.int32) if cfg.hybrid != "off" else None
+    stop = _stop_image(binning) if cfg.hybrid != "off" else None
     bg = np.asarray(cfg.background, dtype=img.dtype)
 
     def run_group(tiles: range):

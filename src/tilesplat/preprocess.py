@@ -56,15 +56,18 @@ class SplatBatch:
         """Cast the float fields to the blending dtype; metadata is shared.
 
         Raises ValueError naming the scene row and the field of the first
-        splat whose blended parameters (mean2, conic, opacity, rgb) are not
-        finite in ``dtype``, as when a float64 value overflows float32.
+        splat whose blended parameters (mean2, conic, opacity, rgb), or the
+        squared offset from mean2 to the farthest pixel centre of its box,
+        which the kernel computes, are not finite in ``dtype``, as when a
+        float64 value overflows float32.
         """
-        fields = ("mean2", "conic", "opacity", "rgb")
+        fields = ("mean2", "conic", "opacity", "rgb", "squared offset of mean2 to its pixels")
         with np.errstate(over="ignore"):  # overflow to inf is raised below
-            blend = {f: getattr(self, f).astype(dtype) for f in fields}
-        finite = np.stack(
-            [np.isfinite(v).all(axis=tuple(range(1, v.ndim))) for v in blend.values()], axis=1
-        )  # (n, 4), in the order of fields
+            blend = {f: getattr(self, f).astype(dtype) for f in fields[:4]}
+            centres = self.aabb.reshape(-1, 2, 2).astype(dtype) + np.array([[0.5], [-0.5]], dtype)
+            far = np.abs(centres - blend["mean2"][:, None]).max(axis=1)
+            vals = (*blend.values(), (far * far).sum(axis=1))  # in the order of fields
+        finite = np.stack([np.isfinite(v).all(axis=tuple(range(1, v.ndim))) for v in vals], axis=1)
         bad = np.flatnonzero(~finite.all(axis=1))
         if bad.size:
             row = bad[0]

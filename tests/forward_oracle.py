@@ -252,7 +252,8 @@ def render(scene, cam, cfg: RenderConfig):
         img[y0:y1, x0:x1] = state.rgb + state.T[..., None] * bg
         t_final[y0:y1, x0:x1] = state.T
         stop[y0:y1, x0:x1] = state.stop
-        stats.counters.merge(counters)
+        for f in ("candidates", "performed", "skipped"):
+            setattr(stats.counters, f, getattr(stats.counters, f) + getattr(counters, f))
         splits.append(split)
         if occl_total is not None:
             occl_total += np.asarray(occluded, dtype=np.int64)

@@ -63,6 +63,42 @@ def test_render_rejects_colours_past_float32_and_writes_nothing(workdir, capsys)
     assert not list(out.glob("render_0000.*")) and not (out / "stats_0000.txt").exists()
 
 
+def test_render_writes_nothing_when_a_later_view_fails(tmp_path, capsys):
+    cam0 = make_camera(32, 32)
+    cam1 = orbit_camera(32, 32, 0.0, 6.0, 0.0)  # at z = -6, facing +z
+    scene = random_scene(np.random.default_rng(4), 6, cam0, degree=3)
+    scene.means[0] = (0.0, 0.0, -1.0)  # behind camera 0, in front of camera 1
+    scene.sh[0] = 3e38  # finite in float32, but its colour is not
+    save_ply(scene, tmp_path / "hot.ply")
+    save_cameras(tmp_path / "cams.json", [cam0, cam1])
+    out = tmp_path / "out"
+    rc = main([
+        "render", "--scene", str(tmp_path / "hot.ply"),
+        "--cameras", str(tmp_path / "cams.json"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert "Gaussian 0: rgb is not finite in float32" in capsys.readouterr().err
+    assert not list(out.glob("render_*")) and not list(out.glob("stats_*"))
+
+
+def test_render_rejects_a_splat_too_far_off_axis_for_float32(tmp_path, capsys):
+    cam = make_camera(32, 32)
+    scene = random_scene(np.random.default_rng(0), 20, cam)
+    scene.means[0] = (1e25, 0.0, 1.0)
+    scene.opacity_logits[0] = 5.0
+    save_ply(scene, tmp_path / "far.ply")
+    save_cameras(tmp_path / "cams.json", [cam])
+    out = tmp_path / "out"
+    rc = main([
+        "render", "--scene", str(tmp_path / "far.ply"),
+        "--cameras", str(tmp_path / "cams.json"), "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Gaussian 0: squared offset of mean2 to its pixels is not finite in float32" in err
+    assert not list(out.glob("render_*")) and not list(out.glob("stats_*"))
+
+
 def test_render_has_no_seed_flag(workdir, capsys):
     rc = main([
         "render", "--scene", str(workdir / "scene.ply"),

@@ -5,10 +5,8 @@ import pytest
 
 from tilesplat.execmodel import (
     BankModel,
-    EvalCounters,
     OcclusionTrace,
     bank_conflicts,
-    count_evals,
     hybrid_savings,
     occlusion_curve,
     sweep_reduction,
@@ -102,12 +100,6 @@ def test_occlusion_curve_hand_trace():
         occlusion_curve(OcclusionTrace(0, 0, np.zeros(0, dtype=np.int64)))
 
 
-def test_eval_counters_merge():
-    a = EvalCounters(candidates=10, performed=7, skipped=3)
-    a.merge(EvalCounters(candidates=5, performed=5, skipped=0))
-    assert (a.candidates, a.performed, a.skipped) == (15, 12, 3)
-
-
 def test_hybrid_savings_and_mismatch():
     rng = np.random.default_rng(2)
     cam = make_camera(64, 64)
@@ -143,32 +135,6 @@ def test_render_stats_text_keys():
         scene, cam, RenderConfig(tile_size=(16, 16), z_tiles=2, record_occlusion=True)
     )
     assert "occluded_after_chunk" in occ.stats.to_text()
-
-
-def test_count_evals_matches_per_entry_count():
-    """Long lists on a 64x64 tile span several chunks; pixels die in and between them."""
-    rng = np.random.default_rng(4)
-    rect = (64, 128, 128, 192)
-    for n in (1, 17, 150):
-        x0 = rng.integers(40, 140, size=n)
-        y0 = rng.integers(100, 210, size=n)
-        win = np.stack([x0, y0, x0 + rng.integers(1, 40, size=n),
-                        y0 + rng.integers(1, 40, size=n)], axis=1)
-        np.maximum(win[:, :2], rect[:2], out=win[:, :2])
-        np.minimum(win[:, 2:], rect[2:], out=win[:, 2:])
-        empty = (win[:, 0] >= win[:, 2]) | (win[:, 1] >= win[:, 3])
-        win[empty] = (128, 192, 64, 128)  # clip_windows' inverted box
-        area = np.where(empty, 0, (win[:, 2] - win[:, 0]) * (win[:, 3] - win[:, 1]))
-        until = rng.integers(0, n + 1, size=(64, 64))
-        for switch in (0, n // 3, n):
-            want = EvalCounters(candidates=int(area.sum()))
-            for p in range(n):
-                x0w, y0w, x1w, y1w = win[p] - (64, 128, 64, 128)
-                inside = until[y0w:y1w, x0w:x1w] if area[p] else until[:0]
-                dead = int(np.count_nonzero(inside <= p)) if p >= switch else 0
-                want.performed += int(area[p]) - dead
-                want.skipped += dead
-            assert count_evals(win, area, rect, switch, until) == want
 
 
 def test_occlusion_splits_from_stop_histogram():

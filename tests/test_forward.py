@@ -2,11 +2,15 @@
 
 import copy
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilesplat.execmodel import count_evals
+from tilesplat import forward
+from tilesplat.execmodel import EvalCounters
 from tilesplat.forward import (
     ALPHA_MIN,
     RenderConfig,
@@ -17,12 +21,13 @@ from tilesplat.forward import (
     render,
     splat_alpha,
 )
-from tilesplat.preprocess import SplatBatch
+from tilesplat.preprocess import SplatBatch, TileBinning
 from tilesplat.synth import make_camera, opaque_foreground_scene, random_scene
 
 from forward_oracle import occlusion_switch
 from tile_kernel import (
-    blend_tile_span, fresh_state, picking, render_tiles, spying_groups, tile_lists, view_table,
+    blend_tile_span, fresh_state, one_tile, picking, render_tiles, spying_groups, tile_lists,
+    view_table,
 )
 
 
@@ -119,9 +124,88 @@ def until_of(state, m, eps_t, carry=None):
     return until
 
 
-def count(batch, order, rect, switch, until):
-    win, area = clip_windows(batch.aabb[order], rect)
-    return count_evals(win, area, rect, switch, until)
+def count(batch, order, rect, split, until):
+    """``forward._count`` of one tile ``rect`` at the image origin listing ``order``.
+
+    ``until`` (``until_of``) is the tile's image of stops: a pixel dead
+    before the list has stop 0.
+    """
+    table = one_tile(batch, order, rect, rect[2])
+    cfg = RenderConfig(hybrid="fixed_fraction")
+    return forward._count(table, cfg, np.array([split]), until.astype(np.int32))
+
+
+def per_entry_count(win, area, offsets, split, stop) -> EvalCounters:
+    """The hybrid rule entry by entry: from its tile's ``split`` on, an entry
+    at list position p skips the window pixels whose ``stop`` is at most p."""
+    want = EvalCounters(candidates=int(area.sum()))
+    for t in range(len(offsets) - 1):
+        for p, e in enumerate(range(offsets[t], offsets[t + 1])):
+            x0, y0, x1, y1 = win[e]
+            live = p < split[t] or not area[e]
+            dead = 0 if live else int(np.count_nonzero(stop[y0:y1, x0:x1] <= p))
+            want.performed += int(area[e]) - dead
+            want.skipped += dead
+    return want
+
+
+def count_table(win, area, offsets, rects, tile_size):
+    """What ``forward._count`` reads of a ``SplatTable``."""
+    return SimpleNamespace(win=win, area=area, offsets=offsets, rects=rects, tile_size=tile_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    tile=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+)
+def test_count_matches_a_per_entry_count(seed, size, tile):
+    """``forward._count`` over a whole view equals the rule applied entry by
+    entry: tiles clipped at the image edge and larger than the image, empty
+    windows, stops at 0 and at the list end, splits from 0 to the list end,
+    tiles all live or all dead at their split, several death positions per
+    tile, and one tile among many with a long list and many ranks."""
+    (w, h), (tw, th) = size, tile
+    rng = np.random.default_rng(seed)
+    nx, ny = -(-w // tw), -(-h // th)
+    m = rng.choice([0, 1, 2, 5, 9], size=nx * ny)
+    m[rng.integers(nx * ny)] = 40
+    offsets = np.concatenate(([0], np.cumsum(m)))
+    binning = TileBinning(tw, th, nx, ny, w, h, np.zeros(offsets[-1], np.int64), offsets)
+    rects = binning.rects()
+    etile = np.repeat(np.arange(nx * ny), m)
+    start = rng.integers(rects[etile, :2] - 3, rects[etile, 2:] + 2)
+    boxes = np.hstack((start, start + rng.integers(0, [tw + 4, th + 4], size=start.shape)))
+    win, area = clip_windows(boxes, rects[etile])
+    split = rng.integers(0, m + 1)
+    lo, hi = np.sort(rng.integers(0, m + 1, size=(2, len(m))), axis=0)  # each tile's stops
+    stop = forward._stop_image(binning)
+    for t, (x0, y0, x1, y1) in enumerate(rects):
+        stop[y0:y1, x0:x1] = rng.integers(lo[t], hi[t] + 1, size=(y1 - y0, x1 - x0))
+    table = count_table(win, area, offsets, rects, forward._tile_extent(binning))
+    got = forward._count(table, RenderConfig(hybrid="occlusion_threshold"), split, stop)
+    assert got == per_entry_count(win, area, offsets, split, stop)
+
+
+def test_count_matches_per_entry_count_on_long_lists():
+    """Long lists on a 64x64 tile away from the origin span several ranks;
+    pixels die in and between them, and some were dead before the list."""
+    rng = np.random.default_rng(4)
+    rect = (64, 128, 128, 192)
+    for n in (1, 17, 150):
+        x0 = rng.integers(40, 140, size=n)
+        y0 = rng.integers(100, 210, size=n)
+        boxes = np.stack([x0, y0, x0 + rng.integers(1, 40, size=n),
+                          y0 + rng.integers(1, 40, size=n)], axis=1)
+        win, area = clip_windows(boxes, rect)
+        stop = np.full((192, 128), n, np.int32)  # other tiles: never dead
+        stop[128:, 64:] = rng.integers(0, n + 1, size=(64, 64))
+        table = count_table(win, area, np.array([0, n]), np.array([rect]), (64, 64))
+        for split in (0, n // 3, n):
+            cfg = RenderConfig(hybrid="fixed_fraction")
+            got = forward._count(table, cfg, np.array([split]), stop)
+            assert got == per_entry_count(win, area, [0, n], [split], stop)
 
 
 def test_chunk_bounds_partition():
@@ -238,7 +322,7 @@ def test_theta_switch_waits_for_an_entry_that_reaches_the_tile():
     win, area = clip_windows(batch.aabb[:3], (0, 0, 4, 4))
     switch = occlusion_switch(area, until, 0.25)
     assert switch == 2  # after splat 1, the first one with pixels here
-    counters = count_evals(win, area, (0, 0, 4, 4), switch, until)
+    counters = count(batch, np.arange(3), (0, 0, 4, 4), switch, until)
     assert counters.candidates == 32
     assert counters.performed == 16 + 8 and counters.skipped == 8
 
@@ -328,9 +412,11 @@ def test_count_writes_neither_splits_nor_stops():
     split = np.array([s for _, s, _ in tiles])
     assert split.tolist() == res.stats.hybrid_splits
     assert np.any(split < np.diff(binning.offsets))  # some tile turned before its end
+    padded = forward._stop_image(binning)
+    padded[:64, :96] = stop
     split.setflags(write=False)
-    stop.setflags(write=False)
-    assert forward._count(view_table(batch, binning), cfg, split, stop) == res.stats.counters
+    padded.setflags(write=False)
+    assert forward._count(view_table(batch, binning), cfg, split, padded) == res.stats.counters
 
 
 def test_hybrid_split_position_fixed_fraction():

@@ -305,6 +305,21 @@ def test_colour_overflowing_the_blend_dtype_is_rejected():
     assert np.isfinite(img).all()
 
 
+@pytest.mark.parametrize("x", [1e18, 1e20, 1e25])
+def test_splat_too_far_off_axis_for_float32_is_rejected(x):
+    """Its mean lies 3e19 px or more from its pixels: float32 squares that
+    offset to inf, which renders NaN (1e25) or drops the splat (1e18, 1e20)."""
+    cam = make_camera(32, 32)
+    scene = random_scene(np.random.default_rng(0), 20, cam)
+    scene.means[0] = (x, 0.0, 1.0)
+    scene.opacity_logits[0] = 5.0
+    want = "^Gaussian 0: squared offset of mean2 to its pixels is not finite in float32$"
+    with pytest.raises(ValueError, match=want):
+        render(scene, cam)
+    img = render(scene, cam, RenderConfig(dtype=np.float64)).image.data
+    assert np.isfinite(img).all()
+
+
 @pytest.mark.parametrize("field", ["mean2", "conic", "opacity", "rgb"])
 def test_cast_names_the_first_non_finite_row_and_field(field):
     cam = make_camera(64, 64)

@@ -177,11 +177,11 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forw
     h, w = binning.image_h, binning.image_w
     img = np.zeros((h, w, 3), dtype=batch.mean2.dtype)
     t_final = np.zeros((h, w), dtype=batch.mean2.dtype)
-    stop = np.zeros((h, w), dtype=np.int32)
+    stop = forward._stop_image(binning)
     bg = np.asarray(cfg.background, dtype=img.dtype)
     tiles = []
     for order, rect in zip(tile_lists(binning), binning.rects()):
-        table = one_tile(batch, order, rect, w, (binning.tile_w, binning.tile_h))
+        table = one_tile(batch, order, rect, w, forward._tile_extent(binning))
         grp = BlockGroup(table, range(1), side)
         state, split, occluded = forward._blend_group(grp, cfg)
         grp.paste(forward.composite_background(state, bg), img)
@@ -190,4 +190,4 @@ def render_tiles(batch: SplatBatch, binning, cfg: RenderConfig, side: int = forw
         split.setflags(write=False)  # settled by _blend_group; _count only reads it
         counters = forward._count(table, cfg, split, stop)
         tiles.append((counters, int(split[0]), occluded))
-    return img, t_final, stop, tiles
+    return img, t_final, stop[:h, :w], tiles
